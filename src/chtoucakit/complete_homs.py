@@ -23,17 +23,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import InvalidData, NotOnStratum, Singular, ZeroLambda, ZeroMu
-from .fields import (
-    GF,
-    fmat_det,
-    fmat_eq,
-    fmat_identity,
-    fmat_inverse,
-    fmat_kernel,
-    fmat_mul,
-    fmat_rank,
-    fmat_row_basis,
-)
+from . import qlinalg
+from .fields import GF, fmat_eq, fmat_identity, fmat_mul
 
 
 def wedge_subsets(r: int, rho: int) -> list[tuple[int, ...]]:
@@ -41,7 +32,7 @@ def wedge_subsets(r: int, rho: int) -> list[tuple[int, ...]]:
 
 
 def _minor(field, a, rows, cols):
-    return fmat_det(field, [[a[i][j] for j in cols] for i in rows])
+    return qlinalg.det(field, [[a[i][j] for j in cols] for i in rows])
 
 
 def exterior_power(field, a, rho: int):
@@ -95,7 +86,7 @@ def complete_from_open(field, u1, lams) -> CompleteHom:
         raise InvalidData("need r-1 scalars")
     if any(field.is_zero(l) for l in lams):
         raise ZeroLambda("all lambda_rho must be invertible on the open locus")
-    if fmat_inverse(field, u1) is None:
+    if qlinalg.inverse(field, u1) is None:
         raise Singular("u_1 must be an isomorphism")
     us = [u1]
     for rho in range(2, r + 1):
@@ -228,8 +219,8 @@ class StratumData:
             if r1 != r2 or not f.eq(l1, l2):
                 return False
         for a, b in zip(self.vfilt + self.wfilt, other.vfilt + other.wfilt):
-            if not fmat_eq(f, fmat_row_basis(f, [list(r) for r in a]),
-                           fmat_row_basis(f, [list(r) for r in b])):
+            if not fmat_eq(f, qlinalg.row_basis(f, [list(r) for r in a]),
+                           qlinalg.row_basis(f, [list(r) for r in b])):
                 return False
         for a, b in zip(self.v, other.v):
             if not fmat_eq(f, [list(r) for r in a], [list(r) for r in b]):
@@ -252,7 +243,7 @@ def _complete_rows(field, have: list, pool: list, target_rank: int):
     for row in pool:
         if len(out) == target_rank:
             break
-        if fmat_rank(field, out + [row]) == len(out) + 1:
+        if qlinalg.rank(field, out + [row]) == len(out) + 1:
             out.append(row)
     if len(out) != target_rank:
         raise InvalidData("cannot complete basis: containment violated")
@@ -270,7 +261,7 @@ def adapted_bases(field, r: int, cuts, vfilt, wfilt):
     s = len(cuts) + 1
     std = fmat_identity(field, r)
     # V side: build blocks from the bottom of the filtration upwards
-    v_spaces = [fmat_row_basis(field, [list(row) for row in m]) for m in vfilt]
+    v_spaces = [qlinalg.row_basis(field, [list(row) for row in m]) for m in vfilt]
     v_spaces = [std] + v_spaces + [[]]  # V^0 .. V^s
     collected: list = []
     v_blocks: list = [None] * s
@@ -286,7 +277,7 @@ def adapted_bases(field, r: int, cuts, vfilt, wfilt):
     # holds block sigma's lifts already in block order
     a_cols = v_adapted
     # W side: from W_1 upwards
-    w_spaces = [[]] + [fmat_row_basis(field, [list(row) for row in m]) for m in wfilt] + [std]
+    w_spaces = [[]] + [qlinalg.row_basis(field, [list(row) for row in m]) for m in wfilt] + [std]
     collected = []
     w_blocks: list = [None] * s
     for sigma in range(1, s + 1):
@@ -313,21 +304,21 @@ def _validate_stratum_data(d: StratumData):
     if len(d.vfilt) != s - 1 or len(d.wfilt) != s - 1:
         raise InvalidData("need one proper subspace per cut")
     for t, m in enumerate(d.vfilt):
-        if fmat_rank(field, [list(row) for row in m]) != r - bounds[t + 1]:
+        if qlinalg.rank(field, [list(row) for row in m]) != r - bounds[t + 1]:
             raise InvalidData(f"V^{t+1} has wrong dimension")
     for t, m in enumerate(d.wfilt):
-        if fmat_rank(field, [list(row) for row in m]) != bounds[t + 1]:
+        if qlinalg.rank(field, [list(row) for row in m]) != bounds[t + 1]:
             raise InvalidData(f"W_{t+1} has wrong dimension")
     # nesting
     for t in range(len(d.vfilt) - 1):
         big = [list(row) for row in d.vfilt[t]]
         for row in d.vfilt[t + 1]:
-            if fmat_rank(field, big + [list(row)]) != len(fmat_row_basis(field, big)):
+            if qlinalg.rank(field, big + [list(row)]) != len(qlinalg.row_basis(field, big)):
                 raise InvalidData("V filtration is not decreasing")
     for t in range(len(d.wfilt) - 1):
         big = [list(row) for row in d.wfilt[t + 1]]
         for row in d.wfilt[t]:
-            if fmat_rank(field, big + [list(row)]) != len(fmat_row_basis(field, big)):
+            if qlinalg.rank(field, big + [list(row)]) != len(qlinalg.row_basis(field, big)):
                 raise InvalidData("W filtration is not increasing")
     if len(d.v) != s or len(d.scales) != s:
         raise InvalidData("need one graded map and scale per block")
@@ -336,7 +327,7 @@ def _validate_stratum_data(d: StratumData):
         mat = [list(row) for row in d.v[sigma - 1]]
         if len(mat) != m_sigma or any(len(row) != m_sigma for row in mat):
             raise InvalidData(f"graded map {sigma} has wrong shape")
-        if fmat_inverse(field, mat) is None:
+        if qlinalg.inverse(field, mat) is None:
             raise InvalidData(f"graded map {sigma} is singular")
         if field.is_zero(d.scales[sigma - 1]):
             raise InvalidData("scales must be invertible")
@@ -376,7 +367,7 @@ def build_stratum_point(d: StratumData) -> CompleteHom:
     s = len(cuts) + 1
     free = dict(d.free_lams)
     a, b = adapted_bases(field, r, d.cuts, d.vfilt, d.wfilt)
-    a_inv = fmat_inverse(field, a)
+    a_inv = qlinalg.inverse(field, a)
     assert a_inv is not None
     true_v = []
     for sigma in range(1, s + 1):
@@ -389,7 +380,7 @@ def build_stratum_point(d: StratumData) -> CompleteHom:
         sigma = next(t for t in range(1, s + 1) if bounds[t - 1] < rho <= bounds[t])
         lead = field.one()
         for j in range(1, sigma):
-            lead = field.mul(lead, fmat_det(field, true_v[j - 1]))
+            lead = field.mul(lead, qlinalg.det(field, true_v[j - 1]))
         size = comb(r, rho)
         subs = wedge_subsets(r, rho)
         index = {sub: i for i, sub in enumerate(subs)}
@@ -474,7 +465,7 @@ def _support_span(field, u_rho, r: int, rho: int):
                     nonzero = True
             if nonzero:
                 vectors.append(vec)
-    return fmat_row_basis(field, vectors)
+    return qlinalg.row_basis(field, vectors)
 
 
 def stratum_data(h: CompleteHom) -> StratumData:
@@ -495,12 +486,12 @@ def stratum_data(h: CompleteHom) -> StratumData:
     for t, cut in enumerate(cuts):
         rho = cut
         kernel_rows = _kernel_of_wedge_map(field, h.u[rho - 1], r, rho)
-        ker = fmat_kernel(field, kernel_rows, r)
+        ker = qlinalg.kernel(field, kernel_rows, r)
         if len(ker) != r - cut:
             raise NotOnStratum(
                 f"recovered V^{t+1} has dimension {len(ker)}, expected {r - cut}"
             )
-        vfilt.append(tuple(tuple(row) for row in fmat_row_basis(field, ker)))
+        vfilt.append(tuple(tuple(row) for row in qlinalg.row_basis(field, ker)))
         span = _support_span(field, h.u[rho - 1], r, rho)
         if len(span) != cut:
             raise NotOnStratum(
@@ -511,16 +502,16 @@ def stratum_data(h: CompleteHom) -> StratumData:
     for t in range(len(vfilt) - 1):
         big = [list(row) for row in vfilt[t]]
         for row in vfilt[t + 1]:
-            if fmat_rank(field, big + [list(row)]) != len(big):
+            if qlinalg.rank(field, big + [list(row)]) != len(big):
                 raise NotOnStratum("recovered V filtration is not nested")
     for t in range(len(wfilt) - 1):
         big = [list(row) for row in wfilt[t + 1]]
         for row in wfilt[t]:
-            if fmat_rank(field, big + [list(row)]) != len(big):
+            if qlinalg.rank(field, big + [list(row)]) != len(big):
                 raise NotOnStratum("recovered W filtration is not nested")
     free = {rho: h.lams[rho - 1] for rho in range(1, r) if rho not in set(cuts)}
     a, b = adapted_bases(field, r, cuts, vfilt, wfilt)
-    b_inv = fmat_inverse(field, b)
+    b_inv = qlinalg.inverse(field, b)
     assert b_inv is not None
     v_hat = []
     scales = []
@@ -562,9 +553,9 @@ def stratum_data(h: CompleteHom) -> StratumData:
             tuple(tuple(field.mul(inv_first, x) for x in row) for row in tilde)
         )
         scales.append(first)
-        if fmat_inverse(field, tilde) is None:
+        if qlinalg.inverse(field, tilde) is None:
             raise NotOnStratum(f"graded map {sigma} is singular")
-        true_dets.append(fmat_det(field, tilde))
+        true_dets.append(qlinalg.det(field, tilde))
     data = StratumData(
         field,
         r,
@@ -596,7 +587,7 @@ def lang_isogeny(g, q: int, field: GF):
     if qq != 1 or q < 2:
         raise InvalidData("q must be a positive power of the characteristic")
     tg = [[field.frobenius(x, q) for x in row] for row in g]
-    tg_inv = fmat_inverse(field, tg)
-    if tg_inv is None or fmat_inverse(field, g) is None:
+    tg_inv = qlinalg.inverse(field, tg)
+    if tg_inv is None or qlinalg.inverse(field, g) is None:
         raise Singular("matrix must be invertible")
     return fmat_mul(field, tg_inv, g)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from . import qlinalg, zlattice
+from .fields import QQ
 from .errors import TooLarge
 from .ratlp import max_slack
 from .simplex_core import (
@@ -42,22 +42,11 @@ def _saturate(vectors: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]
     if not vectors:
         return []
     # orthogonal complement over Q, then integer kernel of it
-    comp = zlattice.rational_kernel([[Fraction(x) for x in v] for v in vectors], dim)
+    comp = qlinalg.kernel(QQ, [[Fraction(x) for x in v] for v in vectors], dim)
     if not comp:
         return [tuple(r) for r in zlattice.hnf([list(v) for v in vectors])]
     comp_rows = [list(zlattice.clear_denominators(v)) for v in comp]
     return [tuple(r) for r in zlattice.int_kernel(comp_rows, dim)]
-
-
-def _clear_denominators_ray(v) -> tuple[int, ...]:
-    """Integer primitive vector in the same direction as a rational one."""
-    from math import gcd
-
-    fracs = [Fraction(x) for x in v]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return zlattice.primitive_ray([int(f * lcm) for f in fracs])
 
 
 def _reduce_mod_lineality(ray, lin_rows) -> tuple[int, ...]:
@@ -71,8 +60,7 @@ def _reduce_mod_lineality(ray, lin_rows) -> tuple[int, ...]:
         if v[piv] != 0:
             c = v[piv] / b[piv]
             v = [x - c * Fraction(y) for x, y in zip(v, b)]
-    w = _clear_denominators_ray(v)
-    return w
+    return zlattice.clear_denominators(v)
 
 
 def double_description(rows: list[tuple[int, ...]], dim: int):
@@ -125,7 +113,7 @@ def double_description(rows: list[tuple[int, ...]], dim: int):
                         common = zsets[rp] & zsets[rm]
                         tight_rows = [processed[j] for j in common]
                         k_dim = dim - qlinalg.rank(
-                            [[Fraction(x) for x in row] for row in tight_rows]
+                            QQ, [[Fraction(x) for x in row] for row in tight_rows]
                         ) if tight_rows else dim
                         if k_dim != lin_dim + 2:
                             continue
@@ -205,10 +193,7 @@ class Cone:
         gens = self.generators()
         if not gens:
             return 0
-        return qlinalg.rank([[Fraction(x) for x in g] for g in gens])
-
-    def is_pointed(self) -> bool:
-        return not self.lin
+        return qlinalg.rank(QQ, [[Fraction(x) for x in g] for g in gens])
 
     def contains_vector(self, v) -> bool:
         return all(_dot(e, v) == 0 for e in self.eqs) and all(
@@ -410,10 +395,10 @@ def monoid_generators(c: Cone, bound: int = MONOID_SEARCH_BOUND) -> list[tuple[i
     chosen: list[tuple[int, ...]] = []
     chosen_proj: list[tuple[tuple[int, ...], int]] = []  # (projection, height)
 
-    def decomposable(py, h) -> bool:
+    def decomposable(py, h, parts) -> bool:
         """Is the projected vector a nonneg-integer combination of the
-        projected chosen generators?  Height strictly decreases along
-        the search, so it terminates."""
+        projected generators ``parts`` ((projection, height) pairs)?
+        Height strictly decreases along the search, so it terminates."""
         memo: set = set()
 
         def rec(v, hv):
@@ -422,7 +407,7 @@ def monoid_generators(c: Cone, bound: int = MONOID_SEARCH_BOUND) -> list[tuple[i
             if (v, hv) in memo:
                 return False
             memo.add((v, hv))
-            for s, hs in chosen_proj:
+            for s, hs in parts:
                 if hs > hv:
                     continue
                 if rec(tuple(a - b for a, b in zip(v, s)), hv - hs):
@@ -437,7 +422,7 @@ def monoid_generators(c: Cone, bound: int = MONOID_SEARCH_BOUND) -> list[tuple[i
             # unit: nonzero projection impossible; keep a generating set
             # of the unit lattice (both signs of the Hermite basis)
             continue
-        if not decomposable(py, h):
+        if not decomposable(py, h, chosen_proj):
             chosen.append(y)
             chosen_proj.append((py, h))
 
@@ -450,22 +435,7 @@ def monoid_generators(c: Cone, bound: int = MONOID_SEARCH_BOUND) -> list[tuple[i
         py, h = project(y), height(y)
         if h == 0:
             continue
-        memo: set = set()
-
-        def rec2(v, hv):
-            if all(x == 0 for x in v):
-                return True
-            if (v, hv) in memo:
-                return False
-            memo.add((v, hv))
-            for s, hs in res_proj:
-                if hs > hv:
-                    continue
-                if rec2(tuple(a - b for a, b in zip(v, s)), hv - hs):
-                    return True
-            return False
-
-        assert rec2(py, h), f"monoid element {y} fails to decompose"
+        assert decomposable(py, h, res_proj), f"monoid element {y} fails to decompose"
     return result
 
 
@@ -551,11 +521,11 @@ def tau_sequence_check(r: int, q: int) -> SequenceReport:
     g_rows = [list(p) + [-1] for p in pts]
     # solve G v = ew over the integers (G has full column rank minus 1)
     sol = qlinalg.solve(
-        [[Fraction(x) for x in row] for row in g_rows], [Fraction(v) for v in ew]
+        QQ, [[Fraction(x) for x in row] for row in g_rows], [Fraction(v) for v in ew]
     )
     integral = sol is not None and all(x.denominator == 1 for x in sol)
     checks.append(("embedding_descends", integral))
-    dim_t = len(s_tau) - 1
+    dim_t = len(s_tau) - zlattice.int_rank([w])
     checks.append(("dim_torus", dim_t == len(s_tau) - 1))
     report = SequenceReport(all(ok for _, ok in checks), dim_t, checks)
     report.s_tau_size = len(s_tau)  # type: ignore[attr-defined]

@@ -1,9 +1,10 @@
-"""Exact scalar fields (Q and small GF(p^k)) plus generic dense matrix
-routines parametrized by a field object.
+"""Exact scalar fields (Q and small GF(p^k)) and the few dense matrix
+helpers that need no elimination (identity, product, equality); every
+elimination routine lives in `qlinalg`, generic over these field objects.
 
 GF(p^k) elements are coefficient tuples of length k (little-endian) over
-a deterministic modulus: the lexicographically smallest monic irreducible
-of degree k over F_p.  Serialization uses the integer index sum c_i p^i.
+a monic irreducible modulus of degree k, by default the lexicographically
+smallest one over F_p.  Serialization uses the integer index sum c_i p^i.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class RationalField:
     def coerce(self, x):
         return Fraction(x)
 
-    def format(self, a: Fraction) -> str:
+    def format(self, a) -> str:
+        a = Fraction(a)
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def parse(self, s: str) -> Fraction:
@@ -133,6 +135,8 @@ class GF:
             object.__setattr__(self, "modulus", default_modulus(self.p, self.k))
         if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
+        if not _poly_is_irreducible(tuple(c % self.p for c in self.modulus), self.p):
+            raise ValueError("modulus must be irreducible over F_p")
 
     @property
     def name(self):
@@ -240,120 +244,6 @@ def fmat_mul(field, a, b):
                 for j in range(m):
                     out[i][j] = field.add(out[i][j], field.mul(c, b[t][j]))
     return out
-
-
-def fmat_vec(field, a, v):
-    out = []
-    for row in a:
-        s = field.zero()
-        for c, x in zip(row, v):
-            s = field.add(s, field.mul(c, x))
-        out.append(s)
-    return out
-
-
-def fmat_rref(field, rows):
-    """Reduced row echelon form; returns (matrix, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if not field.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def fmat_rank(field, rows):
-    return len(fmat_rref(field, rows)[1])
-
-
-def fmat_row_basis(field, rows):
-    """Canonical (rref, zero rows dropped) basis of the row space."""
-    red, pivots = fmat_rref(field, rows)
-    return [red[i] for i in range(len(pivots))]
-
-
-def fmat_inverse(field, a):
-    n = len(a)
-    aug = [list(row) + fmat_identity(field, n)[i] for i, row in enumerate(a)]
-    red, pivots = fmat_rref(field, aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
-
-
-def fmat_det(field, a):
-    m = [list(r) for r in a]
-    n = len(m)
-    sign_flip = False
-    result = field.one()
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not field.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            return field.zero()
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign_flip = not sign_flip
-        result = field.mul(result, m[c][c])
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if not field.is_zero(m[i][c]):
-                f = field.mul(m[i][c], inv)
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[c])]
-    return field.neg(result) if sign_flip else result
-
-
-def fmat_kernel(field, rows, ncols):
-    """Basis of {x : M x = 0}."""
-    red, pivots = fmat_rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(red[i][fc])
-        basis.append(v)
-    return basis
-
-
-def fmat_solve(field, a, b):
-    """One solution of A x = b, or None."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    red, pivots = fmat_rref(field, aug)
-    for row in red:
-        if all(field.is_zero(x) for x in row[:ncols]) and not field.is_zero(row[ncols]):
-            return None
-    if ncols in pivots:
-        return None
-    x = [field.zero()] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][ncols]
-    return x
 
 
 def fmat_eq(field, a, b):

@@ -11,22 +11,13 @@ canonical-form equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from itertools import combinations
 
 from .errors import InvalidData
-from .fields import fmat_kernel, fmat_rank, fmat_row_basis
-from .pavings import Paving, trivial_paving
+from .fields import QQ
+from .pavings import Paving, _proper_nonempty_subsets, trivial_paving
 from .complete_homs import StratumData, adapted_bases, _validate_stratum_data
 from . import qlinalg
 from fractions import Fraction
-
-
-def _proper_nonempty(n: int):
-    items = list(range(n + 1))
-    out = []
-    for k in range(1, n + 1):
-        out.extend(combinations(items, k))
-    return out
 
 
 @dataclass(frozen=True)
@@ -42,7 +33,7 @@ class GluedGraphFamily:
         for m in self.w:
             if len(m) != r or any(len(row) != r * (n + 1) for row in m):
                 raise InvalidData(f"subspace basis must be {r} x {r * (n + 1)}")
-            if fmat_rank(self.field, [list(row) for row in m]) != r:
+            if qlinalg.rank(self.field, [list(row) for row in m]) != r:
                 raise InvalidData("subspace must have rank exactly r")
 
 
@@ -59,11 +50,11 @@ def _dim_intersection_with_block(field, w_rows, r: int, n: int, blocks) -> int:
     if not other:
         return len(w_rows)
     constraint = [[row[c] for row in w_rows] for c in other]
-    return len(fmat_kernel(field, constraint, len(w_rows)))
+    return len(qlinalg.kernel(field, constraint, len(w_rows)))
 
 
 def _restrict_rows(field, w_rows, cols):
-    return fmat_row_basis(field, [[row[c] for c in cols] for row in w_rows])
+    return qlinalg.row_basis(field, [[row[c] for c in cols] for row in w_rows])
 
 
 def _intersection_in_coords(field, w_rows, r, n, blocks):
@@ -72,7 +63,7 @@ def _intersection_in_coords(field, w_rows, r, n, blocks):
     other = [c for c in range(r * (n + 1)) if c not in jset]
     if other:
         constraint = [[row[c] for row in w_rows] for c in other]
-        combos = fmat_kernel(field, constraint, len(w_rows))
+        combos = qlinalg.kernel(field, constraint, len(w_rows))
     else:
         combos = [[field.one() if i == t else field.zero() for i in range(len(w_rows))]
                   for t in range(len(w_rows))]
@@ -86,7 +77,7 @@ def _intersection_in_coords(field, w_rows, r, n, blocks):
                 s = field.add(s, field.mul(coeff, row[col]))
             vec.append(s)
         vecs.append(vec)
-    return fmat_row_basis(field, vecs)
+    return qlinalg.row_basis(field, vecs)
 
 
 @dataclass
@@ -100,7 +91,7 @@ def check_dimension_condition(fam: GluedGraphFamily) -> GluingReport:
     sum_{j in J} i_j, for every pavé and every J."""
     r, n = fam.paving.r, fam.paving.n
     violations = []
-    subsets = _proper_nonempty(n) + [tuple(range(n + 1)), ()]
+    subsets = _proper_nonempty_subsets(n) + [tuple(range(n + 1)), ()]
     for idx, pave in enumerate(fam.paving.paves):
         w_rows = [list(row) for row in fam.w[idx]]
         for blocks in subsets:
@@ -126,7 +117,7 @@ def shared_walls(paving: Paving):
             p_first = paving.paves[first]
             p_second = paving.paves[second]
             second_set = set(p_second.points)
-            for blocks in _proper_nonempty(n):
+            for blocks in _proper_nonempty_subsets(n):
                 dmin = min(sum(p[j] for j in blocks) for p in p_first.points)
                 dmax = max(sum(p[j] for j in blocks) for p in p_second.points)
                 if dmin != dmax:
@@ -138,7 +129,7 @@ def shared_walls(paving: Paving):
                 ]
                 if not shared:
                     continue
-                span = qlinalg.rank([[Fraction(x) for x in p] for p in shared])
+                span = qlinalg.rank(QQ, [[Fraction(x) for x in p] for p in shared])
                 if span == n:
                     walls.append((first, second, blocks, dmin))
     return walls

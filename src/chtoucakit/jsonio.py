@@ -29,8 +29,7 @@ def dumps_canonical(obj) -> str:
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return QQ.format(x)
 
 
 def parse_frac(s) -> Fraction:

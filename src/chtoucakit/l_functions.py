@@ -17,12 +17,14 @@ from math import gcd
 
 import numpy as np
 
+from . import qlinalg
 from .errors import (
     InvalidData,
     NonIntegralExponent,
     NonInvertibleRoots,
     RootFindingFailed,
 )
+from .fields import QQ
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,7 @@ def _sylvester_resultant(p, q) -> Fraction:
         for k, c in enumerate(reversed(q)):
             row[i + k] = c
         rows.append(row)
-    from .qlinalg import det
-
-    return det(rows)
+    return qlinalg.det(QQ, rows)
 
 
 def star_convolve(a: SatakeParams, b: SatakeParams) -> SatakeParams:

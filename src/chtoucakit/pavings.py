@@ -27,6 +27,7 @@ from itertools import combinations
 from math import comb
 
 from . import qlinalg
+from .fields import QQ
 from .errors import (
     EmptyInterior,
     NotAdmissible,
@@ -254,9 +255,9 @@ def regular_subdivision(h: LatticeFunction) -> Paving:
     supports: dict[frozenset, tuple[Fraction, ...]] = {}
     for sub in combinations(range(len(pts)), n + 1):
         m = [[Fraction(x) for x in pts[i]] for i in sub]
-        if qlinalg.rank(m) < n + 1:
+        if qlinalg.rank(QQ, m) < n + 1:
             continue
-        c = qlinalg.solve(m, [h.values[i] for i in sub])
+        c = qlinalg.solve(QQ, m, [h.values[i] for i in sub])
         if c is None:
             continue
         vals = [
@@ -266,7 +267,7 @@ def regular_subdivision(h: LatticeFunction) -> Paving:
             continue  # not a minorant
         touch = frozenset(i for i, (v, hv) in enumerate(zip(vals, h.values)) if v == hv)
         span = [[Fraction(x) for x in pts[i]] for i in touch]
-        if qlinalg.rank(span) < n + 1:
+        if qlinalg.rank(QQ, span) < n + 1:
             continue  # lower-dimensional contact
         supports[touch] = tuple(vals)
     if not supports:
@@ -319,7 +320,7 @@ def interior_walls(paving: Paving):
             shared = [p for p in paves[l].points if p in set_k]
             if not shared:
                 continue
-            span = qlinalg.rank([[Fraction(x) for x in p] for p in shared])
+            span = qlinalg.rank(QQ, [[Fraction(x) for x in p] for p in shared])
             if span != paving.n:
                 continue
             witness = next(
@@ -444,19 +445,19 @@ def sigma_cone(paving: Paving) -> Cone:
         basis = []
         for p in pave.points:
             trial = basis + [p]
-            if qlinalg.rank([[Fraction(x) for x in b] for b in trial]) == len(trial):
+            if qlinalg.rank(QQ, [[Fraction(x) for x in b] for b in trial]) == len(trial):
                 basis.append(p)
             if len(basis) == n + 1:
                 break
         assert len(basis) == n + 1, "pave is not full-dimensional"
-        m_inv = qlinalg.inverse([[Fraction(x) for x in b] for b in basis])
+        m_inv = qlinalg.inverse(QQ, [[Fraction(x) for x in b] for b in basis])
         pset = pave.point_set()
         for x in pts:
             if x in basis:
                 continue
             # h(x) - x^T M^{-1} h|basis
             lam = qlinalg.mat_vec(
-                [list(col) for col in zip(*m_inv)], [Fraction(v) for v in x]
+                QQ, [list(col) for col in zip(*m_inv)], [Fraction(v) for v in x]
             )
             coeffs: dict[Point, Fraction] = {x: Fraction(1)}
             for b, l in zip(basis, lam):

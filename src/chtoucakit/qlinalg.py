@@ -1,119 +1,156 @@
-"""Dense exact linear algebra over the rationals (fractions.Fraction)."""
+"""Dense exact linear algebra over a field object from `fields` (QQ or
+GF(p^k)): the package's one Gaussian-elimination kernel.
+
+Every routine takes the field as its first argument and matrices as
+lists of rows of field elements.  All of them run on the same loop:
+`_forward` brings a copy of the matrix to row-echelon form with unit
+pivots, and `_back_substitute` clears the entries above the pivots when
+a reduced form is needed.  `rank` and `det` stop after the forward pass.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-Row = list[Fraction]
+from .fields import fmat_identity
 
 
-def mat(rows) -> list[Row]:
-    return [[Fraction(x) for x in r] for r in rows]
+def _forward(field, m, ncols):
+    """Forward elimination of ``m`` in place over its first ``ncols``
+    columns; row operations act on whole rows, so columns past ``ncols``
+    (an augmented right-hand side) follow along.
 
-
-def identity(n: int) -> list[Row]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list[Row], b: list[Row]) -> list[Row]:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                oi = out[i]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
-
-
-def mat_vec(a: list[Row], v: Row) -> Row:
-    return [sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in a]
-
-
-def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots: list[int] = []
+    Leaves ``m`` in row-echelon form with unit pivots and its zero rows
+    (within the first ``ncols`` columns) last.  Returns the pivot columns
+    and the product of the pivots met, negated once per row swap: the
+    determinant when ``m`` is square of full rank."""
+    zero, one = field.zero(), field.one()
+    is_zero, sub, mul, inv = field.is_zero, field.sub, field.mul, field.inv
+    nrows = len(m)
+    pivots = []
+    scale = one
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+        if r == nrows:
+            break
+        piv = r
+        while piv < nrows and is_zero(m[piv][c]):
+            piv += 1
+        if piv == nrows:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            scale = field.neg(scale)
+        prow = m[r]
+        p = prow[c]
+        scale = mul(scale, p)
+        prow[c] = one
+        tail = c + 1
+        if tail < len(prow):  # a pivot in the last column needs no inverse
+            p_inv = inv(p)
+            prow[tail:] = [mul(p_inv, x) for x in prow[tail:]]
+        ptail = prow[tail:]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[c]
+            if not is_zero(f):
+                row[c] = zero
+                row[tail:] = [sub(x, mul(f, y)) for x, y in zip(row[tail:], ptail)]
         pivots.append(c)
         r += 1
-    return m[:r] + [row for row in m[r:]], pivots
+    return pivots, scale
 
 
-def rank(rows: list[Row]) -> int:
-    return len(rref(rows)[1])
+def _back_substitute(field, m, pivots):
+    """Clear the entries above the unit pivots of a forward-eliminated
+    ``m``, last pivot first, which gives the reduced row-echelon form."""
+    zero = field.zero()
+    is_zero, sub, mul = field.is_zero, field.sub, field.mul
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        tail = c + 1
+        ptail = m[k][tail:]
+        for i in range(k):
+            row = m[i]
+            f = row[c]
+            if not is_zero(f):
+                row[c] = zero
+                row[tail:] = [sub(x, mul(f, y)) for x, y in zip(row[tail:], ptail)]
 
 
-def solve(a: list[Row], b: Row) -> Row | None:
-    """One solution of A x = b, or None if inconsistent."""
+def _reduce(field, rows, ncols):
+    """Reduced row-echelon form over the first ``ncols`` columns of a
+    copy of ``rows``: (matrix, pivot columns)."""
+    m = [list(r) for r in rows]
+    pivots, _ = _forward(field, m, ncols)
+    _back_substitute(field, m, pivots)
+    return m, pivots
+
+
+def rref(field, rows):
+    """Reduced row-echelon form; returns (matrix, pivot columns).  The
+    matrix keeps all rows, its zero rows last."""
+    return _reduce(field, rows, len(rows[0]) if rows else 0)
+
+
+def rank(field, rows) -> int:
+    m = [list(r) for r in rows]
+    return len(_forward(field, m, len(m[0]) if m else 0)[0])
+
+
+def row_basis(field, rows):
+    """Canonical basis of the row space: the nonzero rows of the rref."""
+    red, pivots = _reduce(field, rows, len(rows[0]) if rows else 0)
+    return red[: len(pivots)]
+
+
+def kernel(field, rows, ncols: int):
+    """Basis of {x : M x = 0}, one vector per non-pivot column."""
+    red, pivots = _reduce(field, rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(red[i][fc])
+        basis.append(v)
+    return basis
+
+
+def solve(field, a, b):
+    """One solution of A x = b, or None if the system is inconsistent."""
     if not a:
         return []
-    aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    red, pivots = rref(aug)
     ncols = len(a[0])
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
+    red, pivots = _reduce(field, [list(row) + [bb] for row, bb in zip(a, b)], ncols)
+    if any(not field.is_zero(row[ncols]) for row in red[len(pivots):]):
+        return None
+    x = [field.zero()] * ncols
     for i, c in enumerate(pivots):
-        if c < ncols:
-            x[c] = red[i][ncols]
-        elif red[i][ncols] != 0:
-            return None
+        x[c] = red[i][ncols]
     return x
 
 
-def inverse(a: list[Row]) -> list[Row] | None:
+def inverse(field, a):
+    """Inverse of a square matrix, or None if it is singular."""
     n = len(a)
-    aug = [list(row) + identity(n)[i] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    ident = fmat_identity(field, n)
+    red, pivots = _reduce(field, [list(row) + ident[i] for i, row in enumerate(a)], n)
+    if len(pivots) != n:
         return None
-    return [row[n:] for row in red[:n]]
+    return [row[n:] for row in red]
 
 
-def det(a: list[Row]) -> Fraction:
+def det(field, a):
     m = [list(r) for r in a]
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result * sign
+    pivots, scale = _forward(field, m, len(m))
+    return scale if len(pivots) == len(m) else field.zero()
+
+
+def mat_vec(field, a, v):
+    add, mul = field.add, field.mul
+    out = []
+    for row in a:
+        s = field.zero()
+        for c, x in zip(row, v):
+            s = add(s, mul(c, x))
+        out.append(s)
+    return out

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from . import qlinalg, zlattice
+from .fields import QQ
 
 Point = tuple[int, ...]
 
@@ -91,9 +91,6 @@ class LatticeFunction:
 
     def value_at(self, p: Point) -> Fraction:
         return self.values[point_index(self.r, self.n, p)]
-
-    def as_map(self) -> dict[Point, Fraction]:
-        return dict(zip(enumerate_lattice_points(self.r, self.n), self.values))
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ class QuotientLattice:
         """Integer coordinates of an integer-function class."""
         nf = qc.normal_form
         v = [nf.value_at(p) for p in self.points]
-        w = qlinalg.mat_vec([list(col) for col in self.basis_inv], v)
+        w = qlinalg.mat_vec(QQ, [list(col) for col in self.basis_inv], v)
         out = []
         for x in w:
             if x.denominator != 1:
@@ -206,7 +203,7 @@ def quotient_lattice(r: int, n: int) -> QuotientLattice:
     h = zlattice.hnf(gens)
     assert len(h) == d, "quotient lattice rank mismatch"
     basis = tuple(tuple(Fraction(x, r) for x in row) for row in h)
-    inv = qlinalg.inverse([list(row) for row in basis])
+    inv = qlinalg.inverse(QQ, [list(row) for row in basis])
     assert inv is not None
     # basis_inv stored column-major so mat_vec(basis_inv, nf_values) = coords
     # i.e. solve w * basis = v  =>  w = v * basis^{-1}
@@ -219,14 +216,3 @@ def quotient_lattice(r: int, n: int) -> QuotientLattice:
 def integer_class_lattice_rank(r: int, n: int) -> int:
     """Rank of the quotient lattice: |S^{r,n}| - (n+1)."""
     return comb(r + n, n) - (n + 1)
-
-
-def affine_subsets(points: list[Point], size: int):
-    """All `size`-subsets of `points` that are affinely independent.
-
-    On the hyperplane sum(x) = r, affine independence coincides with
-    linear independence of the coordinate vectors."""
-    for sub in combinations(points, size):
-        m = [[Fraction(x) for x in p] for p in sub]
-        if qlinalg.rank(m) == size:
-            yield sub

@@ -11,6 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from . import qlinalg
+from .fields import QQ
+
 
 def vec_gcd(v) -> int:
     g = 0
@@ -177,48 +180,9 @@ def int_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
     Kernels of integer matrices are saturated, so an HNF of the rational
     kernel's integral generators is a genuine lattice basis.
     """
-    frac_rows = [[Fraction(a) for a in r] for r in rows]
-    ker = rational_kernel(frac_rows, ncols)
-    ints = [clear_denominators(v) for v in ker]
-    return [tuple(r) for r in hnf([list(v) for v in ints])]
-
-
-def rational_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the rational kernel of the matrix given by ``rows``."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [a * inv for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
+    ker = qlinalg.kernel(QQ, [[Fraction(a) for a in r] for r in rows], ncols)
+    return [tuple(r) for r in hnf([list(clear_denominators(v)) for v in ker])]
 
 
 def int_rank(rows: list[list[int]]) -> int:
-    if not rows:
-        return 0
-    frac_rows = [[Fraction(a) for a in r] for r in rows]
-    ncols = len(rows[0])
-    return ncols - len(rational_kernel(frac_rows, ncols))
+    return qlinalg.rank(QQ, [[Fraction(a) for a in r] for r in rows])

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from chtoucakit.errors import NotOnStratum, Singular, ZeroLambda, ZeroMu
-from chtoucakit.fields import GF, QQ, fmat_eq, fmat_identity, fmat_inverse, fmat_mul
+from chtoucakit.fields import GF, QQ, fmat_eq, fmat_identity, fmat_mul
+from chtoucakit.qlinalg import inverse as fmat_inverse
 from chtoucakit.complete_homs import (
     CompleteHom,
     StratumData,
@@ -73,7 +74,7 @@ class TestExteriorPower:
         rng = random.Random(1)
         for _ in range(20):
             m = [[rand_scalar(QQ, rng) for _ in range(3)] for _ in range(3)]
-            from chtoucakit.fields import fmat_det
+            from chtoucakit.qlinalg import det as fmat_det
 
             assert exterior_power(QQ, m, 3) == [[fmat_det(QQ, m)]]
 

@@ -7,12 +7,15 @@ from chtoucakit.fields import (
     GF,
     QQ,
     default_modulus,
-    fmat_det,
     fmat_identity,
-    fmat_inverse,
-    fmat_kernel,
     fmat_mul,
-    fmat_solve,
+)
+from chtoucakit.jsonio import field_from_json
+from chtoucakit.qlinalg import (
+    det as fmat_det,
+    inverse as fmat_inverse,
+    kernel as fmat_kernel,
+    solve as fmat_solve,
 )
 
 
@@ -112,3 +115,21 @@ def test_det_multiplicative():
         lhs = fmat_det(field, fmat_mul(field, a, b))
         rhs = field.mul(fmat_det(field, a), fmat_det(field, b))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("p,k,modulus", [(2, 2, (1, 0, 1)), (3, 2, (2, 0, 1)), (2, 4, (1, 0, 1, 0, 1))])
+def test_reducible_modulus_rejected(p, k, modulus):
+    # t^2 + 1 = (t + 1)^2 over F_2, t^2 + 2 = (t + 1)(t + 2) over F_3,
+    # t^4 + t^2 + 1 = (t^2 + t + 1)^2 over F_2: quotient rings with zero divisors
+    with pytest.raises(ValueError):
+        GF(p, k, modulus)
+    with pytest.raises(ValueError):
+        field_from_json({"GF": [p, k], "modulus_poly": list(modulus)})
+
+
+def test_irreducible_modulus_accepted():
+    field = field_from_json({"GF": [3, 2], "modulus_poly": [2, 2, 1]})  # t^2 + 2t + 2
+    assert field.modulus == (2, 2, 1)
+    for a in field.elements():
+        if not field.is_zero(a):
+            assert field.mul(a, field.inv(a)) == field.one()

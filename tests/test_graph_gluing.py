@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from chtoucakit.errors import InvalidData
-from chtoucakit.fields import GF, QQ, fmat_identity, fmat_inverse
+from chtoucakit.fields import GF, QQ, fmat_identity
+from chtoucakit.qlinalg import inverse as fmat_inverse
 from chtoucakit.graph_gluing import (
     GluedGraphFamily,
     check_dimension_condition,

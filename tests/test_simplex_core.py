@@ -98,6 +98,7 @@ def test_normal_form_kernel_is_affine_of_dim_n_plus_1(r, n):
     """Rank computation on small domains: the kernel of the normal-form
     map is exactly the affine functions, of dimension n+1."""
     from chtoucakit import qlinalg
+    from chtoucakit.fields import QQ
 
     pts = enumerate_lattice_points(r, n)
     cols = []
@@ -106,7 +107,7 @@ def test_normal_form_kernel_is_affine_of_dim_n_plus_1(r, n):
         cols.append(list(affine_normal_form(f).normal_form.values))
     # matrix of the normal-form map in the delta basis (columns = images)
     mat = [[cols[j][i] for j in range(len(pts))] for i in range(len(pts))]
-    kernel_dim = len(pts) - qlinalg.rank(mat)
+    kernel_dim = len(pts) - qlinalg.rank(QQ, mat)
     assert kernel_dim == n + 1
     # and every affine function lies in the kernel
     for coeffs in ([1] * (n + 1), list(range(1, n + 2))):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from chtoucakit import qlinalg
+from chtoucakit.fields import QQ
 from chtoucakit.zlattice import (
     clear_denominators,
     hnf,
@@ -63,7 +64,7 @@ def test_snf_random_invariants():
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
         m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
         divs = snf_diagonal([list(r) for r in m])
-        rank = qlinalg.rank([[Fraction(x) for x in row] for row in m])
+        rank = qlinalg.rank(QQ, [[Fraction(x) for x in row] for row in m])
         assert len(divs) == rank
         for a, b in zip(divs, divs[1:]):
             assert b % a == 0
