@@ -2,6 +2,11 @@
 
 Every module raises subclasses of :class:`DomainError`; the CLI maps them
 to exit status 1 with a machine-readable JSON payload on stderr.
+
+:class:`InternalError` is deliberately not a :class:`DomainError`: it
+reports a broken internal invariant (a bug in this package, not bad
+input), such as a phase-1 simplex that does not end optimal, and the CLI
+does not turn it into a domain answer.
 """
 
 
@@ -79,3 +84,8 @@ class NonIntegralExponent(DomainError):
 
 class RootFindingFailed(DomainError):
     pass
+
+
+class InternalError(Exception):
+    """An internal invariant failed; raised instead of ``assert`` so the
+    check also runs under ``python -O``."""

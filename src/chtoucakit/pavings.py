@@ -253,13 +253,16 @@ def regular_subdivision(h: LatticeFunction) -> Paving:
     r, n = h.r, h.n
     pts = list(enumerate_lattice_points(r, n))
     supports: dict[frozenset, tuple[Fraction, ...]] = {}
+    full_rank = list(range(n + 1))
     for sub in combinations(range(len(pts)), n + 1):
-        m = [[Fraction(x) for x in pts[i]] for i in sub]
-        if qlinalg.rank(QQ, m) < n + 1:
+        # one reduction of [points | heights]: the points are affinely
+        # independent exactly when the pivots are 0..n, and the last
+        # column then holds the interpolating coefficients
+        aug = [[Fraction(x) for x in pts[i]] + [h.values[i]] for i in sub]
+        red, pivots = qlinalg.rref(QQ, aug)
+        if pivots != full_rank:
             continue
-        c = qlinalg.solve(QQ, m, [h.values[i] for i in sub])
-        if c is None:
-            continue
+        c = [row[n + 1] for row in red]
         vals = [
             sum((cj * xj for cj, xj in zip(c, p)), Fraction(0)) for p in pts
         ]
