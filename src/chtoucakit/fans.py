@@ -7,9 +7,20 @@ the saturated integer kernel, extreme rays primitive and reduced modulo
 the lineality, both sorted; the H-description mirrors this as equality
 rows plus facet rows.  Equality of cones is equality of canonical data.
 
-The double description method runs incrementally over facet rows with
-the algebraic (rank-based) adjacency test, which stays correct in the
-presence of redundant input rows; all arithmetic is exact.
+The double description method runs incrementally over facet rows
+(Fukuda & Prodon, *Double description method revisited*, 1996).  Each
+ray carries the set of processed rows tight on it as an int bitmask,
+updated as rays are cut, kept or combined rather than recomputed.  Two
+rays are adjacent when their common tight rows have rank
+dim - dim(lineality) - 2 (the algebraic test, which stays correct in the
+presence of redundant input rows); a pair with fewer common tight rows
+than that is skipped before any rank is taken, and the rank itself is
+the fraction-free `zlattice.int_rank`.  All arithmetic is exact.
+
+Faces are read off the ray-facet incidence of a canonical cone (Ziegler,
+*Lectures on Polytopes*, ch. 2): the faces are the intersections of the
+facets' tight-ray sets, and `t` is a face of `c` exactly when its rays
+are the rays of `c` on every facet tight on `t`.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from fractions import Fraction
 
 from . import qlinalg, zlattice
 from .fields import QQ
-from .errors import TooLarge
+from .errors import InternalError, TooLarge
 from .ratlp import max_slack
 from .simplex_core import (
     LatticeFunction,
@@ -38,29 +49,22 @@ def _dot(a, b) -> int:
 
 
 def _saturate(vectors: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
-    """HNF basis of the saturated lattice Z^dim intersect span(vectors)."""
-    if not vectors:
-        return []
-    # orthogonal complement over Q, then integer kernel of it
-    comp = qlinalg.kernel(QQ, [[Fraction(x) for x in v] for v in vectors], dim)
-    if not comp:
-        return [tuple(r) for r in zlattice.hnf([list(v) for v in vectors])]
-    comp_rows = [list(zlattice.clear_denominators(v)) for v in comp]
-    return [tuple(r) for r in zlattice.int_kernel(comp_rows, dim)]
+    """HNF basis of the saturated lattice Z^dim intersect span(vectors):
+    the integer kernel of its integer kernel."""
+    return zlattice.int_kernel(zlattice.int_kernel(vectors, dim), dim)
 
 
 def _reduce_mod_lineality(ray, lin_rows) -> tuple[int, ...]:
     """Canonical primitive representative of a ray modulo the lineality
-    lattice (zero out the Hermite pivot coordinates)."""
-    if not lin_rows:
-        return zlattice.primitive_ray(ray)
-    v = [Fraction(x) for x in ray]
+    lattice (zero out the Hermite pivot coordinates).  Hermite pivots
+    are positive, so each integer step keeps the direction of the
+    rational reduction."""
+    v = ray
     for b in lin_rows:
         piv = next(j for j, x in enumerate(b) if x != 0)
         if v[piv] != 0:
-            c = v[piv] / b[piv]
-            v = [x - c * Fraction(y) for x, y in zip(v, b)]
-    return zlattice.clear_denominators(v)
+            v = [b[piv] * x - v[piv] * y for x, y in zip(v, b)]
+    return zlattice.primitive_ray(v)
 
 
 def double_description(rows: list[tuple[int, ...]], dim: int):
@@ -72,57 +76,56 @@ def double_description(rows: list[tuple[int, ...]], dim: int):
     lin: list[tuple[int, ...]] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
     ]
-    rays: list[tuple[int, ...]] = []
+    # ray -> bitmask of the processed rows tight on it (bit j: processed[j])
+    rays: dict[tuple[int, ...], int] = {}
     processed: list[tuple[int, ...]] = []
 
-    def zset(r):
-        return frozenset(j for j, a in enumerate(processed) if _dot(a, r) == 0)
-
     for a in rows:
-        if all(x == 0 for x in a):
+        if not any(a):
             continue
-        cut = next((l for l in lin if _dot(a, l) != 0), None)
-        if cut is not None:
-            if _dot(a, cut) < 0:
-                cut = tuple(-x for x in cut)
-            al = _dot(a, cut)
+        bit = 1 << len(processed)
+        lin_dots = [_dot(a, l) for l in lin]
+        k = next((i for i, d in enumerate(lin_dots) if d != 0), None)
+        if k is not None:
+            # cut the lineality: every processed row vanishes on it, so the
+            # cut ray is tight on all of them and the shifted vectors keep
+            # their tight sets and become tight on ``a``
+            cut, al = lin[k], lin_dots[k]
+            if al < 0:
+                cut, al = tuple(-x for x in cut), -al
             new_lin = []
-            for l in lin:
-                if l is cut or l == cut or l == tuple(-x for x in cut):
-                    continue
-                adj = tuple(al * x - _dot(a, l) * y for x, y in zip(l, cut))
+            for l, d in zip(lin, lin_dots):
+                adj = tuple(al * x - d * y for x, y in zip(l, cut))
                 if any(adj):
                     new_lin.append(zlattice.primitive(adj))
             lin = new_lin
-            new_rays = [zlattice.primitive_ray(cut)]
-            for r in rays:
-                adj = tuple(al * x - _dot(a, r) * y for x, y in zip(r, cut))
+            new_rays = {zlattice.primitive_ray(cut): bit - 1}
+            for r, mask in rays.items():
+                d = _dot(a, r)
+                adj = tuple(al * x - d * y for x, y in zip(r, cut))
                 if any(adj):
-                    new_rays.append(zlattice.primitive_ray(adj))
-            rays = list(dict.fromkeys(new_rays))
+                    new_rays[zlattice.primitive_ray(adj)] = mask | bit
         else:
-            plus = [r for r in rays if _dot(a, r) > 0]
-            zero = [r for r in rays if _dot(a, r) == 0]
-            minus = [r for r in rays if _dot(a, r) < 0]
-            if minus:
-                lin_dim = len(lin)
-                zsets = {r: zset(r) for r in rays}
-                new_rays = plus + zero
-                for rp in plus:
-                    for rm in minus:
-                        common = zsets[rp] & zsets[rm]
-                        tight_rows = [processed[j] for j in common]
-                        k_dim = dim - qlinalg.rank(
-                            QQ, [[Fraction(x) for x in row] for row in tight_rows]
-                        ) if tight_rows else dim
-                        if k_dim != lin_dim + 2:
-                            continue
-                        combo = tuple(
-                            _dot(a, rp) * x - _dot(a, rm) * y for x, y in zip(rm, rp)
-                        )
-                        if any(combo):
-                            new_rays.append(zlattice.primitive_ray(combo))
-                rays = list(dict.fromkeys(new_rays))
+            sides = [(r, mask, _dot(a, r)) for r, mask in rays.items()]
+            new_rays = {r: mask | bit if d == 0 else mask for r, mask, d in sides if d >= 0}
+            plus = [s for s in sides if s[2] > 0]
+            minus = [s for s in sides if s[2] < 0]
+            # two rays are adjacent when their common tight rows have rank
+            # dim - len(lin) - 2; fewer rows than that cannot have it
+            need = dim - len(lin) - 2
+            for rp, mp, dp in plus:
+                for rm, mm, dm in minus:
+                    common = mp & mm
+                    if common.bit_count() < need:
+                        continue
+                    tight = [row for j, row in enumerate(processed) if common >> j & 1]
+                    if zlattice.int_rank(tight) != need:
+                        continue
+                    combo = tuple(dp * x - dm * y for x, y in zip(rm, rp))
+                    # a positive combination of two feasible rays is tight
+                    # exactly where both are
+                    new_rays.setdefault(zlattice.primitive_ray(combo), common | bit)
+        rays = new_rays
         processed.append(tuple(a))
 
     lin = _saturate(lin, dim)
@@ -190,10 +193,7 @@ class Cone:
         return list(self.rays) + [v for b in self.lin for v in (b, tuple(-x for x in b))]
 
     def dim(self) -> int:
-        gens = self.generators()
-        if not gens:
-            return 0
-        return qlinalg.rank(QQ, [[Fraction(x) for x in g] for g in gens])
+        return zlattice.int_rank(self.generators())
 
     def contains_vector(self, v) -> bool:
         return all(_dot(e, v) == 0 for e in self.eqs) and all(
@@ -249,38 +249,42 @@ def dual_cone(c: Cone) -> Cone:
 
 def is_face(t: Cone, c: Cone) -> bool:
     """Standard face-lattice test: t is the intersection of c with the
-    valid inequalities tight on it (c counts as a face of itself)."""
+    valid inequalities tight on it (c counts as a face of itself).  That
+    intersection is the face of c spanned by its lineality and its rays
+    on every facet tight on t, so canonical data decide it."""
     if t.rank != c.rank or not c.contains_cone(t):
         return False
     tgens = t.generators()
-    if not tgens:
-        tgens = [tuple(0 for _ in range(c.rank))]
     tight = [row for row in c.ineqs if all(_dot(row, g) == 0 for g in tgens)]
-    smallest = Cone.from_hrep(
-        c.rank,
-        [row for row in c.ineqs if row not in tight],
-        list(c.eqs) + tight,
-    )
-    return smallest == t
+    rays = tuple(r for r in c.rays if all(_dot(row, r) == 0 for row in tight))
+    return (t.lin, t.rays) == (c.lin, rays)
 
 
 def proper_faces(c: Cone) -> set[Cone]:
     """All faces of c other than c itself (the zero cone included when
-    c is pointed)."""
-    out: set[Cone] = set()
-    frontier = [c]
+    c is pointed).
+
+    A face is determined by the rays of c it contains, and those ray sets
+    are the intersections of the facets' tight-ray sets (as bitmasks over
+    c.rays); each face is built once from c.lin and its rays."""
+    facets = [
+        sum(1 << i for i, r in enumerate(c.rays) if _dot(row, r) == 0) for row in c.ineqs
+    ]
+    masks = set(facets)
+    frontier = list(masks)
     while frontier:
-        cur = frontier.pop()
-        for i in range(len(cur.ineqs)):
-            f = Cone.from_hrep(
-                cur.rank,
-                [r for j, r in enumerate(cur.ineqs) if j != i],
-                list(cur.eqs) + [cur.ineqs[i]],
-            )
-            if f != cur and f not in out:
-                out.add(f)
-                frontier.append(f)
-    return out
+        new = []
+        for f in frontier:
+            for g in facets:
+                m = f & g
+                if m not in masks:
+                    masks.add(m)
+                    new.append(m)
+        frontier = new
+    return {
+        Cone._canonical(c.rank, c.lin, [r for i, r in enumerate(c.rays) if m >> i & 1])
+        for m in masks
+    }
 
 
 def relint_meets(c1: Cone, c2: Cone) -> bool:
@@ -395,34 +399,13 @@ def monoid_generators(c: Cone, bound: int = MONOID_SEARCH_BOUND) -> list[tuple[i
     chosen: list[tuple[int, ...]] = []
     chosen_proj: list[tuple[tuple[int, ...], int]] = []  # (projection, height)
 
-    def decomposable(py, h, parts) -> bool:
-        """Is the projected vector a nonneg-integer combination of the
-        projected generators ``parts`` ((projection, height) pairs)?
-        Height strictly decreases along the search, so it terminates."""
-        memo: set = set()
-
-        def rec(v, hv):
-            if all(x == 0 for x in v):
-                return True
-            if (v, hv) in memo:
-                return False
-            memo.add((v, hv))
-            for s, hs in parts:
-                if hs > hv:
-                    continue
-                if rec(tuple(a - b for a, b in zip(v, s)), hv - hs):
-                    return True
-            return False
-
-        return rec(py, h)
-
     for y in candidates:
         py, h = project(y), height(y)
         if h == 0:
             # unit: nonzero projection impossible; keep a generating set
             # of the unit lattice (both signs of the Hermite basis)
             continue
-        if not decomposable(py, h, chosen_proj):
+        if not _decomposes(py, h, chosen_proj):
             chosen.append(y)
             chosen_proj.append((py, h))
 
@@ -435,8 +418,32 @@ def monoid_generators(c: Cone, bound: int = MONOID_SEARCH_BOUND) -> list[tuple[i
         py, h = project(y), height(y)
         if h == 0:
             continue
-        assert decomposable(py, h, res_proj), f"monoid element {y} fails to decompose"
+        if not _decomposes(py, h, res_proj):
+            raise InternalError(f"monoid element {y} fails to decompose")
     return result
+
+
+def _decomposes(py, h, parts) -> bool:
+    """Is the projected vector ``py`` of height ``h`` a nonneg-integer
+    combination of the projected generators ``parts`` ((projection,
+    height) pairs)?  Height strictly decreases along the search, so it
+    terminates."""
+    memo: set = set()
+
+    def rec(v, hv):
+        if all(x == 0 for x in v):
+            return True
+        if (v, hv) in memo:
+            return False
+        memo.add((v, hv))
+        for s, hs in parts:
+            if hs > hv:
+                continue
+            if rec(tuple(a - b for a, b in zip(v, s)), hv - hs):
+                return True
+        return False
+
+    return rec(py, h)
 
 
 # ---------------------------------------------------------------------------

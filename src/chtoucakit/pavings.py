@@ -26,10 +26,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from . import qlinalg
+from . import qlinalg, zlattice
 from .fields import QQ
 from .errors import (
     EmptyInterior,
+    InternalError,
     NotAdmissible,
     NotAPave,
     NotAPaving,
@@ -448,11 +449,12 @@ def sigma_cone(paving: Paving) -> Cone:
         basis = []
         for p in pave.points:
             trial = basis + [p]
-            if qlinalg.rank(QQ, [[Fraction(x) for x in b] for b in trial]) == len(trial):
+            if zlattice.int_rank(trial) == len(trial):
                 basis.append(p)
             if len(basis) == n + 1:
                 break
-        assert len(basis) == n + 1, "pave is not full-dimensional"
+        if len(basis) != n + 1:
+            raise InternalError("pave of an admissible paving is not full-dimensional")
         m_inv = qlinalg.inverse(QQ, [[Fraction(x) for x in b] for b in basis])
         pset = pave.point_set()
         for x in pts:

@@ -1,5 +1,5 @@
 """Integer lattice utilities: gcd reduction, Hermite and Smith normal
-forms, integer kernels.
+forms, and fraction-free integer kernels and ranks.
 
 Everything works on plain lists of Python ints; sizes here are tiny
 (ranks at most ~12), so the classic O(n^3) algorithms with exact integer
@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-from . import qlinalg
-from .fields import QQ
 
 
 def vec_gcd(v) -> int:
@@ -175,14 +172,46 @@ def snf_diagonal(rows: list[list[int]], ncols: int | None = None) -> list[int]:
 
 
 def int_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x in Z^ncols : M x = 0}.
+    """HNF basis of the integer kernel {x in Z^ncols : M x = 0}.
 
-    Kernels of integer matrices are saturated, so an HNF of the rational
-    kernel's integral generators is a genuine lattice basis.
-    """
-    ker = qlinalg.kernel(QQ, [[Fraction(a) for a in r] for r in rows], ncols)
-    return [tuple(r) for r in hnf([list(clear_denominators(v)) for v in ker])]
+    The Hermite reduction of [M^T | I] is a unimodular row operation, so
+    the identity halves of its rows whose M^T half vanishes form a basis
+    of the kernel lattice itself (which is saturated), already in HNF.
+    Clearing the denominators of a rational kernel basis would instead
+    give a sublattice of finite index in general."""
+    m = len(rows)
+    aug = [
+        [int(r[j]) for r in rows] + [1 if k == j else 0 for k in range(ncols)]
+        for j in range(ncols)
+    ]
+    return [tuple(row[m:]) for row in hnf(aug) if not any(row[:m])]
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    return qlinalg.rank(QQ, [[Fraction(a) for a in r] for r in rows])
+def int_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After k pivots every entry of the rows below is a (k+1)-minor of the
+    input, so the division by the previous pivot is exact and no
+    fraction is ever formed."""
+    m = [[int(a) for a in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[c]
+        tail = prow[c + 1:]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[c]
+            row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+        prev = p
+        r += 1
+    return r

@@ -1,9 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chtoucakit import fans, qlinalg, zlattice
+from chtoucakit import pavings as pv
 from chtoucakit.errors import TooLarge
+from chtoucakit.fields import QQ
 from chtoucakit.fans import (
     Cone,
     Fan,
@@ -143,3 +153,283 @@ def test_tau_sequence(r, q, size):
     assert rep.ok, rep.checks
     assert rep.s_tau_size == size
     assert rep.dim_torus == size - 1
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the incidence-mask double description, the face
+# lattice read off ray-facet incidence and the DD-free face test against
+# the code they replaced, kept here as test-only oracles
+
+
+def oracle_reduce_mod_lineality(ray, lin_rows):
+    if not lin_rows:
+        return zlattice.primitive_ray(ray)
+    v = [Fraction(x) for x in ray]
+    for b in lin_rows:
+        piv = next(j for j, x in enumerate(b) if x != 0)
+        if v[piv] != 0:
+            c = v[piv] / b[piv]
+            v = [x - c * Fraction(y) for x, y in zip(v, b)]
+    return zlattice.clear_denominators(v)
+
+
+def oracle_double_description(rows, dim):
+    """Double description recomputing every ray's tight set at every row,
+    with the rank test and the reduction mod lineality over Q (the
+    saturation step is the package's, checked on its own below)."""
+    lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    rays = []
+    processed = []
+
+    def zset(r):
+        return frozenset(j for j, a in enumerate(processed) if fans._dot(a, r) == 0)
+
+    for a in rows:
+        if all(x == 0 for x in a):
+            continue
+        cut = next((l for l in lin if fans._dot(a, l) != 0), None)
+        if cut is not None:
+            if fans._dot(a, cut) < 0:
+                cut = tuple(-x for x in cut)
+            al = fans._dot(a, cut)
+            new_lin = []
+            for l in lin:
+                if l is cut or l == cut or l == tuple(-x for x in cut):
+                    continue
+                adj = tuple(al * x - fans._dot(a, l) * y for x, y in zip(l, cut))
+                if any(adj):
+                    new_lin.append(zlattice.primitive(adj))
+            lin = new_lin
+            new_rays = [zlattice.primitive_ray(cut)]
+            for r in rays:
+                adj = tuple(al * x - fans._dot(a, r) * y for x, y in zip(r, cut))
+                if any(adj):
+                    new_rays.append(zlattice.primitive_ray(adj))
+            rays = list(dict.fromkeys(new_rays))
+        else:
+            plus = [r for r in rays if fans._dot(a, r) > 0]
+            zero = [r for r in rays if fans._dot(a, r) == 0]
+            minus = [r for r in rays if fans._dot(a, r) < 0]
+            if minus:
+                lin_dim = len(lin)
+                zsets = {r: zset(r) for r in rays}
+                new_rays = plus + zero
+                for rp in plus:
+                    for rm in minus:
+                        common = zsets[rp] & zsets[rm]
+                        tight_rows = [processed[j] for j in common]
+                        k_dim = dim - qlinalg.rank(
+                            QQ, [[Fraction(x) for x in row] for row in tight_rows]
+                        ) if tight_rows else dim
+                        if k_dim != lin_dim + 2:
+                            continue
+                        combo = tuple(
+                            fans._dot(a, rp) * x - fans._dot(a, rm) * y for x, y in zip(rm, rp)
+                        )
+                        if any(combo):
+                            new_rays.append(zlattice.primitive_ray(combo))
+                rays = list(dict.fromkeys(new_rays))
+        processed.append(tuple(a))
+
+    lin = fans._saturate(lin, dim)
+    canon = []
+    for r in rays:
+        red = oracle_reduce_mod_lineality(r, lin)
+        if any(red):
+            canon.append(red)
+    return lin, sorted(dict.fromkeys(canon))
+
+
+def oracle_canonical(rank, lin, rays):
+    gens = list(rays) + [v for b in lin for v in (b, tuple(-x for x in b))]
+    eqs, ineqs = oracle_double_description(gens, rank)
+    return Cone(rank, tuple(map(tuple, lin)), tuple(map(tuple, rays)),
+                tuple(map(tuple, eqs)), tuple(map(tuple, ineqs)))
+
+
+def oracle_from_hrep(rank, ineqs, eqs=()):
+    rows = [tuple(r) for r in ineqs]
+    for e in eqs:
+        rows += [tuple(e), tuple(-x for x in e)]
+    return oracle_canonical(rank, *oracle_double_description(rows, rank))
+
+
+def oracle_proper_faces(c):
+    """Every facet of every face reached, rebuilt by double description."""
+    out = set()
+    frontier = [c]
+    while frontier:
+        cur = frontier.pop()
+        for i in range(len(cur.ineqs)):
+            f = oracle_from_hrep(
+                cur.rank,
+                [r for j, r in enumerate(cur.ineqs) if j != i],
+                list(cur.eqs) + [cur.ineqs[i]],
+            )
+            if f != cur and f not in out:
+                out.add(f)
+                frontier.append(f)
+    return out
+
+
+def oracle_is_face(t, c):
+    """t equals the cone cut out of c by the facets tight on t."""
+    if t.rank != c.rank or not c.contains_cone(t):
+        return False
+    tgens = t.generators() or [tuple(0 for _ in range(c.rank))]
+    tight = [row for row in c.ineqs if all(fans._dot(row, g) == 0 for g in tgens)]
+    smallest = oracle_from_hrep(
+        c.rank, [row for row in c.ineqs if row not in tight], list(c.eqs) + tight
+    )
+    return smallest == t
+
+
+def fields_of(c):
+    return (c.rank, c.lin, c.rays, c.eqs, c.ineqs)
+
+
+def assert_saturated(basis, rank):
+    """An integer basis spans a saturated lattice iff its elementary
+    divisors are all 1."""
+    if basis:
+        assert zlattice.snf_diagonal([list(b) for b in basis], rank) == [1] * len(basis)
+
+
+@st.composite
+def hrep_rows(draw, max_dim=4):
+    """Rows over Z^dim with duplicated, opposite and zero rows mixed in."""
+    dim = draw(st.integers(1, max_dim))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    rows = draw(st.lists(vec, max_size=6))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+        rows += [tuple(-x for x in r) for r in draw(st.lists(st.sampled_from(rows), max_size=2))]
+    rows += [tuple([0] * dim)] * draw(st.integers(0, 1))
+    return dim, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hrep_rows())
+def test_saturate_is_hnf_of_saturated_span(case):
+    # these four properties determine Z^dim intersect span(vectors)
+    dim, vectors = case
+    basis = fans._saturate(vectors, dim)
+    assert [list(b) for b in basis] == zlattice.hnf([list(b) for b in basis])
+    assert_saturated(basis, dim)
+    assert len(basis) == zlattice.int_rank(vectors) == zlattice.int_rank(list(vectors) + basis)
+    assert zlattice.hnf([list(b) for b in basis] + [list(v) for v in vectors]) == [
+        list(b) for b in basis
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hrep_rows())
+def test_double_description_matches_oracle(case):
+    dim, rows = case
+    lin, rays = fans.double_description(rows, dim)
+    assert (lin, rays) == oracle_double_description(rows, dim)
+    assert_saturated(lin, dim)
+    c = Cone.from_hrep(dim, rows)
+    assert fields_of(c) == fields_of(oracle_from_hrep(dim, rows))
+    assert_saturated(c.eqs, dim)
+    assert fields_of(dual_cone(c)) == fields_of(oracle_from_hrep(dim, c.generators()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hrep_rows(), st.data())
+def test_faces_match_oracle(case, data):
+    dim, rows = case
+    c = Cone.from_hrep(dim, rows)
+    faces = proper_faces(c)
+    want = oracle_proper_faces(c)
+    assert sorted(map(fields_of, faces)) == sorted(map(fields_of, want))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim)
+    others = [
+        Cone.from_generators(dim, data.draw(st.lists(vec, max_size=3))),
+        Cone.from_generators(dim, data.draw(st.lists(st.sampled_from(c.generators()), max_size=3))
+                             if c.generators() else []),
+        Cone.zero(dim),
+        c,
+    ]
+    for t in list(want) + others:
+        assert is_face(t, c) == oracle_is_face(t, c)
+    assert all(is_face(f, c) for f in faces)
+
+
+def _sigma_dd_inputs(r, n):
+    """Every double-description input met while building the secondary
+    cones of (r, n), their faces and their duals, from cold caches."""
+    calls = []
+    real = fans.double_description
+
+    def record(rows, dim):
+        calls.append((list(rows), dim))
+        return real(rows, dim)
+
+    pv.clear_caches()
+    with mock.patch.object(fans, "double_description", record):
+        cones = [pv.sigma_cone(p) for p in pv.enumerate_admissible_pavings(r, n)]
+        duals = [dual_cone(c) for c in cones]
+    pv.clear_caches()
+    return cones, duals, calls
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 1), (4, 1), (5, 1)])
+def test_secondary_cones_match_oracle(r, n):
+    cones, duals, calls = _sigma_dd_inputs(r, n)
+    assert calls
+    for rows, dim in calls:
+        assert fans.double_description(rows, dim) == oracle_double_description(rows, dim)
+    for c, d in zip(cones, duals):
+        assert fields_of(d) == fields_of(oracle_from_hrep(c.rank, c.generators()))
+        assert_saturated(c.eqs, c.rank)
+        assert_saturated(d.lin, d.rank)
+        faces = proper_faces(c)
+        want = oracle_proper_faces(c)
+        assert sorted(map(fields_of, faces)) == sorted(map(fields_of, want))
+        for t in cones + list(want):
+            assert is_face(t, c) == oracle_is_face(t, c)
+
+
+def test_proper_faces_share_lineality():
+    # the half-space x0 >= 0 in Z^3: one facet, one face (its boundary plane)
+    c = Cone.from_hrep(3, [(1, 0, 0)])
+    (face,) = proper_faces(c)
+    assert face.lin == ((0, 1, 0), (0, 0, 1)) and face.rays == ()
+    assert fields_of(face) == fields_of(oracle_from_hrep(3, [], [(1, 0, 0)]))
+    assert proper_faces(Cone.full(2)) == set()
+
+
+def test_monoid_units_generate_saturated_lattice():
+    # the dual of the ray (2, 1, 1) is a half-space whose unit lattice is
+    # {y : 2 y0 + y1 + y2 = 0}, with basis (1, 0, -2), (0, 1, -1); a basis
+    # of index 2 would leave (0, 1, -1) out of the monoid's generators
+    gens = monoid_generators(Cone.from_generators(3, [(2, 1, 1)]))
+    assert (0, 1, -1) in gens and (0, -1, 1) in gens
+    assert dual_cone(Cone.from_generators(3, [(2, 1, 1)])).lin == ((1, 0, -2), (0, 1, -1))
+
+
+def test_internal_checks_run_under_python_O():
+    # with the checks' inputs broken on purpose, both internal invariants
+    # must still raise InternalError when asserts are stripped
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from chtoucakit import fans, pavings, zlattice\n"
+        "from chtoucakit.errors import InternalError\n"
+        "def report(call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InternalError:\n"
+        "        print('InternalError')\n"
+        "orthant = fans.Cone.from_generators(2, [(1, 0), (0, 1)])\n"
+        "paving = pavings.enumerate_admissible_pavings(2, 2)[-1]\n"
+        "fans._decomposes = lambda py, h, parts: False\n"
+        "report(lambda: fans.monoid_generators(orthant, bound=1))\n"
+        "zlattice.int_rank = lambda rows: 0\n"
+        "report(lambda: pavings.sigma_cone(paving))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["InternalError", "InternalError"]

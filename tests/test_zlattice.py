@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chtoucakit import qlinalg
 from chtoucakit.fields import QQ
 from chtoucakit.zlattice import (
@@ -92,3 +95,66 @@ def test_int_kernel_saturated():
 def test_int_rank():
     assert int_rank([[1, 2], [2, 4]]) == 1
     assert int_rank([[1, 0], [0, 1]]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel and rank against the rational computations they
+# replaced, kept here as test-only oracles
+
+
+def oracle_int_kernel(rows, ncols):
+    """HNF of the cleared-denominator rational kernel: spans the right
+    space but can be a sublattice of finite index in the kernel."""
+    ker = qlinalg.kernel(QQ, [[Fraction(a) for a in r] for r in rows], ncols)
+    return [tuple(r) for r in hnf([list(clear_denominators(v)) for v in ker])]
+
+
+def in_lattice(v, basis):
+    """Is v an integer combination of an HNF basis?"""
+    v = list(v)
+    for b in basis:
+        piv = next(i for i, x in enumerate(b) if x != 0)
+        if v[piv] % b[piv]:
+            return False
+        q = v[piv] // b[piv]
+        v = [a - q * c for a, c in zip(v, b)]
+    return not any(v)
+
+
+matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.tuples(
+        st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=5),
+        st.just(ncols),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_int_kernel_is_saturated_kernel(case):
+    rows, ncols = case
+    k = int_kernel(rows, ncols)
+    assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows for v in k)
+    assert len(k) == ncols - int_rank(rows)
+    if k:
+        assert snf_diagonal([list(v) for v in k], ncols) == [1] * len(k)
+        assert [list(v) for v in k] == hnf([list(v) for v in k])
+    old = oracle_int_kernel(rows, ncols)
+    assert all(in_lattice(v, k) for v in old)
+    if not old or snf_diagonal([list(v) for v in old], ncols) == [1] * len(old):
+        assert k == old
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_int_rank_matches_rational_rank(case):
+    rows, _ = case
+    assert int_rank(rows) == qlinalg.rank(QQ, [[Fraction(a) for a in r] for r in rows])
+
+
+def test_int_kernel_of_unsaturated_denominators():
+    # clearing the denominators of the rational kernel gives (1,0,-2),
+    # (0,2,-2), of index 2; the kernel lattice also holds (0,1,-1)
+    assert oracle_int_kernel([[2, 1, 1]], 3) == [(1, 0, -2), (0, 2, -2)]
+    assert int_kernel([[2, 1, 1]], 3) == [(1, 0, -2), (0, 1, -1)]
+    assert int_kernel([], 2) == [(1, 0), (0, 1)]
