@@ -14,6 +14,10 @@ Conventions fixed here so round trips are exact: adapted bases are built
 by deterministic reduced-row-echelon completion, graded-map matrices are
 stored with their first nonzero entry normalized to 1 alongside the
 extracted scale, and wedge signs follow ascending lexicographic subsets.
+Every exterior power of a matrix is taken from one table of its
+compounds (`compounds`), each rho-minor expanded along its first row
+over the (rho-1)-minors, so no minor costs an elimination or a field
+inversion.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidData, NotOnStratum, Singular, ZeroLambda, ZeroMu
+from .errors import InternalError, InvalidData, NotOnStratum, Singular, ZeroLambda, ZeroMu
 from . import qlinalg
 from .fields import GF, fmat_eq, fmat_identity, fmat_mul
 
@@ -31,16 +35,45 @@ def wedge_subsets(r: int, rho: int) -> list[tuple[int, ...]]:
     return list(combinations(range(r), rho))
 
 
-def _minor(field, a, rows, cols):
-    return qlinalg.det(field, [[a[i][j] for j in cols] for i in rows])
+def compounds(field, a, top: int):
+    """[wedge^1 a, ..., wedge^top a] in the lexicographic wedge bases.
+
+    The (I', I) entry of wedge^rho a is the rho x rho minor on rows I'
+    and columns I.  Each rho-minor is the Laplace expansion along the
+    first row of I' over the (rho-1)-minors of the level below, so the
+    table uses only add, sub and mul: no division, over any field."""
+    r = len(a)
+    levels = [[list(row) for row in a]]
+    prev_index = {(j,): j for j in range(r)}
+    for rho in range(2, top + 1):
+        prev = levels[-1]
+        subs = wedge_subsets(r, rho)
+        # column subset I -> [(column I[k], index of I minus I[k], k odd)]
+        expansions = [
+            [(c, prev_index[cols[:k] + cols[k + 1:]], k % 2) for k, c in enumerate(cols)]
+            for cols in subs
+        ]
+        level = []
+        for rows in subs:
+            head = a[rows[0]]
+            below = prev[prev_index[rows[1:]]]
+            out = []
+            for terms in expansions:
+                acc = field.zero()
+                for c, j, odd in terms:
+                    term = field.mul(head[c], below[j])
+                    acc = field.sub(acc, term) if odd else field.add(acc, term)
+                out.append(acc)
+            level.append(out)
+        levels.append(level)
+        prev_index = {sub: i for i, sub in enumerate(subs)}
+    return levels[:top]
 
 
 def exterior_power(field, a, rho: int):
     """Matrix of wedge^rho(a) in the lexicographic wedge bases; the
     (I', I) entry is the rho x rho minor on rows I' and columns I."""
-    r = len(a)
-    subs = wedge_subsets(r, rho)
-    return [[_minor(field, a, rows, cols) for cols in subs] for rows in subs]
+    return compounds(field, a, rho)[rho - 1]
 
 
 @dataclass(frozen=True)
@@ -88,11 +121,11 @@ def complete_from_open(field, u1, lams) -> CompleteHom:
         raise ZeroLambda("all lambda_rho must be invertible on the open locus")
     if qlinalg.inverse(field, u1) is None:
         raise Singular("u_1 must be an isomorphism")
+    wedges = compounds(field, u1, r)
     us = [u1]
     for rho in range(2, r + 1):
         scale = field.inv(lambda_monomial(field, lams, rho))
-        wedge = exterior_power(field, u1, rho)
-        us.append([[field.mul(scale, x) for x in row] for row in wedge])
+        us.append([[field.mul(scale, x) for x in row] for row in wedges[rho - 1]])
     return CompleteHom(field, r, tuple(us), lams)
 
 
@@ -100,9 +133,10 @@ def satisfies_open_relations(h: CompleteHom) -> bool:
     """Check wedge^rho u_1 = lambda-monomial * u_rho for rho = 2..r."""
     if any(h.field.is_zero(l) for l in h.lams):
         return False
+    wedges = compounds(h.field, h.u[0], h.r)
     for rho in range(2, h.r + 1):
         mono = lambda_monomial(h.field, h.lams, rho)
-        lhs = exterior_power(h.field, h.u[0], rho)
+        lhs = wedges[rho - 1]
         rhs = [[h.field.mul(mono, x) for x in row] for row in h.u[rho - 1]]
         if not fmat_eq(h.field, lhs, rhs):
             return False
@@ -368,42 +402,37 @@ def build_stratum_point(d: StratumData) -> CompleteHom:
     free = dict(d.free_lams)
     a, b = adapted_bases(field, r, d.cuts, d.vfilt, d.wfilt)
     a_inv = qlinalg.inverse(field, a)
-    assert a_inv is not None
-    true_v = []
+    if a_inv is None:
+        raise InternalError("adapted basis A is singular")
+    # compounds of each true graded map (scale times normalized matrix);
+    # the last level is its determinant
+    v_wedges = []
     for sigma in range(1, s + 1):
         sc = d.scales[sigma - 1]
-        true_v.append(
-            [[field.mul(sc, x) for x in row] for row in d.v[sigma - 1]]
-        )
+        m = [[field.mul(sc, x) for x in row] for row in d.v[sigma - 1]]
+        v_wedges.append(compounds(field, m, len(m)))
+    wb = compounds(field, b, r)
+    wa = compounds(field, a_inv, r)
     us = []
     for rho in range(1, r + 1):
         sigma = next(t for t in range(1, s + 1) if bounds[t - 1] < rho <= bounds[t])
         lead = field.one()
-        for j in range(1, sigma):
-            lead = field.mul(lead, qlinalg.det(field, true_v[j - 1]))
+        for block in v_wedges[: sigma - 1]:
+            lead = field.mul(lead, block[-1][0][0])
         size = comb(r, rho)
-        subs = wedge_subsets(r, rho)
-        index = {sub: i for i, sub in enumerate(subs)}
+        index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
         base_block = tuple(range(bounds[sigma - 1]))
         lo, hi = bounds[sigma - 1], bounds[sigma]
-        kk = rho - bounds[sigma - 1]
+        kk = rho - lo
+        minors = v_wedges[sigma - 1][kk - 1]
         g = [[field.zero()] * size for _ in range(size)]
-        for kin in combinations(range(lo, hi), kk):
+        for j, kin in enumerate(combinations(range(lo, hi), kk)):
             col = index[base_block + kin]
-            for kout in combinations(range(lo, hi), kk):
-                row_idx = index[base_block + kout]
-                minor = _minor(
-                    field,
-                    true_v[sigma - 1],
-                    [i - lo for i in kout],
-                    [i - lo for i in kin],
-                )
-                g[row_idx][col] = field.mul(lead, minor)
+            for i, kout in enumerate(combinations(range(lo, hi), kk)):
+                g[index[base_block + kout]][col] = field.mul(lead, minors[i][j])
         scale = field.inv(_free_monomial(field, r, cuts, free, rho))
         g = [[field.mul(scale, x) for x in row] for row in g]
-        wb = exterior_power(field, b, rho)
-        wa = exterior_power(field, a_inv, rho)
-        us.append(fmat_mul(field, fmat_mul(field, wb, g), wa))
+        us.append(fmat_mul(field, fmat_mul(field, wb[rho - 1], g), wa[rho - 1]))
     lams = tuple(
         field.zero() if rho in set(cuts) else free[rho] for rho in range(1, r)
     )
@@ -512,30 +541,26 @@ def stratum_data(h: CompleteHom) -> StratumData:
     free = {rho: h.lams[rho - 1] for rho in range(1, r) if rho not in set(cuts)}
     a, b = adapted_bases(field, r, cuts, vfilt, wfilt)
     b_inv = qlinalg.inverse(field, b)
-    assert b_inv is not None
+    if b_inv is None:
+        raise InternalError("adapted basis B is singular")
+    top = bounds[s - 1] + 1
+    wb = compounds(field, b_inv, top)
+    wa = compounds(field, a, top)
     v_hat = []
     scales = []
     true_dets = []
     for sigma in range(1, s + 1):
         rho = bounds[sigma - 1] + 1
-        size = comb(r, rho)
-        subs = wedge_subsets(r, rho)
-        index = {sub: i for i, sub in enumerate(subs)}
-        # u_rho in adapted bases
-        wb = exterior_power(field, b_inv, rho)
-        wa = exterior_power(field, a, rho)
-        u_ad = fmat_mul(field, fmat_mul(field, wb, h.u[rho - 1]), wa)
+        index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
         lo, hi = bounds[sigma - 1], bounds[sigma]
-        m_sigma = hi - lo
         base_block = tuple(range(lo))
-        phi = [[field.zero()] * m_sigma for _ in range(m_sigma)]
-        for tin in range(m_sigma):
-            col = index[base_block + (lo + tin,)]
-            for tout in range(m_sigma):
-                row_idx = index[base_block + (lo + tout,)]
-                phi[tout][tin] = u_ad[row_idx][col]
-        # off-block entries of u_ad must vanish on a genuine stratum point
-        # (checked globally by the rebuild below)
+        # the block of u_rho in adapted bases on the wedge coordinates
+        # that use all of blocks 1..sigma-1 and one index of block sigma
+        block = [index[base_block + (t,)] for t in range(lo, hi)]
+        left = fmat_mul(field, [wb[rho - 1][i] for i in block], h.u[rho - 1])
+        phi = fmat_mul(field, left, [[row[j] for j in block] for row in wa[rho - 1]])
+        # the entries of u_rho outside this block must vanish on a genuine
+        # stratum point (checked globally by the rebuild below)
         mono = _free_monomial(field, r, cuts, free, rho)
         lead = field.one()
         for dete in true_dets:
@@ -553,9 +578,10 @@ def stratum_data(h: CompleteHom) -> StratumData:
             tuple(tuple(field.mul(inv_first, x) for x in row) for row in tilde)
         )
         scales.append(first)
-        if qlinalg.inverse(field, tilde) is None:
+        block_det = qlinalg.det(field, tilde)
+        if field.is_zero(block_det):
             raise NotOnStratum(f"graded map {sigma} is singular")
-        true_dets.append(qlinalg.det(field, tilde))
+        true_dets.append(block_det)
     data = StratumData(
         field,
         r,

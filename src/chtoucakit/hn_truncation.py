@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .errors import InvalidData, NoDominantChain, NotAChain, NotConvexEnough, TooLarge
+from .errors import (
+    InternalError,
+    InvalidData,
+    NoDominantChain,
+    NotAChain,
+    NotConvexEnough,
+    TooLarge,
+)
 
 CHAIN_CAP = 10**6
 
@@ -245,7 +252,8 @@ def split_truncation(p: Polygon, d: int, cuts) -> SplitResult:
     d_parts = [ptilde[bounds[1]]]
     for sigma in range(2, s + 1):
         d_parts.append(ptilde[bounds[sigma]] - ptilde[bounds[sigma - 1]] - 1)
-    assert sum(d_parts) == d - s + 1
+    if sum(d_parts) != d - s + 1:
+        raise InternalError(f"split degrees {d_parts} do not sum to d - s + 1 = {d - s + 1}")
     p_parts = []
     for sigma in range(1, s + 1):
         lo, hi = bounds[sigma - 1], bounds[sigma]

@@ -6,7 +6,10 @@ Eigenvalue multisets are never stored as roots: a parameter set is the
 polynomial prod (1 - z_i T) by its ascending coefficient list (constant
 term 1, nonzero leading coefficient), and all structural computation is
 exact on coefficients.  Floats appear only in check_bounds, which
-extracts roots numerically under a documented tolerance.
+extracts roots numerically under a documented tolerance.  The
+root-pairing operation and the power sums share one implementation of
+Newton's identities: the pairing is the composed product, whose power
+sums are the products of its factors' power sums.
 """
 
 from __future__ import annotations
@@ -17,14 +20,12 @@ from math import gcd
 
 import numpy as np
 
-from . import qlinalg
 from .errors import (
     InvalidData,
     NonIntegralExponent,
     NonInvertibleRoots,
     RootFindingFailed,
 )
-from .fields import QQ
 
 
 @dataclass(frozen=True)
@@ -136,77 +137,42 @@ def partial_l(places, order: int) -> PowerSeries:
 # the root-pairing operation
 
 
-def _sylvester_resultant(p, q) -> Fraction:
-    """Resultant of two polynomials over Q (ascending coefficients)."""
-    m = len(p) - 1
-    n = len(q) - 1
-    if m < 0 or n < 0:
-        raise InvalidData("empty polynomial")
-    if m == 0:
-        return p[0] ** n
-    if n == 0:
-        return q[0] ** m
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for k, c in enumerate(reversed(p)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [Fraction(0)] * size
-        for k, c in enumerate(reversed(q)):
-            row[i + k] = c
-        rows.append(row)
-    return qlinalg.det(QQ, rows)
+def _power_sums(coeffs, count: int) -> list[Fraction]:
+    """[p_1, ..., p_count] of the z_i of prod (1 - z_i T), by Newton's
+    identities p_k = -k c_k - sum_{0<i<k} c_i p_{k-i} (c_i = 0 past the
+    degree)."""
+    ps: list[Fraction] = []
+    for k in range(1, count + 1):
+        acc = Fraction(-k * coeffs[k] if k < len(coeffs) else 0)
+        for i in range(1, min(k, len(coeffs))):
+            acc -= coeffs[i] * ps[k - i - 1]
+        ps.append(acc)
+    return ps
+
+
+def _coeffs_from_power_sums(ps) -> list[Fraction]:
+    """Ascending coefficients of prod (1 - z_i T) of degree len(ps) from
+    the power sums of the z_i: Newton's identities solved for c_k."""
+    coeffs = [Fraction(1)]
+    for k in range(1, len(ps) + 1):
+        acc = ps[k - 1]
+        for i in range(1, k):
+            acc += coeffs[i] * ps[k - i - 1]
+        coeffs.append(-acc / k)
+    return coeffs
 
 
 def star_convolve(a: SatakeParams, b: SatakeParams) -> SatakeParams:
-    """The parameter set with roots {alpha_i beta_j}: the coefficient
-    polynomial is C(T) = prod_i B(alpha_i T), computed exactly as the
-    z-resultant of the monic reversal of A with B(zT) via evaluation at
-    degree+1 rational points and Lagrange interpolation."""
+    """The parameter set with roots {alpha_i beta_j}: the composed
+    product.  Its power sums are p_k(A) p_k(B), and Newton's identities
+    map the first deg A * deg B of them back to coefficients (Bostan,
+    Flajolet, Salvy, Schost, J. Symb. Comput. 41, 2006)."""
     ra, rb = a.degree, b.degree
     if ra == 0 or rb == 0:
         return b if ra == 0 else a
     deg_c = ra * rb
-    # monic polynomial with roots alpha_i: reversal of A
-    arev = list(reversed(a.coeffs))
-    samples = []
-    t = Fraction(0)
-    used = set()
-    while len(samples) < deg_c + 1:
-        if t not in used:
-            used.add(t)
-            # B(z t) as a polynomial in z
-            bzt = [b.coeffs[k] * t**k for k in range(rb + 1)]
-            while len(bzt) > 1 and bzt[-1] == 0:
-                bzt.pop()
-            samples.append((t, _sylvester_resultant(arev, bzt)))
-        t += 1
-    # Lagrange interpolation of C
-    xs = [s[0] for s in samples]
-    ys = [s[1] for s in samples]
-    coeffs = [Fraction(0)] * (deg_c + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        denom = Fraction(1)
-        num = [Fraction(1)]  # prod_{j != i} (x - x_j), ascending
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            denom *= xi - xj
-            shifted = [Fraction(0)] + num
-            num = [
-                shifted[k] - (xj * shifted[k + 1] if k + 1 < len(shifted) else 0)
-                for k in range(len(shifted))
-            ]
-        scale = yi / denom
-        for k, c in enumerate(num):
-            if k <= deg_c:
-                coeffs[k] += scale * c
-    # normalize: constant term is prod B(0) = 1 already
-    assert coeffs[0] == 1, "star operation lost its normalization"
-    return SatakeParams(tuple(coeffs))
+    ps = [x * y for x, y in zip(_power_sums(a.coeffs, deg_c), _power_sums(b.coeffs, deg_c))]
+    return SatakeParams(tuple(_coeffs_from_power_sums(ps)))
 
 
 def power_sum(p: SatakeParams, nu: int) -> Fraction:
@@ -214,8 +180,7 @@ def power_sum(p: SatakeParams, nu: int) -> Fraction:
     negative nu uses the reciprocal-root polynomial."""
     if nu == 0:
         raise InvalidData("nu must be nonzero")
-    r = p.degree
-    if r == 0:
+    if p.degree == 0:
         return Fraction(0)
     if nu < 0:
         if p.coeffs[-1] == 0:
@@ -223,19 +188,7 @@ def power_sum(p: SatakeParams, nu: int) -> Fraction:
         lead = p.coeffs[-1]
         rev = tuple(c / lead for c in reversed(p.coeffs))
         return power_sum(SatakeParams(rev), -nu)
-    # e_k = (-1)^k coeff_k
-    es = [(-1) ** k * p.coeffs[k] for k in range(r + 1)]
-    ps: list[Fraction] = []
-    for k in range(1, nu + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k, r) + 1):
-            sign = (-1) ** (i - 1)
-            term = es[i] * (ps[k - i - 1] if k - i >= 1 else 0)
-            if k - i == 0:
-                term = es[i] * k
-            acc += sign * term
-        ps.append(acc)
-    return ps[nu - 1]
+    return _power_sums(p.coeffs, nu)[-1]
 
 
 def place_pair_stats(deg_inf: int, deg_o: int) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -90,10 +90,15 @@ class IntegerPave:
     def point_set(self) -> frozenset:
         return frozenset(self.points)
 
+    @cached_property
+    def _inequalities(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(J, d_J) for the proper nonempty J, built once per pavé."""
+        d = self.profile.as_dict()
+        return tuple((J, d[J]) for J in _proper_nonempty_subsets(self.n))
+
     def contains_point(self, x) -> bool:
         """Membership of an arbitrary lattice point of the ambient simplex."""
-        d = self.profile.as_dict()
-        return all(sum(x[j] for j in J) >= d[J] for J in _proper_nonempty_subsets(self.n))
+        return all(sum(x[j] for j in J) >= dJ for J, dJ in self._inequalities)
 
 
 def pave_from_points(r: int, n: int, points) -> IntegerPave:
@@ -349,10 +354,9 @@ def _admissibility_lp(paving: Paving, extra_eq_rows=None, extra_vars: int = 0):
     K = len(paving.paves)
     nvars = K * (n + 1) + extra_vars
 
-    def cell_row(k, x, scale=1):
-        row = [Fraction(0)] * nvars
-        for j in range(n + 1):
-            row[k * (n + 1) + j] = Fraction(scale) * Fraction(x[j])
+    def cell_row(k, x):
+        row = [0] * nvars
+        row[k * (n + 1):(k + 1) * (n + 1)] = x
         return row
 
     eq_rows = []

@@ -22,6 +22,7 @@ from functools import lru_cache
 from math import comb
 
 from . import qlinalg, zlattice
+from .errors import InternalError
 from .fields import QQ
 
 Point = tuple[int, ...]
@@ -50,7 +51,8 @@ def enumerate_lattice_points(r: int, n: int) -> tuple[Point, ...]:
                 yield (first,) + rest
 
     pts = tuple(rec(r, n + 1))
-    assert len(pts) == comb(r + n, n)
+    if len(pts) != comb(r + n, n):
+        raise InternalError(f"{len(pts)} lattice points, expected C({r + n}, {n})")
     return pts
 
 
@@ -201,10 +203,12 @@ def quotient_lattice(r: int, n: int) -> QuotientLattice:
         nf = affine_normal_form(f).normal_form
         gens.append([int(nf.value_at(p) * r) for p in nonv])
     h = zlattice.hnf(gens)
-    assert len(h) == d, "quotient lattice rank mismatch"
+    if len(h) != d:
+        raise InternalError(f"quotient lattice rank {len(h)}, expected {d}")
     basis = tuple(tuple(Fraction(x, r) for x in row) for row in h)
     inv = qlinalg.inverse(QQ, [list(row) for row in basis])
-    assert inv is not None
+    if inv is None:
+        raise InternalError("quotient lattice basis is singular")
     # basis_inv stored column-major so mat_vec(basis_inv, nf_values) = coords
     # i.e. solve w * basis = v  =>  w = v * basis^{-1}
     binv_rows = tuple(

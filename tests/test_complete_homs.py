@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chtoucakit import qlinalg
 from chtoucakit.errors import NotOnStratum, Singular, ZeroLambda, ZeroMu
 from chtoucakit.fields import GF, QQ, fmat_eq, fmat_identity, fmat_mul
 from chtoucakit.qlinalg import inverse as fmat_inverse
@@ -12,7 +15,9 @@ from chtoucakit.complete_homs import (
     build_stratum_point,
     complete_from_open,
     composition_from_subset,
+    compounds,
     exterior_power,
+    wedge_subsets,
     lang_isogeny,
     satisfies_open_relations,
     stratum_data,
@@ -275,3 +280,42 @@ class TestLang:
         field = GF(2, 2)
         with pytest.raises(Singular):
             lang_isogeny([[field.zero()]], 2, field)
+
+
+# ---------------------------------------------------------------------------
+# the compound table against the per-minor determinants it replaced
+
+
+def oracle_exterior_power(field, a, rho):
+    """One qlinalg.det per rho x rho minor: the former exterior_power."""
+    subs = wedge_subsets(len(a), rho)
+    return [
+        [qlinalg.det(field, [[a[i][j] for j in cols] for i in rows]) for cols in subs]
+        for rows in subs
+    ]
+
+
+DIFF_FIELDS = [QQ, GF(5, 1), GF(2, 2), GF(3, 2)]
+
+
+def field_element(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+    return st.integers(0, field.order - 1).map(field.from_index)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compounds_match_per_minor_determinants(data):
+    field = data.draw(st.sampled_from(DIFF_FIELDS))
+    r = data.draw(st.integers(1, 5))
+    a = data.draw(st.lists(st.lists(field_element(field), min_size=r, max_size=r), min_size=r, max_size=r))
+    if r > 1 and data.draw(st.booleans()):
+        # a repeated row makes the matrix singular and every full-rank minor vanish
+        a[r - 1] = list(a[0])
+    table = compounds(field, a, r)
+    assert len(table) == r
+    for rho in range(1, r + 1):
+        expected = oracle_exterior_power(field, a, rho)
+        assert fmat_eq(field, table[rho - 1], expected)
+        assert fmat_eq(field, exterior_power(field, a, rho), expected)

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chtoucakit import qlinalg
 from chtoucakit.errors import InvalidData, NonIntegralExponent
 from chtoucakit.l_functions import (
     PlaceData,
@@ -17,6 +20,7 @@ from chtoucakit.l_functions import (
     spectral_term,
     star_convolve,
 )
+from chtoucakit.fields import QQ
 
 
 class TestLocalFactor:
@@ -237,3 +241,107 @@ class TestRankSplittable:
         c2 = {"u": SatakeParams.from_roots([7])}
         table = {("x", "u"): SatakeParams.from_roots([14])}
         assert is_rank_splittable(table, c1, c2)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the root pairing and the power sums that the Newton-identity
+# helpers replaced
+
+
+def oracle_sylvester_resultant(p, q):
+    m = len(p) - 1
+    n = len(q) - 1
+    if m == 0:
+        return p[0] ** n
+    if n == 0:
+        return q[0] ** m
+    size = m + n
+    rows = []
+    for i in range(n):
+        row = [Fraction(0)] * size
+        for k, c in enumerate(reversed(p)):
+            row[i + k] = c
+        rows.append(row)
+    for i in range(m):
+        row = [Fraction(0)] * size
+        for k, c in enumerate(reversed(q)):
+            row[i + k] = c
+        rows.append(row)
+    return qlinalg.det(QQ, rows)
+
+
+def oracle_star_convolve(a, b):
+    """z-resultant of the reversal of A with B(zT) at deg+1 points, then
+    Lagrange interpolation."""
+    ra, rb = a.degree, b.degree
+    if ra == 0 or rb == 0:
+        return b if ra == 0 else a
+    deg_c = ra * rb
+    arev = list(reversed(a.coeffs))
+    samples = []
+    for t in range(deg_c + 1):
+        t = Fraction(t)
+        bzt = [b.coeffs[k] * t**k for k in range(rb + 1)]
+        while len(bzt) > 1 and bzt[-1] == 0:
+            bzt.pop()
+        samples.append((t, oracle_sylvester_resultant(arev, bzt)))
+    coeffs = [Fraction(0)] * (deg_c + 1)
+    for i, (xi, yi) in enumerate(samples):
+        denom = Fraction(1)
+        num = [Fraction(1)]
+        for j, (xj, _) in enumerate(samples):
+            if j == i:
+                continue
+            denom *= xi - xj
+            shifted = [Fraction(0)] + num
+            num = [
+                shifted[k] - (xj * shifted[k + 1] if k + 1 < len(shifted) else 0)
+                for k in range(len(shifted))
+            ]
+        for k, c in enumerate(num):
+            coeffs[k] += yi / denom * c
+    assert coeffs[0] == 1
+    return SatakeParams(tuple(coeffs))
+
+
+def oracle_power_sum(p, nu):
+    r = p.degree
+    if r == 0:
+        return Fraction(0)
+    if nu < 0:
+        lead = p.coeffs[-1]
+        return oracle_power_sum(SatakeParams(tuple(c / lead for c in reversed(p.coeffs))), -nu)
+    es = [(-1) ** k * p.coeffs[k] for k in range(r + 1)]
+    ps = []
+    for k in range(1, nu + 1):
+        acc = Fraction(0)
+        for i in range(1, min(k, r) + 1):
+            term = es[i] * k if k == i else es[i] * ps[k - i - 1]
+            acc += (-1) ** (i - 1) * term
+        ps.append(acc)
+    return ps[nu - 1]
+
+
+RATIONALS = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 5, 7]))
+NONZERO = RATIONALS.filter(lambda x: x != 0)
+
+
+@st.composite
+def satake_params(draw, min_degree=1, max_degree=5):
+    deg = draw(st.integers(min_degree, max_degree))
+    if deg == 0:
+        return SatakeParams((Fraction(1),))
+    middle = draw(st.lists(RATIONALS, min_size=deg - 1, max_size=deg - 1))
+    return SatakeParams(tuple([Fraction(1)] + middle + [draw(NONZERO)]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=satake_params(), b=satake_params())
+def test_star_convolve_matches_sylvester_lagrange(a, b):
+    assert star_convolve(a, b).coeffs == oracle_star_convolve(a, b).coeffs
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=satake_params(min_degree=0), nu=st.integers(1, 8), sign=st.sampled_from([1, -1]))
+def test_power_sum_matches_newton_loop(p, nu, sign):
+    assert power_sum(p, sign * nu) == oracle_power_sum(p, sign * nu)
