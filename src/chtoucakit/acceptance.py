@@ -3,7 +3,8 @@ pytest (tests/test_acceptance.py) or the CLI selftest command.
 
 Every criterion is deterministic: randomized checks draw from seeded
 generators, tolerances are pinned here, and a criterion that hits a
-configured cap reports SKIP rather than failure.
+configured cap reports SKIP rather than failure.  Criteria test through
+`check`, not `assert`, so the gate still fails under `python -O`.
 """
 
 from __future__ import annotations
@@ -78,6 +79,16 @@ HEIGHT_SAMPLES = 500
 HEIGHT_ATTEMPT_CAP = 20000
 
 
+class CheckFailed(AssertionError):
+    """A criterion's check did not hold."""
+
+
+def check(cond, msg=None):
+    """Raise CheckFailed (with msg, if given) unless cond holds."""
+    if not cond:
+        raise CheckFailed() if msg is None else CheckFailed(msg)
+
+
 # ---------------------------------------------------------------------------
 # deterministic random helpers
 
@@ -134,8 +145,8 @@ def criterion_1():
     for r in range(1, 7):
         for n in range(0, 5):
             pts = enumerate_lattice_points(r, n)
-            assert len(pts) == comb(r + n, n), (r, n)
-            assert len(set(pts)) == len(pts)
+            check(len(pts) == comb(r + n, n), (r, n))
+            check(len(set(pts)) == len(pts))
             checked += 1
     return f"{checked} configurations"
 
@@ -147,33 +158,33 @@ def criterion_2():
     details = []
     for r in (2, 3, 4):
         pavings = enumerate_admissible_pavings(r, 1)
-        assert len(pavings) == 2 ** (r - 1), (r, len(pavings))
+        check(len(pavings) == 2 ** (r - 1), (r, len(pavings)))
         comps = set()
         for p in pavings:
-            assert is_admissible(p).admissible
+            check(is_admissible(p).admissible)
             parts = tuple(sorted(len(q.points) - 1 for q in p.paves))
             comps.add(tuple(sorted((min(pt[1] for pt in q.points), max(pt[1] for pt in q.points)) for q in p.paves)))
-        assert len(comps) == 2 ** (r - 1), "pavings are not distinct interval decompositions"
+        check(len(comps) == 2 ** (r - 1), "pavings are not distinct interval decompositions")
         # unimodular identification with the orthant face fan
         finest = next(p for p in pavings if len(p.paves) == r)
         cone_f = sigma_cone(finest)
         rays = list(cone_f.rays)
-        assert len(rays) == r - 1
+        check(len(rays) == r - 1)
         mat = [[Fraction(rays[j][i]) for j in range(r - 1)] for i in range(r - 1)]
         det = qlinalg.det(QQ, mat)
-        assert abs(det) == 1, f"ray matrix determinant {det} is not a unit"
+        check(abs(det) == 1, f"ray matrix determinant {det} is not a unit")
         inv = qlinalg.inverse(QQ, mat)
         umat = [[int(x) for x in row] for row in inv]
         basis = [tuple(1 if j == i else 0 for j in range(r - 1)) for i in range(r - 1)]
         seen = set()
         for p in pavings:
             img = sigma_cone(p).transform(umat)
-            assert not img.lin
-            assert all(ray in basis for ray in img.rays), img.rays
+            check(not img.lin)
+            check(all(ray in basis for ray in img.rays), img.rays)
             key = frozenset(img.rays)
-            assert key not in seen
+            check(key not in seen)
             seen.add(key)
-        assert len(seen) == 2 ** (r - 1)
+        check(len(seen) == 2 ** (r - 1))
         details.append(f"r={r}: {len(pavings)} pavings, |det|=1")
     return "; ".join(details)
 
@@ -186,12 +197,12 @@ def criterion_3():
         pavings = enumerate_admissible_pavings(r, n)
         fan = paving_fan(pavings)
         report = verify_fan(fan)
-        assert report.ok, (r, n, report.failures[:3])
+        check(report.ok, (r, n, report.failures[:3]))
         for i, p in enumerate(pavings):
             for j, q in enumerate(pavings):
                 lhs = is_face(fan.cones[j], fan.cones[i])
                 rhs = refines(p, q)
-                assert lhs == rhs, (r, n, i, j, lhs, rhs)
+                check(lhs == rhs, (r, n, i, j, lhs, rhs))
         details.append(f"({r},{n}): {len(pavings)} cones")
     return "; ".join(details)
 
@@ -211,15 +222,15 @@ def criterion_4():
         attempts = 0
         while produced < HEIGHT_SAMPLES:
             attempts += 1
-            assert attempts < HEIGHT_ATTEMPT_CAP, f"({r},{n}): too many degenerate draws"
+            check(attempts < HEIGHT_ATTEMPT_CAP, f"({r},{n}): too many degenerate draws")
             h = LatticeFunction(r, n, tuple(_rand_frac(rng) for _ in pts))
             try:
                 paving = regular_subdivision(h)
             except NotAPaving:
                 degenerate += 1
                 continue
-            assert is_admissible(paving).admissible, (r, n, h.values)
-            assert paving.key() in keys, (r, n, h.values)
+            check(is_admissible(paving).admissible, (r, n, h.values))
+            check(paving.key() in keys, (r, n, h.values))
             produced += 1
         details.append(f"({r},{n}): {produced} ok, {degenerate} degenerate")
     return "; ".join(details)
@@ -235,7 +246,7 @@ def criterion_5():
             for pave in paving.paves:
                 edges = pave_edge_count(pave)
                 worst = max(worst, edges)
-                assert edges <= 6, (r, pave.points, edges)
+                check(edges <= 6, (r, pave.points, edges))
                 total += 1
     return f"{total} pavés, max edges {worst}"
 
@@ -246,15 +257,15 @@ def criterion_6():
     details = []
     for (r, n) in FAN_CONFIGS:
         rep = torus_sequence_check(r, n)
-        assert rep.ok, (r, n, rep.checks)
+        check(rep.ok, (r, n, rep.checks))
         expected = comb(r + n, n) - n - 1
-        assert rep.dim_torus == expected, (r, n, rep.dim_torus)
+        check(rep.dim_torus == expected, (r, n, rep.dim_torus))
         details.append(f"T^({r},{n})={rep.dim_torus}")
     for r in (1, 2, 3):
         for q in (2, 3):
             rep = tau_sequence_check(r, q)
-            assert rep.ok, (r, q, rep.checks)
-            assert rep.dim_torus == len([p for p in enumerate_lattice_points(r, 2) if p[0] != 0]) - 1
+            check(rep.ok, (r, q, rep.checks))
+            check(rep.dim_torus == len([p for p in enumerate_lattice_points(r, 2) if p[0] != 0]) - 1)
     return "; ".join(details) + "; tau r<=3 q in {2,3}"
 
 
@@ -268,10 +279,10 @@ def criterion_7():
             for _ in range(200):
                 d = _rand_stratum_data(field, rng, r)
                 h = build_stratum_point(d)
-                assert stratum_of(h) == d.cuts
+                check(stratum_of(h) == d.cuts)
                 rec = stratum_data(h)
-                assert rec.eq(d.normalized()), (field.name, r)
-                assert build_stratum_point(rec).eq(h), (field.name, r)
+                check(rec.eq(d.normalized()), (field.name, r))
+                check(build_stratum_point(rec).eq(h), (field.name, r))
                 trips += 1
     for _ in range(100):
         field = rng.choice([QQ, GF(5, 1)])
@@ -281,7 +292,7 @@ def criterion_7():
         rho = rng.randint(1, n)
         lhs = exterior_power(field, fmat_mul(field, a, b), rho)
         rhs = fmat_mul(field, exterior_power(field, a, rho), exterior_power(field, b, rho))
-        assert fmat_eq(field, lhs, rhs)
+        check(fmat_eq(field, lhs, rhs))
     for _ in range(100):
         field = rng.choice([QQ, GF(5, 1)])
         r = rng.randint(2, 4)
@@ -289,9 +300,9 @@ def criterion_7():
         h = build_stratum_point(d)
         mus = tuple(_rand_nonzero(field, rng) for _ in range(r - 1))
         acted = torus_action(h, mus)
-        assert stratum_of(acted) == stratum_of(h)
+        check(stratum_of(acted) == stratum_of(h))
         for rho in range(1, r):
-            assert field.eq(acted.lams[rho - 1], field.mul(mus[rho - 1], h.lams[rho - 1]))
+            check(field.eq(acted.lams[rho - 1], field.mul(mus[rho - 1], h.lams[rho - 1])))
         trips += 1
     return f"{trips} checks"
 
@@ -326,12 +337,12 @@ def criterion_8():
             total += 1
             is_fixed = fmat_eq(field, lang_isogeny(m, q, field), fmat_identity(field, r))
             is_rational = all(field.to_index(x) in idx_rational for row in m for x in row)
-            assert is_fixed == is_rational, (r, q, k, m)
+            check(is_fixed == is_rational, (r, q, k, m))
             if is_fixed:
                 fixed += 1
             if is_rational:
                 rational_invertible += 1
-        assert fixed == rational_invertible
+        check(fixed == rational_invertible)
         cases.append(f"(r={r},q={q},k={k}): {fixed} of {total}")
     return "; ".join(cases)
 
@@ -380,7 +391,7 @@ def criterion_9():
         alpha = Fraction(rng.randint(0, 4), 4)
         polygon, chain = hn_polygon(lat, alpha)
         for other in _all_chains(lat):
-            assert polygon_leq(polygon_of_filtration(lat, other, alpha), polygon)
+            check(polygon_leq(polygon_of_filtration(lat, other, alpha), polygon))
         # uniqueness of the coarsest achiever is enforced inside
         # hn_polygon; reaching here certifies it for this input
         done += 1
@@ -398,7 +409,7 @@ def criterion_9():
     )
     try:
         hn_polygon(lat, 0)
-        raise AssertionError("crossing input must raise NoDominantChain")
+        raise CheckFailed("crossing input must raise NoDominantChain")
     except NoDominantChain:
         pass
     return "200 lattices + crossing rejection"
@@ -417,7 +428,7 @@ def _rand_convex_parameter(rng, r, mu):
     vals = [Fraction(0)]
     for rho in range(r):
         vals.append(vals[-1] + (shift - raw[rho]))
-    assert vals[-1] == 0
+    check(vals[-1] == 0)
     return Polygon(r, tuple(vals))
 
 
@@ -431,16 +442,16 @@ def criterion_10():
         d = rng.randint(-20, 20)
         cuts = sorted(rng.sample(range(1, r), rng.randint(0, r - 1)))
         res = split_truncation(p, d, cuts)
-        assert sum(res.d_parts) == d - (len(cuts) + 1) + 1
+        check(sum(res.d_parts) == d - (len(cuts) + 1) + 1)
     for _ in range(500):
         r = rng.randint(2, 8)
         mu = rng.randint(2, 6)
         p = _rand_convex_parameter(rng, r, mu)
-        assert is_mu_convex(p, mu)
+        check(is_mu_convex(p, mu))
         cuts = sorted(rng.sample(range(1, r), rng.randint(0, r - 1)))
         res = split_truncation(p, rng.randint(-20, 20), cuts)
         for part in res.p_parts:
-            assert is_mu_convex(part, mu - 2), (r, mu, cuts)
+            check(is_mu_convex(part, mu - 2), (r, mu, cuts))
     return "1000 degree identities + 500 convexity drops"
 
 
@@ -458,7 +469,7 @@ def criterion_11():
             cb[-1] = Fraction(1)
         a, b = SatakeParams(tuple(ca)), SatakeParams(tuple(cb))
         c = star_convolve(a, b)
-        assert c.degree == a.degree * b.degree
+        check(c.degree == a.degree * b.degree)
         prod = np.poly1d([1.0])
         for x in a.float_roots():
             for y in b.float_roots():
@@ -466,9 +477,9 @@ def criterion_11():
         ref = list(prod.coefficients[::-1])
         ref += [0.0] * (c.degree + 1 - len(ref))
         err = max(abs(complex(g) - rr) for g, rr in zip(c.coeffs, ref))
-        assert err < FLOAT_TOL, (trial, err)
+        check(err < FLOAT_TOL, (trial, err))
         for nu in (-3, -2, -1, 1, 2, 3):
-            assert power_sum(c, nu) == power_sum(a, nu) * power_sum(b, nu), (trial, nu)
+            check(power_sum(c, nu) == power_sum(a, nu) * power_sum(b, nu), (trial, nu))
     return "200 pairs within 1e-9; power sums exact"
 
 
@@ -483,8 +494,8 @@ def criterion_12():
             for _ in range(10):
                 d = _rand_stratum_data(field, rng, r)
                 fam = family_from_stratum(d)
-                assert check_dimension_condition(fam).ok, (field.name, r, d.cuts)
-                assert check_gluing_condition(fam).ok, (field.name, r, d.cuts)
+                check(check_dimension_condition(fam).ok, (field.name, r, d.cuts))
+                check(check_gluing_condition(fam).ok, (field.name, r, d.cuts))
                 built += 1
     # deterministic corruption: overwrite the last pavé's subspace with
     # the first-factor copy of V, which breaks the dimension count
@@ -506,9 +517,10 @@ def criterion_12():
         tuple(one if i == j else zero for j in range(4)) for i in range(2)
     )
     corrupted = GluedGraphFamily(field, fam.paving, tuple(w_bad))
-    assert not (
-        check_dimension_condition(corrupted).ok and check_gluing_condition(corrupted).ok
-    ), "corrupted family must fail"
+    check(
+        not (check_dimension_condition(corrupted).ok and check_gluing_condition(corrupted).ok),
+        "corrupted family must fail",
+    )
     # exhaustive characterization at r = 1, n = 1
     from .pavings import trivial_paving
 
@@ -531,8 +543,8 @@ def criterion_12():
                     else:
                         key = (0, 1)
                     passing_lines.add(key)
-                    assert a != 0 and b != 0, "passing family must avoid both axes"
-        assert len(passing_lines) == q - 1, (q, passing_lines)
+                    check(a != 0 and b != 0, "passing family must avoid both axes")
+        check(len(passing_lines) == q - 1, (q, passing_lines))
         counts.append(f"F{q}: {len(passing_lines)} graphs")
     return f"{built} stratum families; corruption fails; " + "; ".join(counts)
 
@@ -540,16 +552,19 @@ def criterion_12():
 def criterion_13():
     """Numeric bounds: strict rejection on the two-sided boundary and
     acceptance of unit-circle eigenvalues within 1e-9."""
-    assert check_bounds(PlaceData(1, SatakeParams.from_coeffs([1, 0, 1])), 4, "RP", FLOAT_TOL)
-    assert check_bounds(PlaceData(1, SatakeParams.from_coeffs([1, -1])), 4, "RP", FLOAT_TOL)
-    assert not check_bounds(PlaceData(1, SatakeParams.from_roots([2])), 4, "JS", FLOAT_TOL)
-    assert not check_bounds(
-        PlaceData(2, SatakeParams.from_roots([4])), 4, "JS", FLOAT_TOL
-    ), "root exactly q^{deg/2} must be rejected"
-    assert check_bounds(
-        PlaceData(1, SatakeParams.from_coeffs([1, Fraction(-19, 10)])), 4, "JS", FLOAT_TOL
+    check(check_bounds(PlaceData(1, SatakeParams.from_coeffs([1, 0, 1])), 4, "RP", FLOAT_TOL))
+    check(check_bounds(PlaceData(1, SatakeParams.from_coeffs([1, -1])), 4, "RP", FLOAT_TOL))
+    check(not check_bounds(PlaceData(1, SatakeParams.from_roots([2])), 4, "JS", FLOAT_TOL))
+    check(
+        not check_bounds(PlaceData(2, SatakeParams.from_roots([4])), 4, "JS", FLOAT_TOL),
+        "root exactly q^{deg/2} must be rejected",
     )
-    assert not check_bounds(PlaceData(1, SatakeParams.from_roots([Fraction(1, 2)])), 4, "RP", FLOAT_TOL)
+    check(
+        check_bounds(
+            PlaceData(1, SatakeParams.from_coeffs([1, Fraction(-19, 10)])), 4, "JS", FLOAT_TOL
+        )
+    )
+    check(not check_bounds(PlaceData(1, SatakeParams.from_roots([Fraction(1, 2)])), 4, "RP", FLOAT_TOL))
     return "boundary strictness and unit-circle acceptance"
 
 
@@ -575,12 +590,12 @@ def criterion_14():
             buf = io.StringIO()
             with redirect_stdout(buf):
                 rc = cli.main(["--jobs", jobs] + cmd)
-            assert rc == 0, (cmd, jobs)
+            check(rc == 0, (cmd, jobs))
             runs.append(buf.getvalue())
-        assert len(set(runs)) == 1, f"nondeterministic output for {cmd}"
+        check(len(set(runs)) == 1, f"nondeterministic output for {cmd}")
         outputs[" ".join(cmd)] = runs[0]
         payload = json.loads(runs[0])
-        assert payload.get("version") == "chtouca-kit/1"
+        check(payload.get("version") == "chtouca-kit/1")
     return f"{len(outputs)} commands x 4 runs byte-identical"
 
 

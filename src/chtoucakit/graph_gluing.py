@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .errors import InvalidData
-from .fields import QQ
 from .pavings import Paving, _proper_nonempty_subsets, trivial_paving
 from .complete_homs import StratumData, adapted_bases, _validate_stratum_data
-from . import qlinalg
-from fractions import Fraction
+from . import qlinalg, zlattice
 
 
 @dataclass(frozen=True)
@@ -129,8 +127,7 @@ def shared_walls(paving: Paving):
                 ]
                 if not shared:
                     continue
-                span = qlinalg.rank(QQ, [[Fraction(x) for x in p] for p in shared])
-                if span == n:
+                if zlattice.int_rank(shared) == n:
                     walls.append((first, second, blocks, dmin))
     return walls
 

@@ -8,14 +8,15 @@ stored as its saturated set of lattice points together with the derived
 profile.  A paving covers the simplex with pavés with pairwise disjoint
 interiors.  For n <= 2 every pavé is a union of unit cells (segments or
 unit triangles), which makes coverage and disjointness exact integer
-bookkeeping; admissibility and interiors are decided by exact rational
-LP with a maximized slack variable, so strict feasibility is an honest
-boolean.
+bookkeeping.  A pavé has interior exactly when its lattice points have
+integer rank n+1; admissibility is decided by exact rational LP with a
+maximized slack variable, so strict feasibility is an honest boolean.
 
 A paving is admissible exactly when some height function is affine on
 each pavé's lattice points and strictly larger elsewhere; the closure of
 that set of height classes is the pavé-wise secondary cone, computed
-here in the coordinates of the integer quotient lattice.
+here in the coordinates of the integer quotient lattice from the
+primitive integer affine dependencies among each pavé's lattice points.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def pave_from_points(r: int, n: int, points) -> IntegerPave:
     The profile is d_J = min over the points of sum_{j in J} x_j; the
     construction fails (NotAPave) if the profile is not supermodular or
     if the region it cuts out contains lattice points beyond the input,
-    and fails (EmptyInterior) if the strict system has no rational
-    solution."""
+    and fails (EmptyInterior) if the points do not have integer rank
+    n+1, i.e. the region has no interior."""
     pts = sorted({tuple(int(x) for x in p) for p in points}, key=point_key)
     if not pts:
         raise NotAPave("empty point set")
@@ -134,15 +135,13 @@ def pave_from_points(r: int, n: int, points) -> IntegerPave:
     if induced != pts:
         extra = [p for p in induced if p not in set(pts)]
         raise NotAPave(f"reconstruction mismatch: region also contains {extra[:3]}")
-    # nonempty interior: strict feasibility of the proper inequalities
-    rows = []
-    rhs = []
-    for J in proper:
-        rows.append([1 if j in J else 0 for j in range(n + 1)])
-        rhs.append(d[J])
-    delta, _ = max_slack(rows, rhs, [[1] * (n + 1)], [r])
-    if delta <= 0:
-        raise EmptyInterior(f"pave has empty interior (slack {delta})")
+    # d is an integer supermodular profile, so the region is an integral
+    # base polytope (Edmonds 1970): the hull of its lattice points, which
+    # are pts.  It has interior exactly when pts span the hyperplane
+    # sum x = r, i.e. have rank n+1; otherwise the points satisfy the
+    # system and the largest slack of a strict solution is exactly 0.
+    if zlattice.int_rank(pts) != n + 1:
+        raise EmptyInterior("pave has empty interior (slack 0)")
     profile = PaveProfile(r, n, tuple(sorted(d.items())))
     return IntegerPave(r, n, tuple(pts), profile)
 
@@ -274,10 +273,9 @@ def regular_subdivision(h: LatticeFunction) -> Paving:
         ]
         if any(v > hv for v, hv in zip(vals, h.values)):
             continue  # not a minorant
+        # the contact contains the affinely independent sub, so it is
+        # full-dimensional
         touch = frozenset(i for i, (v, hv) in enumerate(zip(vals, h.values)) if v == hv)
-        span = [[Fraction(x) for x in pts[i]] for i in touch]
-        if qlinalg.rank(QQ, span) < n + 1:
-            continue  # lower-dimensional contact
         supports[touch] = tuple(vals)
     if not supports:
         raise NotAPaving("no full-dimensional affine support found")
@@ -329,8 +327,7 @@ def interior_walls(paving: Paving):
             shared = [p for p in paves[l].points if p in set_k]
             if not shared:
                 continue
-            span = qlinalg.rank(QQ, [[Fraction(x) for x in p] for p in shared])
-            if span != paving.n:
+            if zlattice.int_rank(shared) != paving.n:
                 continue
             witness = next(
                 p for p in paves[l].points if p not in set(shared)
@@ -371,14 +368,14 @@ def _admissibility_lp(paving: Paving, extra_eq_rows=None, extra_vars: int = 0):
         # pavé k's support must stay strictly below: (c_l - c_k) . w > 0
         fold = [a - b for a, b in zip(cell_row(l, witness), cell_row(k, witness))]
         ineq_rows.append(fold)
-        rhs.append(Fraction(0))
+        rhs.append(0)
     if extra_eq_rows:
         eq_rows.extend(extra_eq_rows)
     delta, sol = max_slack(
         ineq_rows,
         rhs,
         eq_rows or None,
-        [Fraction(0)] * len(eq_rows) if eq_rows else None,
+        [0] * len(eq_rows) if eq_rows else None,
         nvars=nvars,
     )
     if sol is None and delta > 0:
@@ -386,17 +383,17 @@ def _admissibility_lp(paving: Paving, extra_eq_rows=None, extra_vars: int = 0):
     return delta, sol, nvars
 
 
-_ADMISSIBLE_CACHE: dict = {}
+# bounded above the 1,024 pavings of (11, 1), the largest enumeration
+# under ENUMERATION_POINT_CAP
+CACHE_SIZE = 4096
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def is_admissible(paving: Paving) -> AdmissibilityResult:
     """Exact LP: is there a height function affine on every pavé's
     lattice points and strictly above the pavé's affine support
     elsewhere?  The witness induces the paving as its regular
     subdivision."""
-    cache_key = (paving.r, paving.n, paving.key())
-    if cache_key in _ADMISSIBLE_CACHE:
-        return _ADMISSIBLE_CACHE[cache_key]
     delta, sol, _ = _admissibility_lp(paving)
     witness = None
     if delta > 0 and sol is not None:
@@ -406,47 +403,30 @@ def is_admissible(paving: Paving) -> AdmissibilityResult:
         for x in enumerate_lattice_points(paving.r, n):
             k = owner[x]
             vals.append(
-                sum(
-                    (sol[k * (n + 1) + j] * Fraction(x[j]) for j in range(n + 1)),
-                    Fraction(0),
-                )
+                sum((sol[k * (n + 1) + j] * x[j] for j in range(n + 1)), Fraction(0))
             )
         witness = LatticeFunction(paving.r, n, tuple(vals))
-    result = AdmissibilityResult(delta > 0, delta, witness)
-    _ADMISSIBLE_CACHE[cache_key] = result
-    return result
+    return AdmissibilityResult(delta > 0, delta, witness)
 
 
-_SIGMA_CACHE: dict = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def sigma_cone(paving: Paving) -> Cone:
     """H-description of the closed secondary cone of the paving in the
     integer quotient lattice.
 
     The per-pavé affine support is eliminated through an affine basis of
-    the pavé's lattice points, leaving rows that are linear in the
-    height values; heights are then restricted to the canonical section
-    (vanishing at the vertices) and rewritten in lattice-basis
-    coordinates, so the cone is integral."""
-    cache_key = (paving.r, paving.n, paving.key())
-    if cache_key in _SIGMA_CACHE:
-        return _SIGMA_CACHE[cache_key]
+    the pavé's lattice points: for every other point x the row is the
+    primitive integer affine dependency among the basis and x, with x's
+    coefficient positive, which is linear in the height values.  Heights
+    are then restricted to the canonical section (vanishing at the
+    vertices) and rewritten in lattice-basis coordinates, so the cone is
+    integral."""
     if not is_admissible(paving).admissible:
         raise NotAdmissible("paving has empty secondary cone")
     r, n = paving.r, paving.n
     pts = enumerate_lattice_points(r, n)
     lattice = quotient_lattice(r, n)
     nonv_index = {p: i for i, p in enumerate(lattice.points)}
-
-    def nf_row(coeffs: dict[Point, Fraction]):
-        """Row over normal-form coordinates (vertex coords are zero)."""
-        row = [Fraction(0)] * lattice.rank
-        for p, c in coeffs.items():
-            if p in nonv_index:
-                row[nonv_index[p]] += c
-        return row
-
     eq_rows = []
     ineq_rows = []
     for pave in paving.paves:
@@ -459,19 +439,22 @@ def sigma_cone(paving: Paving) -> Cone:
                 break
         if len(basis) != n + 1:
             raise InternalError("pave of an admissible paving is not full-dimensional")
-        m_inv = qlinalg.inverse(QQ, [[Fraction(x) for x in b] for b in basis])
+        coords = list(zip(*basis))  # coordinate k of every basis point
         pset = pave.point_set()
         for x in pts:
             if x in basis:
                 continue
-            # h(x) - x^T M^{-1} h|basis
-            lam = qlinalg.mat_vec(
-                QQ, [list(col) for col in zip(*m_inv)], [Fraction(v) for v in x]
+            # the points lie on sum x = r, so a linear dependency is affine
+            (dep,) = zlattice.int_kernel(
+                [list(ck) + [xk] for ck, xk in zip(coords, x)], n + 2
             )
-            coeffs: dict[Point, Fraction] = {x: Fraction(1)}
-            for b, l in zip(basis, lam):
-                coeffs[b] = coeffs.get(b, Fraction(0)) - l
-            row = nf_row(coeffs)
+            if dep[-1] < 0:
+                dep = [-c for c in dep]
+            # restricted to the normal form: vertex coordinates are zero
+            row = [0] * lattice.rank
+            for p, c in zip(basis + [x], dep):
+                if p in nonv_index:
+                    row[nonv_index[p]] += c
             if x in pset:
                 if any(row):
                     eq_rows.append(row)
@@ -479,9 +462,7 @@ def sigma_cone(paving: Paving) -> Cone:
                 ineq_rows.append(row)
     eq_int = [lattice.nf_row_to_coord_row(row) for row in eq_rows]
     ineq_int = [lattice.nf_row_to_coord_row(row) for row in ineq_rows]
-    cone = Cone.from_hrep(lattice.rank, ineq_int, eq_int)
-    _SIGMA_CACHE[cache_key] = cone
-    return cone
+    return Cone.from_hrep(lattice.rank, ineq_int, eq_int)
 
 
 def paving_fan(pavings) -> Fan:
@@ -581,12 +562,12 @@ def is_q_admissible(paving: Paving, q: int) -> bool:
     base = K * (n + 1)
     nvars = base + (n + 1)  # + global affine coefficients a
 
-    def h_plus_a_row(x, scale: Fraction):
-        row = [Fraction(0)] * nvars
+    def h_plus_a_row(x, scale: int):
+        row = [0] * nvars
         k = owner[x]
         for j in range(n + 1):
-            row[k * (n + 1) + j] += scale * Fraction(x[j])
-            row[base + j] += scale * Fraction(x[j])
+            row[k * (n + 1) + j] += scale * x[j]
+            row[base + j] += scale * x[j]
         return row
 
     tau_rows = []
@@ -594,8 +575,8 @@ def is_q_admissible(paving: Paving, q: int) -> bool:
         if p[0] != 0:
             continue
         partner = (p[1], 0, p[2])
-        row = h_plus_a_row(p, Fraction(1))
-        prow = h_plus_a_row(partner, Fraction(q))
+        row = h_plus_a_row(p, 1)
+        prow = h_plus_a_row(partner, q)
         tau_rows.append([a - b for a, b in zip(row, prow)])
     delta, _, _ = _admissibility_lp(paving, extra_eq_rows=tau_rows, extra_vars=n + 1)
     return delta > 0
@@ -629,5 +610,5 @@ def pave_edge_count(pave: IntegerPave) -> int:
 
 
 def clear_caches():
-    _ADMISSIBLE_CACHE.clear()
-    _SIGMA_CACHE.clear()
+    is_admissible.cache_clear()
+    sigma_cone.cache_clear()

@@ -149,7 +149,9 @@ class QuotientLattice:
     forms back to integer basis coordinates.  The normal form of an
     integer function is generally non-integral (denominators divide r),
     which is why an explicit basis is carried instead of using raw
-    normal-form values as coordinates.
+    normal-form values as coordinates.  ``hnf`` is r * ``basis``, the
+    integer Hermite form it comes from, so integer functionals on
+    normal-form values move to basis coordinates without a fraction.
     """
 
     r: int
@@ -158,6 +160,7 @@ class QuotientLattice:
     points: tuple[Point, ...]  # the non-vertex points, coordinate order
     basis: tuple[tuple[Fraction, ...], ...]
     basis_inv: tuple[tuple[Fraction, ...], ...]
+    hnf: tuple[tuple[int, ...], ...]
 
     def class_to_coords(self, qc: QuotientClass) -> tuple[int, ...]:
         """Integer coordinates of an integer-function class."""
@@ -181,13 +184,12 @@ class QuotientLattice:
         return tuple(vals)
 
     def nf_row_to_coord_row(self, row) -> tuple[int, ...]:
-        """Rewrite a linear functional on normal-form values as an integer
-        functional on basis coordinates."""
-        out = [
-            sum((Fraction(row[j]) * self.basis[i][j] for j in range(self.rank)), Fraction(0))
-            for i in range(len(self.basis))
-        ]
-        return zlattice.clear_denominators(out)
+        """Rewrite an integer linear functional on normal-form values as
+        the primitive integer functional on basis coordinates with the
+        same sign (basis = hnf / r, and r > 0)."""
+        return zlattice.primitive_ray(
+            [sum(h * a for h, a in zip(hrow, row)) for hrow in self.hnf]
+        )
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +216,7 @@ def quotient_lattice(r: int, n: int) -> QuotientLattice:
     binv_rows = tuple(
         tuple(inv[j][i] for j in range(d)) for i in range(d)
     )
-    return QuotientLattice(r, n, d, nonv, basis, binv_rows)
+    return QuotientLattice(r, n, d, nonv, basis, binv_rows, tuple(map(tuple, h)))
 
 
 def integer_class_lattice_rank(r: int, n: int) -> int:

@@ -1,5 +1,7 @@
 """Integer lattice utilities: gcd reduction, Hermite and Smith normal
-forms, and fraction-free integer kernels and ranks.
+forms, and fraction-free integer kernels and ranks.  Lattice points of
+the simplex are integer vectors, so pavé interiors, walls and the affine
+dependencies behind secondary cones are computed here.
 
 Everything works on plain lists of Python ints; sizes here are tiny
 (ranks at most ~12), so the classic O(n^3) algorithms with exact integer
@@ -8,7 +10,6 @@ arithmetic are more than enough.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -38,20 +39,6 @@ def primitive(v) -> tuple[int, ...]:
                 w = tuple(-x for x in w)
             break
     return w
-
-
-def clear_denominators(row) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (same sign)."""
-    fracs = [Fraction(x) for x in row]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(f * lcm) for f in fracs]
-    g = vec_gcd(ints)
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(ints)
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:

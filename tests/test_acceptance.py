@@ -2,6 +2,11 @@
 prints one pass/fail line.  A criterion that exceeds a configured cap
 reports SKIP (surfaced as a pytest skip, not a failure)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from chtoucakit import acceptance
@@ -38,18 +43,36 @@ def test_selftest_skip_semantics(monkeypatch):
     assert results[0][1] == "SKIP"
 
 
+def broken_split(p, d, cuts):
+    """split_truncation with the first degree part off by one."""
+    from chtoucakit.hn_truncation import split_truncation
+
+    res = split_truncation(p, d, cuts)
+    if res.d_parts:
+        parts = (res.d_parts[0] + 1,) + res.d_parts[1:]
+        return type(res)(parts, res.p_parts)
+    return res
+
+
 def test_selftest_detects_injected_fault(monkeypatch):
     """A corrupted splitting formula fails the degree-identity criterion."""
-    import chtoucakit.acceptance as acc
-    from chtoucakit.hn_truncation import split_truncation as real_split
-
-    def broken(p, d, cuts):
-        res = real_split(p, d, cuts)
-        if res.d_parts:
-            parts = (res.d_parts[0] + 1,) + res.d_parts[1:]
-            return type(res)(parts, res.p_parts)
-        return res
-
-    monkeypatch.setattr(acc, "split_truncation", broken)
-    results = acc.run_all(wanted={10})
+    monkeypatch.setattr(acceptance, "split_truncation", broken_split)
+    results = acceptance.run_all(wanted={10})
     assert results[0][1] == "FAIL"
+
+
+def test_selftest_detects_injected_fault_under_python_O():
+    """`python -O` strips assert statements; the criteria's checks stay."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "from chtoucakit import acceptance\n"
+        "from test_acceptance import broken_split\n"
+        "acceptance.split_truncation = broken_split\n"
+        "print(acceptance.run_all(wanted={10})[0][1])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["FAIL"]

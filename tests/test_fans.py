@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from unittest import mock
 
@@ -161,6 +162,12 @@ def test_tau_sequence(r, q, size):
 # the code they replaced, kept here as test-only oracles
 
 
+def oracle_clear_denominators(v):
+    """Scale a rational vector to a primitive integer vector (same sign)."""
+    scale = lcm(*(Fraction(x).denominator for x in v))
+    return zlattice.primitive_ray([int(Fraction(x) * scale) for x in v])
+
+
 def oracle_reduce_mod_lineality(ray, lin_rows):
     if not lin_rows:
         return zlattice.primitive_ray(ray)
@@ -170,7 +177,7 @@ def oracle_reduce_mod_lineality(ray, lin_rows):
         if v[piv] != 0:
             c = v[piv] / b[piv]
             v = [x - c * Fraction(y) for x, y in zip(v, b)]
-    return zlattice.clear_denominators(v)
+    return oracle_clear_denominators(v)
 
 
 def oracle_double_description(rows, dim):

@@ -1,10 +1,24 @@
 import random
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chtoucakit.errors import NotAPave, NotAPaving, TooLarge, WrongDimension
+from chtoucakit import pavings as pv
+from chtoucakit import qlinalg, zlattice
+from chtoucakit.errors import (
+    EmptyInterior,
+    NotAPave,
+    NotAPaving,
+    TooLarge,
+    WrongDimension,
+)
 from chtoucakit.fans import Cone
+from chtoucakit.fields import QQ
+from chtoucakit.graph_gluing import shared_walls
 from chtoucakit.pavings import (
     candidate_paves,
     enumerate_admissible_pavings,
@@ -19,9 +33,11 @@ from chtoucakit.pavings import (
     sigma_cone,
     trivial_paving,
 )
+from chtoucakit.ratlp import max_slack
 from chtoucakit.simplex_core import (
     LatticeFunction,
     enumerate_lattice_points,
+    point_key,
     quotient_lattice,
 )
 
@@ -240,7 +256,6 @@ class TestQAdmissibility:
     def test_lp_matches_cone_subspace_oracle(self):
         """Independent oracle: intersect the secondary cone with the
         twisted-height subspace and test for a relative interior point."""
-        from chtoucakit.ratlp import max_slack
         from chtoucakit.simplex_core import affine_normal_form
 
         r, n = 2, 2
@@ -338,3 +353,207 @@ def test_interior_walls_of_finest_2_2():
     finest = max(enumerate_admissible_pavings(2, 2), key=lambda p: len(p.paves))
     walls = interior_walls(finest)
     assert len(walls) == 3  # the central triangle touches the three corners
+
+
+# ---------------------------------------------------------------------------
+# the rank test for pavé interiors, the integer secondary-cone rows and the
+# integer wall ranks against the rational code they replaced, kept here as
+# test-only oracles
+
+
+def oracle_pave_from_points(r, n, points):
+    """pave_from_points deciding the interior by the exact slack LP."""
+    pts = sorted({tuple(int(x) for x in p) for p in points}, key=point_key)
+    if not pts:
+        raise NotAPave("empty point set")
+    all_pts = enumerate_lattice_points(r, n)
+    subsets = pv._subsets(n)
+    d = {J: min(sum(p[j] for j in J) for p in pts) for J in subsets}
+    for j1 in subsets:
+        for j2 in subsets:
+            union = tuple(sorted(set(j1) | set(j2)))
+            inter = tuple(sorted(set(j1) & set(j2)))
+            if d[j1] + d[j2] > d[union] + d[inter]:
+                raise NotAPave(f"profile not supermodular at {j1}, {j2}")
+    proper = pv._proper_nonempty_subsets(n)
+    induced = [
+        p for p in all_pts if all(sum(p[j] for j in J) >= d[J] for J in proper)
+    ]
+    if induced != pts:
+        extra = [p for p in induced if p not in set(pts)]
+        raise NotAPave(f"reconstruction mismatch: region also contains {extra[:3]}")
+    rows = [[1 if j in J else 0 for j in range(n + 1)] for J in proper]
+    delta, _ = max_slack(rows, [d[J] for J in proper], [[1] * (n + 1)], [r])
+    if delta <= 0:
+        raise EmptyInterior(f"pave has empty interior (slack {delta})")
+    return tuple(pts), tuple(sorted(d.items()))
+
+
+def _interior_outcome(build, r, n, pts):
+    """(points, profile) of the pavé, or (error type, message)."""
+    try:
+        return build(r, n, pts)
+    except (NotAPave, EmptyInterior) as e:
+        return type(e), str(e)
+
+
+def _built(r, n, pts):
+    pave = pave_from_points(r, n, pts)
+    return pave.points, pave.profile.d
+
+
+def _same_interior_outcome(r, n, pts):
+    """Compare both builds; returns the error type, or "pave"."""
+    new = _interior_outcome(_built, r, n, pts)
+    assert new == _interior_outcome(oracle_pave_from_points, r, n, pts), (r, n, pts)
+    return new[0] if isinstance(new[0], type) else "pave"
+
+
+def _saturation(r, n, pts):
+    """Every lattice point of the region cut out by the profile of pts:
+    it reconstructs, so it reaches the interior test whenever the
+    profile is supermodular."""
+    proper = pv._proper_nonempty_subsets(n)
+    d = {J: min(sum(p[j] for j in J) for p in pts) for J in proper}
+    return [
+        p
+        for p in enumerate_lattice_points(r, n)
+        if all(sum(p[j] for j in J) >= d[J] for J in proper)
+    ]
+
+
+INTERIOR_CONFIGS = ((3, 2), (2, 3), (4, 1), (1, 4))
+
+
+@st.composite
+def point_subsets(draw):
+    r, n = draw(st.sampled_from(INTERIOR_CONFIGS))
+    pts = enumerate_lattice_points(r, n)
+    keep = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
+    return r, n, [p for p, k in zip(pts, keep) if k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_subsets())
+def test_interior_by_rank_matches_slack_lp(case):
+    r, n, pts = case
+    _same_interior_outcome(r, n, pts)
+    if pts:
+        _same_interior_outcome(r, n, _saturation(r, n, pts))
+
+
+@pytest.mark.parametrize("r,n", [(1, 1), (2, 1), (5, 1), (4, 1), (1, 4), (2, 2)])
+def test_interior_by_rank_matches_slack_lp_exhaustively(r, n):
+    pts = enumerate_lattice_points(r, n)
+    seen = set()
+    for mask in range(1, 1 << len(pts)):
+        sub = [p for i, p in enumerate(pts) if mask >> i & 1]
+        seen.add(_same_interior_outcome(r, n, sub))
+    assert "pave" in seen
+    if r > 1:
+        assert EmptyInterior in seen
+
+
+def oracle_clear_denominators(v):
+    """Scale a rational vector to a primitive integer vector (same sign)."""
+    scale = lcm(*(Fraction(x).denominator for x in v))
+    return zlattice.primitive_ray([int(Fraction(x) * scale) for x in v])
+
+
+def oracle_sigma_rows(paving):
+    """The secondary-cone rows through a rational inverse of each pavé's
+    affine basis, rewritten in the quotient-lattice basis over Q."""
+    r, n = paving.r, paving.n
+    lattice = quotient_lattice(r, n)
+    nonv_index = {p: i for i, p in enumerate(lattice.points)}
+    eq_rows, ineq_rows = [], []
+    for pave in paving.paves:
+        basis = []
+        for p in pave.points:
+            if qlinalg.rank(QQ, [[Fraction(x) for x in b] for b in basis + [p]]) == len(basis) + 1:
+                basis.append(p)
+            if len(basis) == n + 1:
+                break
+        m_inv = qlinalg.inverse(QQ, [[Fraction(x) for x in b] for b in basis])
+        for x in enumerate_lattice_points(r, n):
+            if x in basis:
+                continue
+            lam = qlinalg.mat_vec(QQ, [list(col) for col in zip(*m_inv)], [Fraction(v) for v in x])
+            row = [Fraction(0)] * lattice.rank
+            for p, c in [(x, Fraction(1))] + [(b, -l) for b, l in zip(basis, lam)]:
+                if p in nonv_index:
+                    row[nonv_index[p]] += c
+            if x in pave.point_set():
+                if any(row):
+                    eq_rows.append(row)
+            else:
+                ineq_rows.append(row)
+
+    def coord_row(row):
+        return oracle_clear_denominators(
+            [sum(row[j] * b[j] for j in range(lattice.rank)) for b in lattice.basis]
+        )
+
+    return [coord_row(row) for row in ineq_rows], [coord_row(row) for row in eq_rows]
+
+
+def oracle_interior_walls(paving):
+    out = []
+    paves = paving.paves
+    for k in range(len(paves)):
+        set_k = paves[k].point_set()
+        for l in range(k + 1, len(paves)):
+            shared = [p for p in paves[l].points if p in set_k]
+            if not shared:
+                continue
+            if qlinalg.rank(QQ, [[Fraction(x) for x in p] for p in shared]) != paving.n:
+                continue
+            witness = next(p for p in paves[l].points if p not in set(shared))
+            out.append((k, l, tuple(shared), witness))
+    return out
+
+
+def oracle_shared_walls(paving):
+    n = paving.n
+    walls = []
+    for first in range(len(paving.paves)):
+        for second in range(first + 1, len(paving.paves)):
+            p_first = paving.paves[first]
+            p_second = paving.paves[second]
+            for blocks in pv._proper_nonempty_subsets(n):
+                dmin = min(sum(p[j] for j in blocks) for p in p_first.points)
+                dmax = max(sum(p[j] for j in blocks) for p in p_second.points)
+                if dmin != dmax:
+                    continue
+                shared = [
+                    p
+                    for p in p_first.points
+                    if p in set(p_second.points) and sum(p[j] for j in blocks) == dmin
+                ]
+                if not shared:
+                    continue
+                if qlinalg.rank(QQ, [[Fraction(x) for x in p] for p in shared]) == n:
+                    walls.append((first, second, blocks, dmin))
+    return walls
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 1), (4, 1), (5, 1), (3, 2)])
+def test_secondary_cone_rows_and_walls_match_rational_oracle(r, n):
+    real = Cone.from_hrep
+    calls = []
+
+    def spy(rank, ineqs, eqs=()):
+        calls.append((list(ineqs), list(eqs)))
+        return real(rank, ineqs, eqs)
+
+    pv.clear_caches()
+    try:
+        for paving in enumerate_admissible_pavings(r, n):
+            calls.clear()
+            with mock.patch.object(Cone, "from_hrep", spy):
+                sigma_cone(paving)
+            assert calls == [oracle_sigma_rows(paving)], paving.key()
+            assert interior_walls(paving) == oracle_interior_walls(paving)
+            assert shared_walls(paving) == oracle_shared_walls(paving)
+    finally:
+        pv.clear_caches()

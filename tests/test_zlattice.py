@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from chtoucakit import qlinalg
 from chtoucakit.fields import QQ
 from chtoucakit.zlattice import (
-    clear_denominators,
     hnf,
     int_kernel,
     int_rank,
@@ -22,6 +22,21 @@ def test_primitive_vs_ray():
     assert primitive((-2, 4)) == (1, -2)
     assert primitive_ray((-2, 4)) == (-1, 2)
     assert primitive((0, 0)) == (0, 0)
+
+
+def clear_denominators(row) -> tuple[int, ...]:
+    """Scale a rational vector to a primitive integer vector (same sign),
+    for the rational oracles below."""
+    fracs = [Fraction(x) for x in row]
+    lcm = 1
+    for f in fracs:
+        d = f.denominator
+        lcm = lcm * d // gcd(lcm, d)
+    ints = [int(f * lcm) for f in fracs]
+    g = vec_gcd(ints)
+    if g > 1:
+        ints = [a // g for a in ints]
+    return tuple(ints)
 
 
 def test_clear_denominators():
