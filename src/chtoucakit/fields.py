@@ -2,17 +2,25 @@
 helpers that need no elimination (identity, product, equality); every
 elimination routine lives in `qlinalg`, generic over these field objects.
 
-GF(p^k) elements are coefficient tuples of length k (little-endian) over
-a monic irreducible modulus of degree k, by default the lexicographically
-smallest one over F_p.  Serialization uses the integer index sum c_i p^i.
+A GF(p^k) element is a plain int, its index sum c_i p^i in range(p^k),
+also its wire format; c_i are its little-endian coefficients modulo a
+monic irreducible of degree k, by default the lexicographically smallest
+one over F_p.  Arithmetic is lookup in log/antilog tables of a primitive
+element, with Zech logarithms for addition (Lidl-Niederreiter, Finite
+Fields, ch. 9); fields above FIELD_ORDER_CAP elements raise TooLarge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+
+from .errors import InternalError, TooLarge
+
+FIELD_ORDER_CAP = 2**16  # largest q = p^k accepted; bounds the tables of GF
 
 
 class RationalField:
@@ -46,9 +54,6 @@ class RationalField:
 
     def is_zero(self, a):
         return a == 0
-
-    def coerce(self, x):
-        return Fraction(x)
 
     def format(self, a) -> str:
         a = Fraction(a)
@@ -115,28 +120,63 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
         coeffs = tuple(lower) + (1,)
         if _poly_is_irreducible(coeffs, p):
             return coeffs
-    raise AssertionError("no irreducible polynomial found")
+    raise InternalError("no irreducible polynomial found")
+
+
+@lru_cache(maxsize=32)
+def _tables(p: int, k: int, modulus: tuple[int, ...]):
+    """exp (g^0, ..., g^(q-2), twice, so a sum of two logs needs no
+    reduction), log and zech[i] = log(1 + g^i) (None where 1 + g^i = 0)
+    of the first primitive element g of GF(p^k) by index."""
+    q = p**k
+    one = (1,) + (0,) * (k - 1)
+    for g in range(1, q):
+        g_coeffs = tuple(g // p**i % p for i in range(k))
+        exp, x = [], one
+        while True:
+            exp.append(sum(c * p**i for i, c in enumerate(x)))
+            x = _poly_mul_mod(x, g_coeffs, modulus, p)
+            if x == one:
+                break
+        if len(exp) == q - 1:
+            break
+    log = [None] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    # adding 1 adds 1 to the lowest base-p digit of the index
+    zech = [log[a + 1 - p if a % p == p - 1 else a + 1] for a in exp]
+    return tuple(exp + exp), tuple(log), tuple(zech)
 
 
 @dataclass(frozen=True)
 class GF:
-    """The field with p^k elements, p prime, k >= 1."""
+    """The field with q = p^k <= FIELD_ORDER_CAP elements, p prime, k >= 1.
+
+    An element is its index in range(q).  Every operation is a lookup in
+    the tables of `_tables`; they are not dataclass fields, so a field
+    equals and hashes as its (p, k, modulus).
+    """
 
     p: int
     k: int
     modulus: tuple[int, ...] = None  # monic, length k+1
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, self.p)):
-            raise ValueError("p must be prime")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        # p^k >= 2^k, so a huge k is over the cap before any power is taken
+        if self.p ** min(self.k, FIELD_ORDER_CAP.bit_length()) > FIELD_ORDER_CAP:
+            raise TooLarge(f"GF({self.p}^{self.k}) has more than {FIELD_ORDER_CAP} elements")
+        if self.p < 2 or any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
+            raise ValueError("p must be prime")
         if self.modulus is None:
             object.__setattr__(self, "modulus", default_modulus(self.p, self.k))
         if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
         if not _poly_is_irreducible(tuple(c % self.p for c in self.modulus), self.p):
             raise ValueError("modulus must be irreducible over F_p")
+        for name, table in zip(("_exp", "_log", "_zech"), _tables(self.p, self.k, self.modulus)):
+            object.__setattr__(self, name, table)
 
     @property
     def name(self):
@@ -147,40 +187,39 @@ class GF:
         return self.p**self.k
 
     def zero(self):
-        return (0,) * self.k
+        return 0
 
     def one(self):
-        return (1,) + (0,) * (self.k - 1)
+        return 1
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        # a negative difference indexes zech from the end: modulo q - 1
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return self.mul(a, self.p - 1)  # p - 1 is the index of -1
 
     def mul(self, a, b):
-        return _poly_mul_mod(a, b, self.modulus, self.p)
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a):
-        if self.is_zero(a):
+        if not a:
             raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.order - 2)
+        return self._exp[len(self._zech) - self._log[a]]
 
     def pow(self, a, e: int):
-        if self.is_zero(a):
-            return self.zero() if e > 0 else self.one()
-        e %= self.order - 1
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if not a:
+            return 0 if e > 0 else 1
+        return self._exp[self._log[a] * e % len(self._zech)]
 
     def frobenius(self, a, q: int):
         """a -> a^q; q must be a power of p."""
@@ -190,35 +229,16 @@ class GF:
         return a == b
 
     def is_zero(self, a):
-        return all(x == 0 for x in a)
-
-    def coerce(self, x):
-        if isinstance(x, tuple):
-            return tuple(v % self.p for v in x)
-        return self.from_index(int(x) % self.order)
-
-    def from_index(self, idx: int):
-        out = []
-        for _ in range(self.k):
-            out.append(idx % self.p)
-            idx //= self.p
-        return tuple(out)
-
-    def to_index(self, a) -> int:
-        idx = 0
-        for c in reversed(a):
-            idx = idx * self.p + c
-        return idx
-
-    def elements(self):
-        for idx in range(self.order):
-            yield self.from_index(idx)
+        return a == 0
 
     def format(self, a) -> str:
-        return str(self.to_index(a))
+        return str(a)
 
-    def parse(self, s: str):
-        return self.from_index(int(s))
+    def parse(self, s: str) -> int:
+        a = int(s)
+        if not 0 <= a < self.order:
+            raise ValueError(f"{a} is not an element index of {self.name}")
+        return a
 
 
 # ---------------------------------------------------------------------------

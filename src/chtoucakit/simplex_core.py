@@ -21,9 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from . import qlinalg, zlattice
+from . import zlattice
 from .errors import InternalError
-from .fields import QQ
 
 Point = tuple[int, ...]
 
@@ -145,8 +144,7 @@ class QuotientLattice:
     """The lattice of integer-function classes modulo affine functions.
 
     ``basis`` rows express a Z-basis in normal-form coordinates (values
-    at the non-vertex points, lex order); ``basis_inv`` converts normal
-    forms back to integer basis coordinates.  The normal form of an
+    at the non-vertex points, lex order).  The normal form of an
     integer function is generally non-integral (denominators divide r),
     which is why an explicit basis is carried instead of using raw
     normal-form values as coordinates.  ``hnf`` is r * ``basis``, the
@@ -159,29 +157,7 @@ class QuotientLattice:
     rank: int
     points: tuple[Point, ...]  # the non-vertex points, coordinate order
     basis: tuple[tuple[Fraction, ...], ...]
-    basis_inv: tuple[tuple[Fraction, ...], ...]
     hnf: tuple[tuple[int, ...], ...]
-
-    def class_to_coords(self, qc: QuotientClass) -> tuple[int, ...]:
-        """Integer coordinates of an integer-function class."""
-        nf = qc.normal_form
-        v = [nf.value_at(p) for p in self.points]
-        w = qlinalg.mat_vec(QQ, [list(col) for col in self.basis_inv], v)
-        out = []
-        for x in w:
-            if x.denominator != 1:
-                raise ValueError("class is not in the integer quotient lattice")
-            out.append(int(x))
-        return tuple(out)
-
-    def coords_to_normal_form(self, w) -> tuple[Fraction, ...]:
-        """Normal-form values (at the non-vertex points) of basis coords."""
-        vals = [Fraction(0)] * self.rank
-        for wi, brow in zip(w, self.basis):
-            if wi:
-                for j in range(self.rank):
-                    vals[j] += Fraction(wi) * brow[j]
-        return tuple(vals)
 
     def nf_row_to_coord_row(self, row) -> tuple[int, ...]:
         """Rewrite an integer linear functional on normal-form values as
@@ -208,15 +184,7 @@ def quotient_lattice(r: int, n: int) -> QuotientLattice:
     if len(h) != d:
         raise InternalError(f"quotient lattice rank {len(h)}, expected {d}")
     basis = tuple(tuple(Fraction(x, r) for x in row) for row in h)
-    inv = qlinalg.inverse(QQ, [list(row) for row in basis])
-    if inv is None:
-        raise InternalError("quotient lattice basis is singular")
-    # basis_inv stored column-major so mat_vec(basis_inv, nf_values) = coords
-    # i.e. solve w * basis = v  =>  w = v * basis^{-1}
-    binv_rows = tuple(
-        tuple(inv[j][i] for j in range(d)) for i in range(d)
-    )
-    return QuotientLattice(r, n, d, nonv, basis, binv_rows, tuple(map(tuple, h)))
+    return QuotientLattice(r, n, d, nonv, basis, tuple(map(tuple, h)))
 
 
 def integer_class_lattice_rank(r: int, n: int) -> int:

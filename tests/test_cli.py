@@ -116,6 +116,18 @@ def test_homs_pipeline(tmp_path):
     assert json.loads(out)["stratum"] == []
 
 
+def test_out_of_range_scalars_are_invalid(tmp_path):
+    """A finite-field scalar is an index in range(q), never read modulo q."""
+    for field, good, bad in (({"GF": [5, 1]}, "4", "5"), ({"GF": [5, 1]}, "4", "-1"),
+                             ({"GF": [3, 2]}, "8", "9")):
+        for entry, rc_expected in ((good, 0), (bad, 1)):
+            spec = {"field": field, "u1": [["1", entry], ["0", "1"]], "lambda": ["1"]}
+            rc, out, err = run_cli(["homs", "complete", "open.json"], {"open.json": spec}, tmp_path)
+            assert rc == rc_expected
+            if rc:
+                assert out == "" and json.loads(err)["error"]["type"] == "InvalidData"
+
+
 def test_homs_lang(tmp_path):
     payload = {"field": {"GF": [2, 2]}, "matrix": [["2"]]}
     rc, out, _ = run_cli(["homs", "lang", "--q", "2", "m.json"], {"m.json": payload}, tmp_path)

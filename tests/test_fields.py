@@ -1,11 +1,18 @@
 import random
-from itertools import product
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chtoucakit import fields
+from chtoucakit.errors import TooLarge
 from chtoucakit.fields import (
+    FIELD_ORDER_CAP,
     GF,
     QQ,
+    _poly_mul_mod,
     default_modulus,
     fmat_identity,
     fmat_mul,
@@ -23,7 +30,7 @@ from chtoucakit.qlinalg import (
 def test_field_axioms_sampled(p, k):
     field = GF(p, k)
     rng = random.Random(p * 100 + k)
-    elements = list(field.elements())
+    elements = range(field.order)
     assert len(elements) == p**k
     for _ in range(60):
         a, b, c = (rng.choice(elements) for _ in range(3))
@@ -40,14 +47,13 @@ def test_modulus_is_irreducible_f4():
 
 def test_frobenius_fixed_field():
     field = GF(2, 2)
-    fixed = [x for x in field.elements() if field.frobenius(x, 2) == x]
+    fixed = [x for x in range(field.order) if field.frobenius(x, 2) == x]
     assert len(fixed) == 2  # the prime field
 
 
-def test_index_round_trip():
-    field = GF(3, 2)
-    for idx in range(field.order):
-        assert field.to_index(field.from_index(idx)) == idx
+def element(field, x):
+    """The integer x as an element: a Fraction, or an index reduced mod q."""
+    return Fraction(x) if field is QQ else x % field.order
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5, 1), GF(2, 2)])
@@ -59,7 +65,7 @@ def test_matrix_inverse_round_trip(field):
         while m is None:
             cand = [
                 [
-                    field.coerce(rng.randint(0, 6)) if field is not QQ else field.coerce(rng.randint(-6, 6))
+                    element(field, rng.randint(0, 6)) if field is not QQ else element(field, rng.randint(-6, 6))
                     for _ in range(n)
                 ]
                 for _ in range(n)
@@ -73,7 +79,7 @@ def test_matrix_inverse_round_trip(field):
 
 def test_kernel_dimension():
     field = GF(5, 1)
-    rows = [[field.coerce(1), field.coerce(2), field.coerce(3)]]
+    rows = [[1, 2, 3]]
     k = fmat_kernel(field, rows, 3)
     assert len(k) == 2
     for v in k:
@@ -88,8 +94,8 @@ def test_solve_consistency():
     rng = random.Random(23)
     for _ in range(20):
         n = rng.randint(1, 3)
-        a = [[field.coerce(rng.randint(0, 6)) for _ in range(n)] for _ in range(n)]
-        x = [field.coerce(rng.randint(0, 6)) for _ in range(n)]
+        a = [[rng.randint(0, 6) for _ in range(n)] for _ in range(n)]
+        x = [rng.randint(0, 6) for _ in range(n)]
 
         def apply(vec):
             out = []
@@ -110,8 +116,8 @@ def test_det_multiplicative():
     field = GF(5, 1)
     rng = random.Random(29)
     for _ in range(20):
-        a = [[field.coerce(rng.randint(0, 4)) for _ in range(3)] for _ in range(3)]
-        b = [[field.coerce(rng.randint(0, 4)) for _ in range(3)] for _ in range(3)]
+        a = [[rng.randint(0, 4) for _ in range(3)] for _ in range(3)]
+        b = [[rng.randint(0, 4) for _ in range(3)] for _ in range(3)]
         lhs = fmat_det(field, fmat_mul(field, a, b))
         rhs = field.mul(fmat_det(field, a), fmat_det(field, b))
         assert lhs == rhs
@@ -130,6 +136,105 @@ def test_reducible_modulus_rejected(p, k, modulus):
 def test_irreducible_modulus_accepted():
     field = field_from_json({"GF": [3, 2], "modulus_poly": [2, 2, 1]})  # t^2 + 2t + 2
     assert field.modulus == (2, 2, 1)
-    for a in field.elements():
+    for a in range(field.order):
         if not field.is_zero(a):
             assert field.mul(a, field.inv(a)) == field.one()
+
+
+# ---------------------------------------------------------------------------
+# the table arithmetic against the coefficient-tuple field it replaced
+
+
+class TupleGF:
+    """GF(p^k) on little-endian coefficient tuples: every product is a
+    polynomial product modulo the modulus, inverses and powers by
+    square-and-multiply (the former `fields.GF`)."""
+
+    def __init__(self, p, k, modulus):
+        self.p, self.k, self.modulus, self.order = p, k, modulus, p**k
+
+    def zero(self):
+        return (0,) * self.k
+
+    def one(self):
+        return (1,) + (0,) * (self.k - 1)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def mul(self, a, b):
+        return _poly_mul_mod(a, b, self.modulus, self.p)
+
+    def inv(self, a):
+        if a == self.zero():
+            raise ZeroDivisionError("inverse of 0")
+        return self.pow(a, self.order - 2)
+
+    def pow(self, a, e):
+        if a == self.zero():
+            return self.zero() if e > 0 else self.one()
+        e %= self.order - 1
+        result, base = self.one(), a
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def frobenius(self, a, q):
+        return self.pow(a, q)
+
+    def from_index(self, idx):
+        return tuple(idx // self.p**i % self.p for i in range(self.k))
+
+    def to_index(self, a):
+        return sum(c * self.p**i for i, c in enumerate(a))
+
+
+ORACLE_FIELDS = [
+    (2, 1, None), (3, 1, None), (2, 2, None), (5, 1, None), (7, 1, None), (2, 3, None),
+    (2, 4, None), (3, 3, None),
+    (3, 2, None),  # t^2 + 1: t has order 4, so the first primitive element is 1 + t
+    (3, 2, (2, 2, 1)), (2, 3, (1, 1, 0, 1)),  # non-default moduli
+]
+
+
+@pytest.mark.parametrize("p,k,modulus", ORACLE_FIELDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tables_match_tuple_arithmetic(p, k, modulus, data):
+    field = GF(p, k, modulus)
+    oracle = TupleGF(p, k, field.modulus)
+    index = st.integers(0, field.order - 1)
+    a, b = data.draw(index), data.draw(index)
+    e = data.draw(st.integers(-2 * field.order, 2 * field.order))
+    ta, tb = oracle.from_index(a), oracle.from_index(b)
+    assert field.add(a, b) == oracle.to_index(oracle.add(ta, tb))
+    assert field.sub(a, b) == oracle.to_index(oracle.sub(ta, tb))
+    assert field.neg(a) == oracle.to_index(oracle.neg(ta))
+    assert field.mul(a, b) == oracle.to_index(oracle.mul(ta, tb))
+    assert field.pow(a, e) == oracle.to_index(oracle.pow(ta, e))
+    for j in range(1, k + 1):
+        assert field.frobenius(a, p**j) == oracle.to_index(oracle.frobenius(ta, p**j))
+    if a:
+        assert field.inv(a) == oracle.to_index(oracle.inv(ta))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            field.inv(a)
+
+
+def test_field_above_cap_builds_no_table():
+    with mock.patch.object(fields, "_tables", side_effect=AssertionError("table built")):
+        for p, k in ((2, 17), (257, 2), (65537, 1), (3, 10**12)):
+            with pytest.raises(TooLarge):
+                GF(p, k)
+    with mock.patch.object(fields, "_tables", return_value=((), (), ())) as tables:
+        GF(2, 16)  # exactly FIELD_ORDER_CAP elements
+    assert 2**16 == FIELD_ORDER_CAP and tables.call_count == 1

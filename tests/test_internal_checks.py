@@ -13,7 +13,7 @@ from pathlib import Path
 
 CODE = """
 import math
-from chtoucakit import complete_homs as ch, hn_truncation as hn, qlinalg
+from chtoucakit import complete_homs as ch, hn_truncation as hn
 from chtoucakit import simplex_core as sc, zlattice
 from chtoucakit.errors import InternalError
 from chtoucakit.fields import QQ, fmat_identity
@@ -45,8 +45,6 @@ hnf = zlattice.hnf
 zlattice.hnf = lambda gens: hnf(gens)[:-1]
 report(lambda: sc.quotient_lattice(3, 2))
 zlattice.hnf = hnf
-qlinalg.inverse = lambda field, a: None
-report(lambda: sc.quotient_lattice(4, 2))
 """
 
 
@@ -56,4 +54,4 @@ def test_internal_checks_run_under_python_O():
     out = subprocess.run(
         [sys.executable, "-O", "-c", CODE], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["InternalError"] * 6
+    assert out.stdout.split() == ["InternalError"] * 5

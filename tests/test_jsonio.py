@@ -7,8 +7,10 @@ from chtoucakit.fans import Cone
 from chtoucakit.fields import GF, QQ
 from chtoucakit.l_functions import SatakeParams
 from chtoucakit.pavings import enumerate_admissible_pavings, paving_fan
-from chtoucakit.complete_homs import complete_from_open
+from chtoucakit.complete_homs import build_stratum_point, complete_from_open, stratum_data
+from chtoucakit.graph_gluing import family_from_stratum
 from chtoucakit.simplex_core import LatticeFunction
+from test_complete_homs import rand_stratum_data
 
 
 def test_frac_strings():
@@ -61,7 +63,7 @@ def test_fan_round_trip():
 
 
 def test_hom_round_trip():
-    for field, lam in ((QQ, Fraction(5)), (GF(5, 1), GF(5, 1).from_index(3))):
+    for field, lam in ((QQ, Fraction(5)), (GF(5, 1), 3)):
         one = field.one()
         zero = field.zero()
         u1 = [[one, zero], [zero, one]]
@@ -74,3 +76,31 @@ def test_satake_round_trip():
     p = SatakeParams.from_coeffs([1, Fraction(-5, 2), 6])
     again = jsonio.satake_from_json(jsonio.satake_to_json(p))
     assert again.coeffs == p.coeffs
+
+
+ROUND_TRIP_FIELDS = [QQ, GF(2, 2), GF(5, 1), GF(3, 2), GF(3, 2, (2, 2, 1))]
+
+
+def through_text(obj):
+    return json.loads(json.dumps(obj))
+
+
+def test_stratum_hom_and_family_round_trips():
+    """Strata with a zero lambda, their points and their glued families
+    survive JSON text, over Q and finite fields of several moduli."""
+    rng = random.Random(41)
+    for field in ROUND_TRIP_FIELDS:
+        for _ in range(4):
+            h = build_stratum_point(rand_stratum_data(field, rng, 3))
+            if not any(field.is_zero(lam) for lam in h.lams):
+                continue
+            hj = jsonio.hom_to_json(h)
+            assert jsonio.hom_from_json(through_text(hj)).eq(h)
+            d = stratum_data(h)
+            dj = jsonio.stratum_to_json(d)
+            d2 = jsonio.stratum_from_json(through_text(dj))
+            assert d2.field == field and d2.eq(d)
+            assert jsonio.stratum_to_json(d2) == dj
+            fj = jsonio.family_to_json(family_from_stratum(d))
+            fam = jsonio.family_from_json(through_text(fj))
+            assert fam.field == field and jsonio.family_to_json(fam) == fj

@@ -40,6 +40,7 @@ from chtoucakit.simplex_core import (
     point_key,
     quotient_lattice,
 )
+from test_simplex_core import coords_to_normal_form, nf_to_coords
 
 
 def heights(r, n, mapping):
@@ -141,7 +142,7 @@ class TestSigmaCone:
         c = sigma_cone(paving)
         assert len(c.rays) == 1 and not c.lin
         ql = quotient_lattice(2, 1)
-        nf = ql.coords_to_normal_form(c.rays[0])
+        nf = coords_to_normal_form(ql, c.rays[0])
         # classes with normal form (0, c, 0), c < 0
         assert nf[0] < 0
 
@@ -158,7 +159,7 @@ class TestSigmaCone:
         w = c.relative_interior_point()
         assert w is not None
         ql = quotient_lattice(2, 1)
-        nf = ql.coords_to_normal_form([Fraction(x) for x in w])
+        nf = coords_to_normal_form(ql, [Fraction(x) for x in w])
         vals = {(2, 0): Fraction(0), (0, 2): Fraction(0), (1, 1): nf[0]}
         h = LatticeFunction.from_map(2, 1, vals)
         assert regular_subdivision(h).key() == paving.key()
@@ -274,11 +275,7 @@ class TestQAdmissibility:
                         vals[p] = Fraction(0)
                 nf = affine_normal_form(LatticeFunction.from_map(r, n, vals)).normal_form
                 row = [nf.value_at(pt) for pt in ql.points]
-                w = [
-                    sum(Fraction(row[j]) * ql.basis_inv[i][j] for j in range(ql.rank))
-                    for i in range(ql.rank)
-                ]
-                tau_basis.append(w)
+                tau_basis.append(nf_to_coords(ql, row))
             for paving in enumerate_admissible_pavings(r, n):
                 cone = sigma_cone(paving)
                 strict = [

@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+from chtoucakit import qlinalg
+from chtoucakit.fields import QQ
 from chtoucakit.simplex_core import (
     LatticeFunction,
     affine_normal_form,
@@ -117,12 +119,27 @@ def test_normal_form_kernel_is_affine_of_dim_n_plus_1(r, n):
         assert is_affine(f)
 
 
+def nf_to_coords(ql, values):
+    """Basis coordinates w of normal-form values: w * basis = values."""
+    transposed = [[row[j] for row in ql.basis] for j in range(ql.rank)]
+    return qlinalg.solve(QQ, transposed, list(values))
+
+
+def coords_to_normal_form(ql, w):
+    """Normal-form values (at the non-vertex points) of basis coordinates."""
+    return tuple(
+        sum((Fraction(wi) * row[j] for wi, row in zip(w, ql.basis)), Fraction(0))
+        for j in range(ql.rank)
+    )
+
+
 def test_class_coordinates_round_trip():
     ql = quotient_lattice(3, 1)
     pts = enumerate_lattice_points(3, 1)
     for k in range(len(pts)):
         f = LatticeFunction(3, 1, tuple(Fraction(1 if i == k else 0) for i in range(len(pts))))
         qc = affine_normal_form(f)
-        w = ql.class_to_coords(qc)
-        nf_back = ql.coords_to_normal_form(w)
+        w = nf_to_coords(ql, [qc.normal_form.value_at(p) for p in ql.points])
+        assert all(x.denominator == 1 for x in w)  # an integer class
+        nf_back = coords_to_normal_form(ql, w)
         assert tuple(nf_back) == tuple(qc.normal_form.value_at(p) for p in ql.points)
