@@ -2,7 +2,9 @@
 subcommands with canonical JSON output.
 
 Exit status: 0 on success, 1 on domain errors (machine-readable error
-JSON on stderr), 2 on I/O or parse errors.  Output is byte-identical
+JSON on stderr), 2 on I/O or parse errors, 3 on an internal error (a
+broken invariant, a bug in this package; the same JSON payload with type
+InternalError).  Output is byte-identical
 across runs; the --jobs option (or CHTOUCA_KIT_JOBS) is accepted for
 interface stability but all work is scheduled sequentially, which is
 one of the legal schedules and keeps results reproducible."""
@@ -12,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
 from . import VERSION, jsonio
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .fans import (
     dual_cone,
     monoid_generators,
@@ -469,9 +472,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a value starting with "-" and a digit, "." or "/" (a negative scalar)
+_SIGNED_VALUE = re.compile(r"-[0-9./]")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Pass "--mu -1,7,7" on as "--mu=-1,7,7": argparse reads a separate
+    value that starts with "-" as an option, not as the value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--mu" and _SIGNED_VALUE.match(tok):
+            out[-1] = f"--mu={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def _error(kind: str, message: str) -> None:
+    print(
+        json.dumps({"error": {"type": kind, "message": message}, "version": VERSION}, sort_keys=True),
+        file=sys.stderr,
+    )
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     jobs = args.jobs
     if jobs is None:
         jobs = int(os.environ.get("CHTOUCA_KIT_JOBS", "1"))
@@ -484,22 +510,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DomainError as e:
-        print(
-            json.dumps(
-                {"error": {"type": e.kind, "message": str(e)}, "version": VERSION},
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
+        _error(e.kind, str(e))
         return 1
+    except InternalError as e:
+        _error("InternalError", str(e))
+        return 3
     except (IOFailure, ValueError, KeyError, TypeError) as e:
-        print(
-            json.dumps(
-                {"error": {"type": "ParseError", "message": str(e)}, "version": VERSION},
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
+        _error("ParseError", str(e))
         return 2
 
 

@@ -6,7 +6,9 @@ to exit status 1 with a machine-readable JSON payload on stderr.
 :class:`InternalError` is deliberately not a :class:`DomainError`: it
 reports a broken internal invariant (a bug in this package, not bad
 input), such as a phase-1 simplex that does not end optimal, and the CLI
-does not turn it into a domain answer.
+does not turn it into a domain answer.  The CLI exits with status 3 and
+writes ``{"error": {"type": "InternalError", "message": ...},
+"version": ...}`` to stderr instead.
 """
 
 

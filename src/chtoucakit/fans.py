@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import qlinalg, zlattice
 from .fields import QQ
-from .errors import InternalError, TooLarge
+from .errors import InternalError, InvalidData, TooLarge
 from .ratlp import max_slack
 from .simplex_core import (
     LatticeFunction,
@@ -356,8 +356,11 @@ def monoid_generators(c: Cone, bound: int = MONOID_SEARCH_BOUND) -> list[tuple[i
     the search box: candidates are processed in increasing order of the
     additive height sum_g <g, y> (g over the generators of c), so an
     element is skipped exactly when it decomposes.  Every monoid element
-    inside the box is verified to decompose over the returned set.
+    inside the box is verified to decompose over the returned set.  A
+    bound below 1 searches no nonzero point and is InvalidData.
     """
+    if bound < 1:
+        raise InvalidData(f"monoid search bound must be at least 1, got {bound}")
     if c.rank > MONOID_RANK_CAP:
         raise TooLarge(f"monoid generators capped at rank {MONOID_RANK_CAP}")
     gens_c = c.generators()

@@ -111,7 +111,7 @@ def _poly_is_irreducible(coeffs, p):
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # above the 32 fields whose tables are kept
 def default_modulus(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over F_p."""
     if k == 1:

@@ -1,6 +1,6 @@
-"""Integer pavés and pavings of the simplex, their secondary cones,
-admissibility and q-admissibility via exact LP, and the desk-scale
-exhaustive enumeration.
+"""Integer pavés and pavings of the simplex, regular subdivisions,
+their secondary cones, admissibility and q-admissibility via exact LP,
+and the desk-scale exhaustive enumeration.
 
 A pavé is the region cut out of the simplex by inequalities
 sum_{j in J} x_j >= d_J for a supermodular integer profile (d_J); it is
@@ -17,6 +17,10 @@ each pavé's lattice points and strictly larger elsewhere; the closure of
 that set of height classes is the pavé-wise secondary cone, computed
 here in the coordinates of the integer quotient lattice from the
 primitive integer affine dependencies among each pavé's lattice points.
+The regular subdivision of a height function is read off the lower
+facets of the lifted points (Gelfand-Kapranov-Zelevinsky, ch. 7;
+De Loera-Rambau-Santos, *Triangulations*, ch. 2), from one integer
+double description.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
-from . import qlinalg, zlattice
-from .fields import QQ
+from . import zlattice
 from .errors import (
     EmptyInterior,
     InternalError,
@@ -38,7 +41,7 @@ from .errors import (
     TooLarge,
     WrongDimension,
 )
-from .fans import Cone, Fan
+from .fans import Cone, Fan, double_description
 from .ratlp import max_slack
 from .simplex_core import (
     LatticeFunction,
@@ -50,6 +53,9 @@ from .simplex_core import (
 
 ENUMERATION_POINT_CAP = 12  # |S^{r,n}| bound for exhaustive enumeration
 ENUMERATION_N_CAP = 2  # unit-cell machinery covers n <= 2 (r >= 2)
+# per-(r, n) caches: bounded above the 14 configurations n <= 2 under
+# ENUMERATION_POINT_CAP
+CONFIG_CACHE_SIZE = 64
 
 # height functions are plain rational functions on the lattice points
 HeightFunction = LatticeFunction
@@ -150,7 +156,7 @@ def pave_from_points(r: int, n: int, points) -> IntegerPave:
 # unit cells (n <= 2): exact volume and coverage bookkeeping
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def unit_cells(r: int, n: int) -> tuple[tuple[Point, ...], ...]:
     """Vertex sets of the unit cells tiling the simplex (n <= 2)."""
     if n == 0:
@@ -248,44 +254,47 @@ def refines(p: Paving, q: Paving) -> bool:
 
 def regular_subdivision(h: LatticeFunction) -> Paving:
     """The paving by the domains of affinity of the largest affine
-    minorant of h.
+    minorant of h, read off the lower hull of the lifted points.
 
-    Supports are enumerated through affinely independent (n+1)-point
-    interpolation; a support's cell is the full set of lattice points of
-    its affinity domain.  If some domain is not an integer pavé (its
-    lattice points do not reconstruct it), the height function is
-    degenerate for this configuration and NotAPaving is raised."""
+    With D the common denominator of the heights, each lattice point p
+    is lifted to the integer vector (p, D h(p)); one double description
+    of the cone spanned by these and the upward direction gives its
+    facet normals y = (y_x, y_z), and the lower facets are those with
+    y_z > 0.  A lower facet carries the affine function
+    f_y(p) = -(y_x . p) / y_z of D h, the envelope is the largest f_y,
+    and a facet's cell is the full set of lattice points where f_y
+    attains the envelope (points lifted above the hull included).  All
+    comparisons are integer cross-multiplications.  Cells are checked in
+    canonical order; if one is not an integer pavé (its lattice points
+    do not reconstruct it), the height function is degenerate for this
+    configuration and NotAPaving is raised."""
     r, n = h.r, h.n
-    pts = list(enumerate_lattice_points(r, n))
-    supports: dict[frozenset, tuple[Fraction, ...]] = {}
-    full_rank = list(range(n + 1))
-    for sub in combinations(range(len(pts)), n + 1):
-        # one reduction of [points | heights]: the points are affinely
-        # independent exactly when the pivots are 0..n, and the last
-        # column then holds the interpolating coefficients
-        aug = [[Fraction(x) for x in pts[i]] + [h.values[i]] for i in sub]
-        red, pivots = qlinalg.rref(QQ, aug)
-        if pivots != full_rank:
-            continue
-        c = [row[n + 1] for row in red]
-        vals = [
-            sum((cj * xj for cj, xj in zip(c, p)), Fraction(0)) for p in pts
-        ]
-        if any(v > hv for v, hv in zip(vals, h.values)):
-            continue  # not a minorant
-        # the contact contains the affinely independent sub, so it is
-        # full-dimensional
-        touch = frozenset(i for i, (v, hv) in enumerate(zip(vals, h.values)) if v == hv)
-        supports[touch] = tuple(vals)
-    if not supports:
-        raise NotAPaving("no full-dimensional affine support found")
-    env = [max(vals[i] for vals in supports.values()) for i in range(len(pts))]
-    cells = set()
-    for vals in supports.values():
-        cell = frozenset(pts[i] for i in range(len(pts)) if vals[i] == env[i])
-        cells.add(cell)
+    pts = enumerate_lattice_points(r, n)
+    scale = lcm(*(v.denominator for v in h.values))
+    lifted = [p + (v.numerator * (scale // v.denominator),) for p, v in zip(pts, h.values)]
+    up = (0,) * (n + 1) + (1,)
+    _, normals = double_description([up] + lifted, n + 2)
+    # f_y(p) = num / y_z, with num = -(y_x . p) and y_z > 0
+    lower = [
+        ([-sum(a * x for a, x in zip(y, p)) for p in pts], y[-1])
+        for y in normals
+        if y[-1] > 0
+    ]
+    if not lower:
+        raise InternalError("lifted points have no lower facet")
+    env = []
+    for i in range(len(pts)):
+        best, best_den = lower[0][0][i], lower[0][1]
+        for nums, den in lower[1:]:
+            if nums[i] * best_den > best * den:
+                best, best_den = nums[i], den
+        env.append((best, best_den))
+    cells = sorted({
+        tuple(i for i, (e, e_den) in enumerate(env) if nums[i] * e_den == e * den)
+        for nums, den in lower
+    })
     try:
-        paves = [pave_from_points(r, n, c) for c in cells]
+        paves = [pave_from_points(r, n, [pts[i] for i in c]) for c in cells]
         return paving_from_paves(r, n, paves)
     except NotAPave as e:
         raise NotAPaving(f"degenerate heights: {e}") from e
@@ -481,7 +490,7 @@ def paving_fan(pavings) -> Fan:
 # enumeration
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def candidate_paves(r: int, n: int) -> tuple[IntegerPave, ...]:
     """All integer pavés of the simplex, canonically ordered."""
     pts = enumerate_lattice_points(r, n)
@@ -612,3 +621,5 @@ def pave_edge_count(pave: IntegerPave) -> int:
 def clear_caches():
     is_admissible.cache_clear()
     sigma_cone.cache_clear()
+    unit_cells.cache_clear()
+    candidate_paves.cache_clear()

@@ -26,6 +26,11 @@ from .errors import InternalError
 
 Point = tuple[int, ...]
 
+# bounded caches: per (r, n), far above the configurations any capped
+# enumeration or check visits, and per (r, n, point) for point_index
+CONFIG_CACHE_SIZE = 256
+POINT_CACHE_SIZE = 4096
+
 
 def point_key(p: Point):
     """Sort key realizing the lexicographic convention used throughout:
@@ -34,7 +39,7 @@ def point_key(p: Point):
     return tuple(-c for c in p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def enumerate_lattice_points(r: int, n: int) -> tuple[Point, ...]:
     """All (i_0,...,i_n) with nonnegative integer entries summing to r,
     in lexicographic order (see point_key)."""
@@ -102,7 +107,7 @@ class QuotientClass:
     normal_form: LatticeFunction
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=POINT_CACHE_SIZE)
 def point_index(r: int, n: int, p: Point) -> int:
     pts = enumerate_lattice_points(r, n)
     try:
@@ -168,7 +173,7 @@ class QuotientLattice:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def quotient_lattice(r: int, n: int) -> QuotientLattice:
     pts = enumerate_lattice_points(r, n)
     nonv = nonvertex_points(r, n)

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 
 from chtoucakit import cli
+from chtoucakit.errors import InternalError
 
 
 def run_cli(argv, files=None, tmp_path=None):
@@ -86,6 +87,20 @@ def test_fans_dual_and_monoid(tmp_path):
     assert json.loads(out)["generators"] == [[0, 1], [1, 0], [2, -1]]
 
 
+def test_fans_monoid_rejects_bounds_below_one(tmp_path):
+    cone = {"rank": 2, "rays": [[1, 0], [0, 1]]}
+    for bound in ("0", "-1"):
+        rc, out, err = run_cli(
+            ["fans", "monoid", "--cone", "cone.json", "--bound", bound], {"cone.json": cone}, tmp_path
+        )
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "InvalidData"
+    rc, out, _ = run_cli(
+        ["fans", "monoid", "--cone", "cone.json", "--bound", "1"], {"cone.json": cone}, tmp_path
+    )
+    assert rc == 0 and json.loads(out)["generators"] == [[0, 1], [1, 0]]
+
+
 def test_fans_sequences():
     rc, out, _ = run_cli(["fans", "torus-seq", "--r", "2", "--n", "2"])
     payload = json.loads(out)
@@ -114,6 +129,22 @@ def test_homs_pipeline(tmp_path):
     rc, out, _ = run_cli(["homs", "stratum", "hom.json"], {"hom.json": hom}, tmp_path)
     assert rc == 0
     assert json.loads(out)["stratum"] == []
+
+
+def test_negative_mu_values(tmp_path):
+    """A --mu value starting with "-" is a value, as with --mu=..."""
+    spec = {"field": {"Q": True}, "u1": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            "lambda": ["5", "7"]}
+    rc, out, _ = run_cli(["homs", "complete", "open.json"], {"open.json": spec}, tmp_path)
+    hom = json.loads(out)
+    hom.pop("version")
+    rc, out, err = run_cli(["homs", "act", "--mu", "-1,7", "hom.json"], {"hom.json": hom}, tmp_path)
+    assert rc == 0 and err == ""
+    assert json.loads(out)["lambda"] == ["-5", "49"]
+    assert (rc, out) == run_cli(["homs", "act", "--mu=-1,7", "hom.json"], {"hom.json": hom}, tmp_path)[:2]
+    polygon = {"r": 3, "values": ["0", "4", "4", "0"]}
+    rc, out, _ = run_cli(["trunc", "convex", "--mu", "-1/2", "p.json"], {"p.json": polygon}, tmp_path)
+    assert rc == 0 and json.loads(out)["mu"] == "-1/2"
 
 
 def test_out_of_range_scalars_are_invalid(tmp_path):
@@ -226,6 +257,19 @@ def test_parse_error_exit_code(tmp_path):
     rc, out, err = run_cli(["pavings", "check", str(bad)])
     assert rc == 2
     assert json.loads(err)["error"]["type"] == "ParseError"
+
+
+def test_internal_error_exit_code(monkeypatch):
+    def broken(args):
+        raise InternalError("invariant broken")
+
+    monkeypatch.setattr(cli, "cmd_fans_torus_seq", broken)
+    rc, out, err = run_cli(["fans", "torus-seq", "--r", "2", "--n", "2"])
+    assert rc == 3 and out == ""
+    assert json.loads(err) == {
+        "error": {"type": "InternalError", "message": "invariant broken"},
+        "version": "chtouca-kit/1",
+    }
 
 
 def test_byte_determinism():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import lcm
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chtoucakit import pavings as pv
-from chtoucakit import qlinalg, zlattice
+from chtoucakit import fans, qlinalg, zlattice
 from chtoucakit.errors import (
     EmptyInterior,
     NotAPave,
@@ -554,3 +555,144 @@ def test_secondary_cone_rows_and_walls_match_rational_oracle(r, n):
             assert shared_walls(paving) == oracle_shared_walls(paving)
     finally:
         pv.clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# regular subdivisions from the lifted lower hull against the interpolation
+# loop they replaced, kept here as the test oracle
+
+
+def oracle_regular_subdivision(h):
+    """Every affinely independent (n+1)-point interpolation of h over Q
+    that is a minorant of h is a support; a support's cell is the set of
+    lattice points where it attains the envelope of all supports."""
+    r, n = h.r, h.n
+    pts = list(enumerate_lattice_points(r, n))
+    supports = {}
+    full_rank = list(range(n + 1))
+    for sub in combinations(range(len(pts)), n + 1):
+        # one reduction of [points | heights]: the points are affinely
+        # independent exactly when the pivots are 0..n, and the last
+        # column then holds the interpolating coefficients
+        aug = [[Fraction(x) for x in pts[i]] + [h.values[i]] for i in sub]
+        red, pivots = qlinalg.rref(QQ, aug)
+        if pivots != full_rank:
+            continue
+        c = [row[n + 1] for row in red]
+        vals = [sum((cj * xj for cj, xj in zip(c, p)), Fraction(0)) for p in pts]
+        if any(v > hv for v, hv in zip(vals, h.values)):
+            continue  # not a minorant
+        touch = frozenset(i for i, (v, hv) in enumerate(zip(vals, h.values)) if v == hv)
+        supports[touch] = tuple(vals)
+    if not supports:
+        raise NotAPaving("no full-dimensional affine support found")
+    env = [max(vals[i] for vals in supports.values()) for i in range(len(pts))]
+    cells = sorted(
+        {tuple(i for i in range(len(pts)) if vals[i] == env[i]) for vals in supports.values()}
+    )
+    try:
+        paves = [pave_from_points(r, n, [pts[i] for i in c]) for c in cells]
+        return pv.paving_from_paves(r, n, paves)
+    except NotAPave as e:
+        raise NotAPaving(f"degenerate heights: {e}") from e
+
+
+def _subdivision_outcome(subdivide, h):
+    """The paving's key, or (error type, message)."""
+    try:
+        return subdivide(h).key()
+    except (NotAPaving, TooLarge) as e:
+        return type(e), str(e)
+
+
+def _same_subdivision(h):
+    new = _subdivision_outcome(regular_subdivision, h)
+    assert new == _subdivision_outcome(oracle_regular_subdivision, h), (h.r, h.n, h.values)
+    return new
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (2, 1), (3, 1), (4, 1)])
+def test_lower_hull_matches_interpolation_on_all_small_heights(r, n):
+    pts = enumerate_lattice_points(r, n)
+    outcomes = [
+        _same_subdivision(LatticeFunction(r, n, tuple(Fraction(v) for v in vals)))
+        for vals in product((0, 1, 2), repeat=len(pts))
+    ]
+    pavings = {o for o in outcomes if not isinstance(o[0], type)}
+    assert trivial_paving(r, n).key() in pavings and len(pavings) >= 2
+    if n == 2:
+        assert any(o[0] is NotAPaving for o in outcomes)
+
+
+SUBDIVISION_CONFIGS = ((3, 2), (2, 2), (2, 3), (5, 1), (1, 0), (4, 0))
+
+
+@st.composite
+def rational_heights(draw):
+    r, n = draw(st.sampled_from(SUBDIVISION_CONFIGS))
+    size = len(enumerate_lattice_points(r, n))
+    nums = draw(st.lists(st.integers(-40, 40), min_size=size, max_size=size))
+    dens = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    return LatticeFunction(r, n, tuple(Fraction(a, b) for a, b in zip(nums, dens)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_heights())
+def test_lower_hull_matches_interpolation_on_rational_heights(h):
+    _same_subdivision(h)
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 1), (4, 1), (3, 2)])
+def test_lower_hull_regenerates_every_admissible_paving(r, n):
+    for paving in enumerate_admissible_pavings(r, n):
+        witness = is_admissible(paving).witness
+        assert _same_subdivision(witness) == paving.key()
+
+
+def test_lower_hull_matches_interpolation_on_large_denominators():
+    rng = random.Random(11)
+    big = (10**12 + 39, 2**61 - 1, 3**40, 10**30 + 57)
+    for r, n in ((3, 2), (2, 2), (4, 1)):
+        pts = enumerate_lattice_points(r, n)
+        for _ in range(20):
+            vals = tuple(Fraction(rng.randint(-10**15, 10**15), rng.choice(big)) for _ in pts)
+            _same_subdivision(LatticeFunction(r, n, vals))
+
+
+def test_affine_heights_give_the_trivial_paving():
+    rng = random.Random(12)
+    for r, n in ((3, 2), (2, 2), (2, 3), (5, 1), (3, 0)):
+        pts = enumerate_lattice_points(r, n)
+        for _ in range(10):
+            c = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n + 1)]
+            h = LatticeFunction(r, n, tuple(sum(a * x for a, x in zip(c, p)) for p in pts))
+            assert _same_subdivision(h) == trivial_paving(r, n).key()
+
+
+def test_lower_hull_is_one_double_description_per_height():
+    calls = []
+    real = fans.double_description
+
+    def spy(rows, dim):
+        calls.append(dim)
+        return real(rows, dim)
+
+    h = heights(3, 1, {(3, 0): 0, (2, 1): -1, (1, 2): -1, (0, 3): 0})
+    with mock.patch.object(pv, "double_description", spy), mock.patch.object(
+        qlinalg, "rref", side_effect=AssertionError("rref called")
+    ):
+        paving = regular_subdivision(h)
+    assert calls == [3]
+    assert [p.points for p in paving.paves] == [
+        ((1, 2), (0, 3)),
+        ((2, 1), (1, 2)),
+        ((3, 0), (2, 1)),
+    ]
+
+
+def test_clear_caches_empties_the_configuration_caches():
+    candidate_paves(2, 1)
+    pv.unit_cells(2, 1)
+    pv.clear_caches()
+    assert candidate_paves.cache_info().currsize == 0
+    assert pv.unit_cells.cache_info().currsize == 0

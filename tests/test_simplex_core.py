@@ -6,6 +6,7 @@ import pytest
 from chtoucakit import qlinalg
 from chtoucakit.fields import QQ
 from chtoucakit.simplex_core import (
+    CONFIG_CACHE_SIZE,
     LatticeFunction,
     affine_normal_form,
     enumerate_lattice_points,
@@ -24,6 +25,13 @@ def test_single_point():
 def test_lex_order_2_2():
     pts = enumerate_lattice_points(2, 2)
     assert pts == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+
+
+def test_lattice_point_cache_is_bounded():
+    for r in range(1, CONFIG_CACHE_SIZE + 20):
+        enumerate_lattice_points(r, 0)
+    assert enumerate_lattice_points.cache_info().currsize == CONFIG_CACHE_SIZE
+    assert enumerate_lattice_points(2, 2)[0] == (2, 0, 0)
 
 
 def test_two_part_compositions():
