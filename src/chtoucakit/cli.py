@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import VERSION, jsonio
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, InvalidData
 from .fans import (
     dual_cone,
     monoid_generators,
@@ -498,16 +498,16 @@ def _error(kind: str, message: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("CHTOUCA_KIT_JOBS", "1"))
-    if jobs < 1:
-        print(
-            json.dumps({"error": {"type": "InvalidData", "message": "jobs must be >= 1"}, "version": VERSION}),
-            file=sys.stderr,
-        )
-        return 2
     try:
+        jobs = args.jobs
+        if jobs is None:
+            raw = os.environ.get("CHTOUCA_KIT_JOBS", "1")
+            try:
+                jobs = int(raw)
+            except ValueError:
+                raise ValueError(f"CHTOUCA_KIT_JOBS must be an integer, got {raw!r}") from None
+        if jobs < 1:
+            raise InvalidData("jobs must be >= 1")
         return args.func(args)
     except DomainError as e:
         _error(e.kind, str(e))

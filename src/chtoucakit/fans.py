@@ -260,18 +260,17 @@ def is_face(t: Cone, c: Cone) -> bool:
     return (t.lin, t.rays) == (c.lin, rays)
 
 
-def proper_faces(c: Cone) -> set[Cone]:
-    """All faces of c other than c itself (the zero cone included when
-    c is pointed).
+def face_masks(c: Cone) -> set[int]:
+    """The faces of c as bitmasks over c.rays, c itself included.
 
     A face is determined by the rays of c it contains, and those ray sets
-    are the intersections of the facets' tight-ray sets (as bitmasks over
-    c.rays); each face is built once from c.lin and its rays."""
+    are the intersections of the facets' tight-ray sets; the full mask,
+    on which no facet is tight, stands for c."""
     facets = [
         sum(1 << i for i, r in enumerate(c.rays) if _dot(row, r) == 0) for row in c.ineqs
     ]
-    masks = set(facets)
-    frontier = list(masks)
+    masks = {(1 << len(c.rays)) - 1} | set(facets)
+    frontier = list(facets)
     while frontier:
         new = []
         for f in frontier:
@@ -281,9 +280,17 @@ def proper_faces(c: Cone) -> set[Cone]:
                     masks.add(m)
                     new.append(m)
         frontier = new
+    return masks
+
+
+def proper_faces(c: Cone) -> set[Cone]:
+    """All faces of c other than c itself (the zero cone included when
+    c is pointed), each built once from c.lin and its rays."""
+    full = (1 << len(c.rays)) - 1
     return {
         Cone._canonical(c.rank, c.lin, [r for i, r in enumerate(c.rays) if m >> i & 1])
-        for m in masks
+        for m in face_masks(c)
+        if m != full
     }
 
 

@@ -1,6 +1,7 @@
 """Integer pavés and pavings of the simplex, regular subdivisions,
 their secondary cones, admissibility and q-admissibility via exact LP,
-and the desk-scale exhaustive enumeration.
+and the enumeration of admissible pavings as the faces of one secondary
+cone.
 
 A pavé is the region cut out of the simplex by inequalities
 sum_{j in J} x_j >= d_J for a supermodular integer profile (d_J); it is
@@ -41,7 +42,7 @@ from .errors import (
     TooLarge,
     WrongDimension,
 )
-from .fans import Cone, Fan, double_description
+from .fans import Cone, Fan, double_description, face_masks
 from .ratlp import max_slack
 from .simplex_core import (
     LatticeFunction,
@@ -51,7 +52,9 @@ from .simplex_core import (
     quotient_lattice,
 )
 
-ENUMERATION_POINT_CAP = 12  # |S^{r,n}| bound for exhaustive enumeration
+# |S^{r,n}| bound for enumeration; it bounds the output (1,024 pavings
+# for (11, 1)), not a search over point subsets
+ENUMERATION_POINT_CAP = 12
 ENUMERATION_N_CAP = 2  # unit-cell machinery covers n <= 2 (r >= 2)
 # per-(r, n) caches: bounded above the 14 configurations n <= 2 under
 # ENUMERATION_POINT_CAP
@@ -106,6 +109,17 @@ class IntegerPave:
     def contains_point(self, x) -> bool:
         """Membership of an arbitrary lattice point of the ambient simplex."""
         return all(sum(x[j] for j in J) >= dJ for J, dJ in self._inequalities)
+
+    @cached_property
+    def cell_mask(self) -> int:
+        """Bitmask of the unit cells contained in the pavé (n <= 2; a
+        cell is in the pavé iff all its vertices are), built once per
+        pavé."""
+        mask = 0
+        for idx, cell in enumerate(unit_cells(self.r, self.n)):
+            if all(self.contains_point(v) for v in cell):
+                mask |= 1 << idx
+        return mask
 
 
 def pave_from_points(r: int, n: int, points) -> IntegerPave:
@@ -179,16 +193,6 @@ def unit_cells(r: int, n: int) -> tuple[tuple[Point, ...], ...]:
     raise TooLarge("unit-cell decomposition implemented for n <= 2 only")
 
 
-def pave_cell_mask(pave: IntegerPave) -> int:
-    """Bitmask of unit cells contained in the pavé (cell in pavé iff all
-    its vertices satisfy the profile)."""
-    mask = 0
-    for idx, cell in enumerate(unit_cells(pave.r, pave.n)):
-        if all(pave.contains_point(v) for v in cell):
-            mask |= 1 << idx
-    return mask
-
-
 @dataclass(frozen=True)
 class Paving:
     r: int
@@ -220,7 +224,7 @@ def paving_from_paves(r: int, n: int, paves) -> Paving:
     total = (1 << len(unit_cells(r, n))) - 1
     acc = 0
     for p in paves:
-        m = pave_cell_mask(p)
+        m = p.cell_mask
         if acc & m:
             raise NotAPaving("pave interiors overlap")
         acc |= m
@@ -392,8 +396,10 @@ def _admissibility_lp(paving: Paving, extra_eq_rows=None, extra_vars: int = 0):
     return delta, sol, nvars
 
 
-# bounded above the 1,024 pavings of (11, 1), the largest enumeration
-# under ENUMERATION_POINT_CAP
+# enumeration fills these caches for one paving only (the unit-cell
+# triangulation); the bound leaves room for the cones of every paving
+# of an enumeration under ENUMERATION_POINT_CAP (1,024 for (11, 1)), as
+# `fans verify` builds them
 CACHE_SIZE = 4096
 
 
@@ -418,6 +424,40 @@ def is_admissible(paving: Paving) -> AdmissibilityResult:
     return AdmissibilityResult(delta > 0, delta, witness)
 
 
+def _affine_basis(pave: IntegerPave) -> list[Point]:
+    """The first n+1 affinely independent lattice points of the pavé."""
+    basis: list[Point] = []
+    for p in pave.points:
+        trial = basis + [p]
+        if zlattice.int_rank(trial) == len(trial):
+            basis.append(p)
+        if len(basis) == pave.n + 1:
+            return basis
+    raise InternalError("pave of an admissible paving is not full-dimensional")
+
+
+def _dependency_row(lattice, basis: list[Point], x: Point) -> tuple[int, ...]:
+    """The primitive integer affine dependency among an affine basis and
+    x, with x's coefficient positive, as a row on quotient-lattice
+    coordinates.  It is linear in the height values, and positive exactly
+    on the heights lying above, at x, the affine function that agrees
+    with them on the basis."""
+    coords = list(zip(*basis))  # coordinate k of every basis point
+    # the points lie on sum x = r, so a linear dependency is affine
+    (dep,) = zlattice.int_kernel(
+        [list(ck) + [xk] for ck, xk in zip(coords, x)], len(basis) + 1
+    )
+    if dep[-1] < 0:
+        dep = [-c for c in dep]
+    # restricted to the normal form: vertex coordinates are zero
+    nonv_index = {p: i for i, p in enumerate(lattice.points)}
+    row = [0] * lattice.rank
+    for p, c in zip(basis + [x], dep):
+        if p in nonv_index:
+            row[nonv_index[p]] += c
+    return lattice.nf_row_to_coord_row(row)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def sigma_cone(paving: Paving) -> Cone:
     """H-description of the closed secondary cone of the paving in the
@@ -435,43 +475,21 @@ def sigma_cone(paving: Paving) -> Cone:
     r, n = paving.r, paving.n
     pts = enumerate_lattice_points(r, n)
     lattice = quotient_lattice(r, n)
-    nonv_index = {p: i for i, p in enumerate(lattice.points)}
     eq_rows = []
     ineq_rows = []
     for pave in paving.paves:
-        basis = []
-        for p in pave.points:
-            trial = basis + [p]
-            if zlattice.int_rank(trial) == len(trial):
-                basis.append(p)
-            if len(basis) == n + 1:
-                break
-        if len(basis) != n + 1:
-            raise InternalError("pave of an admissible paving is not full-dimensional")
-        coords = list(zip(*basis))  # coordinate k of every basis point
+        basis = _affine_basis(pave)
         pset = pave.point_set()
         for x in pts:
             if x in basis:
                 continue
-            # the points lie on sum x = r, so a linear dependency is affine
-            (dep,) = zlattice.int_kernel(
-                [list(ck) + [xk] for ck, xk in zip(coords, x)], n + 2
-            )
-            if dep[-1] < 0:
-                dep = [-c for c in dep]
-            # restricted to the normal form: vertex coordinates are zero
-            row = [0] * lattice.rank
-            for p, c in zip(basis + [x], dep):
-                if p in nonv_index:
-                    row[nonv_index[p]] += c
+            row = _dependency_row(lattice, basis, x)
             if x in pset:
                 if any(row):
                     eq_rows.append(row)
             else:
                 ineq_rows.append(row)
-    eq_int = [lattice.nf_row_to_coord_row(row) for row in eq_rows]
-    ineq_int = [lattice.nf_row_to_coord_row(row) for row in ineq_rows]
-    return Cone.from_hrep(lattice.rank, ineq_int, eq_int)
+    return Cone.from_hrep(lattice.rank, ineq_rows, eq_rows)
 
 
 def paving_fan(pavings) -> Fan:
@@ -490,26 +508,16 @@ def paving_fan(pavings) -> Fan:
 # enumeration
 
 
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def candidate_paves(r: int, n: int) -> tuple[IntegerPave, ...]:
-    """All integer pavés of the simplex, canonically ordered."""
-    pts = enumerate_lattice_points(r, n)
-    found: dict = {}
-    for size in range(n + 1, len(pts) + 1):
-        for sub in combinations(pts, size):
-            try:
-                pave = pave_from_points(r, n, sub)
-            except (NotAPave, EmptyInterior):
-                continue
-            found[pave.key()] = pave
-    return tuple(found[k] for k in sorted(found))
-
-
 def enumerate_admissible_pavings(r: int, n: int) -> tuple[Paving, ...]:
-    """Exhaustive deterministic enumeration of admissible pavings.
+    """Deterministic enumeration of the admissible pavings.
 
-    Candidates come from exact cover of the unit cells by integer pavés,
-    then each cover is filtered through the admissibility LP.  Output is
+    For n <= 2 every integer pavé is a union of unit cells, so every
+    paving coarsens the unit-cell triangulation T, and the closed
+    secondary cone of a regular coarsening of T is a face of T's closed
+    cone (Gelfand-Kapranov-Zelevinsky, ch. 7; De Loera-Rambau-Santos,
+    ch. 5).  Each face is read off the sum x of its rays, a point of its
+    relative interior: the cells on the two sides of a wall of T lie in
+    one pavé exactly when the wall's fold row vanishes on x.  Output is
     sorted canonically (number of pavés, then lex on pavé point lists)."""
     if comb(r + n, n) > ENUMERATION_POINT_CAP:
         raise TooLarge(f"|S^{{{r},{n}}}| exceeds the enumeration cap")
@@ -517,35 +525,51 @@ def enumerate_admissible_pavings(r: int, n: int) -> tuple[Paving, ...]:
         return (trivial_paving(r, n),)
     if n > ENUMERATION_N_CAP:
         raise TooLarge("enumeration capped at n <= 2 for r >= 2")
-    paves = candidate_paves(r, n)
-    masks = [pave_cell_mask(p) for p in paves]
-    ncells = len(unit_cells(r, n))
-    full = (1 << ncells) - 1
-    cell_to_paves: list[list[int]] = [[] for _ in range(ncells)]
-    for i, m in enumerate(masks):
-        for cidx in range(ncells):
-            if m & (1 << cidx):
-                cell_to_paves[cidx].append(i)
-
-    covers: list[tuple[int, ...]] = []
-
-    def backtrack(acc_mask: int, chosen: tuple[int, ...]):
-        if acc_mask == full:
-            covers.append(chosen)
-            return
-        lowest = 0
-        while acc_mask & (1 << lowest):
-            lowest += 1
-        for i in cell_to_paves[lowest]:
-            if not (masks[i] & acc_mask):
-                backtrack(acc_mask | masks[i], chosen + (i,))
-
-    backtrack(0, ())
+    finest = paving_from_point_sets(r, n, unit_cells(r, n))
+    cone = sigma_cone(finest)
+    if cone.lin:
+        raise InternalError("secondary cone of the unit-cell triangulation has lineality")
+    lattice = quotient_lattice(r, n)
+    cells = finest.paves
+    # a wall's fold row is the sigma_cone row of cell k at the witness; a
+    # unit cell's n+1 vertices are its affine basis
+    folds = [
+        (k, l, _dependency_row(lattice, list(cells[k].points), witness))
+        for k, l, _, witness in interior_walls(finest)
+    ]
+    paves = {1 << k: cell for k, cell in enumerate(cells)}  # by cell bitmask
     out = []
-    for chosen in covers:
-        paving = paving_from_paves(r, n, [paves[i] for i in chosen])
-        if is_admissible(paving).admissible:
-            out.append(paving)
+    for face in face_masks(cone):
+        x = [0] * cone.rank
+        for i, ray in enumerate(cone.rays):
+            if face >> i & 1:
+                x = [a + b for a, b in zip(x, ray)]
+        root = list(range(len(cells)))
+
+        def find(k):
+            while root[k] != k:
+                root[k] = root[root[k]]
+                k = root[k]
+            return k
+
+        for k, l, fold in folds:
+            height = sum(a * b for a, b in zip(fold, x))
+            if height < 0:
+                raise InternalError("face point outside the secondary cone")
+            if height == 0:
+                root[find(l)] = find(k)
+        groups: dict[int, int] = {}
+        for k in range(len(cells)):
+            g = find(k)
+            groups[g] = groups.get(g, 0) | 1 << k
+        try:
+            for group in groups.values():
+                if group not in paves:
+                    points = [p for k, c in enumerate(cells) if group >> k & 1 for p in c.points]
+                    paves[group] = pave_from_points(r, n, points)
+            out.append(paving_from_paves(r, n, [paves[g] for g in groups.values()]))
+        except (NotAPave, EmptyInterior, NotAPaving) as e:
+            raise InternalError(f"face of the unit-cell cone is not a paving: {e}") from e
     out.sort(key=lambda p: (len(p.paves), p.key()))
     return tuple(out)
 
@@ -622,4 +646,3 @@ def clear_caches():
     is_admissible.cache_clear()
     sigma_cone.cache_clear()
     unit_cells.cache_clear()
-    candidate_paves.cache_clear()

@@ -284,3 +284,25 @@ def test_byte_determinism():
             assert rc == 0
             outs.add(out)
         assert len(outs) == 1
+
+
+def test_jobs_from_environment_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("CHTOUCA_KIT_JOBS", "x")
+    rc, out, err = run_cli(["fans", "torus-seq", "--r", "2", "--n", "2"])
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {
+        "error": {"type": "ParseError", "message": "CHTOUCA_KIT_JOBS must be an integer, got 'x'"},
+        "version": "chtouca-kit/1",
+    }
+
+
+def test_jobs_below_one_is_invalid_data(monkeypatch):
+    expected = (
+        '{"error": {"message": "jobs must be >= 1", "type": "InvalidData"}, '
+        '"version": "chtouca-kit/1"}\n'
+    )
+    rc, out, err = run_cli(["--jobs", "0", "fans", "torus-seq", "--r", "2", "--n", "2"])
+    assert (rc, out, err) == (1, "", expected)
+    monkeypatch.setenv("CHTOUCA_KIT_JOBS", "0")
+    rc, out, err = run_cli(["fans", "torus-seq", "--r", "2", "--n", "2"])
+    assert (rc, out, err) == (1, "", expected)

@@ -431,6 +431,8 @@ def test_internal_checks_run_under_python_O():
         "        print('InternalError')\n"
         "orthant = fans.Cone.from_generators(2, [(1, 0), (0, 1)])\n"
         "paving = pavings.enumerate_admissible_pavings(2, 2)[-1]\n"
+        # the enumeration caches this paving's cone; recompute it
+        "pavings.sigma_cone.cache_clear()\n"
         "fans._decomposes = lambda py, h, parts: False\n"
         "report(lambda: fans.monoid_generators(orthant, bound=1))\n"
         "zlattice.int_rank = lambda rows: 0\n"

@@ -6,7 +6,7 @@ from chtoucakit import jsonio
 from chtoucakit.fans import Cone
 from chtoucakit.fields import GF, QQ
 from chtoucakit.l_functions import SatakeParams
-from chtoucakit.pavings import enumerate_admissible_pavings, paving_fan
+from chtoucakit.pavings import enumerate_admissible_pavings, is_admissible, paving_fan, sigma_cone
 from chtoucakit.complete_homs import build_stratum_point, complete_from_open, stratum_data
 from chtoucakit.graph_gluing import family_from_stratum
 from chtoucakit.simplex_core import LatticeFunction
@@ -104,3 +104,28 @@ def test_stratum_hom_and_family_round_trips():
             fj = jsonio.family_to_json(family_from_stratum(d))
             fam = jsonio.family_from_json(through_text(fj))
             assert fam.field == field and jsonio.family_to_json(fam) == fj
+
+
+def test_paving_cone_fan_and_witness_round_trips_on_3_2():
+    """Every admissible (3,2) paving, its secondary cone, its admissibility
+    witness and the fan of all of them survive JSON text unchanged."""
+    pavings = enumerate_admissible_pavings(3, 2)
+    assert len(pavings) == 176
+    for paving in pavings:
+        pj = jsonio.paving_to_json(paving)
+        again = jsonio.paving_from_json(through_text(pj))
+        assert again == paving and jsonio.paving_to_json(again) == pj
+        cone = sigma_cone(paving)
+        cj = jsonio.cone_to_json(cone)
+        c2 = jsonio.cone_from_json(through_text(cj))
+        assert (c2.lin, c2.rays, c2.eqs, c2.ineqs) == (cone.lin, cone.rays, cone.eqs, cone.ineqs)
+        assert jsonio.cone_to_json(c2) == cj
+        witness = is_admissible(paving).witness
+        wj = jsonio.lattice_function_to_json(witness)
+        w2 = jsonio.lattice_function_from_json(through_text(wj))
+        assert (w2.r, w2.n, w2.values) == (3, 2, witness.values)
+        assert jsonio.lattice_function_to_json(w2) == wj
+    fan = paving_fan(pavings)
+    fj = jsonio.fan_to_json(fan)
+    again = jsonio.fan_from_json(through_text(fj))
+    assert again == fan and jsonio.fan_to_json(again) == fj

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
-from math import lcm
+from math import comb, lcm
 from unittest import mock
 
 import pytest
@@ -21,7 +22,6 @@ from chtoucakit.fans import Cone
 from chtoucakit.fields import QQ
 from chtoucakit.graph_gluing import shared_walls
 from chtoucakit.pavings import (
-    candidate_paves,
     enumerate_admissible_pavings,
     interior_walls,
     is_admissible,
@@ -202,10 +202,9 @@ class TestEnumeration:
         assert len(enumerate_admissible_pavings(3, 0)) == 1
 
     def test_cap(self):
-        with pytest.raises(TooLarge):
-            enumerate_admissible_pavings(13, 1)
-        with pytest.raises(TooLarge):
-            enumerate_admissible_pavings(2, 3)
+        for r, n in ((13, 1), (12, 1), (2, 3), (4, 2)):
+            with pytest.raises(TooLarge):
+                enumerate_admissible_pavings(r, n)
 
     def test_2_2_sampling_closure(self):
         keys = {p.key() for p in enumerate_admissible_pavings(2, 2)}
@@ -230,7 +229,7 @@ class TestEnumeration:
         assert len(hits) >= 4  # sampling reaches several distinct pavings
 
     def test_candidate_paves_are_saturated(self):
-        for pave in candidate_paves(2, 2):
+        for pave in oracle_candidate_paves(2, 2):
             assert pave_from_points(2, 2, pave.points).points == pave.points
 
 
@@ -544,9 +543,11 @@ def test_secondary_cone_rows_and_walls_match_rational_oracle(r, n):
         calls.append((list(ineqs), list(eqs)))
         return real(rank, ineqs, eqs)
 
+    pavings = enumerate_admissible_pavings(r, n)
+    # the enumeration caches the finest paving's cone; recompute every cone
     pv.clear_caches()
     try:
-        for paving in enumerate_admissible_pavings(r, n):
+        for paving in pavings:
             calls.clear()
             with mock.patch.object(Cone, "from_hrep", spy):
                 sigma_cone(paving)
@@ -691,8 +692,114 @@ def test_lower_hull_is_one_double_description_per_height():
 
 
 def test_clear_caches_empties_the_configuration_caches():
-    candidate_paves(2, 1)
-    pv.unit_cells(2, 1)
+    enumerate_admissible_pavings(2, 2)
+    assert pv.unit_cells.cache_info().currsize > 0
+    assert is_admissible.cache_info().currsize > 0
+    assert sigma_cone.cache_info().currsize > 0
     pv.clear_caches()
-    assert candidate_paves.cache_info().currsize == 0
     assert pv.unit_cells.cache_info().currsize == 0
+    assert is_admissible.cache_info().currsize == 0
+    assert sigma_cone.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the enumeration by the faces of the unit-cell secondary cone against the
+# exhaustive search it replaced (candidate pavés over all 2^|S| point sets,
+# exact covers of the unit cells, the admissibility LP as the filter), kept
+# here as the test oracle
+
+
+@cache
+def oracle_candidate_paves(r, n):
+    """All integer pavés of the simplex, canonically ordered."""
+    pts = enumerate_lattice_points(r, n)
+    found = {}
+    for size in range(n + 1, len(pts) + 1):
+        for sub in combinations(pts, size):
+            try:
+                pave = pave_from_points(r, n, sub)
+            except (NotAPave, EmptyInterior):
+                continue
+            found[pave.key()] = pave
+    return tuple(found[k] for k in sorted(found))
+
+
+@cache
+def oracle_exact_covers(r, n):
+    """Every exact cover of the unit cells by candidate pavés, as pavings
+    in backtracking order (r >= 2, n <= 2)."""
+    paves = oracle_candidate_paves(r, n)
+    masks = [p.cell_mask for p in paves]
+    ncells = len(pv.unit_cells(r, n))
+    full = (1 << ncells) - 1
+    cell_to_paves = [[i for i, m in enumerate(masks) if m >> c & 1] for c in range(ncells)]
+    covers = []
+
+    def backtrack(acc_mask, chosen):
+        if acc_mask == full:
+            covers.append(chosen)
+            return
+        lowest = 0
+        while acc_mask & (1 << lowest):
+            lowest += 1
+        for i in cell_to_paves[lowest]:
+            if not (masks[i] & acc_mask):
+                backtrack(acc_mask | masks[i], chosen + (i,))
+
+    backtrack(0, ())
+    return tuple(pv.paving_from_paves(r, n, [paves[i] for i in c]) for c in covers)
+
+
+def oracle_enumerate_admissible_pavings(r, n):
+    """The exact covers that pass the admissibility LP, canonically sorted."""
+    if comb(r + n, n) > pv.ENUMERATION_POINT_CAP:
+        raise TooLarge(f"|S^{{{r},{n}}}| exceeds the enumeration cap")
+    if r == 1 or n == 0:
+        return (trivial_paving(r, n),)
+    if n > pv.ENUMERATION_N_CAP:
+        raise TooLarge("enumeration capped at n <= 2 for r >= 2")
+    out = [p for p in oracle_exact_covers(r, n) if is_admissible(p).admissible]
+    out.sort(key=lambda p: (len(p.paves), p.key()))
+    return tuple(out)
+
+
+ORACLE_CONFIGS = (
+    [(r, 1) for r in range(1, 12)]
+    + [(2, 2), (3, 2)]
+    + [(1, n) for n in range(5)]
+    + [(r, 0) for r in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("r,n", ORACLE_CONFIGS)
+def test_enumeration_matches_exhaustive_oracle(r, n):
+    assert enumerate_admissible_pavings(r, n) == oracle_enumerate_admissible_pavings(r, n)
+
+
+def test_enumeration_reads_one_cone_with_one_lp():
+    """(3, 2): one admissibility LP (the unit-cell triangulation), one
+    secondary cone, and a pavé built once per distinct cell group."""
+    pv.clear_caches()
+    lps, builds = [], []
+    real_lp, real_build = pv.max_slack, pv.pave_from_points
+
+    def lp_spy(*args, **kwargs):
+        lps.append(1)
+        return real_lp(*args, **kwargs)
+
+    def build_spy(*args):
+        builds.append(frozenset(args[2]))
+        return real_build(*args)
+
+    try:
+        with mock.patch.object(pv, "max_slack", lp_spy), mock.patch.object(
+            pv, "pave_from_points", build_spy
+        ):
+            pavings = enumerate_admissible_pavings(3, 2)
+    finally:
+        pv.clear_caches()
+    assert len(pavings) == 176
+    assert len(lps) == 1
+    assert len(builds) == len(set(builds)) < 100
+    distinct = {pave for paving in pavings for pave in paving.paves}
+    assert len(builds) == len(distinct)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from chtoucakit import pavings, ratlp
 from chtoucakit.errors import InternalError
 from chtoucakit.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, max_slack, solve_lp
+from test_pavings import oracle_exact_covers
 
 
 def test_bounded_max():
@@ -325,14 +326,12 @@ def test_integer_rows_match_fraction_oracle(lp):
 
 
 def _admissibility_cases():
-    """Every exact cover that the enumeration sends to the admissibility
-    LP for (2,2), (3,1) and (4,1), plus the trivial and finest (3,2)
-    pavings."""
+    """Every exact cover that the exhaustive enumeration oracle sends to
+    the admissibility LP for (2,2), (3,1) and (4,1), plus the trivial and
+    finest (3,2) pavings."""
     cases = []
     for r, n in ((2, 2), (3, 1), (4, 1)):
-        with mock.patch.object(pavings, "is_admissible", wraps=pavings.is_admissible) as adm:
-            pavings.enumerate_admissible_pavings(r, n)
-        cases += [call.args[0] for call in adm.call_args_list]
+        cases += oracle_exact_covers(r, n)
     cases.append(pavings.trivial_paving(3, 2))
     cases.append(pavings.paving_from_point_sets(3, 2, pavings.unit_cells(3, 2)))
     return cases
