@@ -20,7 +20,10 @@ the fraction-free `zlattice.int_rank`.  All arithmetic is exact.
 Faces are read off the ray-facet incidence of a canonical cone (Ziegler,
 *Lectures on Polytopes*, ch. 2): the faces are the intersections of the
 facets' tight-ray sets, and `t` is a face of `c` exactly when its rays
-are the rays of `c` on every facet tight on `t`.
+are the rays of `c` on every facet tight on `t`.  A face's H-description
+comes from the same incidence, with no double description: its
+equalities are the integer kernel of its generators, and its facets are
+its maximal intersections with the facets of `c`.
 """
 
 from __future__ import annotations
@@ -260,15 +263,20 @@ def is_face(t: Cone, c: Cone) -> bool:
     return (t.lin, t.rays) == (c.lin, rays)
 
 
+def _tight_masks(c: Cone) -> list[int]:
+    """For each facet row of c, the bitmask of the rays of c tight on it."""
+    return [
+        sum(1 << i for i, r in enumerate(c.rays) if _dot(row, r) == 0) for row in c.ineqs
+    ]
+
+
 def face_masks(c: Cone) -> set[int]:
     """The faces of c as bitmasks over c.rays, c itself included.
 
     A face is determined by the rays of c it contains, and those ray sets
     are the intersections of the facets' tight-ray sets; the full mask,
     on which no facet is tight, stands for c."""
-    facets = [
-        sum(1 << i for i, r in enumerate(c.rays) if _dot(row, r) == 0) for row in c.ineqs
-    ]
+    facets = _tight_masks(c)
     masks = {(1 << len(c.rays)) - 1} | set(facets)
     frontier = list(facets)
     while frontier:
@@ -285,13 +293,33 @@ def face_masks(c: Cone) -> set[int]:
 
 def proper_faces(c: Cone) -> set[Cone]:
     """All faces of c other than c itself (the zero cone included when
-    c is pointed), each built once from c.lin and its rays."""
+    c is pointed), each read off the facet incidence of c.
+
+    A face F with ray mask m keeps c.lin; its equalities are the integer
+    kernel of its generators.  Its facets are its maximal intersections
+    with the facets G of c not containing it, whose ray masks are the
+    maximal sets among m & t_G; each is cut out by one such G, reduced
+    modulo F's equalities."""
     full = (1 << len(c.rays)) - 1
-    return {
-        Cone._canonical(c.rank, c.lin, [r for i, r in enumerate(c.rays) if m >> i & 1])
-        for m in face_masks(c)
-        if m != full
-    }
+    lin_gens = [v for b in c.lin for v in (b, tuple(-x for x in b))]
+    tight = _tight_masks(c)
+    out = set()
+    for m in face_masks(c):
+        if m == full:
+            continue
+        rays = tuple(r for i, r in enumerate(c.rays) if m >> i & 1)
+        eqs = tuple(tuple(e) for e in zlattice.int_kernel(list(rays) + lin_gens, c.rank))
+        cuts: dict[int, tuple[int, ...]] = {}
+        for row, t in zip(c.ineqs, tight):
+            if m & ~t:
+                cuts.setdefault(m & t, row)
+        ineqs = sorted({
+            _reduce_mod_lineality(row, eqs)
+            for s, row in cuts.items()
+            if not any(s != o and s & o == s for o in cuts)
+        })
+        out.add(Cone(c.rank, c.lin, rays, eqs, tuple(ineqs)))
+    return out
 
 
 def relint_meets(c1: Cone, c2: Cone) -> bool:

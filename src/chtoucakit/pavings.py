@@ -1,7 +1,7 @@
 """Integer pavés and pavings of the simplex, regular subdivisions,
-their secondary cones, admissibility and q-admissibility via exact LP,
-and the enumeration of admissible pavings as the faces of one secondary
-cone.
+their secondary cones, admissibility (with an LP witness) and
+q-admissibility via exact LP, and the enumeration of admissible pavings
+as the faces of one secondary cone.
 
 A pavé is the region cut out of the simplex by inequalities
 sum_{j in J} x_j >= d_J for a supermodular integer profile (d_J); it is
@@ -10,14 +10,17 @@ profile.  A paving covers the simplex with pavés with pairwise disjoint
 interiors.  For n <= 2 every pavé is a union of unit cells (segments or
 unit triangles), which makes coverage and disjointness exact integer
 bookkeeping.  A pavé has interior exactly when its lattice points have
-integer rank n+1; admissibility is decided by exact rational LP with a
-maximized slack variable, so strict feasibility is an honest boolean.
+integer rank n+1.
 
 A paving is admissible exactly when some height function is affine on
 each pavé's lattice points and strictly larger elsewhere; the closure of
 that set of height classes is the pavé-wise secondary cone, computed
 here in the coordinates of the integer quotient lattice from the
-primitive integer affine dependencies among each pavé's lattice points.
+primitive integer affine dependencies among each pavé's lattice points
+and one fold row per interior wall.  `sigma_cone` reads admissibility
+off the cone's rays; `is_admissible` decides it by exact rational LP
+with a maximized slack variable, so strict feasibility is an honest
+boolean, and returns the LP's height function as a witness.
 The regular subdivision of a height function is read off the lower
 facets of the lifted points (Gelfand-Kapranov-Zelevinsky, ch. 7;
 De Loera-Rambau-Santos, *Triangulations*, ch. 2), from one integer
@@ -122,6 +125,31 @@ class IntegerPave:
         return mask
 
 
+def _check_supermodular(d: dict, n: int) -> None:
+    """Raise NotAPave unless the profile d (over every subset of
+    {0,...,n}) is supermodular.
+
+    The local exchange condition d[S+i] + d[S+j] <= d[S] + d[S+i+j], for
+    every S and i < j outside S, is equivalent to supermodularity over
+    all pairs of subsets (Schrijver, *Combinatorial Optimization*,
+    sec. 44.1).  Only when it fails are all pairs scanned, so that the
+    error names the first failing pair in subset order."""
+    by_mask = {sum(1 << j for j in J): v for J, v in d.items()}
+    if all(
+        by_mask[s | a] + by_mask[s | b] <= ds + by_mask[s | a | b]
+        for s, ds in by_mask.items()
+        for a, b in combinations([1 << j for j in range(n + 1) if not s >> j & 1], 2)
+    ):
+        return
+    subsets = _subsets(n)
+    for j1 in subsets:
+        for j2 in subsets:
+            union = tuple(sorted(set(j1) | set(j2)))
+            inter = tuple(sorted(set(j1) & set(j2)))
+            if d[j1] + d[j2] > d[union] + d[inter]:
+                raise NotAPave(f"profile not supermodular at {j1}, {j2}")
+
+
 def pave_from_points(r: int, n: int, points) -> IntegerPave:
     """Build the pavé determined by a set of lattice points.
 
@@ -142,12 +170,7 @@ def pave_from_points(r: int, n: int, points) -> IntegerPave:
     d = {J: min(sum(p[j] for j in J) for p in pts) for J in subsets}
     if d[()] != 0 or d[tuple(range(n + 1))] != r:
         raise NotAPave("profile endpoints wrong")  # cannot happen for valid points
-    for j1 in subsets:
-        for j2 in subsets:
-            union = tuple(sorted(set(j1) | set(j2)))
-            inter = tuple(sorted(set(j1) & set(j2)))
-            if d[j1] + d[j2] > d[union] + d[inter]:
-                raise NotAPave(f"profile not supermodular at {j1}, {j2}")
+    _check_supermodular(d, n)
     proper = _proper_nonempty_subsets(n)
     induced = [
         p for p in all_pts if all(sum(p[j] for j in J) >= d[J] for J in proper)
@@ -217,8 +240,7 @@ def paving_from_paves(r: int, n: int, paves) -> Paving:
     if n > 2 and len(paves) > 1:
         raise TooLarge("paving validation implemented for n <= 2 only")
     if n > 2:
-        full = pave_from_points(r, n, enumerate_lattice_points(r, n))
-        if paves[0].points != full.points:
+        if set(paves[0].points) != set(enumerate_lattice_points(r, n)):
             raise NotAPaving("only the trivial paving is supported for n > 2")
         return Paving(r, n, paves)
     total = (1 << len(unit_cells(r, n))) - 1
@@ -433,7 +455,7 @@ def _affine_basis(pave: IntegerPave) -> list[Point]:
             basis.append(p)
         if len(basis) == pave.n + 1:
             return basis
-    raise InternalError("pave of an admissible paving is not full-dimensional")
+    raise InternalError("pave is not full-dimensional")
 
 
 def _dependency_row(lattice, basis: list[Point], x: Point) -> tuple[int, ...]:
@@ -458,38 +480,55 @@ def _dependency_row(lattice, basis: list[Point], x: Point) -> tuple[int, ...]:
     return lattice.nf_row_to_coord_row(row)
 
 
+def _secondary_rows(paving: Paving):
+    """The secondary cone's equality rows, and its wall folds (k, l, row).
+
+    Each pavé's affine support is eliminated through an affine basis of
+    its lattice points: every other point x of the pavé gives the
+    equality row of the primitive integer affine dependency among the
+    basis and x.  Each wall (k, l) of `interior_walls` gives one fold
+    row, the dependency row of pavé k's basis at the wall's witness,
+    which is positive exactly when the heights fold upward across the
+    wall."""
+    r, n = paving.r, paving.n
+    lattice = quotient_lattice(r, n)
+    bases = [_affine_basis(pave) for pave in paving.paves]
+    eq_rows = []
+    for pave, basis in zip(paving.paves, bases):
+        pset = pave.point_set()
+        for x in enumerate_lattice_points(r, n):
+            if x in pset and x not in basis:
+                row = _dependency_row(lattice, basis, x)
+                if any(row):
+                    eq_rows.append(row)
+    folds = [
+        (k, l, _dependency_row(lattice, bases[k], witness))
+        for k, l, _, witness in interior_walls(paving)
+    ]
+    return eq_rows, folds
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def sigma_cone(paving: Paving) -> Cone:
     """H-description of the closed secondary cone of the paving in the
-    integer quotient lattice.
+    integer quotient lattice, from the rows of `_secondary_rows`.
 
-    The per-pavé affine support is eliminated through an affine basis of
-    the pavé's lattice points: for every other point x the row is the
-    primitive integer affine dependency among the basis and x, with x's
-    coefficient positive, which is linear in the height values.  Heights
-    are then restricted to the canonical section (vanishing at the
+    Heights are restricted to the canonical section (vanishing at the
     vertices) and rewritten in lattice-basis coordinates, so the cone is
-    integral."""
-    if not is_admissible(paving).admissible:
+    integral.  A continuous piecewise-affine function on a convex domain
+    is convex exactly when it folds upward across every wall
+    (De Loera-Rambau-Santos, *Triangulations*, ch. 2 and 5), so the
+    equalities and one fold row per wall cut out the cone.  Every fold
+    row vanishes on the lineality, and the sum of the rays lies in the
+    relative interior, so the paving is admissible (its open cone is
+    non-empty) exactly when every fold row is positive on that sum."""
+    eq_rows, folds = _secondary_rows(paving)
+    rank = quotient_lattice(paving.r, paving.n).rank
+    cone = Cone.from_hrep(rank, [row for _, _, row in folds], eq_rows)
+    x = [sum(col) for col in zip(*cone.rays)] or [0] * cone.rank
+    if not all(sum(a * b for a, b in zip(row, x)) > 0 for _, _, row in folds):
         raise NotAdmissible("paving has empty secondary cone")
-    r, n = paving.r, paving.n
-    pts = enumerate_lattice_points(r, n)
-    lattice = quotient_lattice(r, n)
-    eq_rows = []
-    ineq_rows = []
-    for pave in paving.paves:
-        basis = _affine_basis(pave)
-        pset = pave.point_set()
-        for x in pts:
-            if x in basis:
-                continue
-            row = _dependency_row(lattice, basis, x)
-            if x in pset:
-                if any(row):
-                    eq_rows.append(row)
-            else:
-                ineq_rows.append(row)
-    return Cone.from_hrep(lattice.rank, ineq_rows, eq_rows)
+    return cone
 
 
 def paving_fan(pavings) -> Fan:
@@ -529,14 +568,8 @@ def enumerate_admissible_pavings(r: int, n: int) -> tuple[Paving, ...]:
     cone = sigma_cone(finest)
     if cone.lin:
         raise InternalError("secondary cone of the unit-cell triangulation has lineality")
-    lattice = quotient_lattice(r, n)
+    _, folds = _secondary_rows(finest)
     cells = finest.paves
-    # a wall's fold row is the sigma_cone row of cell k at the witness; a
-    # unit cell's n+1 vertices are its affine basis
-    folds = [
-        (k, l, _dependency_row(lattice, list(cells[k].points), witness))
-        for k, l, _, witness in interior_walls(finest)
-    ]
     paves = {1 << k: cell for k, cell in enumerate(cells)}  # by cell bitmask
     out = []
     for face in face_masks(cone):

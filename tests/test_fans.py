@@ -279,6 +279,17 @@ def oracle_proper_faces(c):
     return out
 
 
+def oracle_dd_proper_faces(c):
+    """Each face of the incidence lattice rebuilt from c.lin and its rays
+    by a double description of its generators."""
+    full = (1 << len(c.rays)) - 1
+    return {
+        Cone._canonical(c.rank, c.lin, [r for i, r in enumerate(c.rays) if m >> i & 1])
+        for m in fans.face_masks(c)
+        if m != full
+    }
+
+
 def oracle_is_face(t, c):
     """t equals the cone cut out of c by the facets tight on t."""
     if t.rank != c.rank or not c.contains_cone(t):
@@ -361,6 +372,38 @@ def test_faces_match_oracle(case, data):
     for t in list(want) + others:
         assert is_face(t, c) == oracle_is_face(t, c)
     assert all(is_face(f, c) for f in faces)
+
+
+@st.composite
+def cones_with_lineality(draw, max_dim=5):
+    """Cones generated by rays and at least one two-sided line."""
+    dim = draw(st.integers(2, max_dim))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim)
+    rays = draw(st.lists(vec, max_size=6))
+    lines = draw(st.lists(vec.filter(any), min_size=1, max_size=2))
+    return Cone.from_generators(dim, rays + lines + [tuple(-x for x in v) for v in lines])
+
+
+def assert_faces_match_dd_oracle(c):
+    with mock.patch.object(fans, "double_description", side_effect=AssertionError("DD")):
+        faces = proper_faces(c)
+    assert sorted(map(fields_of, faces)) == sorted(map(fields_of, oracle_dd_proper_faces(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(hrep_rows().map(lambda case: Cone.from_hrep(*case)), cones_with_lineality()))
+def test_faces_from_incidence_match_dd_oracle(c):
+    assert_faces_match_dd_oracle(c)
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)])
+def test_faces_of_secondary_cones_match_dd_oracle(r, n):
+    cones = [pv.sigma_cone(p) for p in pv.enumerate_admissible_pavings(r, n)]
+    for c in cones:
+        assert_faces_match_dd_oracle(c)
+    if n == 1:
+        # the finest interval paving's cone is simplicial: 2^(r-1) - 1 proper faces
+        assert len(proper_faces(cones[-1])) == 2 ** (r - 1) - 1
 
 
 def _sigma_dd_inputs(r, n):

@@ -2,7 +2,13 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chtoucakit import jsonio
+from chtoucakit.errors import InvalidData
+from chtoucakit.hn_truncation import Polygon
 from chtoucakit.fans import Cone
 from chtoucakit.fields import GF, QQ
 from chtoucakit.l_functions import SatakeParams
@@ -129,3 +135,25 @@ def test_paving_cone_fan_and_witness_round_trips_on_3_2():
     fj = jsonio.fan_to_json(fan)
     again = jsonio.fan_from_json(through_text(fj))
     assert again == fan and jsonio.fan_to_json(again) == fj
+
+
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, max_size=8))
+def test_polygon_round_trip(inner):
+    """A polygon with rational vertices p(0) = 0, p(1), ..., p(r) = 0
+    survives JSON text, values and all."""
+    polygon = Polygon.from_values([0, *inner, 0])
+    pj = jsonio.polygon_to_json(polygon)
+    again = jsonio.polygon_from_json(through_text(pj))
+    assert again == polygon and again.r == len(inner) + 1
+    assert jsonio.polygon_to_json(again) == pj
+
+
+@given(rationals.filter(bool), st.lists(rationals, max_size=4))
+def test_polygon_from_json_rejects_nonzero_ends(end, inner):
+    values = [jsonio.frac_str(v) for v in [end, *inner, 0]]
+    with pytest.raises(InvalidData):
+        jsonio.polygon_from_json({"r": len(values) - 1, "values": values})

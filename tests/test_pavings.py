@@ -13,6 +13,7 @@ from chtoucakit import pavings as pv
 from chtoucakit import fans, qlinalg, zlattice
 from chtoucakit.errors import (
     EmptyInterior,
+    NotAdmissible,
     NotAPave,
     NotAPaving,
     TooLarge,
@@ -386,6 +387,68 @@ def oracle_pave_from_points(r, n, points):
     return tuple(pts), tuple(sorted(d.items()))
 
 
+def oracle_check_supermodular(d, n):
+    """The scan over all pairs of subsets that the local exchange test
+    replaced."""
+    subsets = pv._subsets(n)
+    for j1 in subsets:
+        for j2 in subsets:
+            union = tuple(sorted(set(j1) | set(j2)))
+            inter = tuple(sorted(set(j1) & set(j2)))
+            if d[j1] + d[j2] > d[union] + d[inter]:
+                raise NotAPave(f"profile not supermodular at {j1}, {j2}")
+
+
+@st.composite
+def profiles(draw):
+    """Profiles over the subsets of {0,...,n}: uniform ones (nearly never
+    supermodular), supermodular ones (a convex function of |J| plus a
+    modular part) and those with one entry moved by 1."""
+    n = draw(st.integers(0, 5))
+    subsets = pv._subsets(n)
+    kind = draw(st.sampled_from(("uniform", "supermodular", "perturbed")))
+    small = st.integers(-3, 3)
+    if kind == "uniform":
+        return n, {J: draw(small) for J in subsets}
+    steps = sorted(draw(st.lists(small, min_size=n + 1, max_size=n + 1)))
+    g = [sum(steps[:k]) for k in range(n + 2)]
+    w = draw(st.lists(small, min_size=n + 1, max_size=n + 1))
+    d = {J: g[len(J)] + sum(w[j] for j in J) for J in subsets}
+    if kind == "perturbed":
+        d[draw(st.sampled_from(subsets))] += draw(st.sampled_from((-1, 1)))
+    return n, d
+
+
+def _supermodular_outcome(check, d, n):
+    try:
+        check(d, n)
+    except NotAPave as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(profiles())
+def test_local_exchange_matches_all_pairs(case):
+    n, d = case
+    new = _supermodular_outcome(pv._check_supermodular, d, n)
+    assert new == _supermodular_outcome(oracle_check_supermodular, d, n)
+
+
+def test_local_exchange_sees_both_verdicts():
+    # d(0) + d(1) = 2 exceeds d(01) + d() = 1; every pavé's profile passes
+    assert _supermodular_outcome(pv._check_supermodular, {(): 0, (0,): 1, (1,): 1, (0, 1): 1}, 1)
+    for pave in oracle_candidate_paves(3, 2):
+        assert _supermodular_outcome(pv._check_supermodular, pave.profile.as_dict(), 2) is None
+
+
+def test_paving_beyond_n_2_compares_point_sets():
+    assert len(trivial_paving(2, 3).paves) == 1
+    corner = pave_from_points(2, 3, [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)])
+    with pytest.raises(NotAPaving, match="only the trivial paving"):
+        pv.paving_from_paves(2, 3, [corner])
+
+
 def _interior_outcome(build, r, n, pts):
     """(points, profile) of the pavé, or (error type, message)."""
     try:
@@ -459,12 +522,14 @@ def oracle_clear_denominators(v):
 
 def oracle_sigma_rows(paving):
     """The secondary-cone rows through a rational inverse of each pavé's
-    affine basis, rewritten in the quotient-lattice basis over Q."""
+    affine basis, rewritten in the quotient-lattice basis over Q: the
+    inequality rows keyed by (pavé index, lattice point outside the
+    pavé), and the equality rows."""
     r, n = paving.r, paving.n
     lattice = quotient_lattice(r, n)
     nonv_index = {p: i for i, p in enumerate(lattice.points)}
-    eq_rows, ineq_rows = [], []
-    for pave in paving.paves:
+    eq_rows, ineq_rows = [], {}
+    for k, pave in enumerate(paving.paves):
         basis = []
         for p in pave.points:
             if qlinalg.rank(QQ, [[Fraction(x) for x in b] for b in basis + [p]]) == len(basis) + 1:
@@ -484,14 +549,16 @@ def oracle_sigma_rows(paving):
                 if any(row):
                     eq_rows.append(row)
             else:
-                ineq_rows.append(row)
+                ineq_rows[k, x] = row
 
     def coord_row(row):
         return oracle_clear_denominators(
             [sum(row[j] * b[j] for j in range(lattice.rank)) for b in lattice.basis]
         )
 
-    return [coord_row(row) for row in ineq_rows], [coord_row(row) for row in eq_rows]
+    return {key: coord_row(row) for key, row in ineq_rows.items()}, [
+        coord_row(row) for row in eq_rows
+    ]
 
 
 def oracle_interior_walls(paving):
@@ -534,8 +601,15 @@ def oracle_shared_walls(paving):
     return walls
 
 
+def fields_of(c):
+    return (c.rank, c.lin, c.rays, c.eqs, c.ineqs)
+
+
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 1), (4, 1), (5, 1), (3, 2)])
 def test_secondary_cone_rows_and_walls_match_rational_oracle(r, n):
+    """sigma_cone passes the oracle's equality rows and, as inequalities,
+    the oracle's row of cell k at the witness of each wall (k, l); its
+    cone is the cone of all the oracle's rows."""
     real = Cone.from_hrep
     calls = []
 
@@ -550,12 +624,110 @@ def test_secondary_cone_rows_and_walls_match_rational_oracle(r, n):
         for paving in pavings:
             calls.clear()
             with mock.patch.object(Cone, "from_hrep", spy):
-                sigma_cone(paving)
-            assert calls == [oracle_sigma_rows(paving)], paving.key()
-            assert interior_walls(paving) == oracle_interior_walls(paving)
+                cone = sigma_cone(paving)
+            ineq_rows, eq_rows = oracle_sigma_rows(paving)
+            ((folds, eqs),) = calls
+            assert eqs == eq_rows, paving.key()
+            walls = interior_walls(paving)
+            assert folds == [ineq_rows[k, witness] for k, _, _, witness in walls], paving.key()
+            want = real(cone.rank, list(ineq_rows.values()), eq_rows)
+            assert fields_of(cone) == fields_of(want), paving.key()
+            assert walls == oracle_interior_walls(paving)
             assert shared_walls(paving) == oracle_shared_walls(paving)
     finally:
         pv.clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# the secondary cone from wall folds against the construction it replaced
+# (the admissibility LP, then one row per pavé and lattice point outside
+# it), kept here as the test oracle
+
+
+def oracle_sigma_cone(paving):
+    if not is_admissible(paving).admissible:
+        raise NotAdmissible("paving has empty secondary cone")
+    r, n = paving.r, paving.n
+    pts = enumerate_lattice_points(r, n)
+    lattice = quotient_lattice(r, n)
+    eq_rows = []
+    ineq_rows = []
+    for pave in paving.paves:
+        basis = pv._affine_basis(pave)
+        pset = pave.point_set()
+        for x in pts:
+            if x in basis:
+                continue
+            row = pv._dependency_row(lattice, basis, x)
+            if x in pset:
+                if any(row):
+                    eq_rows.append(row)
+            else:
+                ineq_rows.append(row)
+    return Cone.from_hrep(lattice.rank, ineq_rows, eq_rows)
+
+
+def _cone_outcome(build, paving):
+    """The cone's four fields, or (error type, message)."""
+    try:
+        return fields_of(build(paving))
+    except NotAdmissible as e:
+        return type(e), str(e)
+
+
+COVER_CONFIGS = [(r, 1) for r in range(2, 7)] + [(2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("r,n", COVER_CONFIGS)
+def test_sigma_cone_matches_lp_oracle_on_every_exact_cover(r, n):
+    pv.clear_caches()
+    rejected = set()
+    for paving in oracle_exact_covers(r, n):
+        new = _cone_outcome(sigma_cone, paving)
+        assert new == _cone_outcome(oracle_sigma_cone, paving), paving.key()
+        rejected.add(new[0] is NotAdmissible)
+    # (3, 2) has non-admissible covers; every other configuration has none
+    assert rejected == ({False, True} if (r, n) == (3, 2) else {False})
+
+
+@st.composite
+def cover_samples(draw):
+    """A configuration, a drawn subset of its exact covers in drawn order,
+    and whether each cover's admissibility LP has run beforehand."""
+    r, n = draw(st.sampled_from(COVER_CONFIGS))
+    covers = oracle_exact_covers(r, n)
+    picks = draw(st.lists(st.integers(0, len(covers) - 1), min_size=1, max_size=12, unique=True))
+    warm = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+    return [covers[i] for i in picks], warm
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_samples())
+def test_sigma_cone_matches_lp_oracle_on_drawn_covers(sample):
+    covers, warm = sample
+    pv.clear_caches()
+    try:
+        for paving, lp_first in zip(covers, warm):
+            if lp_first:
+                is_admissible(paving)
+            assert _cone_outcome(sigma_cone, paving) == _cone_outcome(oracle_sigma_cone, paving)
+    finally:
+        pv.clear_caches()
+
+
+def test_sigma_cone_and_enumeration_run_no_lp():
+    pv.clear_caches()
+    no_lp = AssertionError("max_slack called")
+    try:
+        with mock.patch.object(pv, "max_slack", side_effect=no_lp), mock.patch.object(
+            fans, "max_slack", side_effect=no_lp
+        ):
+            pavings = enumerate_admissible_pavings(3, 2)
+            outcomes = [_cone_outcome(sigma_cone, p) for p in oracle_exact_covers(3, 2)]
+    finally:
+        pv.clear_caches()
+    assert len(pavings) == 176
+    assert sum(o[0] is NotAdmissible for o in outcomes) == len(outcomes) - 176 == 144
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +864,9 @@ def test_lower_hull_is_one_double_description_per_height():
 
 
 def test_clear_caches_empties_the_configuration_caches():
+    # the enumeration runs no admissibility LP; one runs here
     enumerate_admissible_pavings(2, 2)
+    is_admissible(trivial_paving(2, 2))
     assert pv.unit_cells.cache_info().currsize > 0
     assert is_admissible.cache_info().currsize > 0
     assert sigma_cone.cache_info().currsize > 0
@@ -776,9 +950,9 @@ def test_enumeration_matches_exhaustive_oracle(r, n):
     assert enumerate_admissible_pavings(r, n) == oracle_enumerate_admissible_pavings(r, n)
 
 
-def test_enumeration_reads_one_cone_with_one_lp():
-    """(3, 2): one admissibility LP (the unit-cell triangulation), one
-    secondary cone, and a pavé built once per distinct cell group."""
+def test_enumeration_reads_one_cone_with_no_lp():
+    """(3, 2): no admissibility LP, one secondary cone (of the unit-cell
+    triangulation), and a pavé built once per distinct cell group."""
     pv.clear_caches()
     lps, builds = [], []
     real_lp, real_build = pv.max_slack, pv.pave_from_points
@@ -799,7 +973,7 @@ def test_enumeration_reads_one_cone_with_one_lp():
     finally:
         pv.clear_caches()
     assert len(pavings) == 176
-    assert len(lps) == 1
+    assert not lps
     assert len(builds) == len(set(builds)) < 100
     distinct = {pave for paving in pavings for pave in paving.paves}
     assert len(builds) == len(distinct)
