@@ -5,7 +5,8 @@ the character-lattice exactness checks for the simplex tori.
 Cones are stored canonically: the lineality space as a Hermite-basis of
 the saturated integer kernel, extreme rays primitive and reduced modulo
 the lineality, both sorted; the H-description mirrors this as equality
-rows plus facet rows.  Equality of cones is equality of canonical data.
+rows plus facet rows.  Equality of cones is equality of canonical data,
+and the dual cone is the same data with the two sides swapped.
 
 The double description method runs incrementally over facet rows
 (Fukuda & Prodon, *Double description method revisited*, 1996).  Each
@@ -17,13 +18,24 @@ presence of redundant input rows); a pair with fewer common tight rows
 than that is skipped before any rank is taken, and the rank itself is
 the fraction-free `zlattice.int_rank`.  All arithmetic is exact.
 
+Each cone takes one double description, from whichever side it is given
+on; the other side comes from the incidence of its output with the
+input.  From inequality rows, the equalities are the integer kernel of
+the generators and the facets are the rows with maximal tight-ray sets;
+from generators, the lineality is the integer kernel of the
+H-description and the rays are the generators with maximal tight-facet
+sets.
+
 Faces are read off the ray-facet incidence of a canonical cone (Ziegler,
 *Lectures on Polytopes*, ch. 2): the faces are the intersections of the
 facets' tight-ray sets, and `t` is a face of `c` exactly when its rays
 are the rays of `c` on every facet tight on `t`.  A face's H-description
 comes from the same incidence, with no double description: its
 equalities are the integer kernel of its generators, and its facets are
-its maximal intersections with the facets of `c`.
+its maximal intersections with the facets of `c`.  Two faces of one
+cone meet in a common face with disjoint relative interiors, so
+`verify_fan` intersects only the pairs of members that are not both
+faces of one member.
 """
 
 from __future__ import annotations
@@ -140,9 +152,38 @@ def double_description(rows: list[tuple[int, ...]], dim: int):
     return lin, sorted(dict.fromkeys(canon))
 
 
+def _incidence(rows, vectors) -> list[int]:
+    """For each row, the bitmask of the vectors it vanishes on."""
+    return [sum(1 << i for i, v in enumerate(vectors) if _dot(row, v) == 0) for row in rows]
+
+
+def _maximal_reduced(rows, masks, full, basis) -> tuple[tuple[int, ...], ...]:
+    """The rows whose masks are maximal among those other than ``full``,
+    each reduced modulo ``basis``; sorted, without repeats.
+
+    Read off a ray-facet incidence, these are the facets of a cone (rows:
+    valid inequalities, masks: their tight rays) or its extreme rays
+    (rows: generators, masks: their tight facets), in canonical form."""
+    cuts: dict[int, tuple[int, ...]] = {}
+    for row, s in zip(rows, masks):
+        if s != full:
+            cuts.setdefault(s, row)
+    return tuple(sorted({
+        _reduce_mod_lineality(row, basis)
+        for s, row in cuts.items()
+        if not any(s != o and s & o == s for o in cuts)
+    }))
+
+
 @dataclass(frozen=True)
 class Cone:
-    """A closed rational polyhedral cone in Z^rank, canonical form."""
+    """A closed rational polyhedral cone in Z^rank, canonical form.
+
+    Both representations are canonical: ``lin`` and ``eqs`` are saturated
+    HNF bases, ``rays`` and ``ineqs`` primitive rows reduced modulo them
+    and sorted.  Every cone is built by one of the two constructors,
+    ``proper_faces`` or ``dual_cone``, which keep this invariant; the
+    dual of a cone is then its two representations swapped."""
 
     rank: int
     lin: tuple[tuple[int, ...], ...]  # lineality lattice basis (HNF)
@@ -152,36 +193,31 @@ class Cone:
 
     @staticmethod
     def from_hrep(rank: int, ineqs, eqs=()) -> "Cone":
+        """One double description gives the generators; the equalities
+        are their integer kernel, and the facets are the input rows with
+        maximal tight-ray sets."""
         rows = [tuple(int(x) for x in r) for r in ineqs]
         for e in eqs:
             e = tuple(int(x) for x in e)
             rows.append(e)
             rows.append(tuple(-x for x in e))
+        rows = list(dict.fromkeys(rows))
         lin, rays = double_description(rows, rank)
-        return Cone._canonical(rank, lin, rays)
+        eqs = zlattice.int_kernel(list(rays) + lin, rank)
+        ineqs = _maximal_reduced(rows, _incidence(rows, rays), (1 << len(rays)) - 1, eqs)
+        return Cone(rank, tuple(lin), tuple(rays), tuple(eqs), ineqs)
 
     @staticmethod
     def from_generators(rank: int, gens) -> "Cone":
-        gens = [tuple(int(x) for x in g) for g in gens if any(g)]
-        lin_d, rays_d = double_description(gens, rank)
-        # hrep of the cone = generators of its dual
-        lin, rays = double_description(
-            list(rays_d) + [l for b in lin_d for l in (b, tuple(-x for x in b))], rank
-        )
-        return Cone._canonical(rank, lin, rays, eqs=lin_d, ineqs=rays_d)
-
-    @staticmethod
-    def _canonical(rank, lin, rays, eqs=None, ineqs=None) -> "Cone":
-        if eqs is None or ineqs is None:
-            gens = list(rays) + [v for b in lin for v in (b, tuple(-x for x in b))]
-            eqs, ineqs = double_description(gens, rank)
-        return Cone(
-            rank,
-            tuple(tuple(r) for r in lin),
-            tuple(tuple(r) for r in rays),
-            tuple(tuple(r) for r in eqs),
-            tuple(tuple(r) for r in ineqs),
-        )
+        """One double description of the generators gives the dual's
+        generators, i.e. the H-description; the lineality is its integer
+        kernel, and the rays are the generators with maximal tight-facet
+        sets."""
+        gens = list(dict.fromkeys(tuple(int(x) for x in g) for g in gens if any(g)))
+        eqs, ineqs = double_description(gens, rank)
+        lin = zlattice.int_kernel(list(ineqs) + eqs, rank)
+        rays = _maximal_reduced(gens, _incidence(gens, ineqs), (1 << len(ineqs)) - 1, lin)
+        return Cone(rank, tuple(lin), rays, tuple(eqs), tuple(ineqs))
 
     @staticmethod
     def zero(rank: int) -> "Cone":
@@ -230,24 +266,12 @@ class Cone:
         ]
         return Cone.from_generators(len(umat), gens)
 
-    def relative_interior_point(self) -> tuple[Fraction, ...] | None:
-        """A rational point in the relative interior (None for {0} gives 0)."""
-        if not self.ineqs:
-            return tuple(Fraction(0) for _ in range(self.rank))
-        d, x = max_slack(
-            [list(r) for r in self.ineqs],
-            [0] * len(self.ineqs),
-            [list(e) for e in self.eqs] if self.eqs else None,
-            [0] * len(self.eqs) if self.eqs else None,
-        )
-        if d <= 0 or x is None:
-            return None
-        return tuple(x[: self.rank])
-
 
 def dual_cone(c: Cone) -> Cone:
-    """The closed dual {y : y(g) >= 0 for all generators g}."""
-    return Cone.from_hrep(c.rank, c.generators())
+    """The closed dual {y : y(g) >= 0 for all generators g}: its
+    lineality is c's equalities, its rays c's facet rows, and the other
+    way round; both sides are already canonical."""
+    return Cone(c.rank, c.eqs, c.ineqs, c.lin, c.rays)
 
 
 def is_face(t: Cone, c: Cone) -> bool:
@@ -263,20 +287,13 @@ def is_face(t: Cone, c: Cone) -> bool:
     return (t.lin, t.rays) == (c.lin, rays)
 
 
-def _tight_masks(c: Cone) -> list[int]:
-    """For each facet row of c, the bitmask of the rays of c tight on it."""
-    return [
-        sum(1 << i for i, r in enumerate(c.rays) if _dot(row, r) == 0) for row in c.ineqs
-    ]
-
-
 def face_masks(c: Cone) -> set[int]:
     """The faces of c as bitmasks over c.rays, c itself included.
 
     A face is determined by the rays of c it contains, and those ray sets
     are the intersections of the facets' tight-ray sets; the full mask,
     on which no facet is tight, stands for c."""
-    facets = _tight_masks(c)
+    facets = _incidence(c.ineqs, c.rays)
     masks = {(1 << len(c.rays)) - 1} | set(facets)
     frontier = list(facets)
     while frontier:
@@ -302,23 +319,15 @@ def proper_faces(c: Cone) -> set[Cone]:
     modulo F's equalities."""
     full = (1 << len(c.rays)) - 1
     lin_gens = [v for b in c.lin for v in (b, tuple(-x for x in b))]
-    tight = _tight_masks(c)
+    tight = _incidence(c.ineqs, c.rays)
     out = set()
     for m in face_masks(c):
         if m == full:
             continue
         rays = tuple(r for i, r in enumerate(c.rays) if m >> i & 1)
         eqs = tuple(tuple(e) for e in zlattice.int_kernel(list(rays) + lin_gens, c.rank))
-        cuts: dict[int, tuple[int, ...]] = {}
-        for row, t in zip(c.ineqs, tight):
-            if m & ~t:
-                cuts.setdefault(m & t, row)
-        ineqs = sorted({
-            _reduce_mod_lineality(row, eqs)
-            for s, row in cuts.items()
-            if not any(s != o and s & o == s for o in cuts)
-        })
-        out.add(Cone(c.rank, c.lin, rays, eqs, tuple(ineqs)))
+        ineqs = _maximal_reduced(c.ineqs, [m & t for t in tight], m, eqs)
+        out.add(Cone(c.rank, c.lin, rays, eqs, ineqs))
     return out
 
 
@@ -351,25 +360,43 @@ class Fan:
 def verify_fan(fan: Fan) -> FanReport:
     """Check the fan axioms: the zero cone is present, every face of a
     member is a member, and every pair intersects in a common face with
-    disjoint relative interiors.  Reports carry every violation found."""
+    disjoint relative interiors.  Reports carry every violation found.
+
+    Two faces of one member (the member itself included) always meet in
+    a common face with disjoint relative interiors, so once all faces of
+    a member are present, the pairs among them are only checked for
+    duplicates; every other pair is intersected."""
     failures: list[tuple] = []
     cones = list(fan.cones)
-    members = set(cones)
-    if Cone.zero(fan.rank) not in members:
-        failures.append(("missing_zero_cone",))
+    index: dict[Cone, int] = {}  # cone -> bitmask of its indices
     for idx, c in enumerate(cones):
-        for f in proper_faces(c):
-            if f not in members:
-                failures.append(("face_missing", idx, f.rays))
-                break
+        index[c] = index.get(c, 0) | 1 << idx
+    if Cone.zero(fan.rank) not in index:
+        failures.append(("missing_zero_cone",))
+    # marked[i] >> j & 1: cones i and j are faces of one member
+    marked = [0] * len(cones)
+    for idx, c in enumerate(cones):
+        faces = proper_faces(c)
+        missing = next((f for f in faces if f not in index), None)
+        if missing is not None:
+            failures.append(("face_missing", idx, missing.rays))
+            continue
+        group = index[c]
+        for f in faces:
+            group |= index[f]
+        for i in range(len(cones)):
+            if group >> i & 1:
+                marked[i] |= group
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             c1, c2 = cones[i], cones[j]
             if c1 == c2:
                 failures.append(("duplicate_cone", i, j))
                 continue
+            if marked[i] >> j & 1:
+                continue
             inter = c1.intersect(c2)
-            if inter not in members:
+            if inter not in index:
                 failures.append(("intersection_not_member", i, j))
                 continue
             if not (is_face(inter, c1) and is_face(inter, c2)):

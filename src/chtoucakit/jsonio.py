@@ -239,7 +239,12 @@ def polygon_to_json(p: Polygon):
 
 
 def polygon_from_json(obj) -> Polygon:
-    return Polygon.from_values([parse_frac(v) for v in obj["values"]])
+    """A polygon from its values; an "r" other than len(values) - 1 is
+    InvalidData."""
+    values = tuple(parse_frac(v) for v in obj["values"])
+    if "r" in obj:
+        return Polygon(int(obj["r"]), values)
+    return Polygon.from_values(values)
 
 
 def subobject_lattice_from_json(obj) -> SubobjectLattice:

@@ -306,3 +306,13 @@ def test_jobs_below_one_is_invalid_data(monkeypatch):
     monkeypatch.setenv("CHTOUCA_KIT_JOBS", "0")
     rc, out, err = run_cli(["fans", "torus-seq", "--r", "2", "--n", "2"])
     assert (rc, out, err) == (1, "", expected)
+
+
+def test_trunc_convex_rejects_polygon_with_wrong_r(tmp_path):
+    polygon = {"r": 5, "values": ["0", "1", "0"]}
+    rc, out, err = run_cli(["trunc", "convex", "--mu", "0", "p.json"], {"p.json": polygon}, tmp_path)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidData"
+    polygon["r"] = 2
+    rc, out, _ = run_cli(["trunc", "convex", "--mu", "0", "p.json"], {"p.json": polygon}, tmp_path)
+    assert rc == 0 and json.loads(out)["convex"] is True

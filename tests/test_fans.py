@@ -1,7 +1,10 @@
+import functools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -279,12 +282,42 @@ def oracle_proper_faces(c):
     return out
 
 
+def oracle_dd_canonical(rank, lin, rays):
+    """The cone with this lineality and these rays, its H-description from
+    a second double description of its generators."""
+    gens = list(rays) + [v for b in lin for v in (b, tuple(-x for x in b))]
+    eqs, ineqs = fans.double_description(gens, rank)
+    return Cone(rank, tuple(map(tuple, lin)), tuple(map(tuple, rays)),
+                tuple(map(tuple, eqs)), tuple(map(tuple, ineqs)))
+
+
+def oracle_dd_from_hrep(rank, ineqs, eqs=()):
+    """Two double descriptions: the rows' generators, then theirs."""
+    rows = [tuple(r) for r in ineqs]
+    for e in eqs:
+        rows += [tuple(e), tuple(-x for x in e)]
+    return oracle_dd_canonical(rank, *fans.double_description(rows, rank))
+
+
+def oracle_dd_from_generators(rank, gens):
+    """Two double descriptions: the dual's generators, then theirs."""
+    gens = [tuple(g) for g in gens if any(g)]
+    lin_d, rays_d = fans.double_description(gens, rank)
+    dual_gens = list(rays_d) + [v for b in lin_d for v in (b, tuple(-x for x in b))]
+    lin, rays = fans.double_description(dual_gens, rank)
+    return Cone(rank, tuple(lin), tuple(rays), tuple(lin_d), tuple(rays_d))
+
+
+def oracle_dd_dual_cone(c):
+    return oracle_dd_from_hrep(c.rank, c.generators())
+
+
 def oracle_dd_proper_faces(c):
     """Each face of the incidence lattice rebuilt from c.lin and its rays
     by a double description of its generators."""
     full = (1 << len(c.rays)) - 1
     return {
-        Cone._canonical(c.rank, c.lin, [r for i, r in enumerate(c.rays) if m >> i & 1])
+        oracle_dd_canonical(c.rank, c.lin, [r for i, r in enumerate(c.rays) if m >> i & 1])
         for m in fans.face_masks(c)
         if m != full
     }
@@ -485,3 +518,197 @@ def test_internal_checks_run_under_python_O():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["InternalError", "InternalError"]
+
+
+# ---------------------------------------------------------------------------
+# one double description per cone, duals by swapping, and verify_fan
+# without the all-pairs loop, against the code they replaced
+
+
+def oracle_verify_fan(fan):
+    """The fan axioms with every pair of members intersected."""
+    failures = []
+    cones = list(fan.cones)
+    members = set(cones)
+    if Cone.zero(fan.rank) not in members:
+        failures.append(("missing_zero_cone",))
+    for idx, c in enumerate(cones):
+        for f in proper_faces(c):
+            if f not in members:
+                failures.append(("face_missing", idx, f.rays))
+                break
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            c1, c2 = cones[i], cones[j]
+            if c1 == c2:
+                failures.append(("duplicate_cone", i, j))
+                continue
+            inter = c1.intersect(c2)
+            if inter not in members:
+                failures.append(("intersection_not_member", i, j))
+                continue
+            if not (is_face(inter, c1) and is_face(inter, c2)):
+                failures.append(("intersection_not_common_face", i, j))
+            if fans.relint_meets(c1, c2):
+                failures.append(("relative_interiors_meet", i, j))
+    return fans.FanReport(not failures, fan.rank, len(cones), failures)
+
+
+@contextmanager
+def counting_work():
+    """Count the double descriptions and LPs run by `fans`."""
+    counts = Counter()
+    real_dd, real_lp = fans.double_description, fans.max_slack
+
+    def dd(rows, dim):
+        counts["dd"] += 1
+        return real_dd(rows, dim)
+
+    def lp(*args, **kwargs):
+        counts["lp"] += 1
+        return real_lp(*args, **kwargs)
+
+    with mock.patch.object(fans, "double_description", dd), mock.patch.object(
+        fans, "max_slack", lp
+    ):
+        yield counts
+
+
+@functools.lru_cache(maxsize=None)
+def secondary_fan(r, n):
+    return pv.paving_fan(pv.enumerate_admissible_pavings(r, n))
+
+
+SMALL_FANS = [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2)]
+
+
+def invalid_fans():
+    orthant = Cone.from_generators(2, [(1, 0), (0, 1)])
+    ray = Cone.from_generators(2, [(1, 0)])
+    return [
+        Fan(2, (Cone.zero(2), ray, orthant)),
+        Fan(2, (Cone.zero(2), ray, Cone.from_generators(2, [(0, 1)]),
+                Cone.from_generators(2, [(1, 1)]), orthant,
+                Cone.from_generators(2, [(1, 1), (0, 1)]))),
+        Fan(2, (ray, orthant, ray)),
+        Fan(2, orthant_fan(2).cones + (Cone.full(2),)),
+        Fan(3, orthant_fan(3).cones[1:] + orthant_fan(3).cones[:2]),
+    ]
+
+
+@pytest.mark.parametrize("r,n", SMALL_FANS)
+def test_verify_fan_matches_all_pairs_oracle(r, n):
+    fan = secondary_fan(r, n)
+    report = verify_fan(fan)
+    assert report.ok
+    assert report == oracle_verify_fan(fan)
+
+
+def test_verify_fan_matches_oracle_on_invalid_fans():
+    for fan in invalid_fans() + [orthant_fan(2), orthant_fan(3)]:
+        assert verify_fan(fan) == oracle_verify_fan(fan)
+    assert not any(verify_fan(fan).ok for fan in invalid_fans())
+
+
+@st.composite
+def corrupted_fans(draw):
+    """A secondary fan with faces dropped, cones duplicated or
+    overlapping cones added, in any order."""
+    r, n = draw(st.sampled_from(SMALL_FANS))
+    fan = secondary_fan(r, n)
+    cones = list(fan.cones)
+    rays = sorted({g for c in cones for g in c.generators()})
+    for kind in draw(st.lists(st.sampled_from(["drop", "duplicate", "overlap"]),
+                              min_size=1, max_size=3)):
+        k = draw(st.integers(0, len(cones) - 1))
+        if kind == "drop":
+            del cones[k]
+        elif kind == "duplicate":
+            cones.insert(draw(st.integers(0, len(cones))), cones[k])
+        else:
+            gens = draw(st.lists(st.sampled_from(rays), min_size=1, max_size=3)) if rays else []
+            extra = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * fan.rank), max_size=1))
+            cones.insert(k, Cone.from_generators(fan.rank, gens + extra))
+        if not cones:
+            cones = [Cone.zero(fan.rank)]
+    return Fan(fan.rank, tuple(cones))
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_fans())
+def test_verify_fan_matches_oracle_on_corrupted_fans(fan):
+    assert verify_fan(fan) == oracle_verify_fan(fan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hrep_rows(), st.data())
+def test_constructors_and_dual_match_two_pass_oracle(case, data):
+    dim, rows = case
+    k = data.draw(st.integers(0, len(rows)))
+    c = Cone.from_hrep(dim, rows[k:], rows[:k])
+    assert fields_of(c) == fields_of(oracle_dd_from_hrep(dim, rows[k:], rows[:k]))
+    gens = data.draw(st.permutations(c.generators() + rows))
+    assert fields_of(Cone.from_generators(dim, gens)) == fields_of(
+        oracle_dd_from_generators(dim, gens)
+    )
+    assert fields_of(dual_cone(c)) == fields_of(oracle_dd_dual_cone(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cones_with_lineality())
+def test_constructors_and_dual_with_lineality_match_two_pass_oracle(c):
+    gens = c.generators()
+    assert fields_of(c) == fields_of(oracle_dd_from_generators(c.rank, gens))
+    assert fields_of(Cone.from_hrep(c.rank, c.ineqs, c.eqs)) == fields_of(c)
+    assert fields_of(oracle_dd_from_hrep(c.rank, c.ineqs, c.eqs)) == fields_of(c)
+    d = dual_cone(c)
+    assert fields_of(d) == fields_of(oracle_dd_dual_cone(c))
+    assert fields_of(dual_cone(d)) == fields_of(c)
+
+
+def test_secondary_cones_of_3_2_match_two_pass_oracle():
+    real = Cone.from_hrep
+    calls = []
+
+    def spy(rank, ineqs, eqs=()):
+        cone = real(rank, ineqs, eqs)
+        calls.append((rank, list(ineqs), list(eqs), cone))
+        return cone
+
+    pavings = pv.enumerate_admissible_pavings(3, 2)
+    pv.clear_caches()
+    try:
+        with mock.patch.object(Cone, "from_hrep", spy):
+            cones = [pv.sigma_cone(p) for p in pavings]
+    finally:
+        pv.clear_caches()
+    assert len(calls) == len(cones) == 176
+    for rank, ineqs, eqs, cone in calls:
+        assert fields_of(cone) == fields_of(oracle_dd_from_hrep(rank, ineqs, eqs))
+    for c in cones:
+        assert fields_of(Cone.from_generators(c.rank, c.generators())) == fields_of(c)
+        assert fields_of(dual_cone(c)) == fields_of(oracle_dd_dual_cone(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hrep_rows())
+def test_constructors_run_one_double_description_and_duals_none(case):
+    dim, rows = case
+    with counting_work() as counts:
+        c = Cone.from_hrep(dim, rows)
+    assert counts == {"dd": 1}
+    with counting_work() as counts:
+        Cone.from_generators(dim, rows)
+    assert counts == {"dd": 1}
+    with counting_work() as counts:
+        dual_cone(dual_cone(c))
+    assert counts == {}
+
+
+def test_verify_fan_of_3_2_runs_one_double_description_and_no_lp():
+    fan = secondary_fan(3, 2)
+    with counting_work() as counts:
+        report = verify_fan(fan)
+    assert report.ok and report.n_cones == 176
+    # the one double description builds the zero cone
+    assert counts == {"dd": 1}

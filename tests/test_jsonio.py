@@ -11,7 +11,7 @@ from chtoucakit.errors import InvalidData
 from chtoucakit.hn_truncation import Polygon
 from chtoucakit.fans import Cone
 from chtoucakit.fields import GF, QQ
-from chtoucakit.l_functions import SatakeParams
+from chtoucakit.l_functions import PlaceData, SatakeParams
 from chtoucakit.pavings import enumerate_admissible_pavings, is_admissible, paving_fan, sigma_cone
 from chtoucakit.complete_homs import build_stratum_point, complete_from_open, stratum_data
 from chtoucakit.graph_gluing import family_from_stratum
@@ -157,3 +157,48 @@ def test_polygon_from_json_rejects_nonzero_ends(end, inner):
     values = [jsonio.frac_str(v) for v in [end, *inner, 0]]
     with pytest.raises(InvalidData):
         jsonio.polygon_from_json({"r": len(values) - 1, "values": values})
+
+
+@given(st.lists(rationals, max_size=4), st.integers(-1, 8))
+def test_polygon_from_json_checks_r(inner, r):
+    values = [jsonio.frac_str(v) for v in [0, *inner, 0]]
+    if r == len(values) - 1:
+        assert jsonio.polygon_from_json({"r": r, "values": values}).r == r
+    else:
+        with pytest.raises(InvalidData):
+            jsonio.polygon_from_json({"r": r, "values": values})
+
+
+def test_polygon_from_json_rejects_r_beyond_values():
+    with pytest.raises(InvalidData):
+        jsonio.polygon_from_json({"r": 5, "values": ["0", "1", "0"]})
+    assert jsonio.polygon_from_json({"values": ["0", "1", "0"]}).r == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, max_size=5), rationals.filter(bool))
+def test_satake_round_trip_over_rationals(middle, leading):
+    p = SatakeParams.from_coeffs([1, *middle, leading])
+    pj = jsonio.satake_to_json(p)
+    again = jsonio.satake_from_json(through_text(pj))
+    assert again == p and jsonio.satake_to_json(again) == pj
+
+
+def test_places_from_json_matches_direct_construction():
+    obj = {"places": [
+        {"deg": 1, "coeffs": ["1", "-5/2", "6"]},
+        {"deg": 3, "coeffs": ["1", "7"]},
+        {"deg": 2, "coeffs": ["1"]},
+    ]}
+    assert jsonio.places_from_json(through_text(obj)) == [
+        PlaceData(1, SatakeParams.from_coeffs([1, Fraction(-5, 2), 6])),
+        PlaceData(3, SatakeParams.from_coeffs([1, 7])),
+        PlaceData(2, SatakeParams.from_coeffs([1])),
+    ]
+    assert jsonio.places_from_json({"places": []}) == []
+
+
+@pytest.mark.parametrize("deg", [0, -1])
+def test_places_from_json_rejects_degree_below_one(deg):
+    with pytest.raises(InvalidData):
+        jsonio.places_from_json({"places": [{"deg": deg, "coeffs": ["1", "2"]}]})
