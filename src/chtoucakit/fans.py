@@ -46,7 +46,6 @@ from fractions import Fraction
 from . import qlinalg, zlattice
 from .fields import QQ
 from .errors import InternalError, InvalidData, TooLarge
-from .ratlp import max_slack
 from .simplex_core import (
     LatticeFunction,
     affine_normal_form,
@@ -332,14 +331,20 @@ def proper_faces(c: Cone) -> set[Cone]:
 
 
 def relint_meets(c1: Cone, c2: Cone) -> bool:
-    """Do the relative interiors intersect?  Exact LP test."""
-    strict = [list(r) for r in c1.ineqs] + [list(r) for r in c2.ineqs]
-    eqs = [list(e) for e in c1.eqs] + [list(e) for e in c2.eqs]
-    if not strict:
-        # both are linear spaces, whose relative interiors contain 0
-        return True
-    d, _ = max_slack(strict, [0] * len(strict), eqs or None, [0] * len(eqs) if eqs else None)
-    return d > 0
+    """Do the relative interiors intersect?  Read off the intersection,
+    with no LP (see `_relints_meet`)."""
+    return _relints_meet(c1, c2, c1.intersect(c2))
+
+
+def _relints_meet(c1: Cone, c2: Cone, inter: Cone) -> bool:
+    """`relint_meets` given inter = c1 & c2.  The sum x of inter's rays
+    lies in inter's relative interior.  If inter meets the relative
+    interior of c1, it lies in no proper face of c1, and neither does x
+    (Rockafellar, *Convex Analysis*, cor. 6.5.2); likewise for c2.  So
+    the relative interiors meet exactly when x is strictly positive on
+    every facet row of c1 and of c2."""
+    x = [sum(col) for col in zip(*inter.rays)] or [0] * inter.rank
+    return all(_dot(a, x) > 0 for a in c1.ineqs + c2.ineqs)
 
 
 @dataclass
@@ -401,7 +406,7 @@ def verify_fan(fan: Fan) -> FanReport:
                 continue
             if not (is_face(inter, c1) and is_face(inter, c2)):
                 failures.append(("intersection_not_common_face", i, j))
-            if relint_meets(c1, c2):
+            if _relints_meet(c1, c2, inter):
                 failures.append(("relative_interiors_meet", i, j))
     return FanReport(not failures, fan.rank, len(cones), failures)
 

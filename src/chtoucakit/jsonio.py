@@ -129,19 +129,23 @@ def cone_to_json(c: Cone):
     }
 
 
+def _lattice_rows(rows, rank: int) -> list[tuple[int, ...]]:
+    """Integer rows, each of length ``rank``."""
+    out = [tuple(int(x) for x in row) for row in rows]
+    for row in out:
+        if len(row) != rank:
+            raise InvalidData(f"row {list(row)} has length {len(row)}, expected rank {rank}")
+    return out
+
+
 def cone_from_json(obj) -> Cone:
     rank = int(obj["rank"])
-    if "rays" in obj and obj["rays"] is not None and "ineqs" not in obj:
-        return Cone.from_generators(rank, [tuple(int(x) for x in r) for r in obj["rays"]])
-    if "ineqs" in obj and obj["ineqs"] is not None:
-        eqs = obj.get("eqs") or []
+    if obj.get("ineqs") is not None:
         return Cone.from_hrep(
-            rank,
-            [tuple(int(x) for x in r) for r in obj["ineqs"]],
-            [tuple(int(x) for x in r) for r in eqs],
+            rank, _lattice_rows(obj["ineqs"], rank), _lattice_rows(obj.get("eqs") or [], rank)
         )
     if "rays" in obj:
-        return Cone.from_generators(rank, [tuple(int(x) for x in r) for r in obj["rays"]])
+        return Cone.from_generators(rank, _lattice_rows(obj["rays"], rank))
     raise InvalidData("cone needs rays or ineqs")
 
 
@@ -171,10 +175,13 @@ def fan_to_json(fan: Fan):
 
 def fan_from_json(obj) -> Fan:
     rank = int(obj["rank"])
-    rays = [tuple(int(x) for x in r) for r in obj["rays"]]
+    rays = _lattice_rows(obj["rays"], rank)
     cones = []
     tags = []
     for entry in obj["cones"]:
+        for i in entry["rays"]:
+            if not (isinstance(i, int) and 0 <= i < len(rays)):
+                raise InvalidData(f"ray index {i!r} is not in range({len(rays)})")
         gens = [rays[i] for i in entry["rays"]]
         cones.append(Cone.from_generators(rank, gens))
         tags.append(str(entry.get("paving", "")))

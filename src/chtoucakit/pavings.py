@@ -1,7 +1,7 @@
 """Integer pavés and pavings of the simplex, regular subdivisions,
 their secondary cones, admissibility (with an LP witness) and
-q-admissibility via exact LP, and the enumeration of admissible pavings
-as the faces of one secondary cone.
+q-admissibility, and the enumeration of admissible pavings as the faces
+of one secondary cone.
 
 A pavé is the region cut out of the simplex by inequalities
 sum_{j in J} x_j >= d_J for a supermodular integer profile (d_J); it is
@@ -20,7 +20,8 @@ primitive integer affine dependencies among each pavé's lattice points
 and one fold row per interior wall.  `sigma_cone` reads admissibility
 off the cone's rays; `is_admissible` decides it by exact rational LP
 with a maximized slack variable, so strict feasibility is an honest
-boolean, and returns the LP's height function as a witness.
+boolean, and returns the LP's height function as a witness, the one
+use of the LP; q-admissibility is read off the secondary cone.
 The regular subdivision of a height function is read off the lower
 facets of the lifted points (Gelfand-Kapranov-Zelevinsky, ch. 7;
 De Loera-Rambau-Santos, *Triangulations*, ch. 2), from one integer
@@ -45,7 +46,7 @@ from .errors import (
     TooLarge,
     WrongDimension,
 )
-from .fans import Cone, Fan, double_description, face_masks
+from .fans import Cone, Fan, double_description, face_masks, relint_meets
 from .ratlp import max_slack
 from .simplex_core import (
     LatticeFunction,
@@ -371,20 +372,18 @@ def interior_walls(paving: Paving):
     return out
 
 
-def _admissibility_lp(paving: Paving, extra_eq_rows=None, extra_vars: int = 0):
-    """Shared LP core over per-pavé affine coefficients c_k in R^{n+1}
-    (the constant is absorbed since sum x = r on the simplex), plus
-    `extra_vars` caller-managed trailing variables.
+def _admissibility_lp(paving: Paving):
+    """LP over per-pavé affine coefficients c_k in R^{n+1} (the constant
+    is absorbed since sum x = r on the simplex).
 
     The height function is h = c_k . x on pavé k.  Admissibility is the
     local convexity of the glued function: continuity on the lattice
     points of every shared wall, and a strictly positive fold across it,
     which for a piecewise-affine function on a convex domain is
     equivalent to being the lower envelope with the pavés as domains of
-    affinity.  Returns (delta, solution_vector, nvars)."""
+    affinity.  Returns (delta, solution_vector)."""
     n = paving.n
-    K = len(paving.paves)
-    nvars = K * (n + 1) + extra_vars
+    nvars = len(paving.paves) * (n + 1)
 
     def cell_row(k, x):
         row = [0] * nvars
@@ -393,7 +392,6 @@ def _admissibility_lp(paving: Paving, extra_eq_rows=None, extra_vars: int = 0):
 
     eq_rows = []
     ineq_rows = []
-    rhs = []
     for k, l, shared, witness in interior_walls(paving):
         for x in shared:
             row = [a - b for a, b in zip(cell_row(k, x), cell_row(l, x))]
@@ -401,21 +399,14 @@ def _admissibility_lp(paving: Paving, extra_eq_rows=None, extra_vars: int = 0):
                 eq_rows.append(row)
         # the witness sits in pavé l, where the envelope is c_l . x, and
         # pavé k's support must stay strictly below: (c_l - c_k) . w > 0
-        fold = [a - b for a, b in zip(cell_row(l, witness), cell_row(k, witness))]
-        ineq_rows.append(fold)
-        rhs.append(0)
-    if extra_eq_rows:
-        eq_rows.extend(extra_eq_rows)
-    delta, sol = max_slack(
+        ineq_rows.append([a - b for a, b in zip(cell_row(l, witness), cell_row(k, witness))])
+    return max_slack(
         ineq_rows,
-        rhs,
+        [0] * len(ineq_rows),
         eq_rows or None,
         [0] * len(eq_rows) if eq_rows else None,
         nvars=nvars,
     )
-    if sol is None and delta > 0:
-        sol = [Fraction(0)] * nvars
-    return delta, sol, nvars
 
 
 # enumeration fills these caches for one paving only (the unit-cell
@@ -431,18 +422,16 @@ def is_admissible(paving: Paving) -> AdmissibilityResult:
     lattice points and strictly above the pavé's affine support
     elsewhere?  The witness induces the paving as its regular
     subdivision."""
-    delta, sol, _ = _admissibility_lp(paving)
+    delta, sol = _admissibility_lp(paving)
     witness = None
-    if delta > 0 and sol is not None:
+    if delta > 0:
         n = paving.n
         owner = _cell_assignment(paving)
-        vals = []
-        for x in enumerate_lattice_points(paving.r, n):
-            k = owner[x]
-            vals.append(
-                sum((sol[k * (n + 1) + j] * x[j] for j in range(n + 1)), Fraction(0))
-            )
-        witness = LatticeFunction(paving.r, n, tuple(vals))
+        vals = tuple(
+            sum((sol[owner[x] * (n + 1) + j] * x[j] for j in range(n + 1)), Fraction(0))
+            for x in enumerate_lattice_points(paving.r, n)
+        )
+        witness = LatticeFunction(paving.r, n, vals)
     return AdmissibilityResult(delta > 0, delta, witness)
 
 
@@ -611,41 +600,40 @@ def enumerate_admissible_pavings(r: int, n: int) -> tuple[Paving, ...]:
 # q-admissibility (n = 2)
 
 
+def _twisted_rows(r: int, q: int) -> list[tuple[int, ...]]:
+    """Equality rows, on quotient-lattice coordinates, of the classes of
+    the twisted heights (h(0,i1,i2) = q h(i1,0,i2)) plus the affine ones:
+    the integer functionals vanishing on the n+1 coordinate functions and
+    on one twisted function per point with nonzero first coordinate,
+    read on the non-vertex points."""
+    lattice = quotient_lattice(r, 2)
+    pts = enumerate_lattice_points(r, 2)
+    functions = [list(col) for col in zip(*pts)]
+    for f in pts:
+        if f[0] != 0:
+            # value 1 at f, q at each p with p0 = 0 and (p1, 0, p2) = f
+            functions.append([1 if p == f else q if (p[1], 0, p[2]) == f else 0 for p in pts])
+    index = {p: i for i, p in enumerate(pts)}
+    return [
+        lattice.nf_row_to_coord_row([w[index[p]] for p in lattice.points])
+        for w in zlattice.int_kernel(functions, len(pts))
+    ]
+
+
 def is_q_admissible(paving: Paving, q: int) -> bool:
-    """Does the admissibility LP stay strictly feasible when the height
-    class is constrained, up to a global affine shift, to satisfy
-    (h+a)(0,i1,i2) = q (h+a)(i1,0,i2) at every boundary point with
-    vanishing first coordinate?"""
+    """Do some height h inducing the paving and some affine a satisfy
+    (h+a)(0,i1,i2) = q (h+a)(i1,0,i2) wherever the first coordinate
+    vanishes?  That is, does the subspace cut out by `_twisted_rows`
+    meet the relative interior of the paving's secondary cone?"""
     if paving.n != 2:
         raise WrongDimension("q-admissibility is defined for n = 2")
     if q < 2:
         raise ValueError("q must be at least 2")
-    if not is_admissible(paving).admissible:
+    try:
+        cone = sigma_cone(paving)
+    except NotAdmissible:
         return False
-    r, n = paving.r, paving.n
-    owner = _cell_assignment(paving)
-    K = len(paving.paves)
-    base = K * (n + 1)
-    nvars = base + (n + 1)  # + global affine coefficients a
-
-    def h_plus_a_row(x, scale: int):
-        row = [0] * nvars
-        k = owner[x]
-        for j in range(n + 1):
-            row[k * (n + 1) + j] += scale * x[j]
-            row[base + j] += scale * x[j]
-        return row
-
-    tau_rows = []
-    for p in enumerate_lattice_points(r, n):
-        if p[0] != 0:
-            continue
-        partner = (p[1], 0, p[2])
-        row = h_plus_a_row(p, 1)
-        prow = h_plus_a_row(partner, q)
-        tau_rows.append([a - b for a, b in zip(row, prow)])
-    delta, _, _ = _admissibility_lp(paving, extra_eq_rows=tau_rows, extra_vars=n + 1)
-    return delta > 0
+    return relint_meets(cone, Cone.from_hrep(cone.rank, (), _twisted_rows(paving.r, q)))
 
 
 def pave_edge_count(pave: IntegerPave) -> int:

@@ -4,7 +4,7 @@ Variables are free rationals; the solver converts to standard form
 internally (x = x+ - x-, slack variables, phase-1 artificials) and
 pivots with Bland's rule, so it terminates on every input and needs no
 tolerance knobs.  Feasibility answers are exact booleans, which is what
-the strict-interior and admissibility tests downstream rely on.
+the admissibility test downstream relies on.
 
 The tableau holds each row as a list of Python ints over one positive
 int denominator, divided by the gcd of its entries and denominator after
@@ -235,28 +235,25 @@ def solve_lp(
     return LPResult(OPTIMAL, value, x)
 
 
+SLACK_CAP = 1  # keeps the slack of `max_slack` bounded
+
+
 def max_slack(
     strict_rows,
     strict_rhs,
     a_eq=None,
     b_eq=None,
-    cap: int | Fraction = 1,
     nvars: int | None = None,
 ) -> tuple[Fraction, list[Fraction] | None]:
     """Maximize d subject to strict_rows.x >= strict_rhs + d (and
-    equalities), capping d <= cap so the LP stays bounded.
+    equalities), capping d <= SLACK_CAP so the LP stays bounded.
 
     Returns (d*, x*) where x* achieves the optimum; the system of strict
     inequalities strict_rows.x > strict_rhs is solvable iff d* > 0.
-    With no strict rows at all the answer is (cap, trivial point).
+    With no strict rows at all the answer is (SLACK_CAP, trivial point).
     """
     if nvars is None:
-        nvars = 0
-        for r in strict_rows:
-            nvars = max(nvars, len(r))
-        if a_eq:
-            for r in a_eq:
-                nvars = max(nvars, len(r))
+        nvars = max((len(r) for r in [*strict_rows, *(a_eq or ())]), default=0)
     # variables: x (nvars) then d
     a_ub = []
     b_ub = []
@@ -266,7 +263,7 @@ def max_slack(
         a_ub.append(r)
         b_ub.append(-_rational(b))
     a_ub.append([0] * nvars + [1])
-    b_ub.append(cap)
+    b_ub.append(SLACK_CAP)
     eqs = None
     if a_eq:
         eqs = [list(row) + [0] * (nvars - len(row) + 1) for row in a_eq]

@@ -316,3 +316,81 @@ def test_trunc_convex_rejects_polygon_with_wrong_r(tmp_path):
     polygon["r"] = 2
     rc, out, _ = run_cli(["trunc", "convex", "--mu", "0", "p.json"], {"p.json": polygon}, tmp_path)
     assert rc == 0 and json.loads(out)["convex"] is True
+
+
+# stdout and exit codes of `pavings qadm` and `fans verify`, pinned from the
+# LP-based q-admissibility and relative-interior test
+
+TWO_MAXIMAL_CONES = {
+    "rank": 2,
+    "rays": [[1, 0], [0, 1], [1, 1], [-1, 0]],
+    "cones": [{"rays": []}, {"rays": [0]}, {"rays": [1]}, {"rays": [2]}, {"rays": [0, 1]},
+              {"rays": [0, 2]}, {"rays": [3]}, {"rays": [1, 3]}],
+}
+
+
+def test_pavings_qadm_golden(tmp_path):
+    rc, out, _ = run_cli(["pavings", "enum", "--r", "2", "--n", "2"])
+    pavings = [{"r": 2, "n": 2, "paves": paves} for paves in json.loads(out)["pavings"]]
+    # the (2, 2) pavings in enumeration order, then a non-admissible (3, 2) cover
+    pavings.append({"r": 3, "n": 2, "paves": [
+        {"points": [[3, 0, 0], [2, 1, 0], [2, 0, 1], [1, 1, 1]]},
+        {"points": [[2, 1, 0], [1, 2, 0], [1, 1, 1], [0, 3, 0], [0, 2, 1]]},
+        {"points": [[2, 0, 1], [1, 1, 1], [1, 0, 2], [0, 2, 1], [0, 1, 2], [0, 0, 3]]},
+    ]})
+    answers = ["true", "false", "false", "false", "true", "false", "true", "true", "false"]
+    assert len(pavings) == len(answers)
+    for q in (2, 3):
+        for paving, answer in zip(pavings, answers):
+            rc, out, _ = run_cli(
+                ["pavings", "qadm", "--q", str(q), "p.json"], {"p.json": paving}, tmp_path
+            )
+            assert (rc, out) == (0, '{"q":%d,"q_admissible":%s,"version":"chtouca-kit/1"}\n' % (q, answer))
+
+
+def test_fans_verify_golden_on_two_maximal_cones(tmp_path):
+    rc, out, _ = run_cli(["fans", "verify", "fan.json"], {"fan.json": TWO_MAXIMAL_CONES}, tmp_path)
+    assert rc == 0
+    assert out == (
+        '{"cones":8,"failures":[["intersection_not_common_face","3","4"],'
+        '["relative_interiors_meet","3","4"],["intersection_not_common_face","4","5"],'
+        '["relative_interiors_meet","4","5"]],"fan":{"cones":[{"paving":"","rays":[]},'
+        '{"paving":"","rays":[0]},{"paving":"","rays":[1]},{"paving":"","rays":[2]},'
+        '{"paving":"","rays":[0,1]},{"paving":"","rays":[0,2]},{"paving":"","rays":[3]},'
+        '{"paving":"","rays":[1,3]}],"rank":2,"rays":[[1,0],[0,1],[1,1],[-1,0]],'
+        '"zero_included":true},"ok":false,"rank":2,"version":"chtouca-kit/1"}\n'
+    )
+
+
+# malformed cones and fans are InvalidData (exit 1), not a silent answer
+# or a traceback
+
+
+def assert_invalid_data(argv, files, tmp_path, message):
+    rc, out, err = run_cli(argv, files, tmp_path)
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "InvalidData", "message": message}
+
+
+def test_fans_dual_rejects_ray_of_wrong_length(tmp_path):
+    cone = {"rank": 2, "rays": [[1, 0, 7], [0, 1]]}
+    assert_invalid_data(["fans", "dual", "--cone", "c.json"], {"c.json": cone}, tmp_path,
+                        "row [1, 0, 7] has length 3, expected rank 2")
+
+
+def test_fans_dual_rejects_inequality_of_wrong_length(tmp_path):
+    cone = {"rank": 2, "ineqs": [[1]]}
+    assert_invalid_data(["fans", "dual", "--cone", "c.json"], {"c.json": cone}, tmp_path,
+                        "row [1] has length 1, expected rank 2")
+
+
+def test_fans_verify_rejects_negative_ray_index(tmp_path):
+    fan = dict(TWO_MAXIMAL_CONES, cones=TWO_MAXIMAL_CONES["cones"] + [{"rays": [-1]}])
+    assert_invalid_data(["fans", "verify", "f.json"], {"f.json": fan}, tmp_path,
+                        "ray index -1 is not in range(4)")
+
+
+def test_fans_verify_rejects_ray_index_past_the_end(tmp_path):
+    fan = dict(TWO_MAXIMAL_CONES, cones=TWO_MAXIMAL_CONES["cones"] + [{"rays": [4]}])
+    assert_invalid_data(["fans", "verify", "f.json"], {"f.json": fan}, tmp_path,
+                        "ray index 4 is not in range(4)")

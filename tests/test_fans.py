@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtoucakit import fans, qlinalg, zlattice
+from chtoucakit import fans, qlinalg, ratlp, zlattice
 from chtoucakit import pavings as pv
 from chtoucakit.errors import TooLarge
 from chtoucakit.fields import QQ
@@ -525,8 +525,22 @@ def test_internal_checks_run_under_python_O():
 # without the all-pairs loop, against the code they replaced
 
 
+def oracle_lp_relint_meets(c1, c2):
+    """Do the relative interiors intersect?  Exact LP: some point is
+    strictly positive on the facet rows of both cones and zero on their
+    equalities."""
+    strict = [list(r) for r in c1.ineqs] + [list(r) for r in c2.ineqs]
+    eqs = [list(e) for e in c1.eqs] + [list(e) for e in c2.eqs]
+    if not strict:
+        # both are linear spaces, whose relative interiors contain 0
+        return True
+    d, _ = ratlp.max_slack(strict, [0] * len(strict), eqs or None, [0] * len(eqs) if eqs else None)
+    return d > 0
+
+
 def oracle_verify_fan(fan):
-    """The fan axioms with every pair of members intersected."""
+    """The fan axioms with every pair of members intersected, and the
+    relative interiors compared by LP."""
     failures = []
     cones = list(fan.cones)
     members = set(cones)
@@ -549,16 +563,17 @@ def oracle_verify_fan(fan):
                 continue
             if not (is_face(inter, c1) and is_face(inter, c2)):
                 failures.append(("intersection_not_common_face", i, j))
-            if fans.relint_meets(c1, c2):
+            if oracle_lp_relint_meets(c1, c2):
                 failures.append(("relative_interiors_meet", i, j))
     return fans.FanReport(not failures, fan.rank, len(cones), failures)
 
 
 @contextmanager
 def counting_work():
-    """Count the double descriptions and LPs run by `fans`."""
+    """Count the double descriptions run by `fans` and the LPs run by
+    any module."""
     counts = Counter()
-    real_dd, real_lp = fans.double_description, fans.max_slack
+    real_dd, real_lp = fans.double_description, ratlp.solve_lp
 
     def dd(rows, dim):
         counts["dd"] += 1
@@ -569,7 +584,7 @@ def counting_work():
         return real_lp(*args, **kwargs)
 
     with mock.patch.object(fans, "double_description", dd), mock.patch.object(
-        fans, "max_slack", lp
+        ratlp, "solve_lp", lp
     ):
         yield counts
 
@@ -712,3 +727,80 @@ def test_verify_fan_of_3_2_runs_one_double_description_and_no_lp():
     assert report.ok and report.n_cones == 176
     # the one double description builds the zero cone
     assert counts == {"dd": 1}
+
+
+# ---------------------------------------------------------------------------
+# relative interiors compared through the sum of the rays of the
+# intersection, against the LP it replaced
+
+
+@st.composite
+def cone_pairs(draw, max_dim=4):
+    """Two cones of one rank that overlap: generated from a shared pool of
+    vectors, or the second one through a point of the first.  The pair
+    may share a line of lineality, and each cone may be replaced by one
+    of its proper faces (two faces of different maximal cones)."""
+    dim = draw(st.integers(1, max_dim))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    pool = draw(st.lists(vec, min_size=2, max_size=6, unique=True))
+    lines = draw(st.lists(vec, max_size=1))
+    faces = draw(st.booleans())
+
+    def cone(gens):
+        c = Cone.from_generators(dim, gens + lines + [tuple(-x for x in v) for v in lines])
+        proper = sorted(proper_faces(c), key=fields_of)
+        return draw(st.sampled_from(proper)) if faces and proper else c
+
+    gens = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True))
+    if draw(st.booleans()):
+        # through the sum of the first cone's generators, which lies in
+        # its relative interior when the first cone is not replaced
+        other = [tuple(map(sum, zip(*gens)))] + draw(
+            st.lists(st.sampled_from(gens + [draw(vec)]), max_size=3, unique=True)
+        )
+    else:
+        other = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    return cone(gens), cone(other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_pairs())
+def test_relint_meets_matches_lp_oracle(pair):
+    c1, c2 = pair
+    assert fans.relint_meets(c1, c2) == oracle_lp_relint_meets(c1, c2)
+    assert fans.relint_meets(c2, c1) == fans.relint_meets(c1, c2)
+
+
+@pytest.mark.parametrize("r,n", SMALL_FANS)
+def test_relint_meets_matches_lp_oracle_on_secondary_fans(r, n):
+    cones = secondary_fan(r, n).cones
+    for i, c1 in enumerate(cones):
+        for c2 in cones[i:]:
+            assert fans.relint_meets(c1, c2) == oracle_lp_relint_meets(c1, c2) == (c1 == c2)
+
+
+def test_relint_meets_across_two_maximal_cones():
+    # the quadrant and the half-plane x1 >= 0 overlap; the quadrant and the
+    # opposite quadrant meet only in their common ray
+    quadrant = Cone.from_generators(2, [(1, 0), (0, 1)])
+    half = Cone.from_hrep(2, [(0, 1)])
+    opposite = Cone.from_generators(2, [(-1, 0), (0, 1)])
+    assert fans.relint_meets(quadrant, half) and oracle_lp_relint_meets(quadrant, half)
+    assert not fans.relint_meets(quadrant, opposite)
+    assert not oracle_lp_relint_meets(quadrant, opposite)
+    assert fans.relint_meets(Cone.full(2), Cone.zero(2))
+
+
+def test_verify_fan_and_q_admissibility_run_no_lp():
+    dd_calls = 0
+    for fan in invalid_fans():
+        with counting_work() as counts:
+            report = verify_fan(fan)
+        assert not report.ok and "lp" not in counts
+        dd_calls += counts["dd"]
+    # the pairs of these fans are intersected, one double description each
+    assert dd_calls > 2 * len(invalid_fans())
+    with counting_work() as counts:
+        answers = {pv.is_q_admissible(p, q) for p in pv.enumerate_admissible_pavings(2, 2)
+                   for q in (2, 3)}
+    assert answers == {True, False} and "lp" not in counts

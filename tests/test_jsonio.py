@@ -175,6 +175,17 @@ def test_polygon_from_json_rejects_r_beyond_values():
     assert jsonio.polygon_from_json({"values": ["0", "1", "0"]}).r == 2
 
 
+def test_cone_and_fan_rows_must_have_the_rank():
+    with pytest.raises(InvalidData):
+        jsonio.cone_from_json({"rank": 2, "ineqs": [[1, 0]], "eqs": [[0, 1, 0]]})
+    with pytest.raises(InvalidData):
+        jsonio.fan_from_json({"rank": 2, "rays": [[1]], "cones": [{"rays": []}]})
+    with pytest.raises(InvalidData):
+        jsonio.fan_from_json({"rank": 1, "rays": [[1]], "cones": [{"rays": ["0"]}]})
+    fan = jsonio.fan_from_json({"rank": 1, "rays": [[1]], "cones": [{"rays": []}, {"rays": [0]}]})
+    assert [c.rays for c in fan.cones] == [(), ((1,),)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(rationals, max_size=5), rationals.filter(bool))
 def test_satake_round_trip_over_rationals(middle, leading):

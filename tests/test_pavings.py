@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chtoucakit import pavings as pv
-from chtoucakit import fans, qlinalg, zlattice
+from chtoucakit import fans, qlinalg, ratlp, zlattice
 from chtoucakit.errors import (
     EmptyInterior,
     NotAdmissible,
@@ -256,8 +256,9 @@ class TestQAdmissibility:
             is_q_admissible(trivial_paving(2, 1), 2)
 
     def test_lp_matches_cone_subspace_oracle(self):
-        """Independent oracle: intersect the secondary cone with the
-        twisted-height subspace and test for a relative interior point."""
+        """Independent oracle: the secondary cone's rows in the coordinates
+        of a basis of the twisted-height subspace, and an LP for a point
+        strictly inside them."""
         from chtoucakit.simplex_core import affine_normal_form
 
         r, n = 2, 2
@@ -308,7 +309,7 @@ class TestQAdmissibility:
 
     def test_ray_paving_misses_tau_subspace(self):
         """Some paving's secondary cone is a pointed ray not meeting the
-        twisted subspace, and the LP rejects it."""
+        twisted subspace, and it is not q-admissible."""
         found = False
         for paving in enumerate_admissible_pavings(2, 2):
             cone = sigma_cone(paving)
@@ -317,8 +318,8 @@ class TestQAdmissibility:
         assert found
 
     def test_grid_witnesses_imply_lp(self):
-        """Any twisted grid height inducing the paving certifies the LP
-        answer (one-sided brute-force cross-check)."""
+        """Any twisted grid height inducing the paving certifies
+        q-admissibility (one-sided brute-force cross-check)."""
         r, n, q = 2, 2, 2
         pts = enumerate_lattice_points(r, n)
         free_pts = [p for p in pts if p[0] != 0]
@@ -717,11 +718,8 @@ def test_sigma_cone_matches_lp_oracle_on_drawn_covers(sample):
 
 def test_sigma_cone_and_enumeration_run_no_lp():
     pv.clear_caches()
-    no_lp = AssertionError("max_slack called")
     try:
-        with mock.patch.object(pv, "max_slack", side_effect=no_lp), mock.patch.object(
-            fans, "max_slack", side_effect=no_lp
-        ):
+        with mock.patch.object(ratlp, "solve_lp", side_effect=AssertionError("LP run")):
             pavings = enumerate_admissible_pavings(3, 2)
             outcomes = [_cone_outcome(sigma_cone, p) for p in oracle_exact_covers(3, 2)]
     finally:
@@ -977,3 +975,59 @@ def test_enumeration_reads_one_cone_with_no_lp():
     assert len(builds) == len(set(builds)) < 100
     distinct = {pave for paving in pavings for pave in paving.paves}
     assert len(builds) == len(distinct)
+
+
+# ---------------------------------------------------------------------------
+# q-admissibility from the secondary cone and the twisted subspace against
+# the LP it replaced, kept here as the test oracle
+
+
+def oracle_lp_is_q_admissible(paving, q):
+    """The admissibility LP over per-pavé affine coefficients, extended by
+    n+1 global affine coefficients a and the rows
+    (h+a)(0,i1,i2) = q (h+a)(i1,0,i2); strictly feasible or not."""
+    if not is_admissible(paving).admissible:
+        return False
+    n = paving.n
+    owner = pv._cell_assignment(paving)
+    base = len(paving.paves) * (n + 1)
+    nvars = base + n + 1
+
+    def cell_row(k, x):
+        row = [0] * nvars
+        row[k * (n + 1):(k + 1) * (n + 1)] = x
+        return row
+
+    def h_plus_a_row(x, scale):
+        row = [0] * nvars
+        for j in range(n + 1):
+            row[owner[x] * (n + 1) + j] += scale * x[j]
+            row[base + j] += scale * x[j]
+        return row
+
+    eq_rows, folds = [], []
+    for k, l, shared, witness in interior_walls(paving):
+        for x in shared:
+            row = [a - b for a, b in zip(cell_row(k, x), cell_row(l, x))]
+            if any(row):
+                eq_rows.append(row)
+        folds.append([a - b for a, b in zip(cell_row(l, witness), cell_row(k, witness))])
+    for p in enumerate_lattice_points(paving.r, n):
+        if p[0] == 0:
+            twin = (p[1], 0, p[2])
+            eq_rows.append([a - b for a, b in zip(h_plus_a_row(p, 1), h_plus_a_row(twin, q))])
+    delta, _ = max_slack(folds, [0] * len(folds), eq_rows, [0] * len(eq_rows), nvars=nvars)
+    return delta > 0
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_q_admissibility_matches_lp_oracle_on_every_exact_cover(r):
+    seen = set()
+    for paving in oracle_exact_covers(r, 2):
+        for q in (2, 3, 4):
+            got = is_q_admissible(paving, q)
+            assert got == oracle_lp_is_q_admissible(paving, q), (paving.key(), q)
+            seen.add((got, is_admissible(paving).admissible))
+    # (3, 2) has non-admissible covers, which are never q-admissible
+    assert seen == ({(True, True), (False, True), (False, False)} if r == 3
+                    else {(True, True), (False, True)})

@@ -65,7 +65,7 @@ def test_max_slack_tight_system():
 
 
 def test_max_slack_no_rows_hits_cap():
-    d, _ = max_slack([], [], cap=1)
+    d, _ = max_slack([], [])
     assert d == 1
 
 
@@ -341,9 +341,9 @@ def test_admissibility_lp_matches_fraction_oracle():
     cases = _admissibility_cases()
     assert len(cases) > 10
     for paving in cases:
-        delta, sol, _ = pavings._admissibility_lp(paving)
+        delta, sol = pavings._admissibility_lp(paving)
         with mock.patch.object(ratlp, "solve_lp", oracle_solve_lp):
-            expected_delta, expected_sol, _ = pavings._admissibility_lp(paving)
+            expected_delta, expected_sol = pavings._admissibility_lp(paving)
         assert (delta, sol) == (expected_delta, expected_sol)
 
 
