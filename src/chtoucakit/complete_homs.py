@@ -270,61 +270,54 @@ def _first_nonzero(field, m):
     return None
 
 
-def _complete_rows(field, have: list, pool: list, target_rank: int):
-    """Extend `have` with rows from `pool` (scanned in order) until the
-    collection has the target rank; deterministic completion."""
-    out = list(have)
-    for row in pool:
-        if len(out) == target_rank:
-            break
-        if qlinalg.rank(field, out + [row]) == len(out) + 1:
-            out.append(row)
-    if len(out) != target_rank:
-        raise InvalidData("cannot complete basis: containment violated")
-    return out
+def _flag_blocks(field, r: int, chain):
+    """Blocks of the basis of k^r adapted to a nested flag chain[0] in
+    chain[1] in ..., each member given by spanning rows.
+
+    The canonical (rref) bases of the members, then the unit vectors, are
+    scanned in order, and a vector is kept when it is independent of the
+    vectors kept before it; block t holds those kept from member t (the
+    last block from the unit vectors).  The kept vectors are the pivot
+    columns of one rref of the transpose of the scanned rows."""
+    spaces = [qlinalg.row_basis(field, [list(row) for row in m]) for m in chain]
+    spaces.append(fmat_identity(field, r))
+    rows = [row for space in spaces for row in space]
+    _, pivots = qlinalg.rref(field, [list(col) for col in zip(*rows)])
+    blocks = []
+    start = 0
+    for space in spaces:
+        end = start + len(space)
+        blocks.append([rows[p] for p in pivots if start <= p < end])
+        start = end
+        # member t spans the sum of members 0..t exactly when it contains them
+        if sum(map(len, blocks)) != len(space):
+            raise InvalidData("cannot complete basis: containment violated")
+    return blocks
 
 
-def adapted_bases(field, r: int, cuts, vfilt, wfilt):
+def adapted_bases(field, r: int, vfilt, wfilt):
     """Adapted bases for a filtration pair.
 
     Returns (A, B): columns of A are the V-adapted basis grouped in
     blocks 1..s with V^sigma spanned by the trailing columns; columns of
     B are the W-adapted basis with W_sigma spanned by the leading
-    columns.  Completion scans canonical (rref) bases then standard unit
-    vectors, so the choice is deterministic."""
-    s = len(cuts) + 1
-    std = fmat_identity(field, r)
-    # V side: build blocks from the bottom of the filtration upwards
-    v_spaces = [qlinalg.row_basis(field, [list(row) for row in m]) for m in vfilt]
-    v_spaces = [std] + v_spaces + [[]]  # V^0 .. V^s
-    collected: list = []
-    v_blocks: list = [None] * s
-    for sigma in range(s, 0, -1):
-        target = len(v_spaces[sigma - 1])
-        pool = v_spaces[sigma - 1]
-        new = _complete_rows(field, collected, pool, target)
-        v_blocks[sigma - 1] = new[len(collected):]
-        collected = new
-    v_adapted = [row for block in v_blocks for row in block]
-    # reorder: adapted basis e_1..e_r with V^sigma = span of trailing
-    # vectors; collected went from block s upward, so v_blocks[sigma-1]
-    # holds block sigma's lifts already in block order
-    a_cols = v_adapted
-    # W side: from W_1 upwards
-    w_spaces = [[]] + [qlinalg.row_basis(field, [list(row) for row in m]) for m in wfilt] + [std]
-    collected = []
-    w_blocks: list = [None] * s
-    for sigma in range(1, s + 1):
-        target = len(w_spaces[sigma])
-        pool = w_spaces[sigma]
-        new = _complete_rows(field, collected, pool, target)
-        w_blocks[sigma - 1] = new[len(collected):]
-        collected = new
-    b_cols = [row for block in w_blocks for row in block]
+    columns.  Each side is completed from the canonical bases of the flag
+    V^{s-1} in ... in V^1 in k^r (resp. W_1 in ... in W_{s-1} in k^r),
+    then the standard unit vectors, so the choice is deterministic."""
+    v_blocks = _flag_blocks(field, r, vfilt[::-1])
+    a_cols = [row for block in reversed(v_blocks) for row in block]
+    b_cols = [row for block in _flag_blocks(field, r, wfilt) for row in block]
     # column-major matrices
-    a = [[a_cols[j][i] for j in range(r)] for i in range(r)]
-    b = [[b_cols[j][i] for j in range(r)] for i in range(r)]
-    return a, b
+    return [list(row) for row in zip(*a_cols)], [list(row) for row in zip(*b_cols)]
+
+
+def _nested(field, chain, dims) -> bool:
+    """Whether chain[t] lies in chain[t + 1] for every t, where dims[t] is
+    the dimension of chain[t]: one rank per consecutive pair."""
+    return all(
+        qlinalg.rank(field, [list(row) for row in (*big, *small)]) == dim
+        for small, big, dim in zip(chain, chain[1:], dims[1:])
+    )
 
 
 def _validate_stratum_data(d: StratumData):
@@ -343,17 +336,10 @@ def _validate_stratum_data(d: StratumData):
     for t, m in enumerate(d.wfilt):
         if qlinalg.rank(field, [list(row) for row in m]) != bounds[t + 1]:
             raise InvalidData(f"W_{t+1} has wrong dimension")
-    # nesting
-    for t in range(len(d.vfilt) - 1):
-        big = [list(row) for row in d.vfilt[t]]
-        for row in d.vfilt[t + 1]:
-            if qlinalg.rank(field, big + [list(row)]) != len(qlinalg.row_basis(field, big)):
-                raise InvalidData("V filtration is not decreasing")
-    for t in range(len(d.wfilt) - 1):
-        big = [list(row) for row in d.wfilt[t + 1]]
-        for row in d.wfilt[t]:
-            if qlinalg.rank(field, big + [list(row)]) != len(qlinalg.row_basis(field, big)):
-                raise InvalidData("W filtration is not increasing")
+    if not _nested(field, d.vfilt[::-1], [r - c for c in reversed(cuts)]):
+        raise InvalidData("V filtration is not decreasing")
+    if not _nested(field, d.wfilt, cuts):
+        raise InvalidData("W filtration is not increasing")
     if len(d.v) != s or len(d.scales) != s:
         raise InvalidData("need one graded map and scale per block")
     for sigma in range(1, s + 1):
@@ -361,7 +347,7 @@ def _validate_stratum_data(d: StratumData):
         mat = [list(row) for row in d.v[sigma - 1]]
         if len(mat) != m_sigma or any(len(row) != m_sigma for row in mat):
             raise InvalidData(f"graded map {sigma} has wrong shape")
-        if qlinalg.inverse(field, mat) is None:
+        if field.is_zero(qlinalg.det(field, mat)):
             raise InvalidData(f"graded map {sigma} is singular")
         if field.is_zero(d.scales[sigma - 1]):
             raise InvalidData("scales must be invertible")
@@ -394,13 +380,18 @@ def build_stratum_point(d: StratumData) -> CompleteHom:
     minor of the graded maps; elsewhere it vanishes.  The free lambdas
     scale u_rho exactly as on the open locus."""
     _validate_stratum_data(d)
+    return _stratum_point(d, *adapted_bases(d.field, d.r, d.vfilt, d.wfilt))
+
+
+def _stratum_point(d: StratumData, a, b) -> CompleteHom:
+    """The point of `build_stratum_point` from valid data d and its
+    adapted bases (A, B)."""
     field = d.field
     r = d.r
     cuts = list(d.cuts)
     bounds = [0] + cuts + [r]
     s = len(cuts) + 1
     free = dict(d.free_lams)
-    a, b = adapted_bases(field, r, d.cuts, d.vfilt, d.wfilt)
     a_inv = qlinalg.inverse(field, a)
     if a_inv is None:
         raise InternalError("adapted basis A is singular")
@@ -503,8 +494,16 @@ def stratum_data(h: CompleteHom) -> StratumData:
     The graded map of block sigma is read off u_{r_{sigma-1}+1} in the
     adapted bases; the lambda monomial and the determinants of the
     already-recovered blocks are divided out, so recovery is exact.  The
-    result is validated by rebuilding the point; any mismatch raises
-    NotOnStratum."""
+    result is validated by rebuilding the point from the adapted bases
+    already at hand; any mismatch raises NotOnStratum.
+
+    The recovered data pass every check of `_validate_stratum_data` by
+    construction, so the rebuild skips it: the cuts are the zero lambdas
+    in increasing order; there is one V^t and one W_t per cut, each a
+    row basis whose dimension is checked below, and their nesting is
+    checked too; each graded map is a square block with nonzero
+    determinant, divided by its first nonzero entry, which is the scale;
+    the free lambdas are exactly the nonzero ones."""
     field = h.field
     r = h.r
     cuts = stratum_of(h)
@@ -527,19 +526,12 @@ def stratum_data(h: CompleteHom) -> StratumData:
                 f"recovered W_{t+1} has dimension {len(span)}, expected {cut}"
             )
         wfilt.append(tuple(tuple(row) for row in span))
-    # nesting checks
-    for t in range(len(vfilt) - 1):
-        big = [list(row) for row in vfilt[t]]
-        for row in vfilt[t + 1]:
-            if qlinalg.rank(field, big + [list(row)]) != len(big):
-                raise NotOnStratum("recovered V filtration is not nested")
-    for t in range(len(wfilt) - 1):
-        big = [list(row) for row in wfilt[t + 1]]
-        for row in wfilt[t]:
-            if qlinalg.rank(field, big + [list(row)]) != len(big):
-                raise NotOnStratum("recovered W filtration is not nested")
+    if not _nested(field, vfilt[::-1], [r - c for c in reversed(cuts)]):
+        raise NotOnStratum("recovered V filtration is not nested")
+    if not _nested(field, wfilt, cuts):
+        raise NotOnStratum("recovered W filtration is not nested")
     free = {rho: h.lams[rho - 1] for rho in range(1, r) if rho not in set(cuts)}
-    a, b = adapted_bases(field, r, cuts, vfilt, wfilt)
+    a, b = adapted_bases(field, r, vfilt, wfilt)
     b_inv = qlinalg.inverse(field, b)
     if b_inv is None:
         raise InternalError("adapted basis B is singular")
@@ -592,8 +584,7 @@ def stratum_data(h: CompleteHom) -> StratumData:
         tuple(scales),
         tuple(sorted(free.items())),
     )
-    rebuilt = build_stratum_point(data)
-    if not rebuilt.eq(h):
+    if not _stratum_point(data, a, b).eq(h):
         raise NotOnStratum("point does not satisfy the stratum relations")
     return data
 
@@ -614,6 +605,6 @@ def lang_isogeny(g, q: int, field: GF):
         raise InvalidData("q must be a positive power of the characteristic")
     tg = [[field.frobenius(x, q) for x in row] for row in g]
     tg_inv = qlinalg.inverse(field, tg)
-    if tg_inv is None or qlinalg.inverse(field, g) is None:
+    if tg_inv is None:  # det tau(g) = tau(det g), so g is singular too
         raise Singular("matrix must be invertible")
     return fmat_mul(field, tg_inv, g)

@@ -604,9 +604,7 @@ def tau_sequence_check(r: int, q: int) -> SequenceReport:
     checks.append(("embedding_descends", integral))
     dim_t = len(s_tau) - zlattice.int_rank([w])
     checks.append(("dim_torus", dim_t == len(s_tau) - 1))
-    report = SequenceReport(all(ok for _, ok in checks), dim_t, checks)
-    report.s_tau_size = len(s_tau)  # type: ignore[attr-defined]
-    return report
+    return SequenceReport(all(ok for _, ok in checks), dim_t, checks)
 
 
 def orthant_fan(rank: int) -> Fan:

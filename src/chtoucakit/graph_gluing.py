@@ -170,7 +170,7 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
     field = d.field
     r = d.r
     bounds = [0] + list(d.cuts) + [r]
-    a, b = adapted_bases(field, r, d.cuts, d.vfilt, d.wfilt)
+    a, b = adapted_bases(field, r, d.vfilt, d.wfilt)
     # columns of a / b are the adapted bases
     a_cols = [[a[i][j] for i in range(r)] for j in range(r)]
     b_cols = [[b[i][j] for i in range(r)] for j in range(r)]

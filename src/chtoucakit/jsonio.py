@@ -108,10 +108,18 @@ def paving_to_json(p: Paving):
     }
 
 
+def _json_int(x, what: str) -> int:
+    """A JSON integer; a float, a string or a boolean is InvalidData."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidData(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def paving_from_json(obj) -> Paving:
     r, n = int(obj["r"]), int(obj["n"])
     sets = [
-        [tuple(int(c) for c in pt) for pt in pave["points"]] for pave in obj["paves"]
+        [tuple(_json_int(c, "a point coordinate") for c in pt) for pt in pave["points"]]
+        for pave in obj["paves"]
     ]
     return paving_from_point_sets(r, n, sets)
 
@@ -131,15 +139,22 @@ def cone_to_json(c: Cone):
 
 def _lattice_rows(rows, rank: int) -> list[tuple[int, ...]]:
     """Integer rows, each of length ``rank``."""
-    out = [tuple(int(x) for x in row) for row in rows]
+    out = [tuple(_json_int(x, "a coordinate") for x in row) for row in rows]
     for row in out:
         if len(row) != rank:
             raise InvalidData(f"row {list(row)} has length {len(row)}, expected rank {rank}")
     return out
 
 
+def _rank_from_json(obj) -> int:
+    rank = _json_int(obj["rank"], "rank")
+    if rank < 0:
+        raise InvalidData(f"rank must be >= 0, got {rank}")
+    return rank
+
+
 def cone_from_json(obj) -> Cone:
-    rank = int(obj["rank"])
+    rank = _rank_from_json(obj)
     if obj.get("ineqs") is not None:
         return Cone.from_hrep(
             rank, _lattice_rows(obj["ineqs"], rank), _lattice_rows(obj.get("eqs") or [], rank)
@@ -174,7 +189,7 @@ def fan_to_json(fan: Fan):
 
 
 def fan_from_json(obj) -> Fan:
-    rank = int(obj["rank"])
+    rank = _rank_from_json(obj)
     rays = _lattice_rows(obj["rays"], rank)
     cones = []
     tags = []

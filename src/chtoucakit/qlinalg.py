@@ -143,14 +143,3 @@ def det(field, a):
     m = [list(r) for r in a]
     pivots, scale = _forward(field, m, len(m))
     return scale if len(pivots) == len(m) else field.zero()
-
-
-def mat_vec(field, a, v):
-    add, mul = field.add, field.mul
-    out = []
-    for row in a:
-        s = field.zero()
-        for c, x in zip(row, v):
-            s = add(s, mul(c, x))
-        out.append(s)
-    return out

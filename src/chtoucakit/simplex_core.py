@@ -190,8 +190,3 @@ def quotient_lattice(r: int, n: int) -> QuotientLattice:
         raise InternalError(f"quotient lattice rank {len(h)}, expected {d}")
     basis = tuple(tuple(Fraction(x, r) for x in row) for row in h)
     return QuotientLattice(r, n, d, nonv, basis, tuple(map(tuple, h)))
-
-
-def integer_class_lattice_rank(r: int, n: int) -> int:
-    """Rank of the quotient lattice: |S^{r,n}| - (n+1)."""
-    return comb(r + n, n) - (n + 1)

@@ -394,3 +394,33 @@ def test_fans_verify_rejects_ray_index_past_the_end(tmp_path):
     fan = dict(TWO_MAXIMAL_CONES, cones=TWO_MAXIMAL_CONES["cones"] + [{"rays": [4]}])
     assert_invalid_data(["fans", "verify", "f.json"], {"f.json": fan}, tmp_path,
                         "ray index 4 is not in range(4)")
+
+
+def test_fans_dual_rejects_float_coordinate(tmp_path):
+    cone = {"rank": 2, "rays": [[1.5, 0]]}
+    assert_invalid_data(["fans", "dual", "--cone", "c.json"], {"c.json": cone}, tmp_path,
+                        "a coordinate must be an integer, got 1.5")
+
+
+def test_fans_dual_rejects_boolean_coordinate(tmp_path):
+    cone = {"rank": 2, "rays": [[True, 0]]}
+    assert_invalid_data(["fans", "dual", "--cone", "c.json"], {"c.json": cone}, tmp_path,
+                        "a coordinate must be an integer, got True")
+
+
+def test_fans_dual_rejects_negative_rank(tmp_path):
+    cone = {"rank": -1, "rays": []}
+    assert_invalid_data(["fans", "dual", "--cone", "c.json"], {"c.json": cone}, tmp_path,
+                        "rank must be >= 0, got -1")
+
+
+def test_fans_verify_rejects_float_ray(tmp_path):
+    fan = dict(TWO_MAXIMAL_CONES, rays=[[1, 0], [0, 1], [1, 1], [-1.0, 0]])
+    assert_invalid_data(["fans", "verify", "f.json"], {"f.json": fan}, tmp_path,
+                        "a coordinate must be an integer, got -1.0")
+
+
+def test_pavings_check_rejects_float_point(tmp_path):
+    paving = {"r": 2, "n": 1, "paves": [{"points": [[2.9, 0], [1, 1], [0, 2]]}]}
+    assert_invalid_data(["pavings", "check", "p.json"], {"p.json": paving}, tmp_path,
+                        "a point coordinate must be an integer, got 2.9")

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtoucakit import qlinalg
-from chtoucakit.errors import NotOnStratum, Singular, ZeroLambda, ZeroMu
+from chtoucakit import complete_homs as ch, qlinalg
+from chtoucakit.errors import InvalidData, NotOnStratum, Singular, ZeroLambda, ZeroMu
 from chtoucakit.fields import GF, QQ, fmat_eq, fmat_identity, fmat_mul
 from chtoucakit.qlinalg import inverse as fmat_inverse
 from chtoucakit.complete_homs import (
@@ -25,6 +28,7 @@ from chtoucakit.complete_homs import (
     subset_from_composition,
     torus_action,
 )
+from chtoucakit.graph_gluing import family_from_stratum
 
 
 def rand_scalar(field, rng):
@@ -319,3 +323,220 @@ def test_compounds_match_per_minor_determinants(data):
         expected = oracle_exterior_power(field, a, rho)
         assert fmat_eq(field, table[rho - 1], expected)
         assert fmat_eq(field, exterior_power(field, a, rho), expected)
+
+
+# ---------------------------------------------------------------------------
+# adapted bases and nesting checks: one reduction per flag against the
+# greedy per-row completion and the per-row nesting loops they replaced,
+# kept here as the test oracles
+
+
+def oracle_complete_rows(field, have: list, pool: list, target_rank: int):
+    """Extend `have` with rows from `pool` (scanned in order) until the
+    collection has the target rank: one full rank per candidate row."""
+    out = list(have)
+    for row in pool:
+        if len(out) == target_rank:
+            break
+        if qlinalg.rank(field, out + [row]) == len(out) + 1:
+            out.append(row)
+    if len(out) != target_rank:
+        raise InvalidData("cannot complete basis: containment violated")
+    return out
+
+
+def oracle_adapted_bases(field, r, cuts, vfilt, wfilt):
+    """The adapted bases by greedy completion, block by block."""
+    s = len(cuts) + 1
+    std = fmat_identity(field, r)
+    v_spaces = [std] + [qlinalg.row_basis(field, [list(row) for row in m]) for m in vfilt] + [[]]
+    collected: list = []
+    v_blocks: list = [None] * s
+    for sigma in range(s, 0, -1):
+        new = oracle_complete_rows(field, collected, v_spaces[sigma - 1], len(v_spaces[sigma - 1]))
+        v_blocks[sigma - 1] = new[len(collected):]
+        collected = new
+    a_cols = [row for block in v_blocks for row in block]
+    w_spaces = [[]] + [qlinalg.row_basis(field, [list(row) for row in m]) for m in wfilt] + [std]
+    collected = []
+    w_blocks: list = [None] * s
+    for sigma in range(1, s + 1):
+        new = oracle_complete_rows(field, collected, w_spaces[sigma], len(w_spaces[sigma]))
+        w_blocks[sigma - 1] = new[len(collected):]
+        collected = new
+    b_cols = [row for block in w_blocks for row in block]
+    a = [[a_cols[j][i] for j in range(r)] for i in range(r)]
+    b = [[b_cols[j][i] for j in range(r)] for i in range(r)]
+    return a, b
+
+
+def oracle_nested(field, chain) -> bool:
+    """The per-row nesting loop: every row of chain[t] lies in the span of
+    chain[t + 1], one rank and one row basis per row."""
+    for small, big in zip(chain, chain[1:]):
+        big = [list(row) for row in big]
+        for row in small:
+            if qlinalg.rank(field, big + [list(row)]) != len(qlinalg.row_basis(field, big)):
+                return False
+    return True
+
+
+ORACLE_FIELDS = [QQ, GF(2, 1), GF(2, 2), GF(5, 1), GF(3, 2)]
+
+
+def outcome(call):
+    try:
+        return call()
+    except InvalidData as e:
+        return type(e), str(e)
+
+
+def redundant_span(field, rng, rows):
+    """Spanning rows of span(rows): an invertible recombination of them,
+    a few redundant combinations, shuffled."""
+    k = len(rows)
+    if not k:
+        return ()
+    mix = fmat_mul(field, rand_invertible(field, rng, k), [list(row) for row in rows])
+    extra = fmat_mul(
+        field, [[rand_scalar(field, rng) for _ in range(k)] for _ in range(rng.randint(0, 2))], mix
+    )
+    out = mix + extra
+    rng.shuffle(out)
+    return tuple(tuple(row) for row in out)
+
+
+def rand_flags(field, rng, r):
+    """Cuts and a nested flag pair whose members carry redundant rows."""
+    cuts = tuple(sorted(rng.sample(range(1, r), rng.randint(0, r - 1))))
+    g1 = rand_invertible(field, rng, r)
+    g2 = rand_invertible(field, rng, r)
+    vfilt = tuple(redundant_span(field, rng, g1[cut:]) for cut in cuts)
+    wfilt = tuple(redundant_span(field, rng, g2[:cut]) for cut in cuts)
+    return cuts, vfilt, wfilt
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_adapted_bases_match_greedy_oracle_on_redundant_flags(data):
+    field = data.draw(st.sampled_from(ORACLE_FIELDS))
+    r = data.draw(st.integers(1, 5))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    cuts, vfilt, wfilt = rand_flags(field, rng, r)
+    if len(cuts) > 1 and data.draw(st.booleans()):
+        # a flag listed in the wrong order is not nested: both reject it
+        if data.draw(st.booleans()):
+            vfilt = vfilt[::-1]
+        else:
+            wfilt = wfilt[::-1]
+    new = outcome(lambda: ch.adapted_bases(field, r, vfilt, wfilt))
+    assert new == outcome(lambda: oracle_adapted_bases(field, r, cuts, vfilt, wfilt))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_adapted_bases_match_greedy_oracle_on_recovered_flags(data):
+    field = data.draw(st.sampled_from(ORACLE_FIELDS))
+    r = data.draw(st.integers(1, 4))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    rec = stratum_data(build_stratum_point(rand_stratum_data(field, rng, r)))
+    new = ch.adapted_bases(field, r, rec.vfilt, rec.wfilt)
+    assert new == oracle_adapted_bases(field, r, rec.cuts, rec.vfilt, rec.wfilt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_nesting_check_matches_per_row_oracle(data):
+    field = data.draw(st.sampled_from(ORACLE_FIELDS))
+    r = data.draw(st.integers(2, 5))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    _, vfilt, wfilt = rand_flags(field, rng, r)
+    chain = list(data.draw(st.sampled_from([vfilt[::-1], wfilt])))
+    if chain and data.draw(st.booleans()):
+        # swap one member for another space of the same dimension
+        t = rng.randrange(len(chain))
+        dim = qlinalg.rank(field, [list(row) for row in chain[t]])
+        chain[t] = redundant_span(field, rng, rand_invertible(field, rng, r)[:dim])
+    dims = [qlinalg.rank(field, [list(row) for row in m]) for m in chain]
+    assert ch._nested(field, chain, dims) == oracle_nested(field, chain)
+
+
+@contextmanager
+def counting_stratum_work():
+    """Count calls of the stratum helpers and of the elimination kernel."""
+    counts = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return mock.patch.object(module, name, call)
+
+    names = ("adapted_bases", "_validate_stratum_data", "build_stratum_point", "_stratum_point")
+    with ExitStack() as stack:
+        for name in names:
+            stack.enter_context(spy(ch, name))
+        stack.enter_context(spy(qlinalg, "_forward"))
+        yield counts
+
+
+def test_stratum_data_validates_once_and_reduces_each_flag_once():
+    rng = random.Random(41)
+    while True:
+        d = rand_stratum_data(GF(5, 1), rng, 4)
+        if len(d.cuts) == 2:
+            break
+    h = build_stratum_point(d)
+    with counting_stratum_work() as counts:
+        rec = stratum_data(h)
+    assert rec.eq(d.normalized())
+    assert counts["adapted_bases"] == counts["_stratum_point"] == 1
+    assert counts["_validate_stratum_data"] == counts["build_stratum_point"] == 0
+    with counting_stratum_work() as counts:
+        ch.adapted_bases(rec.field, 4, rec.vfilt, rec.wfilt)
+    # one canonical basis per member and one reduction per side
+    assert counts["_forward"] == 2 * len(rec.cuts) + 2
+
+
+# the nesting errors, pinned on members that carry redundant rows
+
+
+def flag_data(field, vfilt, wfilt):
+    """r = 3, cuts {1, 2}, identity graded maps; entries given as ints."""
+    def space(rows):
+        return tuple(tuple(field.parse(str(x)) for x in row) for row in rows)
+
+    one = field.one()
+    return StratumData(
+        field, 3, (1, 2), tuple(map(space, vfilt)), tuple(map(space, wfilt)),
+        (((one,),),) * 3, (one,) * 3, (),
+    )
+
+
+NESTED_V = ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1, 0], [0, 2, 0]])
+NESTED_W = ([[1, 0, 0], [2, 0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1), GF(3, 2)], ids=["Q", "GF5", "GF9"])
+@pytest.mark.parametrize("build", [build_stratum_point, family_from_stratum])
+def test_filtrations_that_are_not_nested_are_rejected(field, build):
+    build(flag_data(field, NESTED_V, NESTED_W))
+    v_not_decreasing = (NESTED_V[0], [[0, 0, 1], [0, 0, 2]])
+    with pytest.raises(InvalidData, match="^V filtration is not decreasing$"):
+        build(flag_data(field, v_not_decreasing, NESTED_W))
+    w_not_increasing = ([[0, 0, 1], [0, 0, 2]], NESTED_W[1])
+    with pytest.raises(InvalidData, match="^W filtration is not increasing$"):
+        build(flag_data(field, NESTED_V, w_not_increasing))
+
+
+@pytest.mark.parametrize("field", [GF(2, 2), GF(3, 2)], ids=["GF4", "GF9"])
+def test_lang_rejects_singular_matrices(field):
+    rng = random.Random(field.order)
+    for _ in range(20):
+        x, y, c = (rand_scalar(field, rng) for _ in range(3))
+        g = [[x, y], [field.mul(c, x), field.mul(c, y)]]
+        with pytest.raises(Singular, match="^matrix must be invertible$"):
+            lang_isogeny(g, field.p, field)

@@ -26,6 +26,7 @@ from chtoucakit.fans import (
     monoid_generators,
     orthant_fan,
     proper_faces,
+    tau_points,
     tau_sequence_check,
     torus_sequence_check,
     verify_fan,
@@ -155,7 +156,7 @@ def test_torus_sequence(r, n, dim):
 def test_tau_sequence(r, q, size):
     rep = tau_sequence_check(r, q)
     assert rep.ok, rep.checks
-    assert rep.s_tau_size == size
+    assert len(tau_points(r)) == size
     assert rep.dim_torus == size - 1
 
 

@@ -541,7 +541,7 @@ def oracle_sigma_rows(paving):
         for x in enumerate_lattice_points(r, n):
             if x in basis:
                 continue
-            lam = qlinalg.mat_vec(QQ, [list(col) for col in zip(*m_inv)], [Fraction(v) for v in x])
+            lam = [sum(c * v for c, v in zip(col, x)) for col in zip(*m_inv)]
             row = [Fraction(0)] * lattice.rank
             for p, c in [(x, Fraction(1))] + [(b, -l) for b, l in zip(basis, lam)]:
                 if p in nonv_index:
@@ -922,6 +922,7 @@ def oracle_exact_covers(r, n):
     return tuple(pv.paving_from_paves(r, n, [paves[i] for i in c]) for c in covers)
 
 
+@cache
 def oracle_enumerate_admissible_pavings(r, n):
     """The exact covers that pass the admissibility LP, canonically sorted."""
     if comb(r + n, n) > pv.ENUMERATION_POINT_CAP:

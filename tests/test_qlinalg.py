@@ -153,7 +153,14 @@ def field_cases(test):
 
 
 def apply(field, a, x):
-    return [qlinalg.mat_vec(field, [row], x)[0] for row in a]
+    """The vector A x."""
+    out = []
+    for row in a:
+        s = field.zero()
+        for c, y in zip(row, x):
+            s = field.add(s, field.mul(c, y))
+        out.append(s)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from chtoucakit.simplex_core import (
     LatticeFunction,
     affine_normal_form,
     enumerate_lattice_points,
-    integer_class_lattice_rank,
     is_affine,
     nonvertex_points,
     quotient_lattice,
@@ -98,7 +97,7 @@ def test_normal_form_idempotent_linear():
 @pytest.mark.parametrize("r,n", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
 def test_quotient_rank(r, n):
     ql = quotient_lattice(r, n)
-    assert ql.rank == integer_class_lattice_rank(r, n)
+    assert ql.rank == comb(r + n, n) - (n + 1)
     assert ql.rank == len(nonvertex_points(r, n))
     assert len(vertices(r, n)) == n + 1
 
