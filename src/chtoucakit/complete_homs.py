@@ -102,7 +102,8 @@ class CompleteHom:
 
 
 def lambda_monomial(field, lams, rho: int):
-    """lambda_1^{rho-1} lambda_2^{rho-2} ... lambda_{rho-1}."""
+    """lambda_1^{rho-1} lambda_2^{rho-2} ... lambda_{rho-1}, where
+    lams[j-1] is lambda_j."""
     out = field.one()
     for j in range(1, rho):
         for _ in range(rho - j):
@@ -158,11 +159,7 @@ def torus_action(h: CompleteHom, mus) -> CompleteHom:
         raise ZeroMu("torus scalars must be invertible")
     new_u = [h.u[0]]
     for rho in range(2, h.r + 1):
-        scale = field.one()
-        for j in range(1, rho):
-            inv = field.inv(mus[j - 1])
-            for _ in range(rho - j):
-                scale = field.mul(scale, inv)
+        scale = field.inv(lambda_monomial(field, mus, rho))
         new_u.append([[field.mul(scale, x) for x in row] for row in h.u[rho - 1]])
     new_lams = tuple(field.mul(m, l) for m, l in zip(mus, h.lams))
     return CompleteHom(field, h.r, tuple(new_u), new_lams)
@@ -330,6 +327,8 @@ def _validate_stratum_data(d: StratumData):
     bounds = [0] + cuts + [r]
     if len(d.vfilt) != s - 1 or len(d.wfilt) != s - 1:
         raise InvalidData("need one proper subspace per cut")
+    if any(len(row) != r for m in (*d.vfilt, *d.wfilt) for row in m):
+        raise InvalidData(f"filtration rows must have length r = {r}")
     for t, m in enumerate(d.vfilt):
         if qlinalg.rank(field, [list(row) for row in m]) != r - bounds[t + 1]:
             raise InvalidData(f"V^{t+1} has wrong dimension")
@@ -359,18 +358,6 @@ def _validate_stratum_data(d: StratumData):
         raise InvalidData("free lambdas must be invertible")
 
 
-def _free_monomial(field, r: int, cuts, free, rho: int):
-    """prod over j in [rho-1] minus cuts of lambda_j^{rho-j}."""
-    out = field.one()
-    cutset = set(cuts)
-    for j in range(1, rho):
-        if j in cutset:
-            continue
-        for _ in range(rho - j):
-            out = field.mul(out, free[j])
-    return out
-
-
 def build_stratum_point(d: StratumData) -> CompleteHom:
     """Construct the point of the stratum indexed by d.cuts.
 
@@ -392,6 +379,8 @@ def _stratum_point(d: StratumData, a, b) -> CompleteHom:
     bounds = [0] + cuts + [r]
     s = len(cuts) + 1
     free = dict(d.free_lams)
+    # 1 at the cuts, so the lambda monomial runs over the free lambdas
+    free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
     a_inv = qlinalg.inverse(field, a)
     if a_inv is None:
         raise InternalError("adapted basis A is singular")
@@ -421,7 +410,7 @@ def _stratum_point(d: StratumData, a, b) -> CompleteHom:
             col = index[base_block + kin]
             for i, kout in enumerate(combinations(range(lo, hi), kk)):
                 g[index[base_block + kout]][col] = field.mul(lead, minors[i][j])
-        scale = field.inv(_free_monomial(field, r, cuts, free, rho))
+        scale = field.inv(lambda_monomial(field, free_or_one, rho))
         g = [[field.mul(scale, x) for x in row] for row in g]
         us.append(fmat_mul(field, fmat_mul(field, wb[rho - 1], g), wa[rho - 1]))
     lams = tuple(
@@ -538,6 +527,7 @@ def stratum_data(h: CompleteHom) -> StratumData:
     top = bounds[s - 1] + 1
     wb = compounds(field, b_inv, top)
     wa = compounds(field, a, top)
+    free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
     v_hat = []
     scales = []
     true_dets = []
@@ -553,7 +543,7 @@ def stratum_data(h: CompleteHom) -> StratumData:
         phi = fmat_mul(field, left, [[row[j] for j in block] for row in wa[rho - 1]])
         # the entries of u_rho outside this block must vanish on a genuine
         # stratum point (checked globally by the rebuild below)
-        mono = _free_monomial(field, r, cuts, free, rho)
+        mono = lambda_monomial(field, free_or_one, rho)
         lead = field.one()
         for dete in true_dets:
             lead = field.mul(lead, dete)
@@ -603,6 +593,8 @@ def lang_isogeny(g, q: int, field: GF):
         qq //= p
     if qq != 1 or q < 2:
         raise InvalidData("q must be a positive power of the characteristic")
+    if any(len(row) != len(g) for row in g):
+        raise InvalidData("matrix must be square")
     tg = [[field.frobenius(x, q) for x in row] for row in g]
     tg_inv = qlinalg.inverse(field, tg)
     if tg_inv is None:  # det tau(g) = tau(det g), so g is singular too

@@ -18,13 +18,10 @@ presence of redundant input rows); a pair with fewer common tight rows
 than that is skipped before any rank is taken, and the rank itself is
 the fraction-free `zlattice.int_rank`.  All arithmetic is exact.
 
-Each cone takes one double description, from whichever side it is given
-on; the other side comes from the incidence of its output with the
-input.  From inequality rows, the equalities are the integer kernel of
-the generators and the facets are the rows with maximal tight-ray sets;
-from generators, the lineality is the integer kernel of the
-H-description and the rays are the generators with maximal tight-facet
-sets.
+Each cone takes one double description, of its inequality rows; the
+equalities are the integer kernel of the generators it returns, and the
+facets are the rows with maximal tight-ray sets.  A cone given by
+generators is the dual of the cone those generators cut out as rows.
 
 Faces are read off the ray-facet incidence of a canonical cone (Ziegler,
 *Lectures on Polytopes*, ch. 2): the faces are the intersections of the
@@ -41,16 +38,15 @@ faces of one member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from . import qlinalg, zlattice
-from .fields import QQ
+from . import zlattice
 from .errors import InternalError, InvalidData, TooLarge
 from .simplex_core import (
-    LatticeFunction,
-    affine_normal_form,
     enumerate_lattice_points,
+    point_index,
     quotient_lattice,
+    scaled_normal_form,
+    vertices,
 )
 
 # explicit desk-scale caps for the expensive feature-flagged computations
@@ -208,15 +204,9 @@ class Cone:
 
     @staticmethod
     def from_generators(rank: int, gens) -> "Cone":
-        """One double description of the generators gives the dual's
-        generators, i.e. the H-description; the lineality is its integer
-        kernel, and the rays are the generators with maximal tight-facet
-        sets."""
-        gens = list(dict.fromkeys(tuple(int(x) for x in g) for g in gens if any(g)))
-        eqs, ineqs = double_description(gens, rank)
-        lin = zlattice.int_kernel(list(ineqs) + eqs, rank)
-        rays = _maximal_reduced(gens, _incidence(gens, ineqs), (1 << len(ineqs)) - 1, lin)
-        return Cone(rank, tuple(lin), rays, tuple(eqs), tuple(ineqs))
+        """The cone spanned by ``gens``: the dual of the cone cut out by
+        them as inequality rows (one double description)."""
+        return dual_cone(Cone.from_hrep(rank, gens))
 
     @staticmethod
     def zero(rank: int) -> "Cone":
@@ -558,12 +548,9 @@ def torus_sequence_check(r: int, n: int) -> SequenceReport:
     # cross-check against the quotient lattice of normal forms
     checks.append(("quotient_rank", quotient_lattice(r, n).rank == dim_t))
     # image of g consists of affine functions (normal forms vanish)
-    affine_ok = True
-    for j in range(n + 2):
-        vals = tuple(Fraction(row[j]) for row in g_rows)
-        nf = affine_normal_form(LatticeFunction(r, n, vals)).normal_form
-        if any(v != 0 for v in nf.values):
-            affine_ok = False
+    affine_ok = not any(
+        any(scaled_normal_form(r, n, [row[j] for row in g_rows])) for j in range(n + 2)
+    )
     checks.append(("image_is_affine", affine_ok))
     return SequenceReport(all(ok for _, ok in checks), dim_t, checks)
 
@@ -595,12 +582,13 @@ def tau_sequence_check(r: int, q: int) -> SequenceReport:
             ew.append(q * w[index_tau[(p[1], 0, p[2])]])
         else:
             ew.append(0)
-    g_rows = [list(p) + [-1] for p in pts]
-    # solve G v = ew over the integers (G has full column rank minus 1)
-    sol = qlinalg.solve(
-        QQ, [[Fraction(x) for x in row] for row in g_rows], [Fraction(v) for v in ew]
+    # ew = G (u; z) for rows (p; -1) of G asks for ew(p) = u . p - z.  A
+    # solution exists exactly when ew is affine (zero normal form), and
+    # the one with z = 0 has u_k = ew(r e_k) / r: it is integral when r
+    # divides ew at every vertex
+    integral = not any(scaled_normal_form(r, 2, ew)) and all(
+        ew[point_index(r, 2, v)] % r == 0 for v in vertices(r, 2)
     )
-    integral = sol is not None and all(x.denominator == 1 for x in sol)
     checks.append(("embedding_descends", integral))
     dim_t = len(s_tau) - zlattice.int_rank([w])
     checks.append(("dim_torus", dim_t == len(s_tau) - 1))

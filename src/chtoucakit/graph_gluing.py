@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .errors import InvalidData
-from .pavings import Paving, _proper_nonempty_subsets, trivial_paving
+from .pavings import Paving, _proper_nonempty_subsets, interior_walls, trivial_paving
 from .complete_homs import StratumData, adapted_bases, _validate_stratum_data
-from . import qlinalg, zlattice
+from . import qlinalg
 
 
 @dataclass(frozen=True)
@@ -101,34 +101,20 @@ def check_dimension_condition(fam: GluedGraphFamily) -> GluingReport:
 
 
 def shared_walls(paving: Paving):
-    """All walls (idx1, idx2, J, d) where pavés idx1, idx2 share an
+    """All walls (idx1, idx2, J, d) where pavés idx1 < idx2 share an
     (n-1)-dimensional boundary on the hyperplane sum_{j in J} x_j = d
     with d = min over pavé idx1 = max over pavé idx2.
 
-    Each geometric wall is emitted once: among the equivalent
-    orientations (J vs its complement with the pavés swapped), the one
-    whose first pavé comes first in the paving's canonical order wins."""
-    n = paving.n
+    The walls are those of `interior_walls`.  Exactly one proper J (not
+    its complement, which bounds the pavés the other way round) has
+    pavé idx1's profile value d_J equal to the maximum over pavé idx2."""
     walls = []
-    for first in range(len(paving.paves)):
-        for second in range(first + 1, len(paving.paves)):
-            p_first = paving.paves[first]
-            p_second = paving.paves[second]
-            second_set = set(p_second.points)
-            for blocks in _proper_nonempty_subsets(n):
-                dmin = min(sum(p[j] for j in blocks) for p in p_first.points)
-                dmax = max(sum(p[j] for j in blocks) for p in p_second.points)
-                if dmin != dmax:
-                    continue
-                shared = [
-                    p
-                    for p in p_first.points
-                    if p in second_set and sum(p[j] for j in blocks) == dmin
-                ]
-                if not shared:
-                    continue
-                if zlattice.int_rank(shared) == n:
-                    walls.append((first, second, blocks, dmin))
+    for k, l, _, _ in interior_walls(paving):
+        d = paving.paves[k].profile.as_dict()
+        for blocks in _proper_nonempty_subsets(paving.n):
+            if d[blocks] == max(sum(p[j] for j in blocks) for p in paving.paves[l].points):
+                walls.append((k, l, blocks, d[blocks]))
+                break
     return walls
 
 

@@ -39,6 +39,13 @@ def parse_frac(s) -> Fraction:
         raise InvalidData(f"bad rational {s!r}") from e
 
 
+def _json_int(x, what: str) -> int:
+    """A JSON integer; a float, a string or a boolean is InvalidData."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidData(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 # fields ---------------------------------------------------------------------
 
 
@@ -54,9 +61,9 @@ def field_from_json(obj):
     if obj.get("Q"):
         return QQ
     if "GF" in obj:
-        p, k = obj["GF"]
-        modulus = obj.get("modulus_poly")
-        return GF(int(p), int(k), tuple(int(c) for c in modulus) if modulus else None)
+        p, k = (_json_int(x, "a GF parameter") for x in obj["GF"])
+        modulus = obj.get("modulus_poly") or ()
+        return GF(p, k, tuple(_json_int(c, "a modulus coefficient") for c in modulus) or None)
     raise InvalidData("unknown field descriptor")
 
 
@@ -92,11 +99,11 @@ def lattice_function_to_json(f: LatticeFunction):
 
 
 def lattice_function_from_json(obj) -> LatticeFunction:
-    r, n = int(obj["r"]), int(obj["n"])
+    r, n = _json_int(obj["r"], "r"), _json_int(obj["n"], "n")
     mapping = {}
     for entry in obj["values"]:
         point, val = entry
-        mapping[tuple(int(c) for c in point)] = parse_frac(val)
+        mapping[tuple(_json_int(c, "a point coordinate") for c in point)] = parse_frac(val)
     return LatticeFunction.from_map(r, n, mapping)
 
 
@@ -108,15 +115,8 @@ def paving_to_json(p: Paving):
     }
 
 
-def _json_int(x, what: str) -> int:
-    """A JSON integer; a float, a string or a boolean is InvalidData."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InvalidData(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def paving_from_json(obj) -> Paving:
-    r, n = int(obj["r"]), int(obj["n"])
+    r, n = _json_int(obj["r"], "r"), _json_int(obj["n"], "n")
     sets = [
         [tuple(_json_int(c, "a point coordinate") for c in pt) for pt in pave["points"]]
         for pave in obj["paves"]
@@ -217,7 +217,7 @@ def hom_to_json(h: CompleteHom):
 
 def hom_from_json(obj) -> CompleteHom:
     field = field_from_json(obj["field"])
-    r = int(obj["r"])
+    r = _json_int(obj["r"], "r")
     u = tuple(matrix_from_json(field, m) for m in obj["u"])
     lams = tuple(scalar_from_str(field, s) for s in obj["lambda"])
     return CompleteHom(field, r, u, lams)
@@ -241,8 +241,8 @@ def stratum_from_json(obj) -> StratumData:
     field = field_from_json(obj["field"])
     return StratumData(
         field,
-        int(obj["r"]),
-        tuple(int(c) for c in obj["cuts"]),
+        _json_int(obj["r"], "r"),
+        tuple(_json_int(c, "a cut") for c in obj["cuts"]),
         tuple(tuple(tuple(row) for row in matrix_from_json(field, m)) for m in obj["vfilt"]),
         tuple(tuple(tuple(row) for row in matrix_from_json(field, m)) for m in obj["wfilt"]),
         tuple(tuple(tuple(row) for row in matrix_from_json(field, m)) for m in obj["v"]),
@@ -265,17 +265,17 @@ def polygon_from_json(obj) -> Polygon:
     InvalidData."""
     values = tuple(parse_frac(v) for v in obj["values"])
     if "r" in obj:
-        return Polygon(int(obj["r"]), values)
+        return Polygon(_json_int(obj["r"], "r"), values)
     return Polygon.from_values(values)
 
 
 def subobject_lattice_from_json(obj) -> SubobjectLattice:
     records = [
-        SubobjectRecord(str(e["id"]), int(e["rank"]), int(e["deg0"]), int(e["deg1"]))
+        SubobjectRecord(str(e["id"]), *(_json_int(e[k], k) for k in ("rank", "deg0", "deg1")))
         for e in obj["records"]
     ]
     order = [(str(a), str(b)) for a, b in obj.get("order", [])]
-    return SubobjectLattice.build(int(obj["r"]), records, order)
+    return SubobjectLattice.build(_json_int(obj["r"], "r"), records, order)
 
 
 # glued graphs ---------------------------------------------------------------
@@ -315,7 +315,7 @@ def satake_from_json(obj) -> SatakeParams:
 
 
 def place_from_json(obj) -> PlaceData:
-    return PlaceData(int(obj["deg"]), satake_from_json(obj))
+    return PlaceData(_json_int(obj["deg"], "deg"), satake_from_json(obj))
 
 
 def places_from_json(obj) -> list[PlaceData]:

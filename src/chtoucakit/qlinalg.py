@@ -115,20 +115,6 @@ def kernel(field, rows, ncols: int):
     return basis
 
 
-def solve(field, a, b):
-    """One solution of A x = b, or None if the system is inconsistent."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    red, pivots = _reduce(field, [list(row) + [bb] for row, bb in zip(a, b)], ncols)
-    if any(not field.is_zero(row[ncols]) for row in red[len(pivots):]):
-        return None
-    x = [field.zero()] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][ncols]
-    return x
-
-
 def inverse(field, a):
     """Inverse of a square matrix, or None if it is singular."""
     n = len(a)

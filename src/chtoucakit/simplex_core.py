@@ -6,12 +6,14 @@ summing to r, ordered lexicographically everywhere.  A function on the
 lattice points is reduced to a normal form by subtracting the unique
 affine function agreeing with it at the n+1 vertices r*e_k; the normal
 form therefore vanishes at the vertices and is supported on the
-non-vertex points.
+non-vertex points.  Everything here reads it through one formula,
+r*nf(p) = r*f(p) - sum_k f(r*e_k)*p_k (`scaled_normal_form`), which stays
+integral for integer f.
 
 The quotient lattice (integer functions modulo integer affine functions)
 is carried around as an explicit basis, computed once per (r, n) by
-Hermite reduction of the images of the standard basis vectors.  Working
-in that basis keeps every downstream cone description integral.
+Hermite reduction of the scaled images of the standard basis vectors.
+Working in that basis keeps every downstream cone description integral.
 """
 
 from __future__ import annotations
@@ -99,14 +101,6 @@ class LatticeFunction:
         return self.values[point_index(self.r, self.n, p)]
 
 
-@dataclass(frozen=True)
-class QuotientClass:
-    """Canonical representative of a function class modulo affine
-    functions: the unique representative vanishing at all vertices."""
-
-    normal_form: LatticeFunction
-
-
 @lru_cache(maxsize=POINT_CACHE_SIZE)
 def point_index(r: int, n: int, p: Point) -> int:
     pts = enumerate_lattice_points(r, n)
@@ -116,58 +110,62 @@ def point_index(r: int, n: int, p: Point) -> int:
         raise KeyError(f"{p} is not a lattice point of the (r={r}, n={n}) simplex")
 
 
-def _affine_through_vertices(f: LatticeFunction) -> list[Fraction]:
-    """Coefficients c with a(x) = sum c_j x_j matching f at all vertices.
+def scaled_normal_form(r: int, n: int, values) -> tuple:
+    """r times the affine normal form of the function with these values
+    (aligned with enumerate_lattice_points(r, n)):
 
-    A constant term is unnecessary because sum x_j = r on the simplex;
-    the vertex conditions read r*c_k = f(r*e_k)."""
-    c = [Fraction(0)] * (f.n + 1)
-    for v in vertices(f.r, f.n):
-        k = v.index(f.r)
-        c[k] = f.value_at(v) / f.r
-    return c
+        r * nf(p) = r * f(p) - sum_k f(r * e_k) * p_k.
 
-
-def affine_normal_form(f: LatticeFunction) -> QuotientClass:
-    """Subtract the affine interpolant at the vertices; idempotent and
-    linear, with kernel exactly the affine functions."""
-    c = _affine_through_vertices(f)
-    pts = enumerate_lattice_points(f.r, f.n)
-    vals = tuple(
-        fv - sum((cj * Fraction(xj) for cj, xj in zip(c, p)), Fraction(0))
-        for fv, p in zip(f.values, pts)
+    The subtracted function is linear and equals r * f at every vertex
+    r * e_k (no constant term is needed, as sum p = r on the simplex), so
+    the result vanishes at the vertices, is zero exactly when f is
+    affine, and is an integer vector when f is."""
+    at_vertex = [
+        values[point_index(r, n, tuple(r if j == k else 0 for j in range(n + 1)))]
+        for k in range(n + 1)
+    ]
+    return tuple(
+        r * v - sum(c * x for c, x in zip(at_vertex, p))
+        for v, p in zip(values, enumerate_lattice_points(r, n))
     )
-    return QuotientClass(LatticeFunction(f.r, f.n, vals))
+
+
+def affine_normal_form(f: LatticeFunction) -> LatticeFunction:
+    """The canonical representative of f modulo affine functions: the
+    one vanishing at every vertex.  Idempotent and linear, with kernel
+    exactly the affine functions."""
+    return LatticeFunction(
+        f.r, f.n, tuple(Fraction(v, f.r) for v in scaled_normal_form(f.r, f.n, f.values))
+    )
 
 
 def is_affine(f: LatticeFunction) -> bool:
-    return all(v == 0 for v in affine_normal_form(f).normal_form.values)
+    return not any(scaled_normal_form(f.r, f.n, f.values))
 
 
 @dataclass(frozen=True)
 class QuotientLattice:
     """The lattice of integer-function classes modulo affine functions.
 
-    ``basis`` rows express a Z-basis in normal-form coordinates (values
-    at the non-vertex points, lex order).  The normal form of an
-    integer function is generally non-integral (denominators divide r),
-    which is why an explicit basis is carried instead of using raw
-    normal-form values as coordinates.  ``hnf`` is r * ``basis``, the
-    integer Hermite form it comes from, so integer functionals on
-    normal-form values move to basis coordinates without a fraction.
+    ``hnf`` rows are r times a Z-basis in normal-form coordinates (values
+    at the non-vertex points, lex order): the Hermite form of the scaled
+    normal forms of the point indicators.  The normal form of an integer
+    function is generally non-integral (denominators divide r), which is
+    why an explicit basis is carried instead of using raw normal-form
+    values as coordinates; the scaling moves integer functionals on
+    normal-form values to basis coordinates without a fraction.
     """
 
     r: int
     n: int
     rank: int
     points: tuple[Point, ...]  # the non-vertex points, coordinate order
-    basis: tuple[tuple[Fraction, ...], ...]
     hnf: tuple[tuple[int, ...], ...]
 
     def nf_row_to_coord_row(self, row) -> tuple[int, ...]:
         """Rewrite an integer linear functional on normal-form values as
         the primitive integer functional on basis coordinates with the
-        same sign (basis = hnf / r, and r > 0)."""
+        same sign (the basis is hnf / r, and r > 0)."""
         return zlattice.primitive_ray(
             [sum(h * a for h, a in zip(hrow, row)) for hrow in self.hnf]
         )
@@ -177,16 +175,13 @@ class QuotientLattice:
 def quotient_lattice(r: int, n: int) -> QuotientLattice:
     pts = enumerate_lattice_points(r, n)
     nonv = nonvertex_points(r, n)
-    d = len(nonv)
-    # images of the standard basis of Z^{S} in normal-form coordinates,
-    # scaled by r to land in Z^d
+    nonv_idx = [point_index(r, n, p) for p in nonv]
+    # scaled normal forms of the standard basis of Z^{S}, in Z^d
     gens = []
     for k in range(len(pts)):
-        f = LatticeFunction(r, n, tuple(Fraction(1 if i == k else 0) for i in range(len(pts))))
-        nf = affine_normal_form(f).normal_form
-        gens.append([int(nf.value_at(p) * r) for p in nonv])
+        nf = scaled_normal_form(r, n, [1 if i == k else 0 for i in range(len(pts))])
+        gens.append([nf[i] for i in nonv_idx])
     h = zlattice.hnf(gens)
-    if len(h) != d:
-        raise InternalError(f"quotient lattice rank {len(h)}, expected {d}")
-    basis = tuple(tuple(Fraction(x, r) for x in row) for row in h)
-    return QuotientLattice(r, n, d, nonv, basis, tuple(map(tuple, h)))
+    if len(h) != len(nonv):
+        raise InternalError(f"quotient lattice rank {len(h)}, expected {len(nonv)}")
+    return QuotientLattice(r, n, len(nonv), nonv, tuple(map(tuple, h)))

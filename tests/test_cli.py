@@ -424,3 +424,19 @@ def test_pavings_check_rejects_float_point(tmp_path):
     paving = {"r": 2, "n": 1, "paves": [{"points": [[2.9, 0], [1, 1], [0, 2]]}]}
     assert_invalid_data(["pavings", "check", "p.json"], {"p.json": paving}, tmp_path,
                         "a point coordinate must be an integer, got 2.9")
+
+
+def test_pavings_check_rejects_float_and_boolean_r(tmp_path):
+    paving = {"r": 2.7, "n": 1, "paves": [{"points": [[2, 0], [1, 1], [0, 2]]}]}
+    assert_invalid_data(["pavings", "check", "p.json"], {"p.json": paving}, tmp_path,
+                        "r must be an integer, got 2.7")
+    paving = {"r": True, "n": 1, "paves": [{"points": [[1, 0], [0, 1]]}]}
+    assert_invalid_data(["pavings", "check", "p.json"], {"p.json": paving}, tmp_path,
+                        "r must be an integer, got True")
+
+
+def test_homs_lang_rejects_non_square_matrices(tmp_path):
+    for matrix in ([["1", "2", "3"]], [["1"], ["2"]]):
+        payload = {"field": {"GF": [5, 1]}, "matrix": matrix}
+        assert_invalid_data(["homs", "lang", "--q", "5", "m.json"], {"m.json": payload},
+                            tmp_path, "matrix must be square")

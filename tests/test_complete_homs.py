@@ -540,3 +540,59 @@ def test_lang_rejects_singular_matrices(field):
         g = [[x, y], [field.mul(c, x), field.mul(c, y)]]
         with pytest.raises(Singular, match="^matrix must be invertible$"):
             lang_isogeny(g, field.p, field)
+
+
+@pytest.mark.parametrize("g", [[[1, 2, 3]], [[1], [2]]], ids=["1x3", "2x1"])
+def test_lang_rejects_non_square_matrices_before_any_inverse(g):
+    field = GF(5, 1)
+    with mock.patch.object(qlinalg, "inverse", side_effect=AssertionError("inverse taken")):
+        with pytest.raises(InvalidData, match="^matrix must be square$"):
+            lang_isogeny(g, 5, field)
+
+
+def test_filtration_rows_must_have_length_r():
+    one, zero = Fraction(1), Fraction(0)
+    d = StratumData(
+        QQ,
+        2,
+        (1,),
+        vfilt=(((zero, one, one),),),
+        wfilt=(((one, zero, zero),),),
+        v=(((one,),), ((one,),)),
+        scales=(one, one),
+        free_lams=(),
+    )
+    with pytest.raises(InvalidData, match="^filtration rows must have length r = 2$"):
+        build_stratum_point(d)
+    with pytest.raises(InvalidData, match="^filtration rows must have length r = 2$"):
+        family_from_stratum(d)
+
+
+# ---------------------------------------------------------------------------
+# the torus action through one inverted lambda monomial, against the
+# per-factor inverses it replaced
+
+
+def oracle_torus_action(h, mus):
+    field = h.field
+    new_u = [h.u[0]]
+    for rho in range(2, h.r + 1):
+        scale = field.one()
+        for j in range(1, rho):
+            inv = field.inv(mus[j - 1])
+            for _ in range(rho - j):
+                scale = field.mul(scale, inv)
+        new_u.append([[field.mul(scale, x) for x in row] for row in h.u[rho - 1]])
+    new_lams = tuple(field.mul(m, l) for m, l in zip(mus, h.lams))
+    return CompleteHom(field, h.r, tuple(new_u), new_lams)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1), GF(3, 2)], ids=["QQ", "GF5", "GF9"])
+def test_torus_action_matches_per_factor_oracle(field):
+    rng = random.Random(31)
+    for r in (1, 2, 3, 4):
+        for _ in range(6):
+            h = build_stratum_point(rand_stratum_data(field, rng, r))
+            mus = tuple(rand_nonzero(field, rng) for _ in range(r - 1))
+            got, want = torus_action(h, mus), oracle_torus_action(h, mus)
+            assert (got.u, got.lams) == (want.u, want.lams)

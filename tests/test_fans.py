@@ -18,6 +18,7 @@ from chtoucakit import fans, qlinalg, ratlp, zlattice
 from chtoucakit import pavings as pv
 from chtoucakit.errors import TooLarge
 from chtoucakit.fields import QQ
+from chtoucakit.simplex_core import LatticeFunction
 from chtoucakit.fans import (
     Cone,
     Fan,
@@ -805,3 +806,156 @@ def test_verify_fan_and_q_admissibility_run_no_lp():
         answers = {pv.is_q_admissible(p, q) for p in pv.enumerate_admissible_pavings(2, 2)
                    for q in (2, 3)}
     assert answers == {True, False} and "lp" not in counts
+
+
+# ---------------------------------------------------------------------------
+# the generator constructor as the dual of the row constructor, and the
+# torus checks through the integer normal form, against the code they
+# replaced, kept here as test-only oracles
+
+
+def oracle_from_generators(rank, gens):
+    """The former second body of `Cone.from_generators`: one double
+    description of the generators gives the H-description, the lineality
+    is its integer kernel, and the rays are the generators with maximal
+    tight-facet sets."""
+    gens = list(dict.fromkeys(tuple(int(x) for x in g) for g in gens if any(g)))
+    eqs, ineqs = fans.double_description(gens, rank)
+    lin = zlattice.int_kernel(list(ineqs) + eqs, rank)
+    rays = fans._maximal_reduced(
+        gens, fans._incidence(gens, ineqs), (1 << len(ineqs)) - 1, lin
+    )
+    return Cone(rank, tuple(lin), rays, tuple(eqs), tuple(ineqs))
+
+
+def assert_from_generators_matches_oracle(rank, gens):
+    assert fields_of(Cone.from_generators(rank, gens)) == fields_of(
+        oracle_from_generators(rank, gens)
+    )
+
+
+def test_from_generators_matches_mirrored_oracle_on_random_sets():
+    rng = random.Random(17)
+    for _ in range(600):
+        rank = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(0, 6))]
+        # zero and repeated vectors
+        gens += [tuple([0] * rank)] * rng.randint(0, 1)
+        gens += rng.choices(gens, k=rng.randint(0, 2)) if gens else []
+        rng.shuffle(gens)
+        assert_from_generators_matches_oracle(rank, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(hrep_rows().map(lambda case: Cone.from_hrep(*case)), cones_with_lineality()),
+       st.data())
+def test_from_generators_matches_mirrored_oracle_on_hypothesis_cones(c, data):
+    assert_from_generators_matches_oracle(c.rank, c.generators())
+    assert_from_generators_matches_oracle(c.rank, c.ineqs)
+    gens = data.draw(st.permutations(c.generators() + list(c.ineqs)))
+    assert_from_generators_matches_oracle(c.rank, gens)
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)])
+def test_from_generators_matches_mirrored_oracle_on_secondary_cones(r, n):
+    for p in pv.enumerate_admissible_pavings(r, n):
+        c = pv.sigma_cone(p)
+        assert_from_generators_matches_oracle(c.rank, c.generators())
+        assert_from_generators_matches_oracle(c.rank, c.ineqs)
+
+
+def oracle_image_is_affine(r, n):
+    """Every column of G = ((p; -1))_p has a Fraction normal form of zero."""
+    from test_simplex_core import oracle_affine_normal_form
+
+    g_rows = [list(p) + [-1] for p in fans.enumerate_lattice_points(r, n)]
+    return all(
+        not any(oracle_affine_normal_form(
+            LatticeFunction(r, n, tuple(Fraction(row[j]) for row in g_rows))
+        ).values)
+        for j in range(n + 2)
+    )
+
+
+def oracle_embedding_descends(r, q):
+    """The particular solution of G v = E w over Q (free variable zero)
+    is integral."""
+    from test_simplex_core import oracle_solve
+
+    s_tau = tau_points(r)
+    w = [p[0] + q * p[1] for p in s_tau]
+    index_tau = {p: i for i, p in enumerate(s_tau)}
+    ew = []
+    pts = fans.enumerate_lattice_points(r, 2)
+    for p in pts:
+        if p[0] != 0:
+            ew.append(w[index_tau[p]])
+        elif p[1] != 0:
+            ew.append(q * w[index_tau[(p[1], 0, p[2])]])
+        else:
+            ew.append(0)
+    g_rows = [[Fraction(x) for x in list(p) + [-1]] for p in pts]
+    sol = oracle_solve(QQ, g_rows, [Fraction(v) for v in ew])
+    return sol is not None and all(x.denominator == 1 for x in sol)
+
+
+# every (r, n) with at most 12 lattice points, r <= 12
+TORUS_CONFIGS = [
+    (r, n) for n in range(12) for r in range(1, 13)
+    if len(fans.enumerate_lattice_points(r, n)) <= 12
+]
+
+
+@pytest.mark.parametrize("r,n", TORUS_CONFIGS)
+def test_torus_image_is_affine_matches_fraction_oracle(r, n):
+    checks = dict(torus_sequence_check(r, n).checks)
+    assert checks["image_is_affine"] == oracle_image_is_affine(r, n)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_tau_embedding_descends_matches_rational_solve_oracle(r):
+    for q in range(-3, 30):
+        descends = dict(tau_sequence_check(r, q).checks)["embedding_descends"]
+        assert descends == oracle_embedding_descends(r, q), q
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_descent_rule_matches_rational_solve_on_any_exponents(r):
+    """E w is p_0 + q p_1 at every point, so the sweep above always reads
+    True; the rule itself (zero scaled normal form, r dividing the vertex
+    values) is compared with the rational solve on arbitrary vectors."""
+    from test_simplex_core import oracle_solve
+
+    pts = fans.enumerate_lattice_points(r, 2)
+    g_rows = [[Fraction(x) for x in list(p) + [-1]] for p in pts]
+    rng = random.Random(r)
+    seen = set()
+    for t in range(300):
+        if t % 2:
+            u, z = [rng.randint(-6, 6) for _ in range(3)], rng.randint(-6, 6)
+            ew = [sum(a * x for a, x in zip(u, p)) - z for p in pts]
+        else:
+            ew = [rng.randint(-6, 6) for _ in pts]
+        rule = not any(fans.scaled_normal_form(r, 2, ew)) and all(
+            ew[fans.point_index(r, 2, v)] % r == 0 for v in fans.vertices(r, 2)
+        )
+        sol = oracle_solve(QQ, g_rows, [Fraction(v) for v in ew])
+        assert rule == (sol is not None and all(x.denominator == 1 for x in sol))
+        seen.add(rule)
+    # at r = 1 every point is a vertex, so every vector descends
+    assert seen == ({True} if r == 1 else {True, False})
+
+
+def test_fans_imports_neither_fractions_nor_qlinalg():
+    import ast
+
+    tree = ast.parse(Path(fans.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {a.name for a in node.names}
+    assert "fractions" not in imported
+    assert "qlinalg" not in imported and "chtoucakit.qlinalg" not in imported

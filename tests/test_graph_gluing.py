@@ -14,7 +14,13 @@ from chtoucakit.graph_gluing import (
     graph_family,
     shared_walls,
 )
-from chtoucakit.pavings import paving_from_point_sets, trivial_paving
+from chtoucakit import zlattice
+from chtoucakit.pavings import (
+    _proper_nonempty_subsets,
+    enumerate_admissible_pavings,
+    paving_from_point_sets,
+    trivial_paving,
+)
 from chtoucakit.complete_homs import StratumData
 
 from test_complete_homs import rand_stratum_data
@@ -140,3 +146,53 @@ class TestExhaustiveRankOne:
                     assert a != 0 and b != 0
         # each line counted (q-1) times by scaling; graphs of GL_1 = q-1 lines
         assert len(passing) == (q - 1) ** 2
+
+
+# ---------------------------------------------------------------------------
+# walls read off `interior_walls` against the hyperplane search they
+# replaced, kept here as the test oracle
+
+
+def oracle_shared_walls(paving):
+    """Every pair of pavés and every proper J with min over the first =
+    max over the second of sum_J x, kept when the shared points on that
+    hyperplane span an (n-1)-dimensional wall."""
+    n = paving.n
+    walls = []
+    for first in range(len(paving.paves)):
+        for second in range(first + 1, len(paving.paves)):
+            p_first = paving.paves[first]
+            p_second = paving.paves[second]
+            second_set = set(p_second.points)
+            for blocks in _proper_nonempty_subsets(n):
+                dmin = min(sum(p[j] for j in blocks) for p in p_first.points)
+                dmax = max(sum(p[j] for j in blocks) for p in p_second.points)
+                if dmin != dmax:
+                    continue
+                shared = [
+                    p
+                    for p in p_first.points
+                    if p in second_set and sum(p[j] for j in blocks) == dmin
+                ]
+                if shared and zlattice.int_rank(shared) == n:
+                    walls.append((first, second, blocks, dmin))
+    return walls
+
+
+@pytest.mark.parametrize(
+    "r,n", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (11, 1), (2, 2), (3, 2), (2, 0), (3, 0)]
+)
+def test_shared_walls_match_hyperplane_oracle_on_enumerated_pavings(r, n):
+    pavings = enumerate_admissible_pavings(r, n)
+    assert pavings
+    for paving in pavings:
+        assert shared_walls(paving) == oracle_shared_walls(paving)
+
+
+def test_shared_walls_match_hyperplane_oracle_on_stratum_families():
+    rng = random.Random(23)
+    for field in (QQ, GF(5, 1)):
+        for r in (2, 3, 4, 5):
+            for _ in range(6):
+                paving = family_from_stratum(rand_stratum_data(field, rng, r)).paving
+                assert shared_walls(paving) == oracle_shared_walls(paving)

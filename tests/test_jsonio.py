@@ -13,7 +13,12 @@ from chtoucakit.fans import Cone
 from chtoucakit.fields import GF, QQ
 from chtoucakit.l_functions import PlaceData, SatakeParams
 from chtoucakit.pavings import enumerate_admissible_pavings, is_admissible, paving_fan, sigma_cone
-from chtoucakit.complete_homs import build_stratum_point, complete_from_open, stratum_data
+from chtoucakit.complete_homs import (
+    StratumData,
+    build_stratum_point,
+    complete_from_open,
+    stratum_data,
+)
 from chtoucakit.graph_gluing import family_from_stratum
 from chtoucakit.simplex_core import LatticeFunction
 from test_complete_homs import rand_stratum_data
@@ -213,3 +218,63 @@ def test_places_from_json_matches_direct_construction():
 def test_places_from_json_rejects_degree_below_one(deg):
     with pytest.raises(InvalidData):
         jsonio.places_from_json({"places": [{"deg": deg, "coeffs": ["1", "2"]}]})
+
+
+# every integer the readers take is a JSON integer: a float, a string or
+# a boolean is InvalidData, never truncated or read as 0/1
+
+
+def _stratum_json():
+    one, zero = Fraction(1), Fraction(0)
+    d = StratumData(QQ, 2, (1,), (((one, zero),),), (((one, zero),),),
+                    (((one,),), ((one,),)), (one, one), ())
+    return through_text(jsonio.stratum_to_json(d))
+
+
+INTEGER_FIELDS = [
+    (jsonio.lattice_function_from_json,
+     {"r": 2, "n": 1, "values": [[[2, 0], "0"], [[1, 1], "1"], [[0, 2], "0"]]},
+     [("r",), ("n",), ("values", 1, 0, 0)]),
+    (jsonio.paving_from_json,
+     {"r": 2, "n": 1, "paves": [{"points": [[2, 0], [1, 1], [0, 2]]}]},
+     [("r",), ("n",)]),
+    (jsonio.hom_from_json,
+     through_text(jsonio.hom_to_json(complete_from_open(QQ, [[1, 0], [0, 1]], [Fraction(2)]))),
+     [("r",)]),
+    (jsonio.stratum_from_json, _stratum_json(), [("r",), ("cuts", 0)]),
+    (jsonio.polygon_from_json, {"r": 2, "values": ["0", "1", "0"]}, [("r",)]),
+    (jsonio.subobject_lattice_from_json,
+     {"r": 2, "records": [{"id": "0", "rank": 0, "deg0": 0, "deg1": 0},
+                          {"id": "F", "rank": 1, "deg0": 5, "deg1": 5},
+                          {"id": "E", "rank": 2, "deg0": 0, "deg1": 0}],
+      "order": [["0", "F"], ["F", "E"]]},
+     [("r",), ("records", 1, "rank"), ("records", 1, "deg0"), ("records", 1, "deg1")]),
+    (jsonio.place_from_json, {"deg": 1, "coeffs": ["1", "2"]}, [("deg",)]),
+    (jsonio.field_from_json, {"GF": [2, 2], "modulus_poly": [1, 1, 1]},
+     [("GF", 0), ("GF", 1), ("modulus_poly", 0)]),
+]
+
+
+def _replaced(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "reader,obj,path",
+    [(reader, obj, path) for reader, obj, paths in INTEGER_FIELDS for path in paths],
+    ids=lambda x: getattr(x, "__name__", None) or (
+        "/".join(map(str, x)) if isinstance(x, tuple) else "obj"),
+)
+def test_readers_reject_integers_that_are_not_json_integers(reader, obj, path):
+    reader(obj)  # the valid object reads
+    target = obj
+    for key in path:
+        target = target[key]
+    for bad in (float(target), str(target), target + 0.5, bool(target)):
+        with pytest.raises(InvalidData, match="must be an integer"):
+            reader(_replaced(obj, path, bad))

@@ -42,7 +42,7 @@ from chtoucakit.simplex_core import (
     point_key,
     quotient_lattice,
 )
-from test_simplex_core import coords_to_normal_form, nf_to_coords
+from test_simplex_core import coords_to_normal_form, nf_to_coords, oracle_basis
 
 
 def heights(r, n, mapping):
@@ -275,7 +275,7 @@ class TestQAdmissibility:
                         vals[p] = Fraction(q if (p[1], 0, p[2]) == f else 0)
                     else:
                         vals[p] = Fraction(0)
-                nf = affine_normal_form(LatticeFunction.from_map(r, n, vals)).normal_form
+                nf = affine_normal_form(LatticeFunction.from_map(r, n, vals))
                 row = [nf.value_at(pt) for pt in ql.points]
                 tau_basis.append(nf_to_coords(ql, row))
             for paving in enumerate_admissible_pavings(r, n):
@@ -552,9 +552,11 @@ def oracle_sigma_rows(paving):
             else:
                 ineq_rows[k, x] = row
 
+    basis = oracle_basis(lattice)
+
     def coord_row(row):
         return oracle_clear_denominators(
-            [sum(row[j] * b[j] for j in range(lattice.rank)) for b in lattice.basis]
+            [sum(row[j] * b[j] for j in range(lattice.rank)) for b in basis]
         )
 
     return {key: coord_row(row) for key, row in ineq_rows.items()}, [

@@ -237,29 +237,9 @@ def test_inverse(field, data):
         assert fmat_mul(field, inv, a) == fmat_identity(field, n)
 
 
-@field_cases
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_solve(field, data):
-    a = data.draw(matrices(field, data.draw(st.integers(1, 5))))
-    if data.draw(st.booleans()):
-        # consistent by construction
-        x0 = [data.draw(scalars(field)) for _ in range(len(a[0]))]
-        b = apply(field, a, x0)
-    else:
-        b = [data.draw(scalars(field)) for _ in range(len(a))]
-    x = qlinalg.solve(field, a, b)
-    aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    consistent = qlinalg.rank(field, aug) == qlinalg.rank(field, a)
-    assert (x is not None) == consistent
-    if x is not None:
-        assert apply(field, a, x) == b
-
-
 def test_empty_and_degenerate_shapes():
     assert qlinalg.rref(QQ, []) == ([], [])
     assert qlinalg.rank(QQ, []) == 0
     assert qlinalg.det(QQ, []) == Fraction(1)
     assert qlinalg.inverse(QQ, []) == []
-    assert qlinalg.solve(QQ, [], []) == []
     assert qlinalg.kernel(GF(2, 2), [], 2) == fmat_identity(GF(2, 2), 2)
