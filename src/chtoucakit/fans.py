@@ -64,6 +64,12 @@ def _saturate(vectors: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]
     return zlattice.int_kernel(zlattice.int_kernel(vectors, dim), dim)
 
 
+def _is_saturated(rows, dim: int) -> bool:
+    """Is the lattice spanned by ``rows`` saturated in Z^dim?  HNF bases
+    are unique, so compare its HNF with that of its saturation."""
+    return [tuple(row) for row in zlattice.hnf(rows)] == _saturate(rows, dim)
+
+
 def _reduce_mod_lineality(ray, lin_rows) -> tuple[int, ...]:
     """Canonical primitive representative of a ray modulo the lineality
     lattice (zero out the Hermite pivot coordinates).  Hermite pivots
@@ -177,7 +183,7 @@ class Cone:
     Both representations are canonical: ``lin`` and ``eqs`` are saturated
     HNF bases, ``rays`` and ``ineqs`` primitive rows reduced modulo them
     and sorted.  Every cone is built by one of the two constructors,
-    ``proper_faces`` or ``dual_cone``, which keep this invariant; the
+    ``face`` or ``dual_cone``, which keep this invariant; the
     dual of a cone is then its two representations swapped."""
 
     rank: int
@@ -210,12 +216,13 @@ class Cone:
 
     @staticmethod
     def zero(rank: int) -> "Cone":
-        return Cone.from_generators(rank, [])
+        """The cone {0}: no generators, and the unit rows as equalities."""
+        basis = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
+        return Cone(rank, (), (), basis, ())
 
     @staticmethod
     def full(rank: int) -> "Cone":
-        basis = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-        return Cone.from_generators(rank, [v for b in basis for v in (b, tuple(-x for x in b))])
+        return dual_cone(Cone.zero(rank))
 
     def generators(self) -> list[tuple[int, ...]]:
         return list(self.rays) + [v for b in self.lin for v in (b, tuple(-x for x in b))]
@@ -297,27 +304,27 @@ def face_masks(c: Cone) -> set[int]:
     return masks
 
 
+def face(c: Cone, m: int) -> Cone:
+    """The face of c with ray mask m (one of `face_masks(c)`), read off
+    the facet incidence of c with no double description.
+
+    The face F keeps c.lin; its equalities are the integer kernel of its
+    generators.  Its facets are its maximal intersections with the
+    facets G of c not containing it, whose ray masks are the maximal
+    sets among the rays of F tight on G; each is cut out by one such G,
+    reduced modulo F's equalities."""
+    lin_gens = [v for b in c.lin for v in (b, tuple(-x for x in b))]
+    rays = tuple(r for i, r in enumerate(c.rays) if m >> i & 1)
+    eqs = tuple(tuple(e) for e in zlattice.int_kernel(list(rays) + lin_gens, c.rank))
+    ineqs = _maximal_reduced(c.ineqs, _incidence(c.ineqs, rays), (1 << len(rays)) - 1, eqs)
+    return Cone(c.rank, c.lin, rays, eqs, ineqs)
+
+
 def proper_faces(c: Cone) -> set[Cone]:
     """All faces of c other than c itself (the zero cone included when
-    c is pointed), each read off the facet incidence of c.
-
-    A face F with ray mask m keeps c.lin; its equalities are the integer
-    kernel of its generators.  Its facets are its maximal intersections
-    with the facets G of c not containing it, whose ray masks are the
-    maximal sets among m & t_G; each is cut out by one such G, reduced
-    modulo F's equalities."""
+    c is pointed)."""
     full = (1 << len(c.rays)) - 1
-    lin_gens = [v for b in c.lin for v in (b, tuple(-x for x in b))]
-    tight = _incidence(c.ineqs, c.rays)
-    out = set()
-    for m in face_masks(c):
-        if m == full:
-            continue
-        rays = tuple(r for i, r in enumerate(c.rays) if m >> i & 1)
-        eqs = tuple(tuple(e) for e in zlattice.int_kernel(list(rays) + lin_gens, c.rank))
-        ineqs = _maximal_reduced(c.ineqs, [m & t for t in tight], m, eqs)
-        out.add(Cone(c.rank, c.lin, rays, eqs, ineqs))
-    return out
+    return {face(c, m) for m in face_masks(c) if m != full}
 
 
 def relint_meets(c1: Cone, c2: Cone) -> bool:
@@ -540,9 +547,9 @@ def torus_sequence_check(r: int, n: int) -> SequenceReport:
     )
     # f injective
     checks.append(("first_map_injective", any(f_vec)))
-    # image of g saturated: all elementary divisors 1
-    divisors = zlattice.snf_diagonal([list(row) for row in g_rows])
-    checks.append(("image_saturated", all(d == 1 for d in divisors)))
+    # image of g saturated: g and its transpose have the same elementary
+    # divisors, so the image is saturated exactly when the row lattice is
+    checks.append(("image_saturated", _is_saturated(g_rows, n + 2)))
     dim_t = len(pts) - zlattice.int_rank(g_rows)
     checks.append(("dim_torus", dim_t == len(pts) - n - 1))
     # cross-check against the quotient lattice of normal forms

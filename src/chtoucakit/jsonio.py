@@ -46,6 +46,18 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+def _json_int_key(key: str, what: str) -> int:
+    """An object key naming an integer k, written as str(k); any other
+    key ("1.0", " 1 ", "+1", "01") is InvalidData."""
+    try:
+        k = int(key)
+    except ValueError:
+        k = None
+    if k is None or str(k) != key:
+        raise InvalidData(f"{what} must be an integer key, got {key!r}")
+    return k
+
+
 # fields ---------------------------------------------------------------------
 
 
@@ -248,7 +260,10 @@ def stratum_from_json(obj) -> StratumData:
         tuple(tuple(tuple(row) for row in matrix_from_json(field, m)) for m in obj["v"]),
         tuple(scalar_from_str(field, s) for s in obj["scales"]),
         tuple(
-            sorted((int(rho), scalar_from_str(field, l)) for rho, l in obj["free_lambda"].items())
+            sorted(
+                (_json_int_key(rho, "a free_lambda key"), scalar_from_str(field, l))
+                for rho, l in obj["free_lambda"].items()
+            )
         ),
     )
 

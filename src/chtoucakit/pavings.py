@@ -15,13 +15,17 @@ integer rank n+1.
 A paving is admissible exactly when some height function is affine on
 each pavé's lattice points and strictly larger elsewhere; the closure of
 that set of height classes is the pavé-wise secondary cone, computed
-here in the coordinates of the integer quotient lattice from the
-primitive integer affine dependencies among each pavé's lattice points
-and one fold row per interior wall.  `sigma_cone` reads admissibility
-off the cone's rays; `is_admissible` decides it by exact rational LP
-with a maximized slack variable, so strict feasibility is an honest
-boolean, and returns the LP's height function as a witness, the one
-use of the LP; q-admissibility is read off the secondary cone.
+here in the coordinates of the integer quotient lattice.  Each
+configuration has one secondary cone built by double description, that
+of the unit-cell triangulation T, cut out by one fold row (a primitive
+integer affine dependency) per wall of T.  Every paving coarsens T, so
+`sigma_cone` reads its cone off T's as a face, and admissibility off
+the fold rows that vanish on that face; `enumerate_admissible_pavings`
+reads the pavings off the faces the same way.  `is_admissible` decides
+admissibility by exact rational LP with a maximized slack variable, so
+strict feasibility is an honest boolean, and returns the LP's height
+function as a witness, the one use of the LP; q-admissibility is read
+off the secondary cone.
 The regular subdivision of a height function is read off the lower
 facets of the lifted points (Gelfand-Kapranov-Zelevinsky, ch. 7;
 De Loera-Rambau-Santos, *Triangulations*, ch. 2), from one integer
@@ -40,13 +44,23 @@ from . import zlattice
 from .errors import (
     EmptyInterior,
     InternalError,
+    InvalidData,
     NotAdmissible,
     NotAPave,
     NotAPaving,
     TooLarge,
     WrongDimension,
 )
-from .fans import Cone, Fan, double_description, face_masks, relint_meets
+from .fans import (
+    Cone,
+    Fan,
+    _dot,
+    _incidence,
+    double_description,
+    face,
+    face_masks,
+    relint_meets,
+)
 from .ratlp import max_slack
 from .simplex_core import (
     LatticeFunction,
@@ -409,10 +423,8 @@ def _admissibility_lp(paving: Paving):
     )
 
 
-# enumeration fills these caches for one paving only (the unit-cell
-# triangulation); the bound leaves room for the cones of every paving
-# of an enumeration under ENUMERATION_POINT_CAP (1,024 for (11, 1)), as
-# `fans verify` builds them
+# the bound leaves room for the LPs of every paving of an enumeration
+# under ENUMERATION_POINT_CAP (1,024 for (11, 1))
 CACHE_SIZE = 4096
 
 
@@ -433,18 +445,6 @@ def is_admissible(paving: Paving) -> AdmissibilityResult:
         )
         witness = LatticeFunction(paving.r, n, vals)
     return AdmissibilityResult(delta > 0, delta, witness)
-
-
-def _affine_basis(pave: IntegerPave) -> list[Point]:
-    """The first n+1 affinely independent lattice points of the pavé."""
-    basis: list[Point] = []
-    for p in pave.points:
-        trial = basis + [p]
-        if zlattice.int_rank(trial) == len(trial):
-            basis.append(p)
-        if len(basis) == pave.n + 1:
-            return basis
-    raise InternalError("pave is not full-dimensional")
 
 
 def _dependency_row(lattice, basis: list[Point], x: Point) -> tuple[int, ...]:
@@ -469,55 +469,65 @@ def _dependency_row(lattice, basis: list[Point], x: Point) -> tuple[int, ...]:
     return lattice.nf_row_to_coord_row(row)
 
 
-def _secondary_rows(paving: Paving):
-    """The secondary cone's equality rows, and its wall folds (k, l, row).
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _unit_cone(r: int, n: int):
+    """The unit-cell triangulation T, its walls (k, l) of
+    `interior_walls`, its closed secondary cone, and per wall the
+    bitmask of the cone's rays on which the wall's fold row vanishes
+    (1 <= n <= 2, r >= 2).
 
-    Each pavé's affine support is eliminated through an affine basis of
-    its lattice points: every other point x of the pavé gives the
-    equality row of the primitive integer affine dependency among the
-    basis and x.  Each wall (k, l) of `interior_walls` gives one fold
-    row, the dependency row of pavé k's basis at the wall's witness,
-    which is positive exactly when the heights fold upward across the
-    wall."""
-    r, n = paving.r, paving.n
+    A unit cell's lattice points are an affine basis, so every height
+    function is affine on each cell and the cone is cut out by the fold
+    rows alone: the dependency row of cell k at the witness of wall
+    (k, l), positive exactly when the heights fold upward across it."""
+    finest = paving_from_point_sets(r, n, unit_cells(r, n))
     lattice = quotient_lattice(r, n)
-    bases = [_affine_basis(pave) for pave in paving.paves]
-    eq_rows = []
-    for pave, basis in zip(paving.paves, bases):
-        pset = pave.point_set()
-        for x in enumerate_lattice_points(r, n):
-            if x in pset and x not in basis:
-                row = _dependency_row(lattice, basis, x)
-                if any(row):
-                    eq_rows.append(row)
-    folds = [
-        (k, l, _dependency_row(lattice, bases[k], witness))
-        for k, l, _, witness in interior_walls(paving)
-    ]
-    return eq_rows, folds
+    walls, folds = [], []
+    for k, l, _, witness in interior_walls(finest):
+        walls.append((k, l))
+        folds.append(_dependency_row(lattice, list(finest.paves[k].points), witness))
+    cone = Cone.from_hrep(lattice.rank, folds)
+    if cone.lin:
+        raise InternalError("secondary cone of the unit-cell triangulation has lineality")
+    if any(_dot(row, ray) < 0 for row in folds for ray in cone.rays):
+        raise InternalError("fold row negative on a ray of the unit-cell cone")
+    return finest, walls, cone, _incidence(folds, cone.rays)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def sigma_cone(paving: Paving) -> Cone:
-    """H-description of the closed secondary cone of the paving in the
-    integer quotient lattice, from the rows of `_secondary_rows`.
+    """The closed secondary cone of the paving in the integer quotient
+    lattice, read off the cone of the unit-cell triangulation T.
 
     Heights are restricted to the canonical section (vanishing at the
     vertices) and rewritten in lattice-basis coordinates, so the cone is
     integral.  A continuous piecewise-affine function on a convex domain
     is convex exactly when it folds upward across every wall
-    (De Loera-Rambau-Santos, *Triangulations*, ch. 2 and 5), so the
-    equalities and one fold row per wall cut out the cone.  Every fold
-    row vanishes on the lineality, and the sum of the rays lies in the
-    relative interior, so the paving is admissible (its open cone is
-    non-empty) exactly when every fold row is positive on that sum."""
-    eq_rows, folds = _secondary_rows(paving)
-    rank = quotient_lattice(paving.r, paving.n).rank
-    cone = Cone.from_hrep(rank, [row for _, _, row in folds], eq_rows)
-    x = [sum(col) for col in zip(*cone.rays)] or [0] * cone.rank
-    if not all(sum(a * b for a, b in zip(row, x)) > 0 for _, _, row in folds):
+    (De Loera-Rambau-Santos, *Triangulations*, ch. 2 and 5).  For n <= 2
+    every pavé is a union of unit cells, so a height is affine on each
+    pavé exactly when it lies in T's cone and its folds vanish across
+    the walls of T inside one pavé: the paving's cone is the face of T's
+    cone on the rays where all those folds vanish (Gelfand-Kapranov-
+    Zelevinsky, ch. 7).  The paving is admissible (its open cone is
+    non-empty) exactly when no fold across a wall between two pavés
+    vanishes on that whole face.  A one-pavé paving has the zero cone."""
+    r, n = paving.r, paving.n
+    if len(paving.paves) == 1:
+        return Cone.zero(quotient_lattice(r, n).rank)
+    finest, walls, cone, masks = _unit_cone(r, n)
+    pave_of = [
+        next(i for i, pave in enumerate(paving.paves) if pave.cell_mask & cell.cell_mask)
+        for cell in finest.paves
+    ]
+    face_mask = (1 << len(cone.rays)) - 1
+    for (k, l), t in zip(walls, masks):
+        if pave_of[k] == pave_of[l]:
+            face_mask &= t
+    if any(
+        pave_of[k] != pave_of[l] and face_mask & t == face_mask
+        for (k, l), t in zip(walls, masks)
+    ):
         raise NotAdmissible("paving has empty secondary cone")
-    return cone
+    return face(cone, face_mask)
 
 
 def paving_fan(pavings) -> Fan:
@@ -543,9 +553,10 @@ def enumerate_admissible_pavings(r: int, n: int) -> tuple[Paving, ...]:
     paving coarsens the unit-cell triangulation T, and the closed
     secondary cone of a regular coarsening of T is a face of T's closed
     cone (Gelfand-Kapranov-Zelevinsky, ch. 7; De Loera-Rambau-Santos,
-    ch. 5).  Each face is read off the sum x of its rays, a point of its
-    relative interior: the cells on the two sides of a wall of T lie in
-    one pavé exactly when the wall's fold row vanishes on x.  Output is
+    ch. 5).  Each face is read off its ray mask m, the relation of
+    `sigma_cone` read the other way: the cells on the two sides of a wall
+    of T lie in one pavé exactly when the wall's fold row vanishes on
+    every ray of the face (m & t == m for the wall's mask t).  Output is
     sorted canonically (number of pavés, then lex on pavé point lists)."""
     if comb(r + n, n) > ENUMERATION_POINT_CAP:
         raise TooLarge(f"|S^{{{r},{n}}}| exceeds the enumeration cap")
@@ -553,19 +564,11 @@ def enumerate_admissible_pavings(r: int, n: int) -> tuple[Paving, ...]:
         return (trivial_paving(r, n),)
     if n > ENUMERATION_N_CAP:
         raise TooLarge("enumeration capped at n <= 2 for r >= 2")
-    finest = paving_from_point_sets(r, n, unit_cells(r, n))
-    cone = sigma_cone(finest)
-    if cone.lin:
-        raise InternalError("secondary cone of the unit-cell triangulation has lineality")
-    _, folds = _secondary_rows(finest)
+    finest, walls, cone, masks = _unit_cone(r, n)
     cells = finest.paves
     paves = {1 << k: cell for k, cell in enumerate(cells)}  # by cell bitmask
     out = []
-    for face in face_masks(cone):
-        x = [0] * cone.rank
-        for i, ray in enumerate(cone.rays):
-            if face >> i & 1:
-                x = [a + b for a, b in zip(x, ray)]
+    for m in face_masks(cone):
         root = list(range(len(cells)))
 
         def find(k):
@@ -574,11 +577,8 @@ def enumerate_admissible_pavings(r: int, n: int) -> tuple[Paving, ...]:
                 k = root[k]
             return k
 
-        for k, l, fold in folds:
-            height = sum(a * b for a, b in zip(fold, x))
-            if height < 0:
-                raise InternalError("face point outside the secondary cone")
-            if height == 0:
+        for (k, l), t in zip(walls, masks):
+            if m & t == m:
                 root[find(l)] = find(k)
         groups: dict[int, int] = {}
         for k in range(len(cells)):
@@ -628,7 +628,7 @@ def is_q_admissible(paving: Paving, q: int) -> bool:
     if paving.n != 2:
         raise WrongDimension("q-admissibility is defined for n = 2")
     if q < 2:
-        raise ValueError("q must be at least 2")
+        raise InvalidData("q must be at least 2")
     try:
         cone = sigma_cone(paving)
     except NotAdmissible:
@@ -665,5 +665,5 @@ def pave_edge_count(pave: IntegerPave) -> int:
 
 def clear_caches():
     is_admissible.cache_clear()
-    sigma_cone.cache_clear()
+    _unit_cone.cache_clear()
     unit_cells.cache_clear()

@@ -56,6 +56,18 @@ def test_pavings_check_and_qadm(tmp_path):
     assert json.loads(out)["q_admissible"] is True
 
 
+def test_pavings_qadm_rejects_q_below_two(tmp_path):
+    paving = {"r": 2, "n": 2, "paves": [{"points": [
+        [2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]
+    ]}]}
+    for q in ("1", "0", "-3"):
+        rc, out, err = run_cli(
+            ["pavings", "qadm", "--q", q, "paving.json"], {"paving.json": paving}, tmp_path
+        )
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == {"type": "InvalidData", "message": "q must be at least 2"}
+
+
 def test_pavings_check_invalid_is_domain_error(tmp_path):
     paving = {"r": 2, "n": 1, "paves": [{"points": [[2, 0], [0, 2]]}]}
     rc, out, err = run_cli(["pavings", "check", "bad.json"], {"bad.json": paving}, tmp_path)

@@ -32,6 +32,7 @@ from chtoucakit.fans import (
     torus_sequence_check,
     verify_fan,
 )
+from test_zlattice import snf_diagonal
 
 
 def test_zero_cone_and_full_dual():
@@ -345,7 +346,7 @@ def assert_saturated(basis, rank):
     """An integer basis spans a saturated lattice iff its elementary
     divisors are all 1."""
     if basis:
-        assert zlattice.snf_diagonal([list(b) for b in basis], rank) == [1] * len(basis)
+        assert snf_diagonal([list(b) for b in basis], rank) == [1] * len(basis)
 
 
 @st.composite
@@ -500,7 +501,7 @@ def test_internal_checks_run_under_python_O():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "from chtoucakit import fans, pavings, zlattice\n"
+        "from chtoucakit import fans, pavings\n"
         "from chtoucakit.errors import InternalError\n"
         "def report(call):\n"
         "    try:\n"
@@ -509,11 +510,15 @@ def test_internal_checks_run_under_python_O():
         "        print('InternalError')\n"
         "orthant = fans.Cone.from_generators(2, [(1, 0), (0, 1)])\n"
         "paving = pavings.enumerate_admissible_pavings(2, 2)[-1]\n"
-        # the enumeration caches this paving's cone; recompute it
-        "pavings.sigma_cone.cache_clear()\n"
+        # the enumeration caches the unit-cell cone; rebuild it
+        "pavings.clear_caches()\n"
         "fans._decomposes = lambda py, h, parts: False\n"
         "report(lambda: fans.monoid_generators(orthant, bound=1))\n"
-        "zlattice.int_rank = lambda rows: 0\n"
+        "dd = fans.double_description\n"
+        "def negated(rows, dim):\n"
+        "    lin, rays = dd(rows, dim)\n"
+        "    return lin, [tuple(-x for x in rays[0])] + rays[1:]\n"
+        "fans.double_description = negated\n"
         "report(lambda: pavings.sigma_cone(paving))\n"
     )
     out = subprocess.run(
@@ -699,10 +704,12 @@ def test_secondary_cones_of_3_2_match_two_pass_oracle():
             cones = [pv.sigma_cone(p) for p in pavings]
     finally:
         pv.clear_caches()
-    assert len(calls) == len(cones) == 176
-    for rank, ineqs, eqs, cone in calls:
-        assert fields_of(cone) == fields_of(oracle_dd_from_hrep(rank, ineqs, eqs))
+    # one cone per configuration; every other cone is a face of it
+    ((rank, ineqs, eqs, cone),) = calls
+    assert len(cones) == 176 and cone in cones
+    assert fields_of(cone) == fields_of(oracle_dd_from_hrep(rank, ineqs, eqs))
     for c in cones:
+        assert fields_of(c) == fields_of(oracle_dd_from_hrep(c.rank, c.ineqs, c.eqs))
         assert fields_of(Cone.from_generators(c.rank, c.generators())) == fields_of(c)
         assert fields_of(dual_cone(c)) == fields_of(oracle_dd_dual_cone(c))
 
@@ -722,13 +729,13 @@ def test_constructors_run_one_double_description_and_duals_none(case):
     assert counts == {}
 
 
-def test_verify_fan_of_3_2_runs_one_double_description_and_no_lp():
+def test_verify_fan_of_3_2_runs_no_double_description_and_no_lp():
     fan = secondary_fan(3, 2)
     with counting_work() as counts:
         report = verify_fan(fan)
     assert report.ok and report.n_cones == 176
-    # the one double description builds the zero cone
-    assert counts == {"dd": 1}
+    # the zero cone is built without one, so no double description runs
+    assert counts == {}
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +917,28 @@ TORUS_CONFIGS = [
 def test_torus_image_is_affine_matches_fraction_oracle(r, n):
     checks = dict(torus_sequence_check(r, n).checks)
     assert checks["image_is_affine"] == oracle_image_is_affine(r, n)
+
+
+@pytest.mark.parametrize("r,n", TORUS_CONFIGS)
+def test_torus_image_saturated_matches_smith_form_oracle(r, n):
+    g_rows = [list(p) + [-1] for p in fans.enumerate_lattice_points(r, n)]
+    checks = dict(torus_sequence_check(r, n).checks)
+    assert checks["image_saturated"] == (set(snf_diagonal(g_rows)) <= {1})
+
+
+def test_saturation_by_hnf_matches_smith_form_oracle():
+    """A lattice is saturated exactly when its HNF is that of its
+    saturation, exactly when its elementary divisors are all 1."""
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(2000):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        rows[0] = [rng.randint(1, 3) * x for x in rows[0]]
+        saturated = fans._is_saturated(rows, ncols)
+        assert saturated == (set(snf_diagonal(rows, ncols)) <= {1}), rows
+        seen.add(saturated)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -278,3 +278,30 @@ def test_readers_reject_integers_that_are_not_json_integers(reader, obj, path):
     for bad in (float(target), str(target), target + 0.5, bool(target)):
         with pytest.raises(InvalidData, match="must be an integer"):
             reader(_replaced(obj, path, bad))
+
+
+def _stratum_json_with_free_lambda():
+    rng = random.Random(41)
+    while True:
+        d = stratum_data(build_stratum_point(rand_stratum_data(QQ, rng, 3)))
+        if d.free_lams:
+            return through_text(jsonio.stratum_to_json(d))
+
+
+def _with_free_lambda_key(obj, key):
+    obj = json.loads(json.dumps(obj))
+    (rho, lam), *rest = obj["free_lambda"].items()
+    obj["free_lambda"] = {key(rho): lam, **dict(rest)}
+    return obj
+
+
+@pytest.mark.parametrize(
+    "key",
+    [lambda rho: rho + ".0", lambda rho: f" {rho} ", lambda rho: "+" + rho, lambda rho: "None"],
+    ids=["decimal_point", "spaces", "plus_sign", "None"],
+)
+def test_stratum_free_lambda_key_must_be_written_as_an_integer(key):
+    obj = _stratum_json_with_free_lambda()
+    jsonio.stratum_from_json(obj)  # the valid object reads
+    with pytest.raises(InvalidData, match="free_lambda key"):
+        jsonio.stratum_from_json(_with_free_lambda_key(obj, key))

@@ -13,6 +13,7 @@ from chtoucakit import pavings as pv
 from chtoucakit import fans, qlinalg, ratlp, zlattice
 from chtoucakit.errors import (
     EmptyInterior,
+    InvalidData,
     NotAdmissible,
     NotAPave,
     NotAPaving,
@@ -254,6 +255,11 @@ class TestQAdmissibility:
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):
             is_q_admissible(trivial_paving(2, 1), 2)
+
+    def test_q_below_two_is_invalid_data(self):
+        for q in (1, 0, -3):
+            with pytest.raises(InvalidData, match="q must be at least 2"):
+                is_q_admissible(trivial_paving(2, 2), q)
 
     def test_lp_matches_cone_subspace_oracle(self):
         """Independent oracle: the secondary cone's rows in the coordinates
@@ -610,9 +616,10 @@ def fields_of(c):
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 1), (4, 1), (5, 1), (3, 2)])
 def test_secondary_cone_rows_and_walls_match_rational_oracle(r, n):
-    """sigma_cone passes the oracle's equality rows and, as inequalities,
-    the oracle's row of cell k at the witness of each wall (k, l); its
-    cone is the cone of all the oracle's rows."""
+    """From cold caches, the configuration's one `from_hrep` takes the
+    oracle's row of cell k at the witness of each wall (k, l) of the
+    unit-cell triangulation, and no equality row; every paving's cone is
+    the cone of all the oracle's rows for that paving."""
     real = Cone.from_hrep
     calls = []
 
@@ -621,30 +628,73 @@ def test_secondary_cone_rows_and_walls_match_rational_oracle(r, n):
         return real(rank, ineqs, eqs)
 
     pavings = enumerate_admissible_pavings(r, n)
-    # the enumeration caches the finest paving's cone; recompute every cone
+    # the enumeration caches the unit-cell cone; rebuild it under the spy
     pv.clear_caches()
     try:
-        for paving in pavings:
-            calls.clear()
-            with mock.patch.object(Cone, "from_hrep", spy):
-                cone = sigma_cone(paving)
+        with mock.patch.object(Cone, "from_hrep", spy):
+            cones = [sigma_cone(paving) for paving in pavings]
+        finest = paving_from_point_sets(r, n, pv.unit_cells(r, n))
+        ineq_rows, eq_rows = oracle_sigma_rows(finest)
+        ((folds, eqs),) = calls
+        assert eqs == eq_rows == []
+        assert folds == [ineq_rows[k, witness] for k, _, _, witness in interior_walls(finest)]
+        for paving, cone in zip(pavings, cones):
             ineq_rows, eq_rows = oracle_sigma_rows(paving)
-            ((folds, eqs),) = calls
-            assert eqs == eq_rows, paving.key()
-            walls = interior_walls(paving)
-            assert folds == [ineq_rows[k, witness] for k, _, _, witness in walls], paving.key()
             want = real(cone.rank, list(ineq_rows.values()), eq_rows)
             assert fields_of(cone) == fields_of(want), paving.key()
-            assert walls == oracle_interior_walls(paving)
+            assert interior_walls(paving) == oracle_interior_walls(paving)
             assert shared_walls(paving) == oracle_shared_walls(paving)
     finally:
         pv.clear_caches()
 
 
 # ---------------------------------------------------------------------------
-# the secondary cone from wall folds against the construction it replaced
-# (the admissibility LP, then one row per pavé and lattice point outside
-# it), kept here as the test oracle
+# the secondary cone as a face of the unit-cell cone against the two
+# constructions it replaced, kept here as test oracles: one double
+# description per paving of its equality rows and wall folds, and before
+# that the admissibility LP, then one row per pavé and lattice point
+# outside it
+
+
+def _affine_basis(pave):
+    """The first n+1 affinely independent lattice points of the pavé."""
+    basis = []
+    for p in pave.points:
+        trial = basis + [p]
+        if zlattice.int_rank(trial) == len(trial):
+            basis.append(p)
+        if len(basis) == pave.n + 1:
+            return basis
+    raise AssertionError("pave is not full-dimensional")
+
+
+def oracle_wall_sigma_cone(paving):
+    """One `from_hrep` per paving: every pavé's affine support is
+    eliminated through an affine basis of its lattice points (one
+    equality row per other point of the pavé), and each wall (k, l) of
+    `interior_walls` gives the fold row of pavé k's basis at the wall's
+    witness; admissible exactly when every fold row is positive on the
+    sum of the cone's rays."""
+    r, n = paving.r, paving.n
+    lattice = quotient_lattice(r, n)
+    bases = [_affine_basis(pave) for pave in paving.paves]
+    eq_rows = []
+    for pave, basis in zip(paving.paves, bases):
+        pset = pave.point_set()
+        for x in enumerate_lattice_points(r, n):
+            if x in pset and x not in basis:
+                row = pv._dependency_row(lattice, basis, x)
+                if any(row):
+                    eq_rows.append(row)
+    folds = [
+        pv._dependency_row(lattice, bases[k], witness)
+        for k, _, _, witness in interior_walls(paving)
+    ]
+    cone = Cone.from_hrep(lattice.rank, folds, eq_rows)
+    x = [sum(col) for col in zip(*cone.rays)] or [0] * cone.rank
+    if not all(sum(a * b for a, b in zip(row, x)) > 0 for row in folds):
+        raise NotAdmissible("paving has empty secondary cone")
+    return cone
 
 
 def oracle_sigma_cone(paving):
@@ -656,7 +706,7 @@ def oracle_sigma_cone(paving):
     eq_rows = []
     ineq_rows = []
     for pave in paving.paves:
-        basis = pv._affine_basis(pave)
+        basis = _affine_basis(pave)
         pset = pave.point_set()
         for x in pts:
             if x in basis:
@@ -688,6 +738,7 @@ def test_sigma_cone_matches_lp_oracle_on_every_exact_cover(r, n):
     for paving in oracle_exact_covers(r, n):
         new = _cone_outcome(sigma_cone, paving)
         assert new == _cone_outcome(oracle_sigma_cone, paving), paving.key()
+        assert new == _cone_outcome(oracle_wall_sigma_cone, paving), paving.key()
         rejected.add(new[0] is NotAdmissible)
     # (3, 2) has non-admissible covers; every other configuration has none
     assert rejected == ({False, True} if (r, n) == (3, 2) else {False})
@@ -713,9 +764,59 @@ def test_sigma_cone_matches_lp_oracle_on_drawn_covers(sample):
         for paving, lp_first in zip(covers, warm):
             if lp_first:
                 is_admissible(paving)
-            assert _cone_outcome(sigma_cone, paving) == _cone_outcome(oracle_sigma_cone, paving)
+            new = _cone_outcome(sigma_cone, paving)
+            assert new == _cone_outcome(oracle_sigma_cone, paving)
+            assert new == _cone_outcome(oracle_wall_sigma_cone, paving)
     finally:
         pv.clear_caches()
+
+
+WALL_ORACLE_CONFIGS = (
+    [(r, 1) for r in range(1, 12)] + [(2, 2), (3, 2), (1, 2), (2, 0), (3, 0)]
+)
+
+
+@pytest.mark.parametrize("r,n", WALL_ORACLE_CONFIGS)
+def test_sigma_cone_matches_wall_oracle_on_every_enumerated_paving(r, n):
+    pv.clear_caches()
+    try:
+        for paving in enumerate_admissible_pavings(r, n):
+            new = _cone_outcome(sigma_cone, paving)
+            assert new == _cone_outcome(oracle_wall_sigma_cone, paving), paving.key()
+    finally:
+        pv.clear_caches()
+
+
+def test_sigma_cone_of_the_one_pave_paving_of_2_3_is_the_zero_cone():
+    # n = 3 has no unit cells; a one-pavé paving needs none
+    paving = trivial_paving(2, 3)
+    assert fields_of(sigma_cone(paving)) == fields_of(oracle_wall_sigma_cone(paving))
+    assert sigma_cone(paving) == Cone.zero(quotient_lattice(2, 3).rank)
+
+
+def test_one_from_hrep_per_configuration():
+    """From cold caches, the (3, 2) enumeration, the cones of its 176
+    pavings and the cones of all 320 exact covers take one `from_hrep`
+    in all: that of the unit-cell cone."""
+    covers = oracle_exact_covers(3, 2)
+    real = Cone.from_hrep
+    calls = []
+
+    def spy(rank, ineqs, eqs=()):
+        calls.append(rank)
+        return real(rank, ineqs, eqs)
+
+    pv.clear_caches()
+    try:
+        with mock.patch.object(Cone, "from_hrep", spy):
+            pavings = enumerate_admissible_pavings(3, 2)
+            cones = [sigma_cone(p) for p in pavings]
+            outcomes = [_cone_outcome(sigma_cone, p) for p in covers]
+    finally:
+        pv.clear_caches()
+    assert calls == [quotient_lattice(3, 2).rank]
+    assert len(cones) == 176 and len(outcomes) == 320
+    assert sum(o[0] is NotAdmissible for o in outcomes) == 144
 
 
 def test_sigma_cone_and_enumeration_run_no_lp():
@@ -869,11 +970,11 @@ def test_clear_caches_empties_the_configuration_caches():
     is_admissible(trivial_paving(2, 2))
     assert pv.unit_cells.cache_info().currsize > 0
     assert is_admissible.cache_info().currsize > 0
-    assert sigma_cone.cache_info().currsize > 0
+    assert pv._unit_cone.cache_info().currsize > 0
     pv.clear_caches()
     assert pv.unit_cells.cache_info().currsize == 0
     assert is_admissible.cache_info().currsize == 0
-    assert sigma_cone.cache_info().currsize == 0
+    assert pv._unit_cone.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from chtoucakit.zlattice import (
     int_rank,
     primitive,
     primitive_ray,
-    snf_diagonal,
     vec_gcd,
 )
 
@@ -68,6 +67,90 @@ def test_hnf_preserves_lattice_membership():
                     q = v[piv] // b[piv]
                     v = [a - q * c for a, c in zip(v, b)]
             assert all(x == 0 for x in v), (rows, h)
+
+
+# the Smith normal form, which the saturation test of
+# `fans.torus_sequence_check` replaced, kept here as the test oracle
+
+
+def snf_diagonal(rows: list[list[int]], ncols: int | None = None) -> list[int]:
+    """Diagonal entries (elementary divisors) of the Smith normal form.
+
+    Minimum-pivot strategy: bring the entry of smallest absolute value
+    to the corner; while it fails to divide some entry in its row or
+    column, one division step strictly shrinks the minimum, so the
+    reduction terminates; then eliminate exactly and recurse."""
+    m = [list(map(int, r)) for r in rows]
+    if not m:
+        return []
+    if ncols is None:
+        ncols = len(m[0])
+    nrows = len(m)
+    divisors = []
+    top = 0
+    while top < min(nrows, ncols):
+        # locate the minimal-magnitude nonzero entry of the submatrix
+        piv = None
+        best = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                v = abs(m[i][j])
+                if v and (best is None or v < best):
+                    best = v
+                    piv = (i, j)
+        if piv is None:
+            break
+        i, j = piv
+        m[top], m[i] = m[i], m[top]
+        if j != top:
+            for row in m:
+                row[top], row[j] = row[j], row[top]
+        p = m[top][top]
+        # a nonexact division anywhere in the pivot row/column produces
+        # a strictly smaller nonzero remainder; restart on it
+        dirty = False
+        for i in range(top + 1, nrows):
+            if m[i][top] % p != 0:
+                q = m[i][top] // p
+                m[i] = [a - q * b for a, b in zip(m[i], m[top])]
+                dirty = True
+                break
+        if not dirty:
+            for j in range(top + 1, ncols):
+                if m[top][j] % p != 0:
+                    q = m[top][j] // p
+                    for row in m:
+                        row[j] -= q * row[top]
+                    dirty = True
+                    break
+        if dirty:
+            continue
+        # exact elimination of the pivot row and column
+        for i in range(top + 1, nrows):
+            if m[i][top]:
+                q = m[i][top] // p
+                m[i] = [a - q * b for a, b in zip(m[i], m[top])]
+        for j in range(top + 1, ncols):
+            if m[top][j]:
+                q = m[top][j] // p
+                for row in m:
+                    row[j] -= q * row[top]
+        # enforce divisibility of the remaining block
+        d = abs(p)
+        offender = None
+        for i in range(top + 1, nrows):
+            for j in range(top + 1, ncols):
+                if m[i][j] % d != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            m[top] = [a + b for a, b in zip(m[top], m[offender])]
+            continue
+        divisors.append(d)
+        top += 1
+    return divisors
 
 
 def test_snf_known_values():
