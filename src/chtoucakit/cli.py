@@ -118,10 +118,7 @@ def cmd_fans_verify(args):
     obj = _read_json(args.file)
     if "paves" in obj or "pavings" in obj:
         if "pavings" in obj:
-            pavings = [
-                jsonio.paving_from_json({"r": obj["r"], "n": obj["n"], "paves": paves})
-                for paves in obj["pavings"]
-            ]
+            pavings = jsonio.pavings_from_json(obj)
         else:
             pavings = [jsonio.paving_from_json(obj)]
         fan = paving_fan(pavings)

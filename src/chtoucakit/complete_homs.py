@@ -17,7 +17,9 @@ extracted scale, and wedge signs follow ascending lexicographic subsets.
 Every exterior power of a matrix is taken from one table of its
 compounds (`compounds`), each rho-minor expanded along its first row
 over the (rho-1)-minors, so no minor costs an elimination or a field
-inversion.
+inversion.  Over Q the table, the matrix products (`fields.fmat_mul`) and
+the eliminations (`qlinalg`) run on integer matrices, one denominator
+cleared per matrix, and form a Fraction only for an output entry.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from math import comb
 
 from .errors import InternalError, InvalidData, NotOnStratum, Singular, ZeroLambda, ZeroMu
 from . import qlinalg
-from .fields import GF, fmat_eq, fmat_identity, fmat_mul
+from .fields import (
+    GF, ZZ, RationalField, _clear_denominators, _over, fmat_eq, fmat_identity, fmat_mul,
+)
 
 
 def wedge_subsets(r: int, rho: int) -> list[tuple[int, ...]]:
@@ -41,7 +45,12 @@ def compounds(field, a, top: int):
     The (I', I) entry of wedge^rho a is the rho x rho minor on rows I'
     and columns I.  Each rho-minor is the Laplace expansion along the
     first row of I' over the (rho-1)-minors of the level below, so the
-    table uses only add, sub and mul: no division, over any field."""
+    table uses only add, sub and mul: no division, over any field.  Over
+    Q, a = N/d with N an integer matrix, and wedge^rho a is
+    (wedge^rho N)/d^rho with the table of N taken in `ZZ`."""
+    if isinstance(field, RationalField):
+        n, d = _clear_denominators(a)
+        return [_over(level, d**rho) for rho, level in enumerate(compounds(ZZ, n, top), start=1)]
     r = len(a)
     levels = [[list(row) for row in a]]
     prev_index = {(j,): j for j in range(r)}

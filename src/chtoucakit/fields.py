@@ -1,6 +1,11 @@
 """Exact scalar fields (Q and small GF(p^k)) and the few dense matrix
-helpers that need no elimination (identity, product, equality); every
-elimination routine lives in `qlinalg`, generic over these field objects.
+helpers that need no elimination (identity, product, equality); the
+elimination routines live in `qlinalg`.
+
+Matrix loops are written once, generic over a field object.  Over Q a
+matrix M is handled as N/d, N an integer matrix and d the lcm of the
+denominators of its entries (`_clear_denominators`): the loop runs on N
+in the ring of integers `ZZ`, and each output entry is one `Fraction`.
 
 A GF(p^k) element is a plain int, its index sum c_i p^i in range(p^k),
 also its wire format; c_i are its little-endian coefficients modulo a
@@ -13,10 +18,12 @@ Fields, ch. 9); fields above FIELD_ORDER_CAP elements raise TooLarge.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 from .errors import InternalError, TooLarge
 
@@ -47,7 +54,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return Fraction(a.denominator, a.numerator)  # exact for an int too
 
     def eq(self, a, b):
         return a == b
@@ -73,6 +80,26 @@ class RationalField:
 
 
 QQ = RationalField()
+
+# the integers, as the ring operations of the matrix loops (`fmat_mul`,
+# `complete_homs.compounds`); builtins, so a step costs no Python call
+ZZ = SimpleNamespace(
+    zero=int, add=operator.add, sub=operator.sub, mul=operator.mul, is_zero=operator.not_
+)
+
+
+def _clear_denominators(rows):
+    """(N, d) with N an integer matrix and d >= 1 the lcm of the
+    denominators of the entries of the rational matrix ``rows`` (ints or
+    Fractions), so that ``rows`` = N / d."""
+    d = math.lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _over(rows, d):
+    """The rational matrix ``rows`` / d of an integer matrix, every entry
+    a Fraction."""
+    return [[Fraction(x, d) for x in row] for row in rows]
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -254,6 +281,12 @@ def fmat_zero(field, nrows, ncols):
 
 
 def fmat_mul(field, a, b):
+    """The product a b; over Q, (N_a N_b) / (d_a d_b) with the integer
+    product taken by the same loop in `ZZ`."""
+    if isinstance(field, RationalField):
+        na, da = _clear_denominators(a)
+        nb, db = _clear_denominators(b)
+        return _over(fmat_mul(ZZ, na, nb), da * db)
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
     out = fmat_zero(field, n, m)

@@ -15,7 +15,7 @@ from .errors import InvalidData
 from .fields import GF, QQ
 from .hn_truncation import Polygon, SubobjectLattice, SubobjectRecord
 from .l_functions import PlaceData, SatakeParams
-from .pavings import Paving, paving_from_point_sets
+from .pavings import Paving, pave_from_points, paving_from_paves
 from .complete_homs import CompleteHom, StratumData
 from .simplex_core import LatticeFunction, enumerate_lattice_points
 from .fans import Cone, Fan
@@ -128,12 +128,35 @@ def paving_to_json(p: Paving):
 
 
 def paving_from_json(obj) -> Paving:
+    return _paving_from_json(obj, {})
+
+
+def pavings_from_json(obj) -> list[Paving]:
+    """The pavings of a `pavings enum` output, {"r", "n", "pavings": [the
+    "paves" of each paving]}.  Pavings share pavés, so each distinct point
+    set is built into a pavé once per parse."""
+    built: dict = {}
+    return [
+        _paving_from_json({"r": obj["r"], "n": obj["n"], "paves": paves}, built)
+        for paves in obj["pavings"]
+    ]
+
+
+def _paving_from_json(obj, built) -> Paving:
+    """The paving of ``obj``; ``built`` maps each point set already built
+    in this parse to its pavé."""
     r, n = _json_int(obj["r"], "r"), _json_int(obj["n"], "n")
     sets = [
         [tuple(_json_int(c, "a point coordinate") for c in pt) for pt in pave["points"]]
         for pave in obj["paves"]
     ]
-    return paving_from_point_sets(r, n, sets)
+    paves = []
+    for points in sets:
+        key = frozenset(points)
+        if key not in built:
+            built[key] = pave_from_points(r, n, points)
+        paves.append(built[key])
+    return paving_from_paves(r, n, paves)
 
 
 # cones / fans ---------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Integer lattice utilities: gcd reduction, the Hermite normal form,
-and fraction-free integer kernels and ranks.  Lattice points of
-the simplex are integer vectors, so pavé interiors, walls and the affine
-dependencies behind secondary cones are computed here.
+the integer kernel, and fraction-free (Bareiss) elimination with the
+integer rank it gives; `qlinalg` runs the same elimination for every
+matrix over Q.  Lattice points of the simplex are integer vectors, so
+pavé interiors, walls and the affine dependencies behind secondary cones
+are computed here.
 
 Everything works on plain lists of Python ints; sizes here are tiny
 (ranks at most ~12), so the classic O(n^3) algorithms with exact integer
@@ -94,31 +96,61 @@ def int_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
     return [tuple(row[m:]) for row in hnf(aug) if not any(row[:m])]
 
 
-def int_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _bareiss(m, ncols, reduced=False):
+    """Fraction-free elimination of the integer matrix ``m`` in place over
+    its first ``ncols`` columns (Bareiss, Math. Comp. 22, 1968); columns
+    past ``ncols`` follow along.
 
-    After k pivots every entry of the rows below is a (k+1)-minor of the
-    input, so the division by the previous pivot is exact and no
-    fraction is ever formed."""
-    m = [[int(a) for a in r] for r in rows]
+    Each pivot p replaces every row below it by (p·row − f·pivot row) /
+    prev, where f is the row's entry in the pivot column and prev the
+    pivot before (1 at the start).  Every entry is then a minor of the
+    input, so the division is exact.  With ``reduced`` the rows above the
+    pivot are replaced the same way (fraction-free Gauss-Jordan), so every
+    pivot row ends with the last pivot in its pivot column and zeros in
+    the others: the reduced form is each pivot row divided by the last
+    pivot.  Returns the pivot columns, the last pivot and the sign of the
+    row permutation; a square ``m`` of full rank has determinant sign ×
+    last pivot."""
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    pivots = []
     prev = 1
+    sign = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         prow = m[r]
         p = prow[c]
-        tail = prow[c + 1:]
+        tail = c + 1
+        ptail = prow[tail:]
         for i in range(r + 1, nrows):
             row = m[i]
             f = row[c]
-            row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            row[c] = 0
+            row[tail:] = [(p * x - f * y) // prev for x, y in zip(row[tail:], ptail)]
+        if reduced:
+            # the pivot row is zero left of c, so whole rows combine
+            for i in range(r):
+                row = m[i]
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(c)
         prev = p
         r += 1
-    return r
+    return pivots, prev, sign
+
+
+def int_rank(rows) -> int:
+    """Rank of an integer matrix: the number of pivots of `_bareiss`, the
+    fraction-free pass that every elimination over Q in `qlinalg` runs
+    too."""
+    m = [[int(a) for a in r] for r in rows]
+    return len(_bareiss(m, len(m[0]) if m else 0)[0])

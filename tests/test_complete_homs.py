@@ -1,7 +1,9 @@
 import random
 from collections import Counter
 from contextlib import ExitStack, contextmanager
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -29,6 +31,8 @@ from chtoucakit.complete_homs import (
     torus_action,
 )
 from chtoucakit.graph_gluing import family_from_stratum
+from chtoucakit.jsonio import dumps_canonical, hom_to_json, stratum_to_json
+from test_qlinalg import GENERIC_QQ
 
 
 def rand_scalar(field, rng):
@@ -51,8 +55,9 @@ def rand_invertible(field, rng, n):
             return m
 
 
-def rand_stratum_data(field, rng, r):
-    cuts = tuple(sorted(rng.sample(range(1, r), rng.randint(0, r - 1))))
+def rand_stratum_data(field, rng, r, cuts=None):
+    if cuts is None:
+        cuts = tuple(sorted(rng.sample(range(1, r), rng.randint(0, r - 1))))
     bounds = [0] + list(cuts) + [r]
     g1 = rand_invertible(field, rng, r)
     g2 = rand_invertible(field, rng, r)
@@ -463,15 +468,15 @@ def test_nesting_check_matches_per_row_oracle(data):
 
 @contextmanager
 def counting_stratum_work():
-    """Count calls of the stratum helpers and of the elimination kernel."""
+    """Count calls of the stratum helpers and of the two elimination loops."""
     counts = Counter()
 
     def spy(module, name):
         real = getattr(module, name)
 
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         return mock.patch.object(module, name, call)
 
@@ -480,25 +485,52 @@ def counting_stratum_work():
         for name in names:
             stack.enter_context(spy(ch, name))
         stack.enter_context(spy(qlinalg, "_forward"))
+        stack.enter_context(spy(qlinalg, "_bareiss"))
         yield counts
 
 
 def test_stratum_data_validates_once_and_reduces_each_flag_once():
-    rng = random.Random(41)
-    while True:
-        d = rand_stratum_data(GF(5, 1), rng, 4)
-        if len(d.cuts) == 2:
-            break
-    h = build_stratum_point(d)
-    with counting_stratum_work() as counts:
-        rec = stratum_data(h)
-    assert rec.eq(d.normalized())
-    assert counts["adapted_bases"] == counts["_stratum_point"] == 1
-    assert counts["_validate_stratum_data"] == counts["build_stratum_point"] == 0
-    with counting_stratum_work() as counts:
-        ch.adapted_bases(rec.field, 4, rec.vfilt, rec.wfilt)
-    # one canonical basis per member and one reduction per side
-    assert counts["_forward"] == 2 * len(rec.cuts) + 2
+    # over GF(p^k) a reduction is one field-generic `_forward`, over Q one
+    # integer `_bareiss`
+    for field, reduction, other in ((GF(5, 1), "_forward", "_bareiss"),
+                                    (QQ, "_bareiss", "_forward")):
+        rng = random.Random(41)
+        while True:
+            d = rand_stratum_data(field, rng, 4)
+            if len(d.cuts) == 2:
+                break
+        h = build_stratum_point(d)
+        with counting_stratum_work() as counts:
+            rec = stratum_data(h)
+        assert rec.eq(d.normalized())
+        assert counts["adapted_bases"] == counts["_stratum_point"] == 1
+        assert counts["_validate_stratum_data"] == counts["build_stratum_point"] == 0
+        with counting_stratum_work() as counts:
+            ch.adapted_bases(rec.field, 4, rec.vfilt, rec.wfilt)
+        # one canonical basis per member and one reduction per side
+        assert counts[reduction] == 2 * len(rec.cuts) + 2
+        assert counts[other] == 0
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_rational_round_trips_match_generic_loops(r):
+    """On every cut set, the integer path over Q and the field-generic
+    loops run on Q give the same point and the same recovered data, byte
+    for byte on the wire."""
+    rng = random.Random(7000 + r)
+    for k in range(r):
+        for cuts in combinations(range(1, r), k):
+            d = rand_stratum_data(QQ, rng, r, cuts)
+            h = build_stratum_point(d)
+            oracle = build_stratum_point(replace(d, field=GENERIC_QQ))
+            assert dumps_canonical(hom_to_json(h)) == dumps_canonical(
+                hom_to_json(replace(oracle, field=QQ))
+            )
+            rec = stratum_data(h)
+            rec_oracle = stratum_data(oracle)
+            assert dumps_canonical(stratum_to_json(rec)) == dumps_canonical(
+                stratum_to_json(replace(rec_oracle, field=QQ))
+            )
 
 
 # the nesting errors, pinned on members that carry redundant rows

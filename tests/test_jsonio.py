@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,79 @@ def test_paving_round_trip():
     for paving in enumerate_admissible_pavings(2, 2):
         again = jsonio.paving_from_json(jsonio.paving_to_json(paving))
         assert again.key() == paving.key()
+
+
+def enum_output(r, n):
+    """The JSON object `pavings enum --r r --n n` writes, without its version."""
+    pavings = enumerate_admissible_pavings(r, n)
+    return {"r": r, "n": n, "pavings": [jsonio.paving_to_json(p)["paves"] for p in pavings]}
+
+
+def parse_one_by_one(obj):
+    """The multi-paving parse as one `paving_from_json` per paving."""
+    return [
+        jsonio.paving_from_json({"r": obj["r"], "n": obj["n"], "paves": paves})
+        for paves in obj["pavings"]
+    ]
+
+
+def test_pavings_parse_builds_each_distinct_pave_once():
+    obj = enum_output(3, 2)
+    distinct = {frozenset(map(tuple, pave["points"])) for paves in obj["pavings"] for pave in paves}
+    total = sum(map(len, obj["pavings"]))
+    assert (len(obj["pavings"]), total, len(distinct)) == (176, 944, 50)
+    with mock.patch.object(jsonio, "pave_from_points", wraps=jsonio.pave_from_points) as built:
+        pavings = jsonio.pavings_from_json(obj)
+    assert built.call_count == len(distinct)
+    assert [p.key() for p in pavings] == [p.key() for p in parse_one_by_one(obj)]
+
+
+def _first_error(parse, obj):
+    try:
+        parse(obj)
+    except Exception as e:  # the error itself is what is compared
+        return type(e), str(e)
+    return None
+
+
+def _corrupted(obj, edits):
+    obj = through_text(obj)
+    for edit in edits:
+        edit(obj)
+    return obj
+
+
+def _drop_point(i, j):
+    def edit(obj):
+        obj["pavings"][i][j]["points"].pop()
+    return edit
+
+
+def _set_coordinate(i, j, value):
+    def edit(obj):
+        obj["pavings"][i][j]["points"][0][0] = value
+    return edit
+
+
+def _repeat_pave(i):
+    def edit(obj):
+        obj["pavings"][i].append(obj["pavings"][i][0])
+    return edit
+
+
+@pytest.mark.parametrize("edits", [
+    [_drop_point(5, 0)],
+    [_drop_point(40, 1), _set_coordinate(60, 0, "x")],
+    [_set_coordinate(7, 0, 1.5), _drop_point(9, 0)],
+    [_repeat_pave(3), _drop_point(4, 0)],
+    [_drop_point(175, 2)],
+    [lambda obj: obj.pop("r")],
+], ids=["pave", "pave-then-coordinate", "coordinate-then-pave", "overlap", "last", "no-r"])
+def test_pavings_parse_raises_the_first_error_of_a_parse_one_by_one(edits):
+    obj = _corrupted(enum_output(3, 2), edits)
+    expected = _first_error(parse_one_by_one, obj)
+    assert expected is not None
+    assert _first_error(jsonio.pavings_from_json, obj) == expected
 
 
 def test_cone_round_trip():

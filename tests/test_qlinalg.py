@@ -1,17 +1,26 @@
-"""Property tests of the field-generic elimination kernel in `qlinalg`.
+"""Property tests of the elimination routines in `qlinalg`.
 
-The kernel replaced a Fraction-only Gauss-Jordan elimination and a
-field-generic copy of it; both are kept below as test-only oracles and
-the kernel must match them entry for entry.
+The field-generic loop replaced a Fraction-only Gauss-Jordan elimination
+and a field-generic copy of it; both are kept below as test-only oracles
+and every routine must match them entry for entry.  Over Q the routines,
+`fmat_mul` and `compounds` run on integer matrices instead; that path
+must match the field-generic loops run on Q (`GENERIC_QQ`) entry for
+entry, and do no Fraction arithmetic at all.
 """
 
+import random
+from collections import Counter
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chtoucakit import qlinalg
+from chtoucakit.complete_homs import compounds
 from chtoucakit.fields import GF, QQ, fmat_identity, fmat_mul
 
 FIELDS = [QQ, GF(5, 1), GF(2, 2), GF(3, 2)]
@@ -243,3 +252,166 @@ def test_empty_and_degenerate_shapes():
     assert qlinalg.det(QQ, []) == Fraction(1)
     assert qlinalg.inverse(QQ, []) == []
     assert qlinalg.kernel(GF(2, 2), [], 2) == fmat_identity(GF(2, 2), 2)
+
+
+# ---------------------------------------------------------------------------
+# Q as integers: the integer path against the field-generic loops on Q
+
+# QQ's arithmetic under a type that is not a RationalField, so every
+# routine given it runs its field-generic loop: the oracle of the integer path
+GENERIC_QQ = SimpleNamespace(**{
+    name: getattr(QQ, name)
+    for name in ("name", "zero", "one", "add", "sub", "mul", "neg", "inv", "eq", "is_zero")
+})
+
+BIG = 2**64
+
+
+def q_entries():
+    """Zero-heavy rationals: ints and Fractions, small ones and ones whose
+    numerator and denominator pass 2^64."""
+    return st.one_of(
+        st.sampled_from([0, Fraction(0)]),
+        st.integers(-4, 4),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+        st.builds(Fraction, st.integers(-BIG**2, BIG**2), st.integers(BIG + 1, BIG**2)),
+    )
+
+
+@st.composite
+def q_matrices(draw, nrows=None, ncols=None):
+    """Rows that are fresh, zero, or combinations of two earlier rows, so
+    that rank deficiency is common."""
+    nrows = draw(st.integers(0, 5)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 5)) if ncols is None else ncols
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([draw(st.sampled_from([0, Fraction(0)])) for _ in range(ncols)])
+        elif kind == "combination" and rows:
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(q_entries()), draw(q_entries())
+            rows.append([a * u + b * v for u, v in zip(x, y)])
+        else:
+            rows.append([draw(q_entries()) for _ in range(ncols)])
+    return rows
+
+
+def all_fractions(value):
+    """Whether every scalar in a nest of lists and tuples is a Fraction."""
+    if isinstance(value, (list, tuple)):
+        return all(map(all_fractions, value))
+    return type(value) is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rational_path_matches_generic_loop(data):
+    a = data.draw(q_matrices())
+    ncols = len(a[0]) if a else data.draw(st.integers(1, 4))
+    red = qlinalg.rref(QQ, a)
+    assert red == qlinalg.rref(GENERIC_QQ, a) and all_fractions(red[0])
+    assert qlinalg.rank(QQ, a) == qlinalg.rank(GENERIC_QQ, a)
+    for routine in (qlinalg.row_basis, lambda f, m: qlinalg.kernel(f, m, ncols)):
+        out = routine(QQ, a)
+        assert out == routine(GENERIC_QQ, a) and all_fractions(out)
+    b = data.draw(q_matrices(nrows=ncols))
+    out = fmat_mul(QQ, a, b)
+    assert out == fmat_mul(GENERIC_QQ, a, b) and all_fractions(out)
+    n = data.draw(st.integers(0, 5))
+    sq = data.draw(q_matrices(nrows=n, ncols=n)) if n else []
+    d = qlinalg.det(QQ, sq)
+    assert d == qlinalg.det(GENERIC_QQ, sq) and type(d) is Fraction
+    inv = qlinalg.inverse(QQ, sq)
+    oracle = qlinalg.inverse(GENERIC_QQ, sq)
+    assert (inv is None) == (oracle is None) and inv == oracle
+    assert inv is None or all_fractions(inv)
+    table = compounds(QQ, sq, n)
+    assert table == compounds(GENERIC_QQ, sq, n) and all_fractions(table)
+
+
+def as_fractions(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def test_int_entries_give_exact_fractions():
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    d = qlinalg.det(QQ, [[2, 1], [1, 3]])
+    assert d == 5 and type(d) is Fraction
+    inv = qlinalg.inverse(QQ, [[2, 0], [0, 3]])
+    assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 3)]] and all_fractions(inv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_int_and_mixed_entries_match_their_fraction_copies(data):
+    ints = st.integers(-4, 4)
+    entries = data.draw(st.sampled_from([ints, st.one_of(ints, q_entries())]))
+    n = data.draw(st.integers(1, 4))
+    a = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    f = as_fractions(a)
+    routines = (
+        lambda field, m: qlinalg.rref(field, m)[0],
+        qlinalg.row_basis, qlinalg.det, qlinalg.inverse,
+        lambda field, m: qlinalg.kernel(field, m, n),
+        lambda field, m: fmat_mul(field, m, m),
+        lambda field, m: compounds(field, m, n),
+    )
+    for routine in routines:
+        out = routine(QQ, a)
+        assert out == routine(QQ, f) and (out is None or all_fractions(out))
+    assert qlinalg.rank(QQ, a) == qlinalg.rank(QQ, f)
+    assert qlinalg.rref(QQ, a)[1] == qlinalg.rref(QQ, f)[1]
+
+
+# Fraction's arithmetic operators; constructing a Fraction is not among them
+FRACTION_ARITHMETIC = (
+    "__mul__", "__rmul__", "__add__", "__radd__",
+    "__sub__", "__rsub__", "__truediv__", "__rtruediv__",
+)
+
+
+@contextmanager
+def counting_fraction_arithmetic():
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(Fraction, name)
+
+        def call(self, other):
+            counts[name] += 1
+            return real(self, other)
+
+        return call
+
+    with ExitStack() as stack:
+        for name in FRACTION_ARITHMETIC:
+            stack.enter_context(mock.patch.object(Fraction, name, counted(name)))
+        yield counts
+
+
+def run_rational_routines(field, a):
+    compounds(field, a, len(a))
+    fmat_mul(field, a, a)
+    qlinalg.rref(field, a)
+    qlinalg.rank(field, a)
+    qlinalg.row_basis(field, a)
+    qlinalg.kernel(field, a, len(a[0]))
+    qlinalg.inverse(field, a)
+    qlinalg.det(field, a)
+
+
+def test_rational_routines_do_no_fraction_arithmetic():
+    rng = random.Random(5)
+    a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)] for _ in range(5)]
+    singular = a[:4] + [[x + y for x, y in zip(a[0], a[1])]]
+    with counting_fraction_arithmetic() as counts:
+        run_rational_routines(QQ, a)
+        run_rational_routines(QQ, singular)
+    assert counts == Counter()
+    # the counters do see the generic loops' arithmetic
+    with counting_fraction_arithmetic() as counts:
+        run_rational_routines(GENERIC_QQ, a)
+    assert set(counts) >= {"__mul__", "__sub__", "__add__"}
