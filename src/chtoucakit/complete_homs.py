@@ -405,23 +405,23 @@ def _stratum_point(d: StratumData, a, b) -> CompleteHom:
     us = []
     for rho in range(1, r + 1):
         sigma = next(t for t in range(1, s + 1) if bounds[t - 1] < rho <= bounds[t])
-        lead = field.one()
+        # g_rho is zero outside the wedge coordinates S = base_block + K,
+        # K running over the kk-subsets of block sigma, where it is the
+        # kk-minors of graded map sigma times one scalar: the
+        # determinants of the blocks before sigma over the lambda
+        # monomial.  So u_rho = wb[:, S] (c minors) wa[S, :].
+        c = field.inv(lambda_monomial(field, free_or_one, rho))
         for block in v_wedges[: sigma - 1]:
-            lead = field.mul(lead, block[-1][0][0])
-        size = comb(r, rho)
+            c = field.mul(c, block[-1][0][0])
         index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
         base_block = tuple(range(bounds[sigma - 1]))
         lo, hi = bounds[sigma - 1], bounds[sigma]
         kk = rho - lo
-        minors = v_wedges[sigma - 1][kk - 1]
-        g = [[field.zero()] * size for _ in range(size)]
-        for j, kin in enumerate(combinations(range(lo, hi), kk)):
-            col = index[base_block + kin]
-            for i, kout in enumerate(combinations(range(lo, hi), kk)):
-                g[index[base_block + kout]][col] = field.mul(lead, minors[i][j])
-        scale = field.inv(lambda_monomial(field, free_or_one, rho))
-        g = [[field.mul(scale, x) for x in row] for row in g]
-        us.append(fmat_mul(field, fmat_mul(field, wb[rho - 1], g), wa[rho - 1]))
+        cols = [index[base_block + k] for k in combinations(range(lo, hi), kk)]
+        g = [[field.mul(c, x) for x in row] for row in v_wedges[sigma - 1][kk - 1]]
+        left = [[row[j] for j in cols] for row in wb[rho - 1]]
+        right = [wa[rho - 1][j] for j in cols]
+        us.append(fmat_mul(field, fmat_mul(field, left, g), right))
     lams = tuple(
         field.zero() if rho in set(cuts) else free[rho] for rho in range(1, r)
     )

@@ -6,7 +6,10 @@ Eigenvalue multisets are never stored as roots: a parameter set is the
 polynomial prod (1 - z_i T) by its ascending coefficient list (constant
 term 1, nonzero leading coefficient), and all structural computation is
 exact on coefficients.  Floats appear only in check_bounds, which
-extracts roots numerically under a documented tolerance.  The
+extracts roots numerically under a documented tolerance
+(`SatakeParams.float_roots`).  numpy is imported inside that call, not
+with this module, so only `lfun bounds` and selftest criterion 11
+(`acceptance`) load it.  The
 root-pairing operation and the power sums share one implementation of
 Newton's identities: the pairing is the composed product, whose power
 sums are the products of its factors' power sums.
@@ -17,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from .errors import (
     InvalidData,
@@ -60,6 +61,8 @@ class SatakeParams:
         """The z_i as complex floats (reciprocals of the T-roots)."""
         if self.degree == 0:
             return []
+        import numpy as np
+
         desc = [float(c) for c in reversed(self.coeffs)]
         try:
             troots = np.roots(desc)

@@ -65,6 +65,7 @@ from .ratlp import max_slack
 from .simplex_core import (
     LatticeFunction,
     Point,
+    check_simplex,
     enumerate_lattice_points,
     point_key,
     quotient_lattice,
@@ -119,23 +120,15 @@ class IntegerPave:
         return frozenset(self.points)
 
     @cached_property
-    def _inequalities(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(J, d_J) for the proper nonempty J, built once per pavé."""
-        d = self.profile.as_dict()
-        return tuple((J, d[J]) for J in _proper_nonempty_subsets(self.n))
-
-    def contains_point(self, x) -> bool:
-        """Membership of an arbitrary lattice point of the ambient simplex."""
-        return all(sum(x[j] for j in J) >= dJ for J, dJ in self._inequalities)
-
-    @cached_property
     def cell_mask(self) -> int:
-        """Bitmask of the unit cells contained in the pavé (n <= 2; a
-        cell is in the pavé iff all its vertices are), built once per
-        pavé."""
+        """Bitmask of the unit cells contained in the pavé (n <= 2), built
+        once per pavé.  A cell is in the pavé iff all its vertices are,
+        and its vertices are lattice points of the simplex, so they lie in
+        the pavé exactly when they are among its points."""
+        points = self.point_set()
         mask = 0
         for idx, cell in enumerate(unit_cells(self.r, self.n)):
-            if all(self.contains_point(v) for v in cell):
+            if points.issuperset(cell):
                 mask |= 1 << idx
         return mask
 
@@ -186,12 +179,15 @@ def pave_from_points(r: int, n: int, points) -> IntegerPave:
     if d[()] != 0 or d[tuple(range(n + 1))] != r:
         raise NotAPave("profile endpoints wrong")  # cannot happen for valid points
     _check_supermodular(d, n)
+    # every input point meets each d_J, which is its minimum, so only
+    # the other lattice points can show the region to be larger
     proper = _proper_nonempty_subsets(n)
-    induced = [
-        p for p in all_pts if all(sum(p[j] for j in J) >= d[J] for J in proper)
+    given = set(pts)
+    extra = [
+        p for p in all_pts
+        if p not in given and all(sum(p[j] for j in J) >= d[J] for J in proper)
     ]
-    if induced != pts:
-        extra = [p for p in induced if p not in set(pts)]
+    if extra:
         raise NotAPave(f"reconstruction mismatch: region also contains {extra[:3]}")
     # d is an integer supermodular profile, so the region is an integral
     # base polytope (Edmonds 1970): the hull of its lattice points, which
@@ -558,6 +554,7 @@ def enumerate_admissible_pavings(r: int, n: int) -> tuple[Paving, ...]:
     of T lie in one pavé exactly when the wall's fold row vanishes on
     every ray of the face (m & t == m for the wall's mask t).  Output is
     sorted canonically (number of pavés, then lex on pavé point lists)."""
+    check_simplex(r, n)
     if comb(r + n, n) > ENUMERATION_POINT_CAP:
         raise TooLarge(f"|S^{{{r},{n}}}| exceeds the enumeration cap")
     if r == 1 or n == 0:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import comb
 
 from . import zlattice
-from .errors import InternalError
+from .errors import InternalError, InvalidData
 
 Point = tuple[int, ...]
 
@@ -41,12 +41,17 @@ def point_key(p: Point):
     return tuple(-c for c in p)
 
 
+def check_simplex(r: int, n: int) -> None:
+    """Raise InvalidData unless r >= 1 and n >= 0."""
+    if r < 1 or n < 0:
+        raise InvalidData("need r >= 1 and n >= 0")
+
+
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def enumerate_lattice_points(r: int, n: int) -> tuple[Point, ...]:
     """All (i_0,...,i_n) with nonnegative integer entries summing to r,
     in lexicographic order (see point_key)."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
+    check_simplex(r, n)
 
     def rec(budget: int, slots: int):
         if slots == 1:

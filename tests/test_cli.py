@@ -452,3 +452,22 @@ def test_homs_lang_rejects_non_square_matrices(tmp_path):
         payload = {"field": {"GF": [5, 1]}, "matrix": matrix}
         assert_invalid_data(["homs", "lang", "--q", "5", "m.json"], {"m.json": payload},
                             tmp_path, "matrix must be square")
+
+
+def test_out_of_range_r_and_n_are_invalid_data(tmp_path):
+    expected = (
+        '{"error": {"message": "need r >= 1 and n >= 0", "type": "InvalidData"}, '
+        '"version": "chtouca-kit/1"}\n'
+    )
+    for argv in (
+        ["pavings", "enum", "--r", "0", "--n", "2"],
+        ["pavings", "enum", "--r", "-1", "--n", "1"],
+        ["pavings", "enum", "--r", "1", "--n", "-1"],
+        ["fans", "torus-seq", "--r", "0", "--n", "1"],
+        ["fans", "tau-seq", "--r", "-2", "--q", "3"],
+    ):
+        assert run_cli(argv) == (1, "", expected), argv
+    # the same check on a paving read from JSON
+    paving = {"r": 0, "n": 1, "paves": [{"points": [[0, 0]]}]}
+    rc, out, err = run_cli(["pavings", "check", "p.json"], {"p.json": paving}, tmp_path)
+    assert (rc, out, err) == (1, "", expected)

@@ -628,3 +628,60 @@ def test_torus_action_matches_per_factor_oracle(field):
             mus = tuple(rand_nonzero(field, rng) for _ in range(r - 1))
             got, want = torus_action(h, mus), oracle_torus_action(h, mus)
             assert (got.u, got.lams) == (want.u, want.lams)
+
+
+# ---------------------------------------------------------------------------
+# stratum points from the nonzero block of g_rho, against the product with
+# the full C(r, rho)-square g_rho that it replaced
+
+
+def oracle_stratum_u(d):
+    """u_rho = wedge^rho(B) g_rho wedge^rho(A^-1), with g_rho built whole:
+    the lead times the minors of graded map sigma on the wedge coordinates
+    that use blocks 1..sigma-1, zero elsewhere, scaled by the inverse
+    lambda monomial."""
+    field, r = d.field, d.r
+    a, b = ch.adapted_bases(field, r, d.vfilt, d.wfilt)
+    bounds = [0] + list(d.cuts) + [r]
+    s = len(d.cuts) + 1
+    free = dict(d.free_lams)
+    free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
+    v_wedges = []
+    for sigma in range(1, s + 1):
+        sc = d.scales[sigma - 1]
+        m = [[field.mul(sc, x) for x in row] for row in d.v[sigma - 1]]
+        v_wedges.append(compounds(field, m, len(m)))
+    wb = compounds(field, b, r)
+    wa = compounds(field, fmat_inverse(field, a), r)
+    us = []
+    for rho in range(1, r + 1):
+        sigma = next(t for t in range(1, s + 1) if bounds[t - 1] < rho <= bounds[t])
+        lead = field.one()
+        for block in v_wedges[: sigma - 1]:
+            lead = field.mul(lead, block[-1][0][0])
+        size = len(wb[rho - 1])
+        index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
+        base_block = tuple(range(bounds[sigma - 1]))
+        lo, hi = bounds[sigma - 1], bounds[sigma]
+        kk = rho - lo
+        minors = v_wedges[sigma - 1][kk - 1]
+        g = [[field.zero()] * size for _ in range(size)]
+        for j, kin in enumerate(combinations(range(lo, hi), kk)):
+            col = index[base_block + kin]
+            for i, kout in enumerate(combinations(range(lo, hi), kk)):
+                g[index[base_block + kout]][col] = field.mul(lead, minors[i][j])
+        scale = field.inv(ch.lambda_monomial(field, free_or_one, rho))
+        g = [[field.mul(scale, x) for x in row] for row in g]
+        us.append(fmat_mul(field, fmat_mul(field, wb[rho - 1], g), wa[rho - 1]))
+    return tuple(us)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1), GF(2, 2), GF(3, 2)],
+                         ids=["QQ", "GF5", "GF4", "GF9"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_stratum_point_matches_full_product_oracle(field, r):
+    rng = random.Random(9100 + r)
+    for k in range(r):
+        for cuts in combinations(range(1, r), k):
+            d = rand_stratum_data(field, rng, r, cuts)
+            assert build_stratum_point(d).u == oracle_stratum_u(d), cuts

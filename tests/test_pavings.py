@@ -1135,3 +1135,32 @@ def test_q_admissibility_matches_lp_oracle_on_every_exact_cover(r):
     # (3, 2) has non-admissible covers, which are never q-admissible
     assert seen == ({(True, True), (False, True), (False, False)} if r == 3
                     else {(True, True), (False, True)})
+
+
+# ---------------------------------------------------------------------------
+# unit-cell masks by set inclusion, against the inequality test they replaced
+
+
+def oracle_cell_mask(pave):
+    """The cells all of whose vertices satisfy sum_{j in J} x_j >= d_J
+    for every proper nonempty J."""
+    d = pave.profile.as_dict()
+    inequalities = [(J, d[J]) for J in pv._proper_nonempty_subsets(pave.n)]
+
+    def contains(x):
+        return all(sum(x[j] for j in J) >= dJ for J, dJ in inequalities)
+
+    mask = 0
+    for idx, cell in enumerate(pv.unit_cells(pave.r, pave.n)):
+        if all(contains(v) for v in cell):
+            mask |= 1 << idx
+    return mask
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2)] + [(r, 1) for r in range(1, 12)])
+def test_cell_mask_matches_inequality_oracle(r, n):
+    paves = {pave for paving in enumerate_admissible_pavings(r, n) for pave in paving.paves}
+    if n == 2:
+        paves.update(oracle_candidate_paves(r, n))
+    for pave in paves:
+        assert pave.cell_mask == oracle_cell_mask(pave), pave.points
