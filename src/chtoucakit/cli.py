@@ -52,6 +52,15 @@ from .pavings import (
 )
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational flag value; a zero denominator is a parse error like
+    any other malformed value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _read_json(path):
     try:
         if path == "-":
@@ -149,30 +158,24 @@ def cmd_fans_monoid(args):
     return 0
 
 
-def cmd_fans_torus_seq(args):
-    rep = torus_sequence_check(args.r, args.n)
+def _emit_sequence(rep, out):
     _emit(
         {
             "ok": rep.ok,
             "dim_torus": rep.dim_torus,
             "checks": [[name, ok] for name, ok in rep.checks],
         },
-        args.out,
+        out,
     )
     return 0
+
+
+def cmd_fans_torus_seq(args):
+    return _emit_sequence(torus_sequence_check(args.r, args.n), args.out)
 
 
 def cmd_fans_tau_seq(args):
-    rep = tau_sequence_check(args.r, args.q)
-    _emit(
-        {
-            "ok": rep.ok,
-            "dim_torus": rep.dim_torus,
-            "checks": [[name, ok] for name, ok in rep.checks],
-        },
-        args.out,
-    )
-    return 0
+    return _emit_sequence(tau_sequence_check(args.r, args.q), args.out)
 
 
 def cmd_homs_complete(args):
@@ -215,7 +218,7 @@ def cmd_homs_lang(args):
 
 def cmd_hn_compute(args):
     lat = jsonio.subobject_lattice_from_json(_read_json(args.file))
-    alpha = Fraction(args.alpha)
+    alpha = _fraction(args.alpha)
     polygon, chain = hn_polygon(lat, alpha)
     _emit(
         {
@@ -244,7 +247,8 @@ def cmd_trunc_split(args):
 
 def cmd_trunc_convex(args):
     p = jsonio.polygon_from_json(_read_json(args.file))
-    _emit({"mu": jsonio.frac_str(Fraction(args.mu)), "convex": is_mu_convex(p, Fraction(args.mu))}, args.out)
+    mu = _fraction(args.mu)
+    _emit({"mu": jsonio.frac_str(mu), "convex": is_mu_convex(p, mu)}, args.out)
     return 0
 
 
@@ -300,7 +304,7 @@ def cmd_lfun_spectral(args):
     params_inf = jsonio.satake_from_json(_read_json(args.inf))
     params_o = jsonio.satake_from_json(_read_json(args.o))
     val = spectral_term(
-        Fraction(args.trace),
+        _fraction(args.trace),
         args.r,
         args.deg_xi,
         args.n,

@@ -429,61 +429,33 @@ def _stratum_point(d: StratumData, a, b) -> CompleteHom:
 
 
 def _kernel_of_wedge_map(field, u_rho, r: int, rho: int):
-    """Matrix rows of v |-> u_rho(v wedge e_K) over all (rho-1)-subsets K,
-    whose kernel is the recovered subspace V^sigma."""
-    subs_in = wedge_subsets(r, rho)
-    index_in = {sub: i for i, sub in enumerate(subs_in)}
+    """Basis of {v : u_rho(v wedge psi) = 0 for every (rho-1)-vector psi},
+    the recovered subspace V^sigma: the kernel of the rows of
+    v |-> u_rho(v wedge e_K) over all (rho-1)-subsets K."""
+    index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
     rows = []
-    size_out = comb(r, rho)
     for k_sub in wedge_subsets(r, rho - 1):
         cols = []
         for i in range(r):
             if i in k_sub:
-                cols.append([field.zero()] * size_out)
+                cols.append([field.zero()] * len(u_rho))
                 continue
-            merged = tuple(sorted(k_sub + (i,)))
-            sign = sum(1 for x in k_sub if x < i) % 2
-            col_idx = index_in[merged]
-            vec = [u_rho[t][col_idx] for t in range(size_out)]
-            if sign:
+            col = index[tuple(sorted(k_sub + (i,)))]
+            vec = [row[col] for row in u_rho]
+            if sum(1 for x in k_sub if x < i) % 2:
                 vec = [field.neg(x) for x in vec]
             cols.append(vec)
-        for t in range(size_out):
-            rows.append([cols[i][t] for i in range(r)])
-    return rows
+        rows.extend(zip(*cols))
+    return qlinalg.kernel(field, rows, r)
 
 
-def _support_span(field, u_rho, r: int, rho: int):
-    """Smallest subspace U with image(u_rho) inside wedge^rho U, via
-    interior products of the image generators by all (rho-1)-covectors.
-
-    The contraction of w by e*_L is sum_i (-1)^{#{l in L : l > i}}
-    w_{L u {i}} e_i; for decomposable w it lands in the spanning
-    subspace, so the union of contractions spans exactly U."""
-    subs = wedge_subsets(r, rho)
-    index = {sub: i for i, sub in enumerate(subs)}
-    vectors = []
-    ncols = len(u_rho[0])
-    for c in range(ncols):
-        col = [u_rho[t][c] for t in range(len(u_rho))]
-        if all(field.is_zero(x) for x in col):
-            continue
-        for l_sub in wedge_subsets(r, rho - 1):
-            vec = [field.zero()] * r
-            nonzero = False
-            for i in range(r):
-                if i in l_sub:
-                    continue
-                merged = tuple(sorted(l_sub + (i,)))
-                coeff = col[index[merged]]
-                if sum(1 for l in l_sub if l > i) % 2:
-                    coeff = field.neg(coeff)
-                vec[i] = coeff
-                if not field.is_zero(coeff):
-                    nonzero = True
-            if nonzero:
-                vectors.append(vec)
-    return qlinalg.row_basis(field, vectors)
+def _support(field, u_rho, r: int, rho: int):
+    """Row basis of the smallest U with im(u_rho) inside wedge^rho U, the
+    recovered W_sigma.  Since im(u)^perp = ker(u^T), the annihilator of U
+    is {phi : u_rho^T(phi wedge psi) = 0 for every psi}, the kernel of the
+    wedge map of the transpose; U is the kernel of that kernel."""
+    annihilator = _kernel_of_wedge_map(field, [list(col) for col in zip(*u_rho)], r, rho)
+    return qlinalg.row_basis(field, qlinalg.kernel(field, annihilator, r))
 
 
 def stratum_data(h: CompleteHom) -> StratumData:
@@ -500,8 +472,9 @@ def stratum_data(h: CompleteHom) -> StratumData:
     in increasing order; there is one V^t and one W_t per cut, each a
     row basis whose dimension is checked below, and their nesting is
     checked too; each graded map is a square block with nonzero
-    determinant, divided by its first nonzero entry, which is the scale;
-    the free lambdas are exactly the nonzero ones."""
+    determinant, built with scale 1 and then divided by its first nonzero
+    entry, which becomes the scale (`StratumData.normalized`); the free
+    lambdas are exactly the nonzero ones."""
     field = h.field
     r = h.r
     cuts = stratum_of(h)
@@ -509,19 +482,17 @@ def stratum_data(h: CompleteHom) -> StratumData:
     s = len(cuts) + 1
     vfilt: list = []
     wfilt: list = []
-    for t, cut in enumerate(cuts):
-        rho = cut
-        kernel_rows = _kernel_of_wedge_map(field, h.u[rho - 1], r, rho)
-        ker = qlinalg.kernel(field, kernel_rows, r)
-        if len(ker) != r - cut:
+    for t, rho in enumerate(cuts):
+        ker = _kernel_of_wedge_map(field, h.u[rho - 1], r, rho)
+        if len(ker) != r - rho:
             raise NotOnStratum(
-                f"recovered V^{t+1} has dimension {len(ker)}, expected {r - cut}"
+                f"recovered V^{t+1} has dimension {len(ker)}, expected {r - rho}"
             )
         vfilt.append(tuple(tuple(row) for row in qlinalg.row_basis(field, ker)))
-        span = _support_span(field, h.u[rho - 1], r, rho)
-        if len(span) != cut:
+        span = _support(field, h.u[rho - 1], r, rho)
+        if len(span) != rho:
             raise NotOnStratum(
-                f"recovered W_{t+1} has dimension {len(span)}, expected {cut}"
+                f"recovered W_{t+1} has dimension {len(span)}, expected {rho}"
             )
         wfilt.append(tuple(tuple(row) for row in span))
     if not _nested(field, vfilt[::-1], [r - c for c in reversed(cuts)]):
@@ -537,8 +508,7 @@ def stratum_data(h: CompleteHom) -> StratumData:
     wb = compounds(field, b_inv, top)
     wa = compounds(field, a, top)
     free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
-    v_hat = []
-    scales = []
+    graded = []
     true_dets = []
     for sigma in range(1, s + 1):
         rho = bounds[sigma - 1] + 1
@@ -561,17 +531,12 @@ def stratum_data(h: CompleteHom) -> StratumData:
             raise NotOnStratum("degenerate scaling while extracting graded maps")
         inv_denom = field.inv(denom)
         tilde = [[field.mul(inv_denom, x) for x in row] for row in phi]
-        first = _first_nonzero(field, tilde)
-        if first is None:
+        if _first_nonzero(field, tilde) is None:
             raise NotOnStratum(f"graded map {sigma} vanishes")
-        inv_first = field.inv(first)
-        v_hat.append(
-            tuple(tuple(field.mul(inv_first, x) for x in row) for row in tilde)
-        )
-        scales.append(first)
         block_det = qlinalg.det(field, tilde)
         if field.is_zero(block_det):
             raise NotOnStratum(f"graded map {sigma} is singular")
+        graded.append(tilde)
         true_dets.append(block_det)
     data = StratumData(
         field,
@@ -579,10 +544,10 @@ def stratum_data(h: CompleteHom) -> StratumData:
         tuple(cuts),
         tuple(vfilt),
         tuple(wfilt),
-        tuple(v_hat),
-        tuple(scales),
+        tuple(graded),
+        (field.one(),) * s,
         tuple(sorted(free.items())),
-    )
+    ).normalized()
     if not _stratum_point(data, a, b).eq(h):
         raise NotOnStratum("point does not satisfy the stratum relations")
     return data

@@ -16,6 +16,7 @@ from .errors import InvalidData
 from .pavings import Paving, _proper_nonempty_subsets, interior_walls, trivial_paving
 from .complete_homs import StratumData, adapted_bases, _validate_stratum_data
 from . import qlinalg
+from .fields import fmat_mul
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,12 @@ def _coords_of(n: int, r: int, blocks) -> list[int]:
     return out
 
 
-def _dim_intersection_with_block(field, w_rows, r: int, n: int, blocks) -> int:
-    """dim(W cap V^J): vectors of W supported on the J-blocks."""
-    other = [c for c in range(r * (n + 1)) if c not in set(_coords_of(n, r, blocks))]
-    if not other:
-        return len(w_rows)
-    constraint = [[row[c] for row in w_rows] for c in other]
-    return len(qlinalg.kernel(field, constraint, len(w_rows)))
+def _intersection_combinations(field, w_rows, r: int, n: int, blocks):
+    """Basis of the coefficient vectors c whose combination c W of the
+    rows of W lies in V^J: one per dimension of W cap V^J."""
+    jset = set(_coords_of(n, r, blocks))
+    other = [c for c in range(r * (n + 1)) if c not in jset]
+    return qlinalg.kernel(field, [[row[c] for row in w_rows] for c in other], len(w_rows))
 
 
 def _restrict_rows(field, w_rows, cols):
@@ -57,25 +57,11 @@ def _restrict_rows(field, w_rows, cols):
 
 def _intersection_in_coords(field, w_rows, r, n, blocks):
     """Basis of i_J^{-1}(W) = W cap V^J, written in V^J coordinates."""
-    jset = set(_coords_of(n, r, blocks))
-    other = [c for c in range(r * (n + 1)) if c not in jset]
-    if other:
-        constraint = [[row[c] for row in w_rows] for c in other]
-        combos = qlinalg.kernel(field, constraint, len(w_rows))
-    else:
-        combos = [[field.one() if i == t else field.zero() for i in range(len(w_rows))]
-                  for t in range(len(w_rows))]
     jcols = _coords_of(n, r, blocks)
-    vecs = []
-    for c in combos:
-        vec = []
-        for col in jcols:
-            s = field.zero()
-            for coeff, row in zip(c, w_rows):
-                s = field.add(s, field.mul(coeff, row[col]))
-            vec.append(s)
-        vecs.append(vec)
-    return qlinalg.row_basis(field, vecs)
+    combos = _intersection_combinations(field, w_rows, r, n, blocks)
+    return qlinalg.row_basis(
+        field, fmat_mul(field, combos, [[row[c] for c in jcols] for row in w_rows])
+    )
 
 
 @dataclass
@@ -86,15 +72,17 @@ class GluingReport:
 
 def check_dimension_condition(fam: GluedGraphFamily) -> GluingReport:
     """dim(W_P cap V^J) must equal min over the pavé's lattice points of
-    sum_{j in J} i_j, for every pavé and every J."""
+    sum_{j in J} i_j, the pavé's profile value d_J, for every pavé and
+    every J."""
     r, n = fam.paving.r, fam.paving.n
     violations = []
     subsets = _proper_nonempty_subsets(n) + [tuple(range(n + 1)), ()]
     for idx, pave in enumerate(fam.paving.paves):
         w_rows = [list(row) for row in fam.w[idx]]
+        profile = pave.profile.as_dict()
         for blocks in subsets:
-            expected = min(sum(p[j] for j in blocks) for p in pave.points)
-            got = _dim_intersection_with_block(fam.field, w_rows, r, n, blocks)
+            expected = profile[blocks]
+            got = len(_intersection_combinations(fam.field, w_rows, r, n, blocks))
             if got != expected:
                 violations.append((idx, blocks, got, expected))
     return GluingReport(not violations, violations)
@@ -173,15 +161,12 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
             rows.append(a_cols[j] + [field.zero()] * r)
         for j in range(lo):  # W_{sigma-1} = leading adapted vectors
             rows.append([field.zero()] * r + b_cols[j])
+        # graph of the true graded map: adapted vector lo + t of A next
+        # to its image, the sum over tp of sc v[tp][t] b_{lo + tp}
         sc = d.scales[sigma - 1]
-        vmat = d.v[sigma - 1]
-        for t in range(hi - lo):
-            img = [field.zero()] * r
-            for tp in range(hi - lo):
-                coeff = field.mul(sc, vmat[tp][t])
-                for i in range(r):
-                    img[i] = field.add(img[i], field.mul(coeff, b_cols[lo + tp][i]))
-            rows.append(a_cols[lo + t] + img)
+        v_t = [[field.mul(sc, x) for x in col] for col in zip(*d.v[sigma - 1])]
+        images = fmat_mul(field, v_t, b_cols[lo:hi])
+        rows.extend(a_cols[lo + t] + img for t, img in enumerate(images))
         paves.append(pave)
         w_by_key[pave.key()] = tuple(tuple(row) for row in rows)
     paving = paving_from_paves(r, 1, paves)

@@ -124,9 +124,7 @@ class Polygon:
 
 
 def is_truncation_parameter(p: Polygon) -> bool:
-    return all(v >= 0 for v in p.values) and all(
-        p.second_drop(rho) >= 0 for rho in range(1, p.r)
-    )
+    return all(v >= 0 for v in p.values) and is_mu_convex(p, 0)
 
 
 def polygon_leq(p: Polygon, q: Polygon) -> bool:

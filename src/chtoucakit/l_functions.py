@@ -218,6 +218,10 @@ def spectral_term(
     * S_o^{(deg(xi) n / deg(o))}, exact when the exponents are integral."""
     if n < 1 or deg_xi < 1:
         raise InvalidData("deg(xi) and n must be positive")
+    if r < 1:
+        raise InvalidData("r must be at least 1")
+    if q < 2:
+        raise InvalidData("q must be at least 2")
     total = deg_xi * n
     if total % deg_inf != 0 or total % deg_o != 0:
         raise NonIntegralExponent(
@@ -236,6 +240,8 @@ def check_bounds(pd: PlaceData, q: int, mode: str, tol: float) -> bool:
     of 1.  Roots are extracted with floating point at tolerance tol."""
     if not 0 < tol < 1:
         raise InvalidData("tolerance must be in (0, 1)")
+    if q < 2:
+        raise InvalidData("q must be at least 2")
     mode = mode.upper()
     if mode not in ("JS", "RP"):
         raise InvalidData("mode must be JS or RP")

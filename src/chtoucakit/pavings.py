@@ -634,30 +634,20 @@ def is_q_admissible(paving: Paving, q: int) -> bool:
 
 
 def pave_edge_count(pave: IntegerPave) -> int:
-    """Number of edges of the pavé as a lattice polygon (n = 2 only);
-    pavés are convex hulls of their lattice points, so a monotone-chain
-    hull in the (x_1, x_2) chart does it exactly."""
+    """Number of edges of the pavé as a lattice polygon (n = 2 only).
+
+    Every edge is parallel to some e_i - e_j, so it lies on the line
+    x_k = const and bounds the pavé from one side: it is the face where
+    the inequality sum_J x >= d_J of exactly one proper J ({k} or
+    {i, j}) is tight, and that face is an edge exactly when it holds at
+    least two lattice points."""
     if pave.n != 2:
         raise WrongDimension("edge counting is defined for n = 2")
-    pts = sorted({(p[1], p[2]) for p in pave.points})
-    if len(pts) < 3:
-        return len(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def chain(points):
-        out = []
-        for p in points:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(list(reversed(pts)))
-    hull = lower[:-1] + upper[:-1]
-    return len(hull)
+    return sum(
+        sum(sum(p[j] for j in J) == d for p in pave.points) >= 2
+        for J, d in pave.profile.d
+        if 0 < len(J) < 3
+    )
 
 
 def clear_caches():

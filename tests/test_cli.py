@@ -2,6 +2,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 
 from chtoucakit import cli
 from chtoucakit.errors import InternalError
@@ -471,3 +472,54 @@ def test_out_of_range_r_and_n_are_invalid_data(tmp_path):
     paving = {"r": 0, "n": 1, "paves": [{"points": [[0, 0]]}]}
     rc, out, err = run_cli(["pavings", "check", "p.json"], {"p.json": paving}, tmp_path)
     assert (rc, out, err) == (1, "", expected)
+
+
+
+LFUN_FILES = {
+    "place.json": {"deg": 1, "coeffs": ["1", "-2"]},
+    "pi.json": {"coeffs": ["1", "-5/2", "1"]},
+}
+
+
+def spectral_argv(trace="1", r="2", q="4"):
+    return [
+        "lfun", "spectral", "--trace", trace, "--r", r, "--deg-xi", "1", "--n", "1",
+        "--inf", "pi.json", "--deg-inf", "1", "--o", "pi.json", "--deg-o", "1", "--q", q,
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hn", "compute", "lat.json", "--alpha", "1/0"],
+    ["trunc", "convex", "--mu", "1/0", "p.json"],
+    spectral_argv(trace="1/0"),
+], ids=["alpha", "mu", "trace"])
+def test_zero_denominator_is_a_parse_error(tmp_path, argv):
+    lattice = {
+        "r": 1,
+        "records": [{"id": "0", "rank": 0, "deg0": 0, "deg1": 0},
+                    {"id": "E", "rank": 1, "deg0": 1, "deg1": 1}],
+        "order": [["0", "E"]],
+    }
+    files = {"lat.json": lattice, "p.json": {"r": 3, "values": ["0", "4", "4", "0"]}}
+    rc, out, err = run_cli(argv, {**files, **LFUN_FILES}, tmp_path)
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "ParseError", "message": "zero denominator in '1/0'"
+    }
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lfun", "bounds", "--q", "0", "--mode", "js", "place.json"], "q must be at least 2"),
+    (["lfun", "bounds", "--q", "1", "--mode", "js", "place.json"], "q must be at least 2"),
+    (["lfun", "bounds", "--q", "-4", "--mode", "js", "place.json"], "q must be at least 2"),
+    (["lfun", "bounds", "--q", "1", "--mode", "rp", "place.json"], "q must be at least 2"),
+    (spectral_argv(r="0", q="0"), "r must be at least 1"),
+    (spectral_argv(r="0"), "r must be at least 1"),
+    (spectral_argv(q="0"), "q must be at least 2"),
+    (spectral_argv(q="1"), "q must be at least 2"),
+], ids=["bounds-js-q0", "bounds-js-q1", "bounds-js-q-4", "bounds-rp-q1",
+        "spectral-r0-q0", "spectral-r0", "spectral-q0", "spectral-q1"])
+def test_lfun_q_below_two_and_r_below_one_are_invalid_data(tmp_path, argv, message):
+    rc, out, err = run_cli(argv, LFUN_FILES, tmp_path)
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "InvalidData", "message": message}

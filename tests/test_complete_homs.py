@@ -685,3 +685,96 @@ def test_stratum_point_matches_full_product_oracle(field, r):
         for cuts in combinations(range(1, r), k):
             d = rand_stratum_data(field, rng, r, cuts)
             assert build_stratum_point(d).u == oracle_stratum_u(d), cuts
+
+
+# ---------------------------------------------------------------------------
+# W_t as the annihilator of the wedge kernel of the transpose, against the
+# span of interior products that it replaced
+
+
+def oracle_support_span(field, u_rho, r, rho):
+    """Smallest subspace U with image(u_rho) inside wedge^rho U, via
+    interior products of the image generators by all (rho-1)-covectors.
+
+    The contraction of w by e*_L is sum_i (-1)^{#{l in L : l > i}}
+    w_{L u {i}} e_i; for decomposable w it lands in the spanning
+    subspace, so the union of contractions spans exactly U."""
+    subs = wedge_subsets(r, rho)
+    index = {sub: i for i, sub in enumerate(subs)}
+    vectors = []
+    for c in range(len(u_rho[0])):
+        col = [u_rho[t][c] for t in range(len(u_rho))]
+        if all(field.is_zero(x) for x in col):
+            continue
+        for l_sub in wedge_subsets(r, rho - 1):
+            vec = [field.zero()] * r
+            for i in range(r):
+                if i in l_sub:
+                    continue
+                coeff = col[index[tuple(sorted(l_sub + (i,)))]]
+                if sum(1 for l in l_sub if l > i) % 2:
+                    coeff = field.neg(coeff)
+                vec[i] = coeff
+            if any(not field.is_zero(x) for x in vec):
+                vectors.append(vec)
+    return qlinalg.row_basis(field, vectors)
+
+
+def sparse_square(field, rng, size, density):
+    return [
+        [rand_nonzero(field, rng) if rng.random() < density else field.zero()
+         for _ in range(size)]
+        for _ in range(size)
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1), GF(2, 2), GF(3, 2)],
+                         ids=["QQ", "GF5", "GF4", "GF9"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_support_matches_contraction_oracle(field, r):
+    """Every u_rho of a stratum point on every cut set, the zero matrix
+    and sparse random matrices, at every rho."""
+    rng = random.Random(9300 + r)
+    points = [
+        build_stratum_point(rand_stratum_data(field, rng, r, cuts))
+        for k in range(r)
+        for cuts in combinations(range(1, r), k)
+    ]
+    for rho in range(1, r + 1):
+        size = len(wedge_subsets(r, rho))
+        mats = [h.u[rho - 1] for h in points] + [[[field.zero()] * size] * size]
+        mats += [sparse_square(field, rng, size, density)
+                 for density in (0.02, 0.05, 0.1, 0.3) for _ in range(4)]
+        for u in mats:
+            assert ch._support(field, u, r, rho) == oracle_support_span(field, u, r, rho)
+
+
+# ---------------------------------------------------------------------------
+# recovered graded maps normalized by StratumData.normalized, against the
+# per-block loop that it replaced
+
+
+def oracle_normalize(field, true_maps):
+    """Each true graded map divided by its first nonzero entry (row-major),
+    which is its scale."""
+    v_hat, scales = [], []
+    for tilde in true_maps:
+        first = next(x for row in tilde for x in row if not field.is_zero(x))
+        inv_first = field.inv(first)
+        v_hat.append(tuple(tuple(field.mul(inv_first, x) for x in row) for row in tilde))
+        scales.append(first)
+    return tuple(v_hat), tuple(scales)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1)], ids=["QQ", "GF5"])
+def test_recovered_graded_maps_match_per_block_normalization(field):
+    from chtoucakit.acceptance import _rand_stratum_data
+
+    rng = random.Random(9400)
+    for r in (2, 3, 4, 5):
+        for _ in range(12):
+            d = _rand_stratum_data(field, rng, r)
+            true_maps = [[[field.mul(sc, x) for x in row] for row in m]
+                         for m, sc in zip(d.v, d.scales)]
+            rec = stratum_data(build_stratum_point(d))
+            assert (rec.v, rec.scales) == oracle_normalize(field, true_maps), d.cuts

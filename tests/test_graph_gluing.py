@@ -8,6 +8,7 @@ from chtoucakit.fields import GF, QQ, fmat_identity
 from chtoucakit.qlinalg import inverse as fmat_inverse
 from chtoucakit.graph_gluing import (
     GluedGraphFamily,
+    _intersection_in_coords,
     check_dimension_condition,
     check_gluing_condition,
     family_from_stratum,
@@ -21,9 +22,11 @@ from chtoucakit.pavings import (
     paving_from_point_sets,
     trivial_paving,
 )
-from chtoucakit.complete_homs import StratumData
+from chtoucakit.acceptance import _rand_stratum_data
+from chtoucakit.complete_homs import StratumData, adapted_bases
+from chtoucakit.qlinalg import kernel as fmat_kernel, row_basis
 
-from test_complete_homs import rand_stratum_data
+from test_complete_homs import rand_scalar, rand_stratum_data
 
 
 class TestDimensionCondition:
@@ -196,3 +199,125 @@ def test_shared_walls_match_hyperplane_oracle_on_stratum_families():
             for _ in range(6):
                 paving = family_from_stratum(rand_stratum_data(field, rng, r)).paving
                 assert shared_walls(paving) == oracle_shared_walls(paving)
+
+
+# ---------------------------------------------------------------------------
+# W cap V^J from one kernel, and the products through `fmat_mul`, against
+# the per-entry loops and the separate dimension count that they replaced
+
+
+def oracle_dim_intersection(field, w_rows, r, n, blocks):
+    """dim(W cap V^J): vectors of W supported on the J-blocks."""
+    jset = {j * r + i for j in blocks for i in range(r)}
+    other = [c for c in range(r * (n + 1)) if c not in jset]
+    if not other:
+        return len(w_rows)
+    constraint = [[row[c] for row in w_rows] for c in other]
+    return len(fmat_kernel(field, constraint, len(w_rows)))
+
+
+def oracle_intersection_in_coords(field, w_rows, r, n, blocks):
+    """W cap V^J in V^J coordinates, each combination summed entry by entry."""
+    jcols = [j * r + i for j in blocks for i in range(r)]
+    other = [c for c in range(r * (n + 1)) if c not in set(jcols)]
+    if other:
+        combos = fmat_kernel(field, [[row[c] for row in w_rows] for c in other], len(w_rows))
+    else:
+        combos = fmat_identity(field, len(w_rows))
+    vecs = []
+    for c in combos:
+        vec = []
+        for col in jcols:
+            s = field.zero()
+            for coeff, row in zip(c, w_rows):
+                s = field.add(s, field.mul(coeff, row[col]))
+            vec.append(s)
+        vecs.append(vec)
+    return row_basis(field, vecs)
+
+
+def oracle_dimension_violations(fam):
+    """The violations of the dimension condition with d_J recomputed as a
+    minimum over the pavé's points."""
+    r, n = fam.paving.r, fam.paving.n
+    violations = []
+    for idx, pave in enumerate(fam.paving.paves):
+        w_rows = [list(row) for row in fam.w[idx]]
+        for blocks in _proper_nonempty_subsets(n) + [tuple(range(n + 1)), ()]:
+            expected = min(sum(p[j] for j in blocks) for p in pave.points)
+            got = oracle_dim_intersection(fam.field, w_rows, r, n, blocks)
+            if got != expected:
+                violations.append((idx, blocks, got, expected))
+    return violations
+
+
+def oracle_family_w(d):
+    """The subspace of each pavé [r_{s-1}, r_s] of `family_from_stratum`,
+    keyed by its point set, with each graph row summed entry by entry."""
+    field, r = d.field, d.r
+    a, b = adapted_bases(field, r, d.vfilt, d.wfilt)
+    a_cols = [list(col) for col in zip(*a)]
+    b_cols = [list(col) for col in zip(*b)]
+    bounds = [0] + list(d.cuts) + [r]
+    out = {}
+    for sigma in range(1, len(bounds)):
+        lo, hi = bounds[sigma - 1], bounds[sigma]
+        rows = [a_cols[j] + [field.zero()] * r for j in range(hi, r)]
+        rows += [[field.zero()] * r + b_cols[j] for j in range(lo)]
+        sc, vmat = d.scales[sigma - 1], d.v[sigma - 1]
+        for t in range(hi - lo):
+            img = [field.zero()] * r
+            for tp in range(hi - lo):
+                coeff = field.mul(sc, vmat[tp][t])
+                for i in range(r):
+                    img[i] = field.add(img[i], field.mul(coeff, b_cols[lo + tp][i]))
+            rows.append(a_cols[lo + t] + img)
+        out[frozenset((r - x, x) for x in range(lo, hi + 1))] = tuple(map(tuple, rows))
+    return out
+
+
+def criterion_12_families():
+    """The stratum families of acceptance criterion 12, drawn the same way,
+    each also with its last pavé overwritten by the first-factor copy of V
+    and with a random pavé given a random rank-r subspace."""
+    rng = random.Random(20240 + 12)
+    out = []
+    for field in (QQ, GF(5, 1), GF(2, 1)):
+        for r in (2, 3):
+            for _ in range(10):
+                d = _rand_stratum_data(field, rng, r)
+                fam = family_from_stratum(d)
+                first_copy = [row + [field.zero()] * r for row in fmat_identity(field, r)]
+                while True:
+                    m = [[rand_scalar(field, rng) for _ in range(2 * r)] for _ in range(r)]
+                    if len(row_basis(field, m)) == r:
+                        break
+                bad = []
+                for idx, rows in ((-1, first_copy), (rng.randrange(len(fam.w)), m)):
+                    w_bad = list(fam.w)
+                    w_bad[idx] = tuple(map(tuple, rows))
+                    bad.append(GluedGraphFamily(field, fam.paving, tuple(w_bad)))
+                out.append((d, fam, bad))
+    return out
+
+
+def test_family_rows_match_per_entry_products():
+    for d, fam, _ in criterion_12_families():
+        got = {frozenset(p.points): w for p, w in zip(fam.paving.paves, fam.w)}
+        assert got == oracle_family_w(d), (d.field.name, d.cuts)
+
+
+def test_intersections_match_separate_count_and_per_entry_products():
+    bad_seen = 0
+    for _, fam, bad in criterion_12_families():
+        for f in (fam, *bad):
+            field, r, n = f.field, f.paving.r, f.paving.n
+            violations = check_dimension_condition(f).violations
+            assert violations == oracle_dimension_violations(f)
+            bad_seen += bool(violations)
+            for w in f.w:
+                w_rows = [list(row) for row in w]
+                for blocks in _proper_nonempty_subsets(n) + [tuple(range(n + 1)), ()]:
+                    got = _intersection_in_coords(field, w_rows, r, n, blocks)
+                    assert got == oracle_intersection_in_coords(field, w_rows, r, n, blocks)
+    assert bad_seen > 0

@@ -1164,3 +1164,56 @@ def test_cell_mask_matches_inequality_oracle(r, n):
         paves.update(oracle_candidate_paves(r, n))
     for pave in paves:
         assert pave.cell_mask == oracle_cell_mask(pave), pave.points
+
+
+# ---------------------------------------------------------------------------
+# edge counts from the profile, against the convex hull they replaced
+
+
+def oracle_hull_edge_count(pave):
+    """Vertices of the monotone-chain hull of the pavé's points in the
+    (x_1, x_2) chart."""
+    pts = sorted({(p[1], p[2]) for p in pave.points})
+    if len(pts) < 3:
+        return len(pts)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(points):
+        out = []
+        for p in points:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return len(chain(pts)[:-1] + chain(pts[::-1])[:-1])
+
+
+def paves_from_every_profile(r):
+    """Every pavé of the n = 2 simplex of size r: each is cut out by
+    lo_i <= x_i <= hi_i, so every integer choice of the six bounds is
+    tried, and the point sets that are pavés are kept."""
+    points = enumerate_lattice_points(r, 2)
+    bounds = [(lo, hi) for lo in range(r + 1) for hi in range(lo, r + 1)]
+    seen, paves = set(), []
+    for box in product(bounds, repeat=3):
+        pts = tuple(p for p in points if all(lo <= x <= hi for x, (lo, hi) in zip(p, box)))
+        if pts in seen:
+            continue
+        seen.add(pts)
+        try:
+            paves.append(pave_from_points(r, 2, pts))
+        except (NotAPave, EmptyInterior):
+            pass
+    return paves
+
+
+def test_edge_count_matches_hull_oracle_on_every_pave():
+    total = 0
+    for r in range(1, 7):
+        for pave in paves_from_every_profile(r):
+            assert pave_edge_count(pave) == oracle_hull_edge_count(pave), pave.points
+            total += 1
+    assert total == 1493
