@@ -475,15 +475,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 # a value starting with "-" and a digit, "." or "/" (a negative scalar)
 _SIGNED_VALUE = re.compile(r"-[0-9./]")
+_SIGNED_OPTIONS = ("--mu", "--alpha", "--trace")
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
-    """Pass "--mu -1,7,7" on as "--mu=-1,7,7": argparse reads a separate
-    value that starts with "-" as an option, not as the value."""
+    """Pass "--mu -1,7,7" on as "--mu=-1,7,7", and the same for the other
+    options that take a signed rational (`_SIGNED_OPTIONS`): argparse
+    reads a separate value that starts with "-" as an option, not as the
+    value."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--mu" and _SIGNED_VALUE.match(tok):
-            out[-1] = f"--mu={tok}"
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out

@@ -17,21 +17,24 @@ extracted scale, and wedge signs follow ascending lexicographic subsets.
 Every exterior power of a matrix is taken from one table of its
 compounds (`compounds`), each rho-minor expanded along its first row
 over the (rho-1)-minors, so no minor costs an elimination or a field
-inversion.  Over Q the table, the matrix products (`fields.fmat_mul`) and
-the eliminations (`qlinalg`) run on integer matrices, one denominator
-cleared per matrix, and form a Fraction only for an output entry.
+inversion.  The stratum code carries every matrix in the scaled form
+(N, d) of `fields` through the scaled kernels (`scaled_compounds`,
+`fields.scaled_mul`, `qlinalg.scaled_inverse`, ...), so over Q it clears
+the denominators of an input matrix once and forms a Fraction only for
+an entry of a returned `CompleteHom` or `StratumData`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .errors import InternalError, InvalidData, NotOnStratum, Singular, ZeroLambda, ZeroMu
 from . import qlinalg
 from .fields import (
-    GF, ZZ, RationalField, _clear_denominators, _over, fmat_eq, fmat_identity, fmat_mul,
+    GF, ZZ, RationalField, _reduced, fmat_eq, fmat_mul, scaled, scaled_mul, scaled_times,
+    unscaled,
 )
 
 
@@ -46,11 +49,9 @@ def compounds(field, a, top: int):
     and columns I.  Each rho-minor is the Laplace expansion along the
     first row of I' over the (rho-1)-minors of the level below, so the
     table uses only add, sub and mul: no division, over any field.  Over
-    Q, a = N/d with N an integer matrix, and wedge^rho a is
-    (wedge^rho N)/d^rho with the table of N taken in `ZZ`."""
+    Q by `scaled_compounds`."""
     if isinstance(field, RationalField):
-        n, d = _clear_denominators(a)
-        return [_over(level, d**rho) for rho, level in enumerate(compounds(ZZ, n, top), start=1)]
+        return [unscaled(field, m) for m in scaled_compounds(field, scaled(field, a), top)]
     r = len(a)
     levels = [[list(row) for row in a]]
     prev_index = {(j,): j for j in range(r)}
@@ -77,6 +78,14 @@ def compounds(field, a, top: int):
         levels.append(level)
         prev_index = {sub: i for i, sub in enumerate(subs)}
     return levels[:top]
+
+
+def scaled_compounds(field, a, top: int):
+    """`compounds` of a scaled matrix, each level scaled: wedge^rho (N/d)
+    is (wedge^rho N)/d^rho, over Q with the table of N taken in `ZZ`."""
+    n, d = a
+    ring = ZZ if isinstance(field, RationalField) else field
+    return [_reduced(level, d**rho) for rho, level in enumerate(compounds(ring, n, top), start=1)]
 
 
 def exterior_power(field, a, rho: int):
@@ -129,13 +138,14 @@ def complete_from_open(field, u1, lams) -> CompleteHom:
         raise InvalidData("need r-1 scalars")
     if any(field.is_zero(l) for l in lams):
         raise ZeroLambda("all lambda_rho must be invertible on the open locus")
-    if qlinalg.inverse(field, u1) is None:
+    u1_scaled = scaled(field, u1)
+    if qlinalg.scaled_inverse(field, *u1_scaled) is None:
         raise Singular("u_1 must be an isomorphism")
-    wedges = compounds(field, u1, r)
+    wedges = scaled_compounds(field, u1_scaled, r)
     us = [u1]
     for rho in range(2, r + 1):
         scale = field.inv(lambda_monomial(field, lams, rho))
-        us.append([[field.mul(scale, x) for x in row] for row in wedges[rho - 1]])
+        us.append(unscaled(field, scaled_times(field, scale, wedges[rho - 1])))
     return CompleteHom(field, r, tuple(us), lams)
 
 
@@ -143,14 +153,14 @@ def satisfies_open_relations(h: CompleteHom) -> bool:
     """Check wedge^rho u_1 = lambda-monomial * u_rho for rho = 2..r."""
     if any(h.field.is_zero(l) for l in h.lams):
         return False
-    wedges = compounds(h.field, h.u[0], h.r)
-    for rho in range(2, h.r + 1):
-        mono = lambda_monomial(h.field, h.lams, rho)
-        lhs = wedges[rho - 1]
-        rhs = [[h.field.mul(mono, x) for x in row] for row in h.u[rho - 1]]
-        if not fmat_eq(h.field, lhs, rhs):
-            return False
-    return True
+    # scaled forms are unique, so equal matrices are equal pairs
+    wedges = scaled_compounds(h.field, scaled(h.field, h.u[0]), h.r)
+    return all(
+        wedges[rho - 1] == scaled_times(
+            h.field, lambda_monomial(h.field, h.lams, rho), scaled(h.field, h.u[rho - 1])
+        )
+        for rho in range(2, h.r + 1)
+    )
 
 
 def stratum_of(h: CompleteHom) -> tuple[int, ...]:
@@ -169,7 +179,7 @@ def torus_action(h: CompleteHom, mus) -> CompleteHom:
     new_u = [h.u[0]]
     for rho in range(2, h.r + 1):
         scale = field.inv(lambda_monomial(field, mus, rho))
-        new_u.append([[field.mul(scale, x) for x in row] for row in h.u[rho - 1]])
+        new_u.append(unscaled(field, scaled_times(field, scale, scaled(field, h.u[rho - 1]))))
     new_lams = tuple(field.mul(m, l) for m, l in zip(mus, h.lams))
     return CompleteHom(field, h.r, tuple(new_u), new_lams)
 
@@ -278,55 +288,67 @@ def _first_nonzero(field, m):
 
 def _flag_blocks(field, r: int, chain):
     """Blocks of the basis of k^r adapted to a nested flag chain[0] in
-    chain[1] in ..., each member given by spanning rows.
+    chain[1] in ..., each member a scaled matrix of spanning rows, and
+    the denominator e of the blocks' rows.
 
     The canonical (rref) bases of the members, then the unit vectors, are
     scanned in order, and a vector is kept when it is independent of the
     vectors kept before it; block t holds those kept from member t (the
     last block from the unit vectors).  The kept vectors are the pivot
-    columns of one rref of the transpose of the scanned rows."""
-    spaces = [qlinalg.row_basis(field, [list(row) for row in m]) for m in chain]
-    spaces.append(fmat_identity(field, r))
-    rows = [row for space in spaces for row in space]
-    _, pivots = qlinalg.rref(field, [list(col) for col in zip(*rows)])
+    columns of one rref of the transpose of the scanned rows, which are
+    put over the lcm e of the members' denominators first: scaling a
+    column moves no pivot."""
+    spaces = [qlinalg.scaled_row_basis(field, n) for n, _ in chain]
+    # 0 and 1 are the zero and one of Z and of GF(p^k)
+    spaces.append(([[int(i == j) for j in range(r)] for i in range(r)], 1))
+    e = lcm(*[d for _, d in spaces])  # 1 over GF(p^k)
+    rows = [[x * (e // d) for x in row] for n, d in spaces for row in n]
+    _, pivots = qlinalg.scaled_rref(field, [list(col) for col in zip(*rows)])
     blocks = []
     start = 0
-    for space in spaces:
-        end = start + len(space)
+    for n, _ in spaces:
+        end = start + len(n)
         blocks.append([rows[p] for p in pivots if start <= p < end])
         start = end
         # member t spans the sum of members 0..t exactly when it contains them
-        if sum(map(len, blocks)) != len(space):
+        if sum(map(len, blocks)) != len(n):
             raise InvalidData("cannot complete basis: containment violated")
-    return blocks
+    return blocks, e
 
 
 def adapted_bases(field, r: int, vfilt, wfilt):
-    """Adapted bases for a filtration pair.
+    """Adapted bases for a filtration pair of scaled matrices.
 
-    Returns (A, B): columns of A are the V-adapted basis grouped in
-    blocks 1..s with V^sigma spanned by the trailing columns; columns of
-    B are the W-adapted basis with W_sigma spanned by the leading
+    Returns scaled (A, B): columns of A are the V-adapted basis grouped
+    in blocks 1..s with V^sigma spanned by the trailing columns; columns
+    of B are the W-adapted basis with W_sigma spanned by the leading
     columns.  Each side is completed from the canonical bases of the flag
     V^{s-1} in ... in V^1 in k^r (resp. W_1 in ... in W_{s-1} in k^r),
     then the standard unit vectors, so the choice is deterministic."""
-    v_blocks = _flag_blocks(field, r, vfilt[::-1])
+    v_blocks, a_d = _flag_blocks(field, r, vfilt[::-1])
+    w_blocks, b_d = _flag_blocks(field, r, wfilt)
     a_cols = [row for block in reversed(v_blocks) for row in block]
-    b_cols = [row for block in _flag_blocks(field, r, wfilt) for row in block]
+    b_cols = [row for block in w_blocks for row in block]
     # column-major matrices
-    return [list(row) for row in zip(*a_cols)], [list(row) for row in zip(*b_cols)]
+    a = _reduced([list(row) for row in zip(*a_cols)], a_d)
+    return a, _reduced([list(row) for row in zip(*b_cols)], b_d)
 
 
 def _nested(field, chain, dims) -> bool:
-    """Whether chain[t] lies in chain[t + 1] for every t, where dims[t] is
-    the dimension of chain[t]: one rank per consecutive pair."""
+    """Whether chain[t] lies in chain[t + 1] for every t, where chain[t]
+    is a scaled matrix of dimension dims[t]: one rank per consecutive
+    pair.  Scaling a row keeps the rank, so the pairs' rows are stacked
+    without their denominators."""
     return all(
-        qlinalg.rank(field, [list(row) for row in (*big, *small)]) == dim
+        qlinalg.scaled_rank(field, [*big[0], *small[0]]) == dim
         for small, big, dim in zip(chain, chain[1:], dims[1:])
     )
 
 
 def _validate_stratum_data(d: StratumData):
+    """Raise InvalidData unless d describes a stratum point; return the
+    filtration members and the true graded maps (scale times map) as
+    scaled matrices (vfilt, wfilt, maps)."""
     field = d.field
     r = d.r
     cuts = list(d.cuts)
@@ -338,24 +360,28 @@ def _validate_stratum_data(d: StratumData):
         raise InvalidData("need one proper subspace per cut")
     if any(len(row) != r for m in (*d.vfilt, *d.wfilt) for row in m):
         raise InvalidData(f"filtration rows must have length r = {r}")
-    for t, m in enumerate(d.vfilt):
-        if qlinalg.rank(field, [list(row) for row in m]) != r - bounds[t + 1]:
+    vfilt = [scaled(field, m) for m in d.vfilt]
+    wfilt = [scaled(field, m) for m in d.wfilt]
+    for t, (n, _) in enumerate(vfilt):
+        if qlinalg.scaled_rank(field, n) != r - bounds[t + 1]:
             raise InvalidData(f"V^{t+1} has wrong dimension")
-    for t, m in enumerate(d.wfilt):
-        if qlinalg.rank(field, [list(row) for row in m]) != bounds[t + 1]:
+    for t, (n, _) in enumerate(wfilt):
+        if qlinalg.scaled_rank(field, n) != bounds[t + 1]:
             raise InvalidData(f"W_{t+1} has wrong dimension")
-    if not _nested(field, d.vfilt[::-1], [r - c for c in reversed(cuts)]):
+    if not _nested(field, vfilt[::-1], [r - c for c in reversed(cuts)]):
         raise InvalidData("V filtration is not decreasing")
-    if not _nested(field, d.wfilt, cuts):
+    if not _nested(field, wfilt, cuts):
         raise InvalidData("W filtration is not increasing")
     if len(d.v) != s or len(d.scales) != s:
         raise InvalidData("need one graded map and scale per block")
+    v = []
     for sigma in range(1, s + 1):
         m_sigma = bounds[sigma] - bounds[sigma - 1]
-        mat = [list(row) for row in d.v[sigma - 1]]
+        mat = d.v[sigma - 1]
         if len(mat) != m_sigma or any(len(row) != m_sigma for row in mat):
             raise InvalidData(f"graded map {sigma} has wrong shape")
-        if field.is_zero(qlinalg.det(field, mat)):
+        v.append(scaled(field, mat))
+        if field.is_zero(qlinalg.scaled_det(field, *v[-1])):
             raise InvalidData(f"graded map {sigma} is singular")
         if field.is_zero(d.scales[sigma - 1]):
             raise InvalidData("scales must be invertible")
@@ -365,6 +391,7 @@ def _validate_stratum_data(d: StratumData):
         raise InvalidData("free lambdas must cover exactly [r-1] minus the cuts")
     if any(field.is_zero(l) for l in free.values()):
         raise InvalidData("free lambdas must be invertible")
+    return vfilt, wfilt, [scaled_times(field, sc, m) for m, sc in zip(v, d.scales)]
 
 
 def build_stratum_point(d: StratumData) -> CompleteHom:
@@ -375,33 +402,32 @@ def build_stratum_point(d: StratumData) -> CompleteHom:
     sigma (r_{sigma-1} < rho <= r_sigma), where it is the corresponding
     minor of the graded maps; elsewhere it vanishes.  The free lambdas
     scale u_rho exactly as on the open locus."""
-    _validate_stratum_data(d)
-    return _stratum_point(d, *adapted_bases(d.field, d.r, d.vfilt, d.wfilt))
+    field = d.field
+    vfilt, wfilt, maps = _validate_stratum_data(d)
+    us = _stratum_point(d, maps, *adapted_bases(field, d.r, vfilt, wfilt))
+    free = dict(d.free_lams)
+    lams = tuple(free.get(rho, field.zero()) for rho in range(1, d.r))
+    return CompleteHom(field, d.r, tuple(unscaled(field, u) for u in us), lams)
 
 
-def _stratum_point(d: StratumData, a, b) -> CompleteHom:
-    """The point of `build_stratum_point` from valid data d and its
-    adapted bases (A, B)."""
+def _stratum_point(d: StratumData, maps, a, b):
+    """The scaled matrices u_1, ..., u_r of the point of
+    `build_stratum_point` from valid data d, its true graded maps (scale
+    times normalized matrix) and its adapted bases (A, B), all scaled."""
     field = d.field
     r = d.r
-    cuts = list(d.cuts)
-    bounds = [0] + cuts + [r]
-    s = len(cuts) + 1
+    bounds = [0, *d.cuts, r]
+    s = len(bounds) - 1
     free = dict(d.free_lams)
     # 1 at the cuts, so the lambda monomial runs over the free lambdas
     free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
-    a_inv = qlinalg.inverse(field, a)
+    a_inv = qlinalg.scaled_inverse(field, *a)
     if a_inv is None:
         raise InternalError("adapted basis A is singular")
-    # compounds of each true graded map (scale times normalized matrix);
-    # the last level is its determinant
-    v_wedges = []
-    for sigma in range(1, s + 1):
-        sc = d.scales[sigma - 1]
-        m = [[field.mul(sc, x) for x in row] for row in d.v[sigma - 1]]
-        v_wedges.append(compounds(field, m, len(m)))
-    wb = compounds(field, b, r)
-    wa = compounds(field, a_inv, r)
+    # compounds of each true graded map; the last level is its determinant
+    v_wedges = [scaled_compounds(field, m, len(m[0])) for m in maps]
+    wb = scaled_compounds(field, b, r)
+    wa = scaled_compounds(field, a_inv, r)
     us = []
     for rho in range(1, r + 1):
         sigma = next(t for t in range(1, s + 1) if bounds[t - 1] < rho <= bounds[t])
@@ -411,51 +437,53 @@ def _stratum_point(d: StratumData, a, b) -> CompleteHom:
         # determinants of the blocks before sigma over the lambda
         # monomial.  So u_rho = wb[:, S] (c minors) wa[S, :].
         c = field.inv(lambda_monomial(field, free_or_one, rho))
-        for block in v_wedges[: sigma - 1]:
-            c = field.mul(c, block[-1][0][0])
+        for n, e in (block[-1] for block in v_wedges[: sigma - 1]):
+            c = field.mul(c, field.mul(n[0][0], field.inv(e)))  # its determinant
         index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
         base_block = tuple(range(bounds[sigma - 1]))
         lo, hi = bounds[sigma - 1], bounds[sigma]
         kk = rho - lo
         cols = [index[base_block + k] for k in combinations(range(lo, hi), kk)]
-        g = [[field.mul(c, x) for x in row] for row in v_wedges[sigma - 1][kk - 1]]
-        left = [[row[j] for j in cols] for row in wb[rho - 1]]
-        right = [wa[rho - 1][j] for j in cols]
-        us.append(fmat_mul(field, fmat_mul(field, left, g), right))
-    lams = tuple(
-        field.zero() if rho in set(cuts) else free[rho] for rho in range(1, r)
-    )
-    return CompleteHom(field, r, tuple(us), lams)
+        g = scaled_times(field, c, v_wedges[sigma - 1][kk - 1])
+        (wb_n, wb_d), (wa_n, wa_d) = wb[rho - 1], wa[rho - 1]
+        left = ([[row[j] for j in cols] for row in wb_n], wb_d)
+        right = ([wa_n[j] for j in cols], wa_d)
+        us.append(scaled_mul(field, scaled_mul(field, left, g), right))
+    return us
 
 
-def _kernel_of_wedge_map(field, u_rho, r: int, rho: int):
-    """Basis of {v : u_rho(v wedge psi) = 0 for every (rho-1)-vector psi},
-    the recovered subspace V^sigma: the kernel of the rows of
-    v |-> u_rho(v wedge e_K) over all (rho-1)-subsets K."""
+def _kernel_of_wedge_map(field, n, r: int, rho: int):
+    """Rows spanning {v : u_rho(v wedge psi) = 0 for every (rho-1)-vector
+    psi}, the recovered subspace V^sigma, from the rows N of a scaled
+    u_rho = (N, d): the numerators of a scaled basis of the kernel of the
+    rows of v |-> u_rho(v wedge e_K) over all (rho-1)-subsets K, which
+    neither d nor the basis's denominator moves."""
     index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
+    zeros = [0] * len(n)  # 0 is the zero of Z and of GF(p^k)
     rows = []
     for k_sub in wedge_subsets(r, rho - 1):
         cols = []
         for i in range(r):
             if i in k_sub:
-                cols.append([field.zero()] * len(u_rho))
+                cols.append(zeros)
                 continue
             col = index[tuple(sorted(k_sub + (i,)))]
-            vec = [row[col] for row in u_rho]
+            vec = [row[col] for row in n]
             if sum(1 for x in k_sub if x < i) % 2:
                 vec = [field.neg(x) for x in vec]
             cols.append(vec)
         rows.extend(zip(*cols))
-    return qlinalg.kernel(field, rows, r)
+    return qlinalg.scaled_kernel(field, rows, r)[0]
 
 
-def _support(field, u_rho, r: int, rho: int):
-    """Row basis of the smallest U with im(u_rho) inside wedge^rho U, the
-    recovered W_sigma.  Since im(u)^perp = ker(u^T), the annihilator of U
-    is {phi : u_rho^T(phi wedge psi) = 0 for every psi}, the kernel of the
+def _support(field, n, r: int, rho: int):
+    """Scaled row basis of the smallest U with im(u_rho) inside
+    wedge^rho U, the recovered W_sigma, from the rows N of a scaled
+    u_rho.  Since im(u)^perp = ker(u^T), the annihilator of U is
+    {phi : u_rho^T(phi wedge psi) = 0 for every psi}, the kernel of the
     wedge map of the transpose; U is the kernel of that kernel."""
-    annihilator = _kernel_of_wedge_map(field, [list(col) for col in zip(*u_rho)], r, rho)
-    return qlinalg.row_basis(field, qlinalg.kernel(field, annihilator, r))
+    annihilator = _kernel_of_wedge_map(field, [list(col) for col in zip(*n)], r, rho)
+    return qlinalg.scaled_row_basis(field, qlinalg.scaled_kernel(field, annihilator, r)[0])
 
 
 def stratum_data(h: CompleteHom) -> StratumData:
@@ -465,51 +493,55 @@ def stratum_data(h: CompleteHom) -> StratumData:
     adapted bases; the lambda monomial and the determinants of the
     already-recovered blocks are divided out, so recovery is exact.  The
     result is validated by rebuilding the point from the adapted bases
-    already at hand; any mismatch raises NotOnStratum.
+    already at hand; any mismatch raises NotOnStratum.  Every matrix is
+    carried scaled, and only the returned entries are field elements.
 
     The recovered data pass every check of `_validate_stratum_data` by
     construction, so the rebuild skips it: the cuts are the zero lambdas
     in increasing order; there is one V^t and one W_t per cut, each a
     row basis whose dimension is checked below, and their nesting is
     checked too; each graded map is a square block with nonzero
-    determinant, built with scale 1 and then divided by its first nonzero
-    entry, which becomes the scale (`StratumData.normalized`); the free
-    lambdas are exactly the nonzero ones."""
+    determinant, divided by its first nonzero entry, which becomes the
+    scale (as `StratumData.normalized` would); the free lambdas are
+    exactly the nonzero ones."""
     field = h.field
     r = h.r
     cuts = stratum_of(h)
-    bounds = [0] + list(cuts) + [r]
+    bounds = [0, *cuts, r]
     s = len(cuts) + 1
+    us = [scaled(field, [list(row) for row in u]) for u in h.u]
     vfilt: list = []
     wfilt: list = []
     for t, rho in enumerate(cuts):
-        ker = _kernel_of_wedge_map(field, h.u[rho - 1], r, rho)
+        ker = _kernel_of_wedge_map(field, us[rho - 1][0], r, rho)
         if len(ker) != r - rho:
             raise NotOnStratum(
                 f"recovered V^{t+1} has dimension {len(ker)}, expected {r - rho}"
             )
-        vfilt.append(tuple(tuple(row) for row in qlinalg.row_basis(field, ker)))
-        span = _support(field, h.u[rho - 1], r, rho)
-        if len(span) != rho:
+        vfilt.append(qlinalg.scaled_row_basis(field, ker))
+        span = _support(field, us[rho - 1][0], r, rho)
+        if len(span[0]) != rho:
             raise NotOnStratum(
-                f"recovered W_{t+1} has dimension {len(span)}, expected {rho}"
+                f"recovered W_{t+1} has dimension {len(span[0])}, expected {rho}"
             )
-        wfilt.append(tuple(tuple(row) for row in span))
+        wfilt.append(span)
     if not _nested(field, vfilt[::-1], [r - c for c in reversed(cuts)]):
         raise NotOnStratum("recovered V filtration is not nested")
     if not _nested(field, wfilt, cuts):
         raise NotOnStratum("recovered W filtration is not nested")
     free = {rho: h.lams[rho - 1] for rho in range(1, r) if rho not in set(cuts)}
     a, b = adapted_bases(field, r, vfilt, wfilt)
-    b_inv = qlinalg.inverse(field, b)
+    b_inv = qlinalg.scaled_inverse(field, *b)
     if b_inv is None:
         raise InternalError("adapted basis B is singular")
     top = bounds[s - 1] + 1
-    wb = compounds(field, b_inv, top)
-    wa = compounds(field, a, top)
+    wb = scaled_compounds(field, b_inv, top)
+    wa = scaled_compounds(field, a, top)
     free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
+    maps = []
     graded = []
-    true_dets = []
+    scales = []
+    lead = field.one()
     for sigma in range(1, s + 1):
         rho = bounds[sigma - 1] + 1
         index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
@@ -518,37 +550,40 @@ def stratum_data(h: CompleteHom) -> StratumData:
         # the block of u_rho in adapted bases on the wedge coordinates
         # that use all of blocks 1..sigma-1 and one index of block sigma
         block = [index[base_block + (t,)] for t in range(lo, hi)]
-        left = fmat_mul(field, [wb[rho - 1][i] for i in block], h.u[rho - 1])
-        phi = fmat_mul(field, left, [[row[j] for j in block] for row in wa[rho - 1]])
+        (wb_n, wb_d), (wa_n, wa_d) = wb[rho - 1], wa[rho - 1]
+        left = scaled_mul(field, ([wb_n[i] for i in block], wb_d), us[rho - 1])
+        phi = scaled_mul(field, left, ([[row[j] for j in block] for row in wa_n], wa_d))
         # the entries of u_rho outside this block must vanish on a genuine
         # stratum point (checked globally by the rebuild below)
         mono = lambda_monomial(field, free_or_one, rho)
-        lead = field.one()
-        for dete in true_dets:
-            lead = field.mul(lead, dete)
         denom = field.mul(field.inv(mono), lead)
         if field.is_zero(denom):
             raise NotOnStratum("degenerate scaling while extracting graded maps")
-        inv_denom = field.inv(denom)
-        tilde = [[field.mul(inv_denom, x) for x in row] for row in phi]
-        if _first_nonzero(field, tilde) is None:
+        tilde = scaled_times(field, field.inv(denom), phi)
+        x = _first_nonzero(field, tilde[0])
+        if x is None:
             raise NotOnStratum(f"graded map {sigma} vanishes")
-        block_det = qlinalg.det(field, tilde)
+        block_det = qlinalg.scaled_det(field, *tilde)
         if field.is_zero(block_det):
             raise NotOnStratum(f"graded map {sigma} is singular")
-        graded.append(tilde)
-        true_dets.append(block_det)
+        first = field.mul(x, field.inv(tilde[1]))  # x / d, d = 1 over GF(p^k)
+        maps.append(tilde)
+        normalized = unscaled(field, scaled_times(field, field.inv(first), tilde))
+        graded.append(tuple(map(tuple, normalized)))
+        scales.append(first)
+        lead = field.mul(lead, block_det)
     data = StratumData(
         field,
         r,
         tuple(cuts),
-        tuple(vfilt),
-        tuple(wfilt),
+        tuple(tuple(map(tuple, unscaled(field, m))) for m in vfilt),
+        tuple(tuple(map(tuple, unscaled(field, m))) for m in wfilt),
         tuple(graded),
-        (field.one(),) * s,
+        tuple(scales),
         tuple(sorted(free.items())),
-    ).normalized()
-    if not _stratum_point(data, a, b).eq(h):
+    )
+    # scaled forms are unique; the lambdas of the rebuild are h's own
+    if _stratum_point(data, maps, a, b) != us:
         raise NotOnStratum("point does not satisfy the stratum relations")
     return data
 

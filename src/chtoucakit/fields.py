@@ -2,10 +2,12 @@
 helpers that need no elimination (identity, product, equality); the
 elimination routines live in `qlinalg`.
 
-Matrix loops are written once, generic over a field object.  Over Q a
-matrix M is handled as N/d, N an integer matrix and d the lcm of the
-denominators of its entries (`_clear_denominators`): the loop runs on N
-in the ring of integers `ZZ`, and each output entry is one `Fraction`.
+Matrix loops are written once, generic over a field object.  A matrix
+M is carried in scaled form (N, d), M = N/d: over Q, N is an integer
+matrix on which the loops run in the ring `ZZ`, and d >= 1 has no
+factor common to all of N's entries, so the pair is unique; over GF(p^k),
+N = M and d = 1.  `scaled` clears the denominators of a Fraction matrix
+once and `unscaled` forms one `Fraction` per entry of a result.
 
 A GF(p^k) element is a plain int, its index sum c_i p^i in range(p^k),
 also its wire format; c_i are its little-endian coefficients modulo a
@@ -30,14 +32,17 @@ from .errors import InternalError, TooLarge
 FIELD_ORDER_CAP = 2**16  # largest q = p^k accepted; bounds the tables of GF
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # immutable, so one of each is shared
+
+
 class RationalField:
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def add(self, a, b):
         return a + b
@@ -63,7 +68,7 @@ class RationalField:
         return a == 0
 
     def format(self, a) -> str:
-        a = Fraction(a)
+        """An int or Fraction as "n" or "n/d"."""
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def parse(self, s: str) -> Fraction:
@@ -100,6 +105,42 @@ def _over(rows, d):
     """The rational matrix ``rows`` / d of an integer matrix, every entry
     a Fraction."""
     return [[Fraction(x, d) for x in row] for row in rows]
+
+
+def _reduced(n, d):
+    """The scaled form (N, d) of the matrix ``n`` / d (d a nonzero int):
+    divided by the gcd of d and the entries, with d made positive."""
+    if d == 1:
+        return n, d
+    g = math.gcd(d, *[math.gcd(*row) for row in n])
+    if d < 0:
+        g = -g
+    if g == 1:
+        return n, d
+    return [[x // g for x in row] for row in n], d // g
+
+
+def scaled(field, rows):
+    """The scaled form (N, d) of a matrix: over Q, N and d of
+    `_clear_denominators`; over GF(p^k), the matrix itself over 1."""
+    if isinstance(field, RationalField):
+        return _clear_denominators(rows)
+    return rows, 1
+
+
+def unscaled(field, m):
+    """The matrix of field elements of a scaled matrix (N, d)."""
+    return _over(*m) if isinstance(field, RationalField) else m[0]
+
+
+def scaled_times(field, c, m):
+    """The scaled matrix c (N, d) of a field element c: over Q, c = a/b
+    gives (a N, b d)."""
+    n, d = m
+    if isinstance(field, RationalField):
+        a = c.numerator
+        return _reduced([[a * x for x in row] for row in n], c.denominator * d)
+    return [[field.mul(c, x) for x in row] for row in n], d
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -280,13 +321,19 @@ def fmat_zero(field, nrows, ncols):
     return [[field.zero() for _ in range(ncols)] for _ in range(nrows)]
 
 
-def fmat_mul(field, a, b):
-    """The product a b; over Q, (N_a N_b) / (d_a d_b) with the integer
-    product taken by the same loop in `ZZ`."""
+def scaled_mul(field, a, b):
+    """The product of two scaled matrices; over Q, (N_a N_b, d_a d_b)
+    with the integer product taken by the loop of `fmat_mul` in `ZZ`."""
+    (na, da), (nb, db) = a, b
     if isinstance(field, RationalField):
-        na, da = _clear_denominators(a)
-        nb, db = _clear_denominators(b)
-        return _over(fmat_mul(ZZ, na, nb), da * db)
+        return _reduced(fmat_mul(ZZ, na, nb), da * db)
+    return fmat_mul(field, na, nb), 1
+
+
+def fmat_mul(field, a, b):
+    """The product a b; over Q by `scaled_mul`."""
+    if isinstance(field, RationalField):
+        return unscaled(field, scaled_mul(field, scaled(field, a), scaled(field, b)))
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
     out = fmat_zero(field, n, m)

@@ -16,7 +16,7 @@ from .errors import InvalidData
 from .pavings import Paving, _proper_nonempty_subsets, interior_walls, trivial_paving
 from .complete_homs import StratumData, adapted_bases, _validate_stratum_data
 from . import qlinalg
-from .fields import fmat_mul
+from .fields import fmat_mul, unscaled
 
 
 @dataclass(frozen=True)
@@ -140,11 +140,11 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
 
     in the adapted bases, which satisfies both glued-graph conditions by
     construction."""
-    _validate_stratum_data(d)
+    vfilt, wfilt, _ = _validate_stratum_data(d)
     field = d.field
     r = d.r
     bounds = [0] + list(d.cuts) + [r]
-    a, b = adapted_bases(field, r, d.vfilt, d.wfilt)
+    a, b = (unscaled(field, m) for m in adapted_bases(field, r, vfilt, wfilt))
     # columns of a / b are the adapted bases
     a_cols = [[a[i][j] for i in range(r)] for j in range(r)]
     b_cols = [[b[i][j] for i in range(r)] for j in range(r)]

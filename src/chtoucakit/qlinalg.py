@@ -7,10 +7,15 @@ lists of rows of field elements, and runs one of two loops:
 - over GF(p^k), the field-generic `_forward` brings a copy of the matrix
   to row-echelon form with unit pivots, and `_back_substitute` clears the
   entries above the pivots when a reduced form is needed;
-- over QQ, the matrix is cleared of denominators once, and
-  `zlattice._bareiss` (whose pivots also give `zlattice.int_rank`)
-  eliminates the integer matrix without fractions; a `Fraction` is
-  formed only for an output entry.
+- over QQ, `zlattice._bareiss` (whose pivots also give
+  `zlattice.int_rank`) eliminates the integer matrix N of the scaled
+  form (N, d) of `fields` without fractions.
+
+Each routine has a scaled form (`scaled_rref`, ...) that takes N and d
+(N alone where d cannot move the answer) and returns matrices as pairs
+(N, d), so chained calls over Q clear no denominator and form no
+`Fraction`; the plain routine wraps it, clearing its input once and
+forming one `Fraction` per output entry.
 
 `rank` and `det` stop after the forward pass.  The reduced row-echelon
 form, the rank, the determinant and the inverse are unique, and the
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import RationalField, _clear_denominators, _over, fmat_identity
+from .fields import RationalField, _reduced, fmat_identity, scaled, unscaled
 from .zlattice import _bareiss
 
 
@@ -98,94 +103,105 @@ def _reduce(field, rows, ncols):
     return m, pivots
 
 
-def _q_reduce(rows, ncols):
-    """The integer matrix of ``rows`` after `_bareiss` with ``reduced``,
-    its pivot columns and its last pivot."""
-    m, _ = _clear_denominators(rows)
-    pivots, p, _ = _bareiss(m, ncols, reduced=True)
-    return m, pivots, p
+def scaled_rref(field, n):
+    """`rref` of the scaled matrix (N, d) from its rows N, which fix it
+    whatever d is: ((R, e), pivot columns) with R/e the reduced form."""
+    ncols = len(n[0]) if n else 0
+    if isinstance(field, RationalField):
+        m = [list(row) for row in n]
+        pivots, p, _ = _bareiss(m, ncols, reduced=True)
+        k = len(pivots)
+        return _reduced(m[:k] + [[0] * ncols for _ in m[k:]], p), pivots
+    red, pivots = _reduce(field, n, ncols)
+    return (red, 1), pivots
 
 
 def rref(field, rows):
     """Reduced row-echelon form; returns (matrix, pivot columns).  The
     matrix keeps all rows, its zero rows last."""
-    ncols = len(rows[0]) if rows else 0
+    m, pivots = scaled_rref(field, scaled(field, rows)[0])
+    return unscaled(field, m), pivots
+
+
+def scaled_rank(field, n) -> int:
+    """Rank of a scaled matrix (N, d), which is the rank of N."""
+    m = [list(row) for row in n]
+    ncols = len(n[0]) if n else 0
     if isinstance(field, RationalField):
-        m, pivots, p = _q_reduce(rows, ncols)
-        k = len(pivots)
-        zero = Fraction(0)
-        return _over(m[:k], p) + [[zero] * len(row) for row in m[k:]], pivots
-    return _reduce(field, rows, ncols)
+        return len(_bareiss(m, ncols)[0])
+    return len(_forward(field, m, ncols)[0])
 
 
 def rank(field, rows) -> int:
-    ncols = len(rows[0]) if rows else 0
-    if isinstance(field, RationalField):
-        return len(_bareiss(_clear_denominators(rows)[0], ncols)[0])
-    m = [list(r) for r in rows]
-    return len(_forward(field, m, ncols)[0])
+    return scaled_rank(field, scaled(field, rows)[0])
+
+
+def scaled_row_basis(field, n):
+    """`row_basis` of the scaled matrix with rows N, scaled."""
+    (m, e), pivots = scaled_rref(field, n)
+    return m[: len(pivots)], e
 
 
 def row_basis(field, rows):
     """Canonical basis of the row space: the nonzero rows of the rref."""
-    ncols = len(rows[0]) if rows else 0
-    if isinstance(field, RationalField):
-        m, pivots, p = _q_reduce(rows, ncols)
-        return _over(m[: len(pivots)], p)
-    red, pivots = _reduce(field, rows, ncols)
-    return red[: len(pivots)]
+    return unscaled(field, scaled_row_basis(field, scaled(field, rows)[0]))
+
+
+def scaled_kernel(field, n, ncols: int):
+    """`kernel` of the scaled matrix with rows N, scaled: the reduced
+    rows are R/e, so vector fc is e at fc and minus R's entry at each
+    pivot column, over e (e = 1 over GF(p^k))."""
+    (m, e), pivots = scaled_rref(field, n)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols  # 0 is the zero of Z and of GF(p^k)
+        v[fc] = e
+        for pc, row in zip(pivots, m):
+            v[pc] = field.neg(row[fc])
+        basis.append(v)
+    return _reduced(basis, e)
 
 
 def kernel(field, rows, ncols: int):
     """Basis of {x : M x = 0}, one vector per non-pivot column fc: 1 at
     fc, and at each pivot column minus the reduced row's entry at fc."""
+    return unscaled(field, scaled_kernel(field, scaled(field, rows)[0], ncols))
+
+
+def scaled_inverse(field, n, d):
+    """Inverse of the square scaled matrix (N, d), scaled, or None if it
+    is singular."""
+    k = len(n)
     if isinstance(field, RationalField):
-        m, pivots, p = _q_reduce(rows, ncols)
-        zero, one = Fraction(0), Fraction(1)
-
-        def minus_column(fc):
-            return [Fraction(-row[fc], p) for row in m[: len(pivots)]]
-    else:
-        red, pivots = _reduce(field, rows, ncols)
-        zero, one = field.zero(), field.one()
-
-        def minus_column(fc):
-            return [field.neg(row[fc]) for row in red[: len(pivots)]]
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [zero] * ncols
-        v[fc] = one
-        for pc, x in zip(pivots, minus_column(fc)):
-            v[pc] = x
-        basis.append(v)
-    return basis
+        # [N | d I] has the reduced form [I | (N / d)^(-1)]
+        m = [list(row) + [d if j == i else 0 for j in range(k)] for i, row in enumerate(n)]
+        pivots, p, _ = _bareiss(m, k, reduced=True)
+        if len(pivots) != k:
+            return None
+        return _reduced([row[k:] for row in m], p)
+    ident = fmat_identity(field, k)
+    red, pivots = _reduce(field, [list(row) + ident[i] for i, row in enumerate(n)], k)
+    if len(pivots) != k:
+        return None
+    return [row[k:] for row in red], 1
 
 
 def inverse(field, a):
     """Inverse of a square matrix, or None if it is singular."""
-    n = len(a)
+    inv = scaled_inverse(field, *scaled(field, a))
+    return None if inv is None else unscaled(field, inv)
+
+
+def scaled_det(field, n, d):
+    """Determinant of the square scaled matrix (N, d), a field element:
+    over Q, det(N) / d^n."""
+    m = [list(row) for row in n]
     if isinstance(field, RationalField):
-        # [N | d I] has the reduced form [I | (N / d)^(-1)]
-        m, d = _clear_denominators(a)
-        for i, row in enumerate(m):
-            row.extend(d if j == i else 0 for j in range(n))
-        pivots, p, _ = _bareiss(m, n, reduced=True)
-        if len(pivots) != n:
-            return None
-        return _over([row[n:] for row in m], p)
-    ident = fmat_identity(field, n)
-    red, pivots = _reduce(field, [list(row) + ident[i] for i, row in enumerate(a)], n)
-    if len(pivots) != n:
-        return None
-    return [row[n:] for row in red]
+        pivots, p, sign = _bareiss(m, len(m))
+        return Fraction(sign * p, d ** len(m)) if len(pivots) == len(m) else field.zero()
+    pivots, scale = _forward(field, m, len(m))
+    return scale if len(pivots) == len(m) else field.zero()
 
 
 def det(field, a):
-    if isinstance(field, RationalField):
-        # det(N / d) = det(N) / d^n
-        m, d = _clear_denominators(a)
-        pivots, p, sign = _bareiss(m, len(m))
-        return Fraction(sign * p, d ** len(m)) if len(pivots) == len(m) else Fraction(0)
-    m = [list(r) for r in a]
-    pivots, scale = _forward(field, m, len(m))
-    return scale if len(pivots) == len(m) else field.zero()
+    return scaled_det(field, *scaled(field, a))

@@ -508,6 +508,29 @@ def test_zero_denominator_is_a_parse_error(tmp_path, argv):
     }
 
 
+HN_LATTICE = {
+    "r": 2,
+    "records": [{"id": "0", "rank": 0, "deg0": 0, "deg1": 0},
+                {"id": "L", "rank": 1, "deg0": 1, "deg1": 3},
+                {"id": "E", "rank": 2, "deg0": 1, "deg1": 2}],
+    "order": [["0", "L"], ["L", "E"]],
+}
+
+
+@pytest.mark.parametrize("option,argv", [
+    ("--alpha", ["hn", "compute", "lat.json"]),
+    ("--trace", spectral_argv()[:2] + spectral_argv()[4:]),
+    ("--mu", ["trunc", "convex", "p.json"]),
+])
+def test_negative_value_as_separate_token_matches_equals_form(tmp_path, option, argv):
+    files = {"lat.json": HN_LATTICE, "p.json": {"r": 3, "values": ["0", "4", "4", "0"]},
+             **LFUN_FILES}
+    separate = run_cli(argv + [option, "-1/2"], files, tmp_path)
+    joined = run_cli(argv + [f"{option}=-1/2"], files, tmp_path)
+    assert separate[0] == 0
+    assert separate[:2] == joined[:2]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["lfun", "bounds", "--q", "0", "--mode", "js", "place.json"], "q must be at least 2"),
     (["lfun", "bounds", "--q", "1", "--mode", "js", "place.json"], "q must be at least 2"),

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtoucakit import complete_homs as ch, qlinalg
+from chtoucakit import complete_homs as ch, fields, qlinalg
 from chtoucakit.errors import InvalidData, NotOnStratum, Singular, ZeroLambda, ZeroMu
-from chtoucakit.fields import GF, QQ, fmat_eq, fmat_identity, fmat_mul
+from chtoucakit.fields import GF, QQ, fmat_eq, fmat_identity, fmat_mul, scaled, unscaled
 from chtoucakit.qlinalg import inverse as fmat_inverse
 from chtoucakit.complete_homs import (
     CompleteHom,
@@ -350,6 +350,15 @@ def oracle_complete_rows(field, have: list, pool: list, target_rank: int):
     return out
 
 
+def field_adapted_bases(field, r, vfilt, wfilt):
+    """`ch.adapted_bases` of members given as matrices of field elements,
+    as matrices of field elements."""
+    a, b = ch.adapted_bases(
+        field, r, [scaled(field, m) for m in vfilt], [scaled(field, m) for m in wfilt]
+    )
+    return unscaled(field, a), unscaled(field, b)
+
+
 def oracle_adapted_bases(field, r, cuts, vfilt, wfilt):
     """The adapted bases by greedy completion, block by block."""
     s = len(cuts) + 1
@@ -434,7 +443,7 @@ def test_adapted_bases_match_greedy_oracle_on_redundant_flags(data):
             vfilt = vfilt[::-1]
         else:
             wfilt = wfilt[::-1]
-    new = outcome(lambda: ch.adapted_bases(field, r, vfilt, wfilt))
+    new = outcome(lambda: field_adapted_bases(field, r, vfilt, wfilt))
     assert new == outcome(lambda: oracle_adapted_bases(field, r, cuts, vfilt, wfilt))
 
 
@@ -445,7 +454,7 @@ def test_adapted_bases_match_greedy_oracle_on_recovered_flags(data):
     r = data.draw(st.integers(1, 4))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     rec = stratum_data(build_stratum_point(rand_stratum_data(field, rng, r)))
-    new = ch.adapted_bases(field, r, rec.vfilt, rec.wfilt)
+    new = field_adapted_bases(field, r, rec.vfilt, rec.wfilt)
     assert new == oracle_adapted_bases(field, r, rec.cuts, rec.vfilt, rec.wfilt)
 
 
@@ -463,7 +472,7 @@ def test_nesting_check_matches_per_row_oracle(data):
         dim = qlinalg.rank(field, [list(row) for row in chain[t]])
         chain[t] = redundant_span(field, rng, rand_invertible(field, rng, r)[:dim])
     dims = [qlinalg.rank(field, [list(row) for row in m]) for m in chain]
-    assert ch._nested(field, chain, dims) == oracle_nested(field, chain)
+    assert ch._nested(field, [scaled(field, m) for m in chain], dims) == oracle_nested(field, chain)
 
 
 @contextmanager
@@ -506,10 +515,36 @@ def test_stratum_data_validates_once_and_reduces_each_flag_once():
         assert counts["adapted_bases"] == counts["_stratum_point"] == 1
         assert counts["_validate_stratum_data"] == counts["build_stratum_point"] == 0
         with counting_stratum_work() as counts:
-            ch.adapted_bases(rec.field, 4, rec.vfilt, rec.wfilt)
+            field_adapted_bases(rec.field, 4, rec.vfilt, rec.wfilt)
         # one canonical basis per member and one reduction per side
         assert counts[reduction] == 2 * len(rec.cuts) + 2
         assert counts[other] == 0
+
+
+def test_rational_round_trip_clears_and_forms_fractions_a_pinned_number_of_times():
+    """One Q round trip (r = 4, cuts (1, 3)) clears denominators once per
+    input matrix (4 filtration members, 3 graded maps, 4 u_rho) and forms
+    Fractions once per output matrix (4 u_rho, then 2 + 2 members and 3
+    graded maps): a fall-back to clearing and rebuilding at every step
+    shows here without any timing."""
+    counts = Counter()
+
+    def spy(name):
+        real = getattr(fields, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return mock.patch.object(fields, name, call)
+
+    d = rand_stratum_data(QQ, random.Random(42), 4, (1, 3))
+    with spy("_clear_denominators"), spy("_over"):
+        h = build_stratum_point(d)
+        assert counts == {"_clear_denominators": 7, "_over": 4}
+        rec = stratum_data(h)
+    assert counts == {"_clear_denominators": 11, "_over": 11}
+    assert rec.eq(d.normalized())
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -641,7 +676,7 @@ def oracle_stratum_u(d):
     that use blocks 1..sigma-1, zero elsewhere, scaled by the inverse
     lambda monomial."""
     field, r = d.field, d.r
-    a, b = ch.adapted_bases(field, r, d.vfilt, d.wfilt)
+    a, b = field_adapted_bases(field, r, d.vfilt, d.wfilt)
     bounds = [0] + list(d.cuts) + [r]
     s = len(d.cuts) + 1
     free = dict(d.free_lams)
@@ -746,7 +781,8 @@ def test_support_matches_contraction_oracle(field, r):
         mats += [sparse_square(field, rng, size, density)
                  for density in (0.02, 0.05, 0.1, 0.3) for _ in range(4)]
         for u in mats:
-            assert ch._support(field, u, r, rho) == oracle_support_span(field, u, r, rho)
+            got = unscaled(field, ch._support(field, scaled(field, u)[0], r, rho))
+            assert got == oracle_support_span(field, u, r, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -778,3 +814,224 @@ def test_recovered_graded_maps_match_per_block_normalization(field):
                          for m, sc in zip(d.v, d.scales)]
             rec = stratum_data(build_stratum_point(d))
             assert (rec.v, rec.scales) == oracle_normalize(field, true_maps), d.cuts
+
+
+# ---------------------------------------------------------------------------
+# the stratum code on scaled matrices (N, d), against the Fraction path it
+# replaced: every intermediate matrix a matrix of field elements, compounds
+# and products cleared of denominators on entry and made Fractions on exit
+
+
+def oracle_compounds(field, a, top):
+    """The compound table with one `Fraction` per entry of every level."""
+    if field is not QQ:
+        return compounds(field, a, top)
+    n, d = fields._clear_denominators(a)
+    return [fields._over(level, d**rho)
+            for rho, level in enumerate(compounds(fields.ZZ, n, top), start=1)]
+
+
+def oracle_stratum_point(d, a, b):
+    """The point of the stratum data d from the adapted bases (A, B) of
+    its filtrations, every matrix a matrix of field elements."""
+    field = d.field
+    r = d.r
+    cuts = list(d.cuts)
+    bounds = [0] + cuts + [r]
+    s = len(cuts) + 1
+    free = dict(d.free_lams)
+    free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
+    a_inv = qlinalg.inverse(field, a)
+    v_wedges = []
+    for sigma in range(1, s + 1):
+        sc = d.scales[sigma - 1]
+        m = [[field.mul(sc, x) for x in row] for row in d.v[sigma - 1]]
+        v_wedges.append(oracle_compounds(field, m, len(m)))
+    wb = oracle_compounds(field, b, r)
+    wa = oracle_compounds(field, a_inv, r)
+    us = []
+    for rho in range(1, r + 1):
+        sigma = next(t for t in range(1, s + 1) if bounds[t - 1] < rho <= bounds[t])
+        c = field.inv(ch.lambda_monomial(field, free_or_one, rho))
+        for block in v_wedges[: sigma - 1]:
+            c = field.mul(c, block[-1][0][0])
+        index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
+        base_block = tuple(range(bounds[sigma - 1]))
+        lo, hi = bounds[sigma - 1], bounds[sigma]
+        kk = rho - lo
+        cols = [index[base_block + k] for k in combinations(range(lo, hi), kk)]
+        g = [[field.mul(c, x) for x in row] for row in v_wedges[sigma - 1][kk - 1]]
+        left = [[row[j] for j in cols] for row in wb[rho - 1]]
+        right = [wa[rho - 1][j] for j in cols]
+        us.append(fmat_mul(field, fmat_mul(field, left, g), right))
+    lams = tuple(field.zero() if rho in set(cuts) else free[rho] for rho in range(1, r))
+    return ch.CompleteHom(field, r, tuple(us), lams)
+
+
+def oracle_build_stratum_point(d):
+    ch._validate_stratum_data(d)
+    a, b = oracle_adapted_bases(d.field, d.r, d.cuts, d.vfilt, d.wfilt)
+    return oracle_stratum_point(d, a, b)
+
+
+def oracle_kernel_of_wedge_map(field, u_rho, r, rho):
+    index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
+    rows = []
+    for k_sub in wedge_subsets(r, rho - 1):
+        cols = []
+        for i in range(r):
+            if i in k_sub:
+                cols.append([field.zero()] * len(u_rho))
+                continue
+            col = index[tuple(sorted(k_sub + (i,)))]
+            vec = [row[col] for row in u_rho]
+            if sum(1 for x in k_sub if x < i) % 2:
+                vec = [field.neg(x) for x in vec]
+            cols.append(vec)
+        rows.extend(zip(*cols))
+    return qlinalg.kernel(field, rows, r)
+
+
+def oracle_support(field, u_rho, r, rho):
+    annihilator = oracle_kernel_of_wedge_map(field, [list(col) for col in zip(*u_rho)], r, rho)
+    return qlinalg.row_basis(field, qlinalg.kernel(field, annihilator, r))
+
+
+def oracle_stratum_data(h):
+    """`stratum_data` with every matrix a matrix of field elements."""
+    field = h.field
+    r = h.r
+    cuts = stratum_of(h)
+    bounds = [0] + list(cuts) + [r]
+    s = len(cuts) + 1
+    vfilt, wfilt = [], []
+    for t, rho in enumerate(cuts):
+        ker = oracle_kernel_of_wedge_map(field, h.u[rho - 1], r, rho)
+        if len(ker) != r - rho:
+            raise NotOnStratum(
+                f"recovered V^{t+1} has dimension {len(ker)}, expected {r - rho}"
+            )
+        vfilt.append(tuple(tuple(row) for row in qlinalg.row_basis(field, ker)))
+        span = oracle_support(field, h.u[rho - 1], r, rho)
+        if len(span) != rho:
+            raise NotOnStratum(
+                f"recovered W_{t+1} has dimension {len(span)}, expected {rho}"
+            )
+        wfilt.append(tuple(tuple(row) for row in span))
+    if not oracle_nested(field, vfilt[::-1]):
+        raise NotOnStratum("recovered V filtration is not nested")
+    if not oracle_nested(field, wfilt):
+        raise NotOnStratum("recovered W filtration is not nested")
+    free = {rho: h.lams[rho - 1] for rho in range(1, r) if rho not in set(cuts)}
+    a, b = oracle_adapted_bases(field, r, cuts, vfilt, wfilt)
+    b_inv = qlinalg.inverse(field, b)
+    top = bounds[s - 1] + 1
+    wb = oracle_compounds(field, b_inv, top)
+    wa = oracle_compounds(field, a, top)
+    free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
+    graded = []
+    true_dets = []
+    for sigma in range(1, s + 1):
+        rho = bounds[sigma - 1] + 1
+        index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
+        lo, hi = bounds[sigma - 1], bounds[sigma]
+        base_block = tuple(range(lo))
+        block = [index[base_block + (t,)] for t in range(lo, hi)]
+        left = fmat_mul(field, [wb[rho - 1][i] for i in block], h.u[rho - 1])
+        phi = fmat_mul(field, left, [[row[j] for j in block] for row in wa[rho - 1]])
+        mono = ch.lambda_monomial(field, free_or_one, rho)
+        lead = field.one()
+        for dete in true_dets:
+            lead = field.mul(lead, dete)
+        denom = field.mul(field.inv(mono), lead)
+        if field.is_zero(denom):
+            raise NotOnStratum("degenerate scaling while extracting graded maps")
+        inv_denom = field.inv(denom)
+        tilde = [[field.mul(inv_denom, x) for x in row] for row in phi]
+        if ch._first_nonzero(field, tilde) is None:
+            raise NotOnStratum(f"graded map {sigma} vanishes")
+        block_det = qlinalg.det(field, tilde)
+        if field.is_zero(block_det):
+            raise NotOnStratum(f"graded map {sigma} is singular")
+        graded.append(tilde)
+        true_dets.append(block_det)
+    data = ch.StratumData(
+        field, r, tuple(cuts), tuple(vfilt), tuple(wfilt), tuple(graded),
+        (field.one(),) * s, tuple(sorted(free.items())),
+    ).normalized()
+    if not oracle_stratum_point(data, a, b).eq(h):
+        raise NotOnStratum("point does not satisfy the stratum relations")
+    return data
+
+
+def recovered(h):
+    """stratum_data(h) and the oracle's, each as the data or the error."""
+    def run(call):
+        try:
+            return call(h)
+        except NotOnStratum as e:
+            return str(e)
+    return run(stratum_data), run(oracle_stratum_data)
+
+
+def perturbed(h, rng):
+    """h with one entry of one u_rho moved by one, or None if that
+    leaves u_rho zero."""
+    field = h.field
+    rho = rng.randrange(h.r)
+    u = [list(row) for row in h.u[rho]]
+    i, j = rng.randrange(len(u)), rng.randrange(len(u))
+    u[i][j] = field.add(u[i][j], field.one())
+    if all(field.is_zero(x) for row in u for x in row):
+        return None
+    return ch.CompleteHom(field, h.r, h.u[:rho] + (u,) + h.u[rho + 1:], h.lams)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1), GF(2, 2), GF(3, 2)],
+                         ids=["QQ", "GF5", "GF4", "GF9"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_scaled_stratum_code_matches_fraction_oracle(field, r):
+    """On seeded data for every cut set: the same point, the same
+    recovered data and the same wire bytes; on the point with one entry
+    perturbed, the same data or the same NotOnStratum message."""
+    from chtoucakit.acceptance import _rand_stratum_data
+
+    rng = random.Random(9500 + r)
+    seen = set()
+    while len(seen) < 2 ** (r - 1):
+        d = _rand_stratum_data(field, rng, r)
+        seen.add(d.cuts)
+        h = build_stratum_point(d)
+        oracle = oracle_build_stratum_point(d)
+        assert h == oracle
+        assert dumps_canonical(hom_to_json(h)) == dumps_canonical(hom_to_json(oracle))
+        rec, rec_oracle = recovered(h)
+        assert rec == rec_oracle == oracle_stratum_data(oracle)
+        assert dumps_canonical(stratum_to_json(rec)) == dumps_canonical(
+            stratum_to_json(rec_oracle))
+        bad = perturbed(h, rng)
+        if bad is not None:
+            got, want = recovered(bad)
+            assert got == want, d.cuts
+
+
+def test_perturbed_points_reach_each_not_on_stratum_check():
+    """A perturbation sweep like the one above meets the dimension, the
+    nesting, the singular-map and the rebuild errors, and the two
+    implementations agree on each."""
+    from chtoucakit.acceptance import _rand_stratum_data
+
+    messages = set()
+    for field in (QQ, GF(5, 1), GF(2, 2), GF(3, 2)):
+        rng = random.Random(9600)
+        for r in (2, 3, 4, 5):
+            for _ in range(40):
+                bad = perturbed(build_stratum_point(_rand_stratum_data(field, rng, r)), rng)
+                if bad is not None:
+                    got, want = recovered(bad)
+                    assert got == want
+                    if isinstance(got, str):
+                        messages.add(got)
+    for start in ("recovered V^", "recovered V filtration", "recovered W filtration",
+                  "graded map", "point does not satisfy"):
+        assert any(m.startswith(start) for m in messages), start

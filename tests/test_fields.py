@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtoucakit import fields
+from chtoucakit import fields, qlinalg
+from chtoucakit.complete_homs import compounds, scaled_compounds
 from chtoucakit.errors import TooLarge
 from chtoucakit.fields import (
     FIELD_ORDER_CAP,
@@ -23,6 +24,7 @@ from chtoucakit.qlinalg import (
     inverse as fmat_inverse,
     kernel as fmat_kernel,
 )
+from test_qlinalg import GENERIC_QQ, q_matrices
 from test_simplex_core import oracle_solve as fmat_solve
 
 
@@ -240,3 +242,87 @@ def test_field_above_cap_builds_no_table():
     with mock.patch.object(fields, "_tables", return_value=((), (), ())) as tables:
         GF(2, 16)  # exactly FIELD_ORDER_CAP elements
     assert 2**16 == FIELD_ORDER_CAP and tables.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# Q scalars: printing and the shared zero and one
+
+
+@pytest.mark.parametrize("value,text", [
+    (0, "0"), (Fraction(0), "0"), (1, "1"), (Fraction(1), "1"),
+    (-3, "-3"), (Fraction(-3), "-3"), (Fraction(7, 2), "7/2"), (Fraction(-1, 3), "-1/3"),
+])
+def test_rational_format_reads_numerator_and_denominator(value, text):
+    with mock.patch.object(fields, "Fraction", side_effect=AssertionError("Fraction built")):
+        assert QQ.format(value) == text
+
+
+def test_rational_zero_and_one_are_shared_constants():
+    assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
+    assert (QQ.zero(), QQ.one()) == (0, 1)
+    assert type(QQ.zero()) is type(QQ.one()) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# the scaled form (N, d) against the field-generic loops run on Fractions
+
+
+def canonical(m):
+    """The scaled form of a Fraction matrix: N and d with no common factor."""
+    return fields.scaled(QQ, m)
+
+
+def check_scaled_routines(a, b):
+    """Every scaled routine on a (and the product a b) gives the generic
+    loops' matrix, in canonical scaled form."""
+    sa, sb = fields.scaled(QQ, a), fields.scaled(QQ, b)
+    ncols = len(a[0]) if a else 2
+    assert fields.scaled_mul(QQ, sa, sb) == canonical(fmat_mul(GENERIC_QQ, a, b))
+    c = Fraction(-6, 35)
+    times = [[GENERIC_QQ.mul(c, x) for x in row] for row in a]
+    assert fields.scaled_times(QQ, c, sa) == canonical(times)
+    red, pivots = qlinalg.rref(GENERIC_QQ, a)
+    assert qlinalg.scaled_rref(QQ, sa[0]) == (canonical(red), pivots)
+    assert qlinalg.scaled_rank(QQ, sa[0]) == len(pivots)
+    assert qlinalg.scaled_row_basis(QQ, sa[0]) == canonical(qlinalg.row_basis(GENERIC_QQ, a))
+    assert qlinalg.scaled_kernel(QQ, sa[0], ncols) == canonical(
+        qlinalg.kernel(GENERIC_QQ, a, ncols))
+    if len(a) == ncols or not a:
+        inv = qlinalg.inverse(GENERIC_QQ, a)
+        assert qlinalg.scaled_inverse(QQ, *sa) == (None if inv is None else canonical(inv))
+        assert qlinalg.scaled_det(QQ, *sa) == qlinalg.det(GENERIC_QQ, a)
+        n = len(a)
+        assert scaled_compounds(QQ, sa, n) == [
+            canonical(level) for level in compounds(GENERIC_QQ, a, n)
+        ]
+    for m, sm in ((a, sa), (b, sb)):
+        assert fields.unscaled(QQ, sm) == [[Fraction(x) for x in row] for row in m]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_scaled_routines_match_fraction_loops(data):
+    a = data.draw(q_matrices())
+    ncols = len(a[0]) if a else 2
+    b = data.draw(q_matrices(nrows=ncols))
+    check_scaled_routines(a, b)
+
+
+@pytest.mark.parametrize("a,b", [
+    ([[0, 0], [0, 0]], [[Fraction(1, 2), 0], [0, 3]]),
+    ([[Fraction(0)] * 3], [[1, 2], [3, 4], [5, Fraction(-6, 7)]]),
+    ([], [[1, 2], [3, 4]]),
+], ids=["zero-square", "zero-row", "empty"])
+def test_scaled_routines_on_zero_and_empty_matrices(a, b):
+    check_scaled_routines(a, b)
+    assert fields.scaled(QQ, [[0, Fraction(0)]]) == ([[0, 0]], 1)
+    assert fields.scaled(QQ, []) == ([], 1)
+
+
+def test_scaled_form_over_a_finite_field_is_the_matrix_over_one():
+    field = GF(3, 2)
+    rng = random.Random(3)
+    a = [[rng.randrange(9) for _ in range(3)] for _ in range(3)]
+    assert fields.scaled(field, a) == (a, 1) and fields.unscaled(field, (a, 1)) is a
+    assert fields.scaled_mul(field, (a, 1), (a, 1)) == (fmat_mul(field, a, a), 1)
+    assert qlinalg.scaled_row_basis(field, a) == (qlinalg.row_basis(field, a), 1)

@@ -23,10 +23,10 @@ from chtoucakit.pavings import (
     trivial_paving,
 )
 from chtoucakit.acceptance import _rand_stratum_data
-from chtoucakit.complete_homs import StratumData, adapted_bases
+from chtoucakit.complete_homs import StratumData
 from chtoucakit.qlinalg import kernel as fmat_kernel, row_basis
 
-from test_complete_homs import rand_scalar, rand_stratum_data
+from test_complete_homs import field_adapted_bases, rand_scalar, rand_stratum_data
 
 
 class TestDimensionCondition:
@@ -255,7 +255,7 @@ def oracle_family_w(d):
     """The subspace of each pavé [r_{s-1}, r_s] of `family_from_stratum`,
     keyed by its point set, with each graph row summed entry by entry."""
     field, r = d.field, d.r
-    a, b = adapted_bases(field, r, d.vfilt, d.wfilt)
+    a, b = field_adapted_bases(field, r, d.vfilt, d.wfilt)
     a_cols = [list(col) for col in zip(*a)]
     b_cols = [list(col) for col in zip(*b)]
     bounds = [0] + list(d.cuts) + [r]

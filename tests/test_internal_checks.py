@@ -16,7 +16,7 @@ import math
 from chtoucakit import complete_homs as ch, hn_truncation as hn
 from chtoucakit import simplex_core as sc, zlattice
 from chtoucakit.errors import InternalError
-from chtoucakit.fields import QQ, fmat_identity
+from chtoucakit.fields import QQ
 
 def report(call):
     try:
@@ -28,8 +28,9 @@ def report(call):
 
 h = ch.complete_from_open(QQ, [[2, 1, 0], [0, 1, 0], [1, 0, 1]], [QQ.one(), QQ.one()])
 data = ch.stratum_data(h)
-eye = fmat_identity(QQ, 3)
-zero = [[QQ.zero()] * 3 for _ in range(3)]
+# scaled adapted bases (N, d)
+eye = ([[int(i == j) for j in range(3)] for i in range(3)], 1)
+zero = ([[0] * 3 for _ in range(3)], 1)
 ch.adapted_bases = lambda *args: (zero, eye)
 report(lambda: ch.build_stratum_point(data))
 ch.adapted_bases = lambda *args: (eye, zero)
