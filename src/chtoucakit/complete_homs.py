@@ -15,26 +15,28 @@ by deterministic reduced-row-echelon completion, graded-map matrices are
 stored with their first nonzero entry normalized to 1 alongside the
 extracted scale, and wedge signs follow ascending lexicographic subsets.
 Every exterior power of a matrix is taken from one table of its
-compounds (`compounds`), each rho-minor expanded along its first row
-over the (rho-1)-minors, so no minor costs an elimination or a field
-inversion.  The stratum code carries every matrix in the scaled form
-(N, d) of `fields` through the scaled kernels (`scaled_compounds`,
-`fields.scaled_mul`, `qlinalg.scaled_inverse`, ...), so over Q it clears
-the denominators of an input matrix once and forms a Fraction only for
-an entry of a returned `CompleteHom` or `StratumData`.
+compounds, each rho-minor expanded along its first row over the
+(rho-1)-minors, so no minor costs an elimination or a field inversion.
+The table has one body, `scaled_compounds`, run on the numerators of a
+scaled matrix in `fields.ring` (integers over Q); `compounds` is it
+between `scaled` and `unscaled`.  The stratum code carries every matrix
+in the scaled form (N, d) of `fields` through the scaled kernels
+(`scaled_compounds`, `fields.scaled_mul`, `qlinalg.scaled_inverse`,
+...), so over Q it clears the denominators of an input matrix once and
+forms a Fraction only for an entry of a returned `CompleteHom` or
+`StratumData`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb, lcm
 
 from .errors import InternalError, InvalidData, NotOnStratum, Singular, ZeroLambda, ZeroMu
 from . import qlinalg
 from .fields import (
-    GF, ZZ, RationalField, _reduced, fmat_eq, fmat_mul, scaled, scaled_mul, scaled_times,
-    unscaled,
+    GF, _reduced, fmat_eq, fmat_mul, ring, scaled, scaled_mul, scaled_times, unscaled,
 )
 
 
@@ -43,17 +45,24 @@ def wedge_subsets(r: int, rho: int) -> list[tuple[int, ...]]:
 
 
 def compounds(field, a, top: int):
-    """[wedge^1 a, ..., wedge^top a] in the lexicographic wedge bases.
+    """[wedge^1 a, ..., wedge^top a] in the lexicographic wedge bases,
+    by `scaled_compounds`."""
+    return [unscaled(field, m) for m in scaled_compounds(field, scaled(field, a), top)]
 
-    The (I', I) entry of wedge^rho a is the rho x rho minor on rows I'
+
+def scaled_compounds(field, a, top: int):
+    """`compounds` of a scaled matrix (N, d), each level scaled:
+    wedge^rho (N/d) is (wedge^rho N)/d^rho, the table of N taken in
+    `fields.ring`.
+
+    The (I', I) entry of wedge^rho N is the rho x rho minor on rows I'
     and columns I.  Each rho-minor is the Laplace expansion along the
     first row of I' over the (rho-1)-minors of the level below, so the
-    table uses only add, sub and mul: no division, over any field.  Over
-    Q by `scaled_compounds`."""
-    if isinstance(field, RationalField):
-        return [unscaled(field, m) for m in scaled_compounds(field, scaled(field, a), top)]
-    r = len(a)
-    levels = [[list(row) for row in a]]
+    table uses only add, sub and mul: no division, over any field."""
+    n, d = a
+    ops = ring(field)
+    r = len(n)
+    levels = [[list(row) for row in n]]
     prev_index = {(j,): j for j in range(r)}
     for rho in range(2, top + 1):
         prev = levels[-1]
@@ -65,27 +74,19 @@ def compounds(field, a, top: int):
         ]
         level = []
         for rows in subs:
-            head = a[rows[0]]
+            head = n[rows[0]]
             below = prev[prev_index[rows[1:]]]
             out = []
             for terms in expansions:
-                acc = field.zero()
+                acc = ops.zero()
                 for c, j, odd in terms:
-                    term = field.mul(head[c], below[j])
-                    acc = field.sub(acc, term) if odd else field.add(acc, term)
+                    term = ops.mul(head[c], below[j])
+                    acc = ops.sub(acc, term) if odd else ops.add(acc, term)
                 out.append(acc)
             level.append(out)
         levels.append(level)
         prev_index = {sub: i for i, sub in enumerate(subs)}
-    return levels[:top]
-
-
-def scaled_compounds(field, a, top: int):
-    """`compounds` of a scaled matrix, each level scaled: wedge^rho (N/d)
-    is (wedge^rho N)/d^rho, over Q with the table of N taken in `ZZ`."""
-    n, d = a
-    ring = ZZ if isinstance(field, RationalField) else field
-    return [_reduced(level, d**rho) for rho, level in enumerate(compounds(ring, n, top), start=1)]
+    return [_reduced(level, d**rho) for rho, level in enumerate(levels[:top], start=1)]
 
 
 def exterior_power(field, a, rho: int):
@@ -239,24 +240,13 @@ class StratumData:
     def normalized(self) -> "StratumData":
         """Move each graded matrix's leading coefficient into the scale."""
         field = self.field
-        new_v = []
-        new_scales = []
-        for m, s in zip(self.v, self.scales):
-            lead = _first_nonzero(field, m)
-            if lead is None:
-                raise InvalidData("graded map is zero")
-            inv = field.inv(lead)
-            new_v.append(tuple(tuple(field.mul(inv, x) for x in row) for row in m))
-            new_scales.append(field.mul(s, lead))
-        return StratumData(
-            field,
-            self.r,
-            self.cuts,
-            self.vfilt,
-            self.wfilt,
-            tuple(new_v),
-            tuple(new_scales),
-            self.free_lams,
+        normals = [_normalize(field, scaled(field, m)) for m in self.v]
+        if None in normals:
+            raise InvalidData("graded map is zero")
+        return replace(
+            self,
+            v=tuple(m for _, m in normals),
+            scales=tuple(field.mul(s, lead) for s, (lead, _) in zip(self.scales, normals)),
         )
 
     def eq(self, other: "StratumData") -> bool:
@@ -284,6 +274,17 @@ def _first_nonzero(field, m):
             if not field.is_zero(x):
                 return x
     return None
+
+
+def _normalize(field, m):
+    """The first nonzero entry (row-major) of the scaled map m, a field
+    element, and m divided by it as a tuple of rows of field elements;
+    None if m is zero."""
+    x = _first_nonzero(field, m[0])
+    if x is None:
+        return None
+    first = field.mul(x, field.inv(m[1]))  # x / d, d = 1 over GF(p^k)
+    return first, tuple(map(tuple, unscaled(field, scaled_times(field, field.inv(first), m))))
 
 
 def _flag_blocks(field, r: int, chain):
@@ -560,17 +561,15 @@ def stratum_data(h: CompleteHom) -> StratumData:
         if field.is_zero(denom):
             raise NotOnStratum("degenerate scaling while extracting graded maps")
         tilde = scaled_times(field, field.inv(denom), phi)
-        x = _first_nonzero(field, tilde[0])
-        if x is None:
+        normal = _normalize(field, tilde)
+        if normal is None:
             raise NotOnStratum(f"graded map {sigma} vanishes")
         block_det = qlinalg.scaled_det(field, *tilde)
         if field.is_zero(block_det):
             raise NotOnStratum(f"graded map {sigma} is singular")
-        first = field.mul(x, field.inv(tilde[1]))  # x / d, d = 1 over GF(p^k)
         maps.append(tilde)
-        normalized = unscaled(field, scaled_times(field, field.inv(first), tilde))
-        graded.append(tuple(map(tuple, normalized)))
-        scales.append(first)
+        scales.append(normal[0])
+        graded.append(normal[1])
         lead = field.mul(lead, block_det)
     data = StratumData(
         field,
@@ -598,7 +597,7 @@ def lang_isogeny(g, q: int, field: GF):
         raise InvalidData("the Lang map needs a finite field")
     p = field.p
     qq = q
-    while qq % p == 0:
+    while qq > 1 and qq % p == 0:  # q = 0 would never leave the loop
         qq //= p
     if qq != 1 or q < 2:
         raise InvalidData("q must be a positive power of the characteristic")

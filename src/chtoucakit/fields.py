@@ -2,12 +2,10 @@
 helpers that need no elimination (identity, product, equality); the
 elimination routines live in `qlinalg`.
 
-Matrix loops are written once, generic over a field object.  A matrix
-M is carried in scaled form (N, d), M = N/d: over Q, N is an integer
-matrix on which the loops run in the ring `ZZ`, and d >= 1 has no
-factor common to all of N's entries, so the pair is unique; over GF(p^k),
-N = M and d = 1.  `scaled` clears the denominators of a Fraction matrix
-once and `unscaled` forms one `Fraction` per entry of a result.
+A matrix M is carried in scaled form (N, d), M = N/d: over Q, N is an
+integer matrix and d >= 1 has no factor common to all of N's entries,
+so the pair is unique; over GF(p^k), N = M and d = 1.  Each matrix loop
+has one body, run on N in `ring(field)`: `ZZ` over Q, else the field.
 
 A GF(p^k) element is a plain int, its index sum c_i p^i in range(p^k),
 also its wire format; c_i are its little-endian coefficients modulo a
@@ -86,8 +84,9 @@ class RationalField:
 
 QQ = RationalField()
 
-# the integers, as the ring operations of the matrix loops (`fmat_mul`,
-# `complete_homs.compounds`); builtins, so a step costs no Python call
+# the integers, as the ring operations of the matrix loops over Q
+# (`scaled_mul`, `complete_homs.scaled_compounds`); builtins, so a step
+# costs no Python call
 ZZ = SimpleNamespace(
     zero=int, add=operator.add, sub=operator.sub, mul=operator.mul, is_zero=operator.not_
 )
@@ -118,6 +117,12 @@ def _reduced(n, d):
     if g == 1:
         return n, d
     return [[x // g for x in row] for row in n], d // g
+
+
+def ring(field):
+    """The ring in which the matrix loops run on the numerators N of
+    scaled matrices: `ZZ` over Q, the field itself over GF(p^k)."""
+    return ZZ if isinstance(field, RationalField) else field
 
 
 def scaled(field, rows):
@@ -322,28 +327,25 @@ def fmat_zero(field, nrows, ncols):
 
 
 def scaled_mul(field, a, b):
-    """The product of two scaled matrices; over Q, (N_a N_b, d_a d_b)
-    with the integer product taken by the loop of `fmat_mul` in `ZZ`."""
+    """The product of two scaled matrices, (N_a N_b, d_a d_b), the
+    numerators multiplied in `ring`."""
     (na, da), (nb, db) = a, b
-    if isinstance(field, RationalField):
-        return _reduced(fmat_mul(ZZ, na, nb), da * db)
-    return fmat_mul(field, na, nb), 1
+    ops = ring(field)
+    n, k = len(na), len(nb)
+    m = len(nb[0]) if nb else 0
+    out = fmat_zero(ops, n, m)
+    for i in range(n):
+        for t in range(k):
+            c = na[i][t]
+            if not ops.is_zero(c):
+                for j in range(m):
+                    out[i][j] = ops.add(out[i][j], ops.mul(c, nb[t][j]))
+    return _reduced(out, da * db)
 
 
 def fmat_mul(field, a, b):
-    """The product a b; over Q by `scaled_mul`."""
-    if isinstance(field, RationalField):
-        return unscaled(field, scaled_mul(field, scaled(field, a), scaled(field, b)))
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = fmat_zero(field, n, m)
-    for i in range(n):
-        for t in range(k):
-            c = a[i][t]
-            if not field.is_zero(c):
-                for j in range(m):
-                    out[i][j] = field.add(out[i][j], field.mul(c, b[t][j]))
-    return out
+    """The product a b, by `scaled_mul`."""
+    return unscaled(field, scaled_mul(field, scaled(field, a), scaled(field, b)))
 
 
 def fmat_eq(field, a, b):

@@ -16,7 +16,7 @@ from .errors import InvalidData
 from .pavings import Paving, _proper_nonempty_subsets, interior_walls, trivial_paving
 from .complete_homs import StratumData, adapted_bases, _validate_stratum_data
 from . import qlinalg
-from .fields import fmat_mul, unscaled
+from .fields import fmat_mul, scaled_mul, unscaled
 
 
 @dataclass(frozen=True)
@@ -140,14 +140,13 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
 
     in the adapted bases, which satisfies both glued-graph conditions by
     construction."""
-    vfilt, wfilt, _ = _validate_stratum_data(d)
+    vfilt, wfilt, maps = _validate_stratum_data(d)
     field = d.field
     r = d.r
     bounds = [0] + list(d.cuts) + [r]
-    a, b = (unscaled(field, m) for m in adapted_bases(field, r, vfilt, wfilt))
-    # columns of a / b are the adapted bases
-    a_cols = [[a[i][j] for i in range(r)] for j in range(r)]
-    b_cols = [[b[i][j] for i in range(r)] for j in range(r)]
+    # the columns of A / B, the adapted bases, as rows of scaled matrices
+    a, b = (([list(col) for col in zip(*n)], e) for n, e in adapted_bases(field, r, vfilt, wfilt))
+    a_cols, b_cols = unscaled(field, a), unscaled(field, b)
     from .pavings import pave_from_points, paving_from_paves
 
     paves = []
@@ -161,11 +160,10 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
             rows.append(a_cols[j] + [field.zero()] * r)
         for j in range(lo):  # W_{sigma-1} = leading adapted vectors
             rows.append([field.zero()] * r + b_cols[j])
-        # graph of the true graded map: adapted vector lo + t of A next
-        # to its image, the sum over tp of sc v[tp][t] b_{lo + tp}
-        sc = d.scales[sigma - 1]
-        v_t = [[field.mul(sc, x) for x in col] for col in zip(*d.v[sigma - 1])]
-        images = fmat_mul(field, v_t, b_cols[lo:hi])
+        # graph of the true graded map g: adapted vector lo + t of A next
+        # to its image, the sum over tp of g[tp][t] b_{lo + tp}
+        g_t = [list(col) for col in zip(*maps[sigma - 1][0])], maps[sigma - 1][1]
+        images = unscaled(field, scaled_mul(field, g_t, (b[0][lo:hi], b[1])))
         rows.extend(a_cols[lo + t] + img for t, img in enumerate(images))
         paves.append(pave)
         w_by_key[pave.key()] = tuple(tuple(row) for row in rows)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import VERSION
 from .errors import InvalidData
-from .fields import GF, QQ
+from .fields import GF, QQ, RationalField
 from .hn_truncation import Polygon, SubobjectLattice, SubobjectRecord
 from .l_functions import PlaceData, SatakeParams
 from .pavings import Paving, pave_from_points, paving_from_paves
@@ -62,7 +62,7 @@ def _json_int_key(key: str, what: str) -> int:
 
 
 def field_to_json(field):
-    if field is QQ or isinstance(field, type(QQ)):
+    if isinstance(field, RationalField):
         return {"Q": True}
     return {"GF": [field.p, field.k], "modulus_poly": list(field.modulus)}
 

@@ -2,20 +2,21 @@
 GF(p^k)): the package's elimination routines.
 
 Every routine takes the field as its first argument and matrices as
-lists of rows of field elements, and runs one of two loops:
+lists of rows of field elements.  Each has a scaled form (`scaled_rref`,
+...) that takes the numerators N of the scaled form (N, d) of `fields`
+(and d where it moves the answer) and returns matrices as pairs (N, d),
+so chained calls over Q clear no denominator and form no `Fraction`;
+the plain routine wraps it, clearing its input once and forming one
+`Fraction` per output entry.
 
-- over GF(p^k), the field-generic `_forward` brings a copy of the matrix
-  to row-echelon form with unit pivots, and `_back_substitute` clears the
-  entries above the pivots when a reduced form is needed;
+The scaled forms have one body each, on one elimination, `_eliminate`,
+the only place besides `scaled_det` that chooses between the fields:
+
 - over QQ, `zlattice._bareiss` (whose pivots also give
-  `zlattice.int_rank`) eliminates the integer matrix N of the scaled
-  form (N, d) of `fields` without fractions.
-
-Each routine has a scaled form (`scaled_rref`, ...) that takes N and d
-(N alone where d cannot move the answer) and returns matrices as pairs
-(N, d), so chained calls over Q clear no denominator and form no
-`Fraction`; the plain routine wraps it, clearing its input once and
-forming one `Fraction` per output entry.
+  `zlattice.int_rank`) eliminates N without fractions;
+- over GF(p^k), the field-generic `_forward` brings N to row-echelon
+  form with unit pivots, and `_back_substitute` clears the entries above
+  the pivots when a reduced form is needed.
 
 `rank` and `det` stop after the forward pass.  The reduced row-echelon
 form, the rank, the determinant and the inverse are unique, and the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import RationalField, _reduced, fmat_identity, scaled, unscaled
+from .fields import RationalField, _reduced, scaled, unscaled
 from .zlattice import _bareiss
 
 
@@ -94,26 +95,31 @@ def _back_substitute(field, m, pivots):
                 row[tail:] = [sub(x, mul(f, y)) for x, y in zip(row[tail:], ptail)]
 
 
-def _reduce(field, rows, ncols):
-    """Reduced row-echelon form over the first ``ncols`` columns of a
-    copy of ``rows``: (matrix, pivot columns)."""
-    m = [list(r) for r in rows]
-    pivots, _ = _forward(field, m, ncols)
-    _back_substitute(field, m, pivots)
-    return m, pivots
+def _eliminate(field, m, ncols, reduced=False):
+    """Eliminate the numerators ``m`` of a scaled matrix in place over
+    their first ``ncols`` columns, columns past ``ncols`` following along:
+    over Q by `zlattice._bareiss`, over GF(p^k) by `_forward`, then
+    `_back_substitute` with ``reduced``.
+
+    Returns the pivot columns, the denominator e of the reduced form
+    (with ``reduced``, its pivot rows are the first rows of ``m`` over
+    e; e = 1 over GF(p^k)) and the determinant of the first ``ncols``
+    columns when they are square of full rank."""
+    if isinstance(field, RationalField):
+        pivots, p, sign = _bareiss(m, ncols, reduced)
+        return pivots, p, sign * p
+    pivots, scale = _forward(field, m, ncols)
+    if reduced:
+        _back_substitute(field, m, pivots)
+    return pivots, 1, scale
 
 
 def scaled_rref(field, n):
     """`rref` of the scaled matrix (N, d) from its rows N, which fix it
     whatever d is: ((R, e), pivot columns) with R/e the reduced form."""
-    ncols = len(n[0]) if n else 0
-    if isinstance(field, RationalField):
-        m = [list(row) for row in n]
-        pivots, p, _ = _bareiss(m, ncols, reduced=True)
-        k = len(pivots)
-        return _reduced(m[:k] + [[0] * ncols for _ in m[k:]], p), pivots
-    red, pivots = _reduce(field, n, ncols)
-    return (red, 1), pivots
+    m = [list(row) for row in n]
+    pivots, e, _ = _eliminate(field, m, len(n[0]) if n else 0, reduced=True)
+    return _reduced(m, e), pivots
 
 
 def rref(field, rows):
@@ -125,11 +131,7 @@ def rref(field, rows):
 
 def scaled_rank(field, n) -> int:
     """Rank of a scaled matrix (N, d), which is the rank of N."""
-    m = [list(row) for row in n]
-    ncols = len(n[0]) if n else 0
-    if isinstance(field, RationalField):
-        return len(_bareiss(m, ncols)[0])
-    return len(_forward(field, m, ncols)[0])
+    return len(_eliminate(field, [list(row) for row in n], len(n[0]) if n else 0)[0])
 
 
 def rank(field, rows) -> int:
@@ -170,20 +172,14 @@ def kernel(field, rows, ncols: int):
 
 def scaled_inverse(field, n, d):
     """Inverse of the square scaled matrix (N, d), scaled, or None if it
-    is singular."""
+    is singular: [N | d I] has the reduced form [I | (N / d)^(-1)]."""
     k = len(n)
-    if isinstance(field, RationalField):
-        # [N | d I] has the reduced form [I | (N / d)^(-1)]
-        m = [list(row) + [d if j == i else 0 for j in range(k)] for i, row in enumerate(n)]
-        pivots, p, _ = _bareiss(m, k, reduced=True)
-        if len(pivots) != k:
-            return None
-        return _reduced([row[k:] for row in m], p)
-    ident = fmat_identity(field, k)
-    red, pivots = _reduce(field, [list(row) + ident[i] for i, row in enumerate(n)], k)
+    # d = 1 over GF(p^k), and 0 is the zero of Z and of GF(p^k)
+    m = [list(row) + [d if j == i else 0 for j in range(k)] for i, row in enumerate(n)]
+    pivots, e, _ = _eliminate(field, m, k, reduced=True)
     if len(pivots) != k:
         return None
-    return [row[k:] for row in red], 1
+    return _reduced([row[k:] for row in m], e)
 
 
 def inverse(field, a):
@@ -195,12 +191,11 @@ def inverse(field, a):
 def scaled_det(field, n, d):
     """Determinant of the square scaled matrix (N, d), a field element:
     over Q, det(N) / d^n."""
-    m = [list(row) for row in n]
-    if isinstance(field, RationalField):
-        pivots, p, sign = _bareiss(m, len(m))
-        return Fraction(sign * p, d ** len(m)) if len(pivots) == len(m) else field.zero()
-    pivots, scale = _forward(field, m, len(m))
-    return scale if len(pivots) == len(m) else field.zero()
+    k = len(n)
+    pivots, _, det_n = _eliminate(field, [list(row) for row in n], k)
+    if len(pivots) != k:
+        return field.zero()
+    return Fraction(det_n, d**k) if isinstance(field, RationalField) else det_n
 
 
 def det(field, a):

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -453,6 +457,22 @@ def test_homs_lang_rejects_non_square_matrices(tmp_path):
         payload = {"field": {"GF": [5, 1]}, "matrix": matrix}
         assert_invalid_data(["homs", "lang", "--q", "5", "m.json"], {"m.json": payload},
                             tmp_path, "matrix must be square")
+
+
+@pytest.mark.parametrize("q", ["0", "1", "-4", "6"])
+def test_homs_lang_rejects_q_not_a_power_of_the_characteristic(tmp_path, q):
+    """Run in a child process with a timeout: q = 0 once looped forever."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": {"GF": [2, 2]}, "matrix": [["1", "0"], ["0", "1"]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chtoucakit.cli", "homs", "lang", "--q", q, str(path)],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr)["error"] == {
+        "type": "InvalidData", "message": "q must be a positive power of the characteristic"
+    }
 
 
 def test_out_of_range_r_and_n_are_invalid_data(tmp_path):

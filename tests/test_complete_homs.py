@@ -521,12 +521,9 @@ def test_stratum_data_validates_once_and_reduces_each_flag_once():
         assert counts[other] == 0
 
 
-def test_rational_round_trip_clears_and_forms_fractions_a_pinned_number_of_times():
-    """One Q round trip (r = 4, cuts (1, 3)) clears denominators once per
-    input matrix (4 filtration members, 3 graded maps, 4 u_rho) and forms
-    Fractions once per output matrix (4 u_rho, then 2 + 2 members and 3
-    graded maps): a fall-back to clearing and rebuilding at every step
-    shows here without any timing."""
+@contextmanager
+def counting_clears_and_fractions():
+    """Count the calls to `fields._clear_denominators` and `fields._over`."""
     counts = Counter()
 
     def spy(name):
@@ -538,13 +535,36 @@ def test_rational_round_trip_clears_and_forms_fractions_a_pinned_number_of_times
 
         return mock.patch.object(fields, name, call)
 
-    d = rand_stratum_data(QQ, random.Random(42), 4, (1, 3))
     with spy("_clear_denominators"), spy("_over"):
+        yield counts
+
+
+def test_rational_round_trip_clears_and_forms_fractions_a_pinned_number_of_times():
+    """One Q round trip (r = 4, cuts (1, 3)) clears denominators once per
+    input matrix (4 filtration members, 3 graded maps, 4 u_rho) and forms
+    Fractions once per output matrix (4 u_rho, then 2 + 2 members and 3
+    graded maps): a fall-back to clearing and rebuilding at every step
+    shows here without any timing."""
+    d = rand_stratum_data(QQ, random.Random(42), 4, (1, 3))
+    with counting_clears_and_fractions() as counts:
         h = build_stratum_point(d)
         assert counts == {"_clear_denominators": 7, "_over": 4}
         rec = stratum_data(h)
     assert counts == {"_clear_denominators": 11, "_over": 11}
     assert rec.eq(d.normalized())
+
+
+@pytest.mark.parametrize("cuts", [(1,), (2,)])
+def test_rational_family_clears_and_forms_fractions_a_pinned_number_of_times(cuts):
+    """One Q glued-graph family (r = 3, one cut) clears denominators once
+    per input matrix (1 + 1 members, 2 graded maps) and once per pavé's
+    rank check, and forms Fractions for the adapted bases A and B and
+    for each block's images: the graph rows are built from the scaled
+    true graded maps, not from Fractions cleared again."""
+    d = rand_stratum_data(QQ, random.Random(42), 3, cuts)
+    with counting_clears_and_fractions() as counts:
+        family_from_stratum(d)
+    assert counts == {"_clear_denominators": 6, "_over": 4}
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -326,3 +328,63 @@ def test_scaled_form_over_a_finite_field_is_the_matrix_over_one():
     assert fields.scaled(field, a) == (a, 1) and fields.unscaled(field, (a, 1)) is a
     assert fields.scaled_mul(field, (a, 1), (a, 1)) == (fmat_mul(field, a, a), 1)
     assert qlinalg.scaled_row_basis(field, a) == (qlinalg.row_basis(field, a), 1)
+
+
+def test_ring_is_zz_over_q_and_the_field_itself_otherwise():
+    assert fields.ring(QQ) is fields.ZZ
+    assert fields.ring(GF(3, 2)) == GF(3, 2)
+    assert fields.ring(GENERIC_QQ) is GENERIC_QQ
+
+
+# ---------------------------------------------------------------------------
+# one body per matrix kernel: the choice between Q and GF(p^k) is made in
+# these functions only, and every matrix loop reads it from them
+RATIONAL_FIELD_TESTS = {
+    "fields.RationalField.__eq__",
+    "fields.ring",
+    "fields.scaled",
+    "fields.unscaled",
+    "fields.scaled_times",
+    "qlinalg._eliminate",
+    "qlinalg.scaled_det",
+    "jsonio.field_to_json",
+}
+
+
+def rational_field_tests(tree, module):
+    """The qualified names of the functions of a module's AST that call
+    isinstance(..., RationalField) or isinstance(..., type(QQ))."""
+    found = set()
+
+    def is_test(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            return False
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(
+            "RationalField" in ast.unparse(kind) or ast.unparse(kind) == "type(QQ)"
+            for kind in kinds
+        )
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(
+                    is_test(n) for n in ast.walk(child)
+                ):
+                    found.add(name)
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return found
+
+
+def test_rational_field_is_tested_only_where_the_matrix_path_is_chosen():
+    src = Path(fields.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= rational_field_tests(ast.parse(path.read_text()), path.stem)
+    assert found == RATIONAL_FIELD_TESTS

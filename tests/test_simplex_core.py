@@ -134,7 +134,9 @@ def oracle_solve(field, a, b):
     if not a:
         return []
     ncols = len(a[0])
-    red, pivots = qlinalg._reduce(field, [list(row) + [bb] for row, bb in zip(a, b)], ncols)
+    red = [list(row) + [bb] for row, bb in zip(a, b)]
+    pivots, _ = qlinalg._forward(field, red, ncols)
+    qlinalg._back_substitute(field, red, pivots)
     if any(not field.is_zero(row[ncols]) for row in red[len(pivots):]):
         return None
     x = [field.zero()] * ncols
