@@ -23,21 +23,22 @@ equalities are the integer kernel of the generators it returns, and the
 facets are the rows with maximal tight-ray sets.  A cone given by
 generators is the dual of the cone those generators cut out as rows.
 
-Faces are read off the ray-facet incidence of a canonical cone (Ziegler,
-*Lectures on Polytopes*, ch. 2): the faces are the intersections of the
-facets' tight-ray sets, and `t` is a face of `c` exactly when its rays
-are the rays of `c` on every facet tight on `t`.  A face's H-description
-comes from the same incidence, with no double description: its
+Faces are read off the ray-facet incidence of a canonical cone, computed
+once (Ziegler, *Lectures on Polytopes*, ch. 2): the faces are the
+intersections of the facets' tight-ray sets, and `t` is a face of `c`
+exactly when its rays are the rays of `c` on every facet tight on `t`.
+A face's H-description comes from the same incidence by bit-ands: its
 equalities are the integer kernel of its generators, and its facets are
-its maximal intersections with the facets of `c`.  Two faces of one
-cone meet in a common face with disjoint relative interiors, so
-`verify_fan` intersects only the pairs of members that are not both
-faces of one member.
+its maximal intersections with the facets of `c`.  The faces of a face
+are the faces of `c` whose ray masks lie inside its own, so `verify_fan`
+reads the face lattice off the maximal members alone.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import zlattice
 from .errors import InternalError, InvalidData, TooLarge
@@ -55,7 +56,7 @@ MONOID_SEARCH_BOUND = 8
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _saturate(vectors: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
@@ -283,13 +284,13 @@ def is_face(t: Cone, c: Cone) -> bool:
     return (t.lin, t.rays) == (c.lin, rays)
 
 
-def face_masks(c: Cone) -> set[int]:
-    """The faces of c as bitmasks over c.rays, c itself included.
+def face_masks(c: Cone, facets: list[int]) -> set[int]:
+    """The faces of c as bitmasks over c.rays, c itself included, from
+    its facet incidence ``facets`` (`_incidence(c.ineqs, c.rays)`).
 
     A face is determined by the rays of c it contains, and those ray sets
     are the intersections of the facets' tight-ray sets; the full mask,
     on which no facet is tight, stands for c."""
-    facets = _incidence(c.ineqs, c.rays)
     masks = {(1 << len(c.rays)) - 1} | set(facets)
     frontier = list(facets)
     while frontier:
@@ -304,27 +305,28 @@ def face_masks(c: Cone) -> set[int]:
     return masks
 
 
-def face(c: Cone, m: int) -> Cone:
-    """The face of c with ray mask m (one of `face_masks(c)`), read off
-    the facet incidence of c with no double description.
+def face(c: Cone, m: int, facets: list[int]) -> Cone:
+    """The face of c with ray mask m (one of `face_masks(c, facets)`),
+    read off the facet incidence ``facets`` of c.
 
     The face F keeps c.lin; its equalities are the integer kernel of its
     generators.  Its facets are its maximal intersections with the
-    facets G of c not containing it, whose ray masks are the maximal
-    sets among the rays of F tight on G; each is cut out by one such G,
-    reduced modulo F's equalities."""
+    facets G of c not containing it, whose ray masks ``facets[j] & m``
+    stay in c's bit positions (only their inclusions matter); each is
+    cut out by one such G, reduced modulo F's equalities."""
     lin_gens = [v for b in c.lin for v in (b, tuple(-x for x in b))]
     rays = tuple(r for i, r in enumerate(c.rays) if m >> i & 1)
     eqs = tuple(tuple(e) for e in zlattice.int_kernel(list(rays) + lin_gens, c.rank))
-    ineqs = _maximal_reduced(c.ineqs, _incidence(c.ineqs, rays), (1 << len(rays)) - 1, eqs)
+    ineqs = _maximal_reduced(c.ineqs, [t & m for t in facets], m, eqs)
     return Cone(c.rank, c.lin, rays, eqs, ineqs)
 
 
 def proper_faces(c: Cone) -> set[Cone]:
     """All faces of c other than c itself (the zero cone included when
-    c is pointed)."""
+    c is pointed), from one facet incidence."""
+    facets = _incidence(c.ineqs, c.rays)
     full = (1 << len(c.rays)) - 1
-    return {face(c, m) for m in face_masks(c) if m != full}
+    return {face(c, m, facets) for m in face_masks(c, facets) if m != full}
 
 
 def relint_meets(c1: Cone, c2: Cone) -> bool:
@@ -364,16 +366,62 @@ def verify_fan(fan: Fan) -> FanReport:
     member is a member, and every pair intersects in a common face with
     disjoint relative interiors.  Reports carry every violation found.
 
-    Two faces of one member (the member itself included) always meet in
-    a common face with disjoint relative interiors, so once all faces of
-    a member are present, the pairs among them are only checked for
-    duplicates; every other pair is intersected."""
-    failures: list[tuple] = []
+    If the members are exactly the faces of the maximal members, with no
+    repeats, and every two maximal members M1, M2 meet in a common face,
+    the collection is a fan: faces of M1 and of M2 meet in a face of
+    M1 cap M2, hence of each.  Only a collection failing that test is
+    checked member by member and pair by pair (`_violations`)."""
     cones = list(fan.cones)
     index: dict[Cone, int] = {}  # cone -> bitmask of its indices
     for idx, c in enumerate(cones):
         index[c] = index.get(c, 0) | 1 << idx
-    if Cone.zero(fan.rank) not in index:
+    maximal, faces = _maximal_members(index)
+    if (
+        Cone.zero(fan.rank) in index
+        and all(f in index for f in faces)
+        and all(group & (group - 1) == 0 for group in index.values())
+        and not any(_pair_violations(c1, c2, index) for c1, c2 in combinations(maximal, 2))
+    ):
+        return FanReport(True, fan.rank, len(cones))
+    return FanReport(False, fan.rank, len(cones), _violations(fan.rank, cones, index))
+
+
+def _maximal_members(members) -> tuple[list[Cone], set[Cone]]:
+    """The members that are faces of no other member, and all their
+    faces.  A proper face has fewer rays than its cone, so in order of
+    decreasing ray count a member is maximal exactly when it is not a
+    face of a maximal member met before."""
+    maximal: list[Cone] = []
+    faces: set[Cone] = set()
+    for c in sorted(members, key=lambda c: -len(c.rays)):
+        if c not in faces:
+            maximal.append(c)
+            facets = _incidence(c.ineqs, c.rays)
+            faces.update(face(c, m, facets) for m in face_masks(c, facets))
+    return maximal, faces
+
+
+def _pair_violations(c1: Cone, c2: Cone, index) -> list[str]:
+    """The axioms two distinct members break."""
+    inter = c1.intersect(c2)
+    if inter not in index:
+        return ["intersection_not_member"]
+    out = []
+    if not (is_face(inter, c1) and is_face(inter, c2)):
+        out.append("intersection_not_common_face")
+    if _relints_meet(c1, c2, inter):
+        out.append("relative_interiors_meet")
+    return out
+
+
+def _violations(rank: int, cones: list[Cone], index) -> list[tuple]:
+    """Every violation in a fixed order: the missing zero cone, each
+    member's first missing face, then each pair (i, j)'s.  Two faces of
+    a member whose faces are all present meet in a common face with
+    disjoint relative interiors, so such pairs are only checked for
+    repeats."""
+    failures: list[tuple] = []
+    if Cone.zero(rank) not in index:
         failures.append(("missing_zero_cone",))
     # marked[i] >> j & 1: cones i and j are faces of one member
     marked = [0] * len(cones)
@@ -394,18 +442,9 @@ def verify_fan(fan: Fan) -> FanReport:
             c1, c2 = cones[i], cones[j]
             if c1 == c2:
                 failures.append(("duplicate_cone", i, j))
-                continue
-            if marked[i] >> j & 1:
-                continue
-            inter = c1.intersect(c2)
-            if inter not in index:
-                failures.append(("intersection_not_member", i, j))
-                continue
-            if not (is_face(inter, c1) and is_face(inter, c2)):
-                failures.append(("intersection_not_common_face", i, j))
-            if _relints_meet(c1, c2, inter):
-                failures.append(("relative_interiors_meet", i, j))
-    return FanReport(not failures, fan.rank, len(cones), failures)
+            elif not marked[i] >> j & 1:
+                failures.extend((kind, i, j) for kind in _pair_violations(c1, c2, index))
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +643,6 @@ def tau_sequence_check(r: int, q: int) -> SequenceReport:
 
 def orthant_fan(rank: int) -> Fan:
     """The fan of all faces of the nonnegative orthant."""
-    from itertools import combinations
-
     basis = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     cones = []
     for k in range(rank + 1):

@@ -5,18 +5,22 @@ condition and the wall-matching condition across shared boundaries.
 Coordinates of V^{n+1} are grouped in n+1 blocks of size r (block j is
 factor j); V^J is the span of the blocks in J.  Subspaces are handled as
 reduced-row-echelon row bases over an exact field, so equality tests are
-canonical-form equality.
+canonical-form equality.  Each pavé's matrix W is cleared of
+denominators once, into the numerators N of its scaled form (N, d) of
+`fields`; N has W's row space, so the checks run the scaled kernels on
+column selections of N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 from .errors import InvalidData
 from .pavings import Paving, _proper_nonempty_subsets, interior_walls, trivial_paving
 from .complete_homs import StratumData, adapted_bases, _validate_stratum_data
 from . import qlinalg
-from .fields import fmat_mul, scaled_mul, unscaled
+from .fields import scaled, scaled_mul, unscaled
 
 
 @dataclass(frozen=True)
@@ -29,11 +33,16 @@ class GluedGraphFamily:
         r, n = self.paving.r, self.paving.n
         if len(self.w) != len(self.paving.paves):
             raise InvalidData("need one subspace per pavé")
-        for m in self.w:
+        for m, rows in zip(self.w, self.numerators):
             if len(m) != r or any(len(row) != r * (n + 1) for row in m):
                 raise InvalidData(f"subspace basis must be {r} x {r * (n + 1)}")
-            if qlinalg.rank(self.field, [list(row) for row in m]) != r:
+            if qlinalg.scaled_rank(self.field, rows) != r:
                 raise InvalidData("subspace must have rank exactly r")
+
+    @cached_property
+    def numerators(self) -> tuple:
+        """Per pavé, the rows N of the scaled form (N, d) of its W."""
+        return tuple(scaled(self.field, [list(row) for row in m])[0] for m in self.w)
 
 
 def _coords_of(n: int, r: int, blocks) -> list[int]:
@@ -43,25 +52,29 @@ def _coords_of(n: int, r: int, blocks) -> list[int]:
     return out
 
 
-def _intersection_combinations(field, w_rows, r: int, n: int, blocks):
+def _intersection_combinations(field, n_rows, r: int, n: int, blocks):
     """Basis of the coefficient vectors c whose combination c W of the
-    rows of W lies in V^J: one per dimension of W cap V^J."""
+    rows of W lies in V^J, scaled: one per dimension of W cap V^J.
+    ``n_rows`` are the numerators N of W, whose rows combine the same
+    way."""
     jset = set(_coords_of(n, r, blocks))
     other = [c for c in range(r * (n + 1)) if c not in jset]
-    return qlinalg.kernel(field, [[row[c] for row in w_rows] for c in other], len(w_rows))
+    return qlinalg.scaled_kernel(field, [[row[c] for row in n_rows] for c in other], len(n_rows))
 
 
-def _restrict_rows(field, w_rows, cols):
-    return qlinalg.row_basis(field, [[row[c] for c in cols] for row in w_rows])
+def _restrict_rows(field, n_rows, cols):
+    """Canonical basis of the projection of W to the columns ``cols``,
+    scaled, from the numerators N of W."""
+    return qlinalg.scaled_row_basis(field, [[row[c] for c in cols] for row in n_rows])
 
 
-def _intersection_in_coords(field, w_rows, r, n, blocks):
-    """Basis of i_J^{-1}(W) = W cap V^J, written in V^J coordinates."""
+def _intersection_in_coords(field, n_rows, r, n, blocks):
+    """Canonical basis of i_J^{-1}(W) = W cap V^J, written in V^J
+    coordinates and scaled, from the numerators N of W."""
     jcols = _coords_of(n, r, blocks)
-    combos = _intersection_combinations(field, w_rows, r, n, blocks)
-    return qlinalg.row_basis(
-        field, fmat_mul(field, combos, [[row[c] for c in jcols] for row in w_rows])
-    )
+    combos = _intersection_combinations(field, n_rows, r, n, blocks)
+    prod, _ = scaled_mul(field, combos, ([[row[c] for c in jcols] for row in n_rows], 1))
+    return qlinalg.scaled_row_basis(field, prod)
 
 
 @dataclass
@@ -78,11 +91,10 @@ def check_dimension_condition(fam: GluedGraphFamily) -> GluingReport:
     violations = []
     subsets = _proper_nonempty_subsets(n) + [tuple(range(n + 1)), ()]
     for idx, pave in enumerate(fam.paving.paves):
-        w_rows = [list(row) for row in fam.w[idx]]
         profile = pave.profile.as_dict()
         for blocks in subsets:
             expected = profile[blocks]
-            got = len(_intersection_combinations(fam.field, w_rows, r, n, blocks))
+            got = len(_intersection_combinations(fam.field, fam.numerators[idx], r, n, blocks)[0])
             if got != expected:
                 violations.append((idx, blocks, got, expected))
     return GluingReport(not violations, violations)
@@ -115,8 +127,7 @@ def check_gluing_condition(fam: GluedGraphFamily) -> GluingReport:
     violations = []
     for (i1, i2, blocks, d) in shared_walls(fam.paving):
         comp = tuple(j for j in range(n + 1) if j not in set(blocks))
-        w1 = [list(row) for row in fam.w[i1]]
-        w2 = [list(row) for row in fam.w[i2]]
+        w1, w2 = fam.numerators[i1], fam.numerators[i2]
         lhs1 = _intersection_in_coords(field, w1, r, n, blocks)
         rhs1 = _restrict_rows(field, w2, _coords_of(n, r, blocks))
         if lhs1 != rhs1:

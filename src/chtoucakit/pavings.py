@@ -71,12 +71,12 @@ from .simplex_core import (
     quotient_lattice,
 )
 
-# |S^{r,n}| bound for enumeration; it bounds the output (1,024 pavings
-# for (11, 1)), not a search over point subsets
-ENUMERATION_POINT_CAP = 12
+# |S^{r,n}| bound for enumeration; it bounds the output (8,192 pavings
+# for (14, 1), 12,800 for (4, 2)), not a search over point subsets
+ENUMERATION_POINT_CAP = 15
 ENUMERATION_N_CAP = 2  # unit-cell machinery covers n <= 2 (r >= 2)
-# per-(r, n) caches: bounded above the 14 configurations n <= 2 under
-# ENUMERATION_POINT_CAP
+# per-(r, n) caches: bounded above the 18 configurations 1 <= n <= 2
+# under ENUMERATION_POINT_CAP
 CONFIG_CACHE_SIZE = 64
 
 # height functions are plain rational functions on the lattice points
@@ -419,8 +419,8 @@ def _admissibility_lp(paving: Paving):
     )
 
 
-# the bound leaves room for the LPs of every paving of an enumeration
-# under ENUMERATION_POINT_CAP (1,024 for (11, 1))
+# the LP answers of `pavings check` and of the selftest sweeps; the
+# enumeration runs no LP, so the bound need not hold a whole enumeration
 CACHE_SIZE = 4096
 
 
@@ -468,9 +468,10 @@ def _dependency_row(lattice, basis: list[Point], x: Point) -> tuple[int, ...]:
 @lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def _unit_cone(r: int, n: int):
     """The unit-cell triangulation T, its walls (k, l) of
-    `interior_walls`, its closed secondary cone, and per wall the
-    bitmask of the cone's rays on which the wall's fold row vanishes
-    (1 <= n <= 2, r >= 2).
+    `interior_walls`, its closed secondary cone, the cone's facet
+    incidence (`fans.face` and `fans.face_masks` read every face off
+    it), and per wall the bitmask of the cone's rays on which the
+    wall's fold row vanishes (1 <= n <= 2, r >= 2).
 
     A unit cell's lattice points are an affine basis, so every height
     function is affine on each cell and the cone is cut out by the fold
@@ -487,7 +488,7 @@ def _unit_cone(r: int, n: int):
         raise InternalError("secondary cone of the unit-cell triangulation has lineality")
     if any(_dot(row, ray) < 0 for row in folds for ray in cone.rays):
         raise InternalError("fold row negative on a ray of the unit-cell cone")
-    return finest, walls, cone, _incidence(folds, cone.rays)
+    return finest, walls, cone, _incidence(cone.ineqs, cone.rays), _incidence(folds, cone.rays)
 
 
 def sigma_cone(paving: Paving) -> Cone:
@@ -509,7 +510,7 @@ def sigma_cone(paving: Paving) -> Cone:
     r, n = paving.r, paving.n
     if len(paving.paves) == 1:
         return Cone.zero(quotient_lattice(r, n).rank)
-    finest, walls, cone, masks = _unit_cone(r, n)
+    finest, walls, cone, facets, masks = _unit_cone(r, n)
     pave_of = [
         next(i for i, pave in enumerate(paving.paves) if pave.cell_mask & cell.cell_mask)
         for cell in finest.paves
@@ -523,7 +524,7 @@ def sigma_cone(paving: Paving) -> Cone:
         for (k, l), t in zip(walls, masks)
     ):
         raise NotAdmissible("paving has empty secondary cone")
-    return face(cone, face_mask)
+    return face(cone, face_mask, facets)
 
 
 def paving_fan(pavings) -> Fan:
@@ -561,11 +562,11 @@ def enumerate_admissible_pavings(r: int, n: int) -> tuple[Paving, ...]:
         return (trivial_paving(r, n),)
     if n > ENUMERATION_N_CAP:
         raise TooLarge("enumeration capped at n <= 2 for r >= 2")
-    finest, walls, cone, masks = _unit_cone(r, n)
+    finest, walls, cone, facets, masks = _unit_cone(r, n)
     cells = finest.paves
     paves = {1 << k: cell for k, cell in enumerate(cells)}  # by cell bitmask
     out = []
-    for m in face_masks(cone):
+    for m in face_masks(cone, facets):
         root = list(range(len(cells)))
 
         def find(k):

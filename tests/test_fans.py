@@ -321,7 +321,7 @@ def oracle_dd_proper_faces(c):
     full = (1 << len(c.rays)) - 1
     return {
         oracle_dd_canonical(c.rank, c.lin, [r for i, r in enumerate(c.rays) if m >> i & 1])
-        for m in fans.face_masks(c)
+        for m in fans.face_masks(c, fans._incidence(c.ineqs, c.rays))
         if m != full
     }
 
@@ -440,6 +440,40 @@ def test_faces_of_secondary_cones_match_dd_oracle(r, n):
     if n == 1:
         # the finest interval paving's cone is simplicial: 2^(r-1) - 1 proper faces
         assert len(proper_faces(cones[-1])) == 2 ** (r - 1) - 1
+
+
+def oracle_face(c, m):
+    """The face of c with ray mask m, the tight-ray sets of its facets
+    taken by dot products of c's facet rows with the face's own rays."""
+    lin_gens = [v for b in c.lin for v in (b, tuple(-x for x in b))]
+    rays = tuple(r for i, r in enumerate(c.rays) if m >> i & 1)
+    eqs = tuple(tuple(e) for e in zlattice.int_kernel(list(rays) + lin_gens, c.rank))
+    ineqs = fans._maximal_reduced(
+        c.ineqs, fans._incidence(c.ineqs, rays), (1 << len(rays)) - 1, eqs
+    )
+    return Cone(c.rank, c.lin, rays, eqs, ineqs)
+
+
+def assert_every_face_matches_oracle_face(c):
+    facets = fans._incidence(c.ineqs, c.rays)
+    masks = fans.face_masks(c, facets)
+    for m in masks:
+        assert fields_of(fans.face(c, m, facets)) == fields_of(oracle_face(c, m))
+    return len(masks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cones_with_lineality())
+def test_face_by_bit_ands_matches_dot_product_oracle_with_lineality(c):
+    assert_every_face_matches_oracle_face(c)
+
+
+@pytest.mark.parametrize("r,faces", [(2, 8), (3, 176), (4, 12800)])
+def test_face_by_bit_ands_matches_dot_product_oracle_on_unit_cell_cones(r, faces):
+    # every face of the cone of the unit-cell triangulation T of (r, 2),
+    # one per admissible paving
+    assert assert_every_face_matches_oracle_face(pv.sigma_cone(pv.paving_from_point_sets(
+        r, 2, pv.unit_cells(r, 2)))) == faces
 
 
 def _sigma_dd_inputs(r, n):
@@ -632,6 +666,29 @@ def test_verify_fan_matches_oracle_on_invalid_fans():
     assert not any(verify_fan(fan).ok for fan in invalid_fans())
 
 
+def quadrant_fans():
+    """The four quadrants of the plane with their faces, a complete fan
+    with four maximal cones, and the same fan with a cone overlapping two
+    quadrants added with its rays: every face is present, and the only
+    violations are between maximal cones."""
+    quads = [Cone.from_generators(2, [(a, 0), (0, b)]) for a in (1, -1) for b in (1, -1)]
+    rays = [Cone.from_generators(2, [v]) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    quadrants = Fan(2, (Cone.zero(2), *rays, *quads))
+    extra = [Cone.from_generators(2, [(1, 1), (-1, 1)]), Cone.from_generators(2, [(1, 1)]),
+             Cone.from_generators(2, [(-1, 1)])]
+    return quadrants, Fan(2, quadrants.cones + tuple(extra))
+
+
+def test_verify_fan_matches_oracle_on_fans_with_several_maximal_cones():
+    quadrants, overlapping = quadrant_fans()
+    assert verify_fan(quadrants) == oracle_verify_fan(quadrants)
+    assert verify_fan(quadrants).ok
+    report = verify_fan(overlapping)
+    assert report == oracle_verify_fan(overlapping)
+    assert not report.ok
+    assert "relative_interiors_meet" in {f[0] for f in report.failures}
+
+
 @st.composite
 def corrupted_fans(draw):
     """A secondary fan with faces dropped, cones duplicated or
@@ -736,6 +793,38 @@ def test_verify_fan_of_3_2_runs_no_double_description_and_no_lp():
     assert report.ok and report.n_cones == 176
     # the zero cone is built without one, so no double description runs
     assert counts == {}
+
+
+@contextmanager
+def counting_face_reads():
+    """Count the calls to `fans.face_masks` and `fans.proper_faces`."""
+    counts = Counter()
+
+    def spy(name):
+        real = getattr(fans, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return mock.patch.object(fans, name, call)
+
+    with spy("face_masks"), spy("proper_faces"):
+        yield counts
+
+
+def test_verify_fan_reads_faces_once_per_maximal_member():
+    # (3, 2): every member is a face of the cone of the unit-cell
+    # triangulation, the one maximal member; the quadrants have four
+    fan = secondary_fan(3, 2)
+    top = max(fan.cones, key=lambda c: len(c.rays))
+    assert all(is_face(c, top) for c in fan.cones)
+    with counting_face_reads() as counts:
+        assert verify_fan(fan).ok
+    assert counts == {"face_masks": 1}
+    with counting_face_reads() as counts:
+        assert verify_fan(quadrant_fans()[0]).ok
+    assert counts == {"face_masks": 4}
 
 
 # ---------------------------------------------------------------------------

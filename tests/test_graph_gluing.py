@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from chtoucakit.errors import InvalidData
-from chtoucakit.fields import GF, QQ, fmat_identity
+from chtoucakit.fields import GF, QQ, fmat_identity, unscaled
 from chtoucakit.qlinalg import inverse as fmat_inverse
 from chtoucakit.graph_gluing import (
     GluedGraphFamily,
@@ -26,7 +26,12 @@ from chtoucakit.acceptance import _rand_stratum_data
 from chtoucakit.complete_homs import StratumData
 from chtoucakit.qlinalg import kernel as fmat_kernel, row_basis
 
-from test_complete_homs import field_adapted_bases, rand_scalar, rand_stratum_data
+from test_complete_homs import (
+    counting_clears_and_fractions,
+    field_adapted_bases,
+    rand_scalar,
+    rand_stratum_data,
+)
 
 
 class TestDimensionCondition:
@@ -315,9 +320,24 @@ def test_intersections_match_separate_count_and_per_entry_products():
             violations = check_dimension_condition(f).violations
             assert violations == oracle_dimension_violations(f)
             bad_seen += bool(violations)
-            for w in f.w:
+            for w, n_rows in zip(f.w, f.numerators):
                 w_rows = [list(row) for row in w]
                 for blocks in _proper_nonempty_subsets(n) + [tuple(range(n + 1)), ()]:
-                    got = _intersection_in_coords(field, w_rows, r, n, blocks)
+                    got = unscaled(field, _intersection_in_coords(field, n_rows, r, n, blocks))
                     assert got == oracle_intersection_in_coords(field, w_rows, r, n, blocks)
     assert bad_seen > 0
+
+
+def test_checks_clear_each_pave_once():
+    """One Q family (r = 4, cuts (1, 2, 3), 4 pavés) clears each pavé's
+    matrix once, for the rank check that builds it; the dimension and
+    gluing checks then clear nothing and form no Fraction, however many
+    subsets J and wall sides they visit."""
+    d = rand_stratum_data(QQ, random.Random(42), 4, (1, 2, 3))
+    fam = family_from_stratum(d)
+    with counting_clears_and_fractions() as counts:
+        GluedGraphFamily(fam.field, fam.paving, fam.w)
+    assert counts == {"_clear_denominators": 4}
+    with counting_clears_and_fractions() as counts:
+        assert check_dimension_condition(fam).ok and check_gluing_condition(fam).ok
+    assert counts == {}

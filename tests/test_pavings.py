@@ -204,7 +204,7 @@ class TestEnumeration:
         assert len(enumerate_admissible_pavings(3, 0)) == 1
 
     def test_cap(self):
-        for r, n in ((13, 1), (12, 1), (2, 3), (4, 2)):
+        for r, n in ((5, 2), (15, 1), (16, 1), (2, 3)):
             with pytest.raises(TooLarge):
                 enumerate_admissible_pavings(r, n)
 
@@ -923,6 +923,66 @@ def test_lower_hull_regenerates_every_admissible_paving(r, n):
         assert _same_subdivision(witness) == paving.key()
 
 
+@cache
+def admissible_keys(r, n):
+    """The keys of `enumerate_admissible_pavings(r, n)`, enumerated once."""
+    return frozenset(p.key() for p in enumerate_admissible_pavings(r, n))
+
+
+def test_regular_subdivisions_of_4_2_lie_in_the_enumeration():
+    """Seeded heights on (4, 2): sums of max(0, k - x_i) with random
+    nonnegative weights, convex and bent only along the lines x_i = k
+    that bound the unit cells, plus a random affine function, so none is
+    degenerate; and uniform heights, most of which are."""
+    r, n = 4, 2
+    keys = admissible_keys(r, n)
+    assert len(keys) == 12800
+    pts = enumerate_lattice_points(r, n)
+    rng = random.Random(42)
+    seen = set()
+    for _ in range(200):
+        bends = [(i, k, Fraction(rng.choice((0, 0, 1, 2, 3)), rng.choice((1, 2))))
+                 for i in range(n + 1) for k in range(1, r)]
+        affine = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)]
+        h = LatticeFunction(r, n, tuple(
+            sum(c * max(0, k - p[i]) for i, k, c in bends) + sum(a * x for a, x in zip(affine, p))
+            for p in pts
+        ))
+        key = regular_subdivision(h).key()
+        assert key in keys, h.values
+        seen.add(key)
+    assert len(seen) > 100
+    uniform = 0
+    for _ in range(500):
+        h = LatticeFunction(r, n, tuple(
+            Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 4))) for _ in pts
+        ))
+        try:
+            key = regular_subdivision(h).key()
+        except NotAPaving:
+            continue
+        assert key in keys, h.values
+        uniform += 1
+    assert uniform > 0
+
+
+def test_faces_are_coarsenings_on_4_2():
+    """Criterion 3's face <=> coarsening test on (4, 2), where all 12,800
+    squared pairs are out of reach: for seeded pavings p, every coarser
+    paving q and as many others, q's cone is a face of p's exactly when
+    p refines q."""
+    pavings = enumerate_admissible_pavings(4, 2)
+    rng = random.Random(24)
+    for p in rng.sample(pavings, 6):
+        coarser, others = [], []
+        for q in pavings:
+            (coarser if refines(p, q) else others).append(q)
+        others = rng.sample(others, len(coarser))
+        cone = sigma_cone(p)
+        assert all(fans.is_face(sigma_cone(q), cone) for q in coarser)
+        assert not any(fans.is_face(sigma_cone(q), cone) for q in others)
+
+
 def test_lower_hull_matches_interpolation_on_large_denominators():
     rng = random.Random(11)
     big = (10**12 + 39, 2**61 - 1, 3**40, 10**30 + 57)
@@ -962,6 +1022,17 @@ def test_lower_hull_is_one_double_description_per_height():
         ((2, 1), (1, 2)),
         ((3, 0), (2, 1)),
     ]
+
+
+def test_caches_are_bounded():
+    # every configuration 1 <= n <= 2 under the point cap fits in the
+    # per-configuration caches
+    configs = [(r, n) for n in (1, 2) for r in range(1, pv.ENUMERATION_POINT_CAP)
+               if comb(r + n, n) <= pv.ENUMERATION_POINT_CAP]
+    assert len(configs) == 18 and len(configs) <= pv.CONFIG_CACHE_SIZE
+    for cached in (pv.unit_cells, pv._unit_cone):
+        assert cached.cache_info().maxsize == pv.CONFIG_CACHE_SIZE
+    assert is_admissible.cache_info().maxsize == pv.CACHE_SIZE
 
 
 def test_clear_caches_empties_the_configuration_caches():
