@@ -153,7 +153,7 @@ def cmd_fans_dual(args):
 
 def cmd_fans_monoid(args):
     cone = jsonio.cone_from_json(_read_json(args.cone))
-    gens = monoid_generators(cone, bound=args.bound)
+    gens = monoid_generators(cone)
     _emit({"generators": [list(g) for g in gens]}, args.out)
     return 0
 
@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fans_dual)
     p = g.add_parser("monoid")
     p.add_argument("--cone", required=True)
-    p.add_argument("--bound", type=int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fans_monoid)
     p = g.add_parser("torus-seq")

@@ -31,18 +31,24 @@ A face's H-description comes from the same incidence by bit-ands: its
 equalities are the integer kernel of its generators, and its facets are
 its maximal intersections with the facets of `c`.  The faces of a face
 are the faces of `c` whose ray masks lie inside its own, so `verify_fan`
-reads the face lattice off the maximal members alone.
+reads the face lattice off the maximal members alone, as keys.
+
+The dual monoid's generators come from the lattice points of fundamental
+parallelepipeds (Bruns-Ichim, *Normaliz*, J. Algebra 324, 2010), with
+no search box: every enumeration is counted against one cap first.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 from . import zlattice
-from .errors import InternalError, InvalidData, TooLarge
+from .errors import InternalError, TooLarge
 from .simplex_core import (
+    ENUMERATION_POINT_CAP,
     enumerate_lattice_points,
     point_index,
     quotient_lattice,
@@ -50,13 +56,19 @@ from .simplex_core import (
     vertices,
 )
 
-# explicit desk-scale caps for the expensive feature-flagged computations
+# explicit desk-scale caps for the expensive feature-flagged computations;
+# the point cap bounds each enumeration of `monoid_generators` (subsets
+# of rays, parallelepiped points, class members), checked before it runs
 MONOID_RANK_CAP = 4
-MONOID_SEARCH_BOUND = 8
+MONOID_POINT_CAP = 10_000
 
 
 def _dot(a, b) -> int:
     return sum(map(operator.mul, a, b))
+
+
+def _unit_rows(k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 def _saturate(vectors: list[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
@@ -90,9 +102,7 @@ def double_description(rows: list[tuple[int, ...]], dim: int):
     Returns (lineality_basis, rays): the lineality as a saturated HNF
     basis and the extreme rays (primitive, reduced mod lineality, sorted).
     """
-    lin: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
-    ]
+    lin = list(_unit_rows(dim))
     # ray -> bitmask of the processed rows tight on it (bit j: processed[j])
     rays: dict[tuple[int, ...], int] = {}
     processed: list[tuple[int, ...]] = []
@@ -218,8 +228,7 @@ class Cone:
     @staticmethod
     def zero(rank: int) -> "Cone":
         """The cone {0}: no generators, and the unit rows as equalities."""
-        basis = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
-        return Cone(rank, (), (), basis, ())
+        return Cone(rank, (), (), _unit_rows(rank), ())
 
     @staticmethod
     def full(rank: int) -> "Cone":
@@ -378,7 +387,7 @@ def verify_fan(fan: Fan) -> FanReport:
     maximal, faces = _maximal_members(index)
     if (
         Cone.zero(fan.rank) in index
-        and all(f in index for f in faces)
+        and faces <= {c.key() for c in index}
         and all(group & (group - 1) == 0 for group in index.values())
         and not any(_pair_violations(c1, c2, index) for c1, c2 in combinations(maximal, 2))
     ):
@@ -386,18 +395,20 @@ def verify_fan(fan: Fan) -> FanReport:
     return FanReport(False, fan.rank, len(cones), _violations(fan.rank, cones, index))
 
 
-def _maximal_members(members) -> tuple[list[Cone], set[Cone]]:
-    """The members that are faces of no other member, and all their
-    faces.  A proper face has fewer rays than its cone, so in order of
-    decreasing ray count a member is maximal exactly when it is not a
-    face of a maximal member met before."""
+def _maximal_members(members) -> tuple[list[Cone], set[tuple]]:
+    """The members that are faces of no other member, and the keys
+    (`Cone.key`) of all their faces: a face of c with ray mask m keeps
+    c's lineality and has the rays of c in m, so no face is built.  A
+    proper face has fewer rays than its cone, so in order of decreasing
+    ray count a member is maximal exactly when it is not a face of a
+    maximal member met before."""
     maximal: list[Cone] = []
-    faces: set[Cone] = set()
+    faces: set[tuple] = set()
     for c in sorted(members, key=lambda c: -len(c.rays)):
-        if c not in faces:
+        if c.key() not in faces:
             maximal.append(c)
-            facets = _incidence(c.ineqs, c.rays)
-            faces.update(face(c, m, facets) for m in face_masks(c, facets))
+            for m in face_masks(c, _incidence(c.ineqs, c.rays)):
+                faces.add((c.rank, c.lin, tuple(r for i, r in enumerate(c.rays) if m >> i & 1)))
     return maximal, faces
 
 
@@ -451,105 +462,89 @@ def _violations(rank: int, cones: list[Cone], index) -> list[tuple]:
 # dual-monoid generators
 
 
-def monoid_generators(c: Cone, bound: int = MONOID_SEARCH_BOUND) -> list[tuple[int, ...]]:
-    """A finite generating set of the monoid Z^rank intersect dual(c),
-    by bounded lattice-point search plus an irreducibility sieve.
+def monoid_generators(c: Cone) -> list[tuple[int, ...]]:
+    """Generators of the monoid Z^rank cap D, D = dual(c): both signs of
+    the Hermite basis of its units U, and the least member in the order
+    (|y|_1, y) of each irreducible class modulo U (the Hilbert basis
+    when D is pointed).
 
-    When the dual cone is pointed the result is its Hilbert basis within
-    the search box: candidates are processed in increasing order of the
-    additive height sum_g <g, y> (g over the generators of c), so an
-    element is skipped exactly when it decomposes.  Every monoid element
-    inside the box is verified to decompose over the returned set.  A
-    bound below 1 searches no nonzero point and is InvalidData.
-    """
-    if bound < 1:
-        raise InvalidData(f"monoid search bound must be at least 1, got {bound}")
+    By Caratheodory an irreducible class is that of a ray of D or of a
+    point sum l_i g_i + sum m_j u_j with l, m in [0, 1), where the g_i
+    are rays of D independent modulo U and the u_j U's basis: if some
+    l_i >= 1, subtracting g_i decomposes it (Bruns-Gubeladze,
+    *Polytopes, Rings, and K-Theory*, ch. 2).  The classes are sieved
+    in order of the height <sum of c's rays, y>: one is kept unless
+    y - x lies in D for a kept x.  Each enumeration is counted against
+    MONOID_POINT_CAP before it starts."""
     if c.rank > MONOID_RANK_CAP:
         raise TooLarge(f"monoid generators capped at rank {MONOID_RANK_CAP}")
-    gens_c = c.generators()
     dual = dual_cone(c)
+    size = c.rank - len(dual.lin + dual.eqs)
+    _capped(comb(len(dual.rays), size))
+    boxes = [_parallelepiped(dual, sub + dual.lin) for sub in combinations(dual.rays, size)]
+    _capped(sum(map(next, boxes)))
+    # the values of c's rays on each point: y - x lies in D when none
+    # falls, and their sum is the height
+    values = {y: [_dot(g, y) for g in c.rays] for y in set(dual.rays).union(*boxes)}
+    kept = []
+    for y in sorted(values, key=lambda y: (sum(values[y]), y)):
+        if any(y) and not any(all(map(operator.ge, values[y], values[x])) for x in kept):
+            kept.append(y)
+    _capped(sum((2 * sum(map(abs, y)) + 1) ** len(dual.lin) for y in kept))
+    return sorted([_least_member(y, dual.lin) for y in kept] + dual.generators()[len(dual.rays) :])
 
-    def height(y) -> int:
-        return sum(_dot(g, y) for g in gens_c)
 
-    # unit lattice = lineality of the dual; quotient map kills it
-    unit_rows = [list(b) for b in dual.lin]
-    if unit_rows:
-        proj_rows = zlattice.int_kernel(unit_rows, c.rank)
-    else:
-        proj_rows = [tuple(1 if j == i else 0 for j in range(c.rank)) for i in range(c.rank)]
+def _capped(count: int) -> None:
+    if count > MONOID_POINT_CAP:
+        raise TooLarge("monoid generators exceed the point cap")
 
-    def project(y):
-        return tuple(_dot(w, y) for w in proj_rows)
 
-    def in_dual(y) -> bool:
-        return dual.contains_vector(y)
+def _parallelepiped(dual: Cone, gens):
+    """The lattice points sum l_k gens[k] of span(D) with every l_k in
+    [0, 1), as a generator that yields their number first, before it
+    lists any.
 
-    candidates = []
-    span = range(-bound, bound + 1)
-
-    def boxes(prefix, depth):
-        if depth == c.rank:
-            yield tuple(prefix)
-            return
-        for v in span:
-            prefix.append(v)
-            yield from boxes(prefix, depth + 1)
-            prefix.pop()
-
-    for y in boxes([], 0):
-        if any(y) and in_dual(y):
-            candidates.append(y)
-    candidates.sort(key=lambda y: (height(y), sum(abs(v) for v in y), y))
-
-    chosen: list[tuple[int, ...]] = []
-    chosen_proj: list[tuple[tuple[int, ...], int]] = []  # (projection, height)
-
-    for y in candidates:
-        py, h = project(y), height(y)
-        if h == 0:
-            # unit: nonzero projection impossible; keep a generating set
-            # of the unit lattice (both signs of the Hermite basis)
+    With D's equalities appended, ``gens`` make a square matrix m (no
+    points if it is singular), and the points of the parallelepiped of m
+    are one per residue e of Z^rank modulo its rows: the box of m's
+    Hermite diagonal.  Bareiss on [m | I] gives e * det * m^-1, which is
+    det * l modulo det.  A point with an equality coefficient is off
+    span(D) and is skipped."""
+    m = gens + dual.eqs
+    k = len(m)
+    diag = [row[i] for i, row in enumerate(zlattice.hnf(m))]
+    if len(diag) < k:
+        yield 0
+        return
+    aug = [list(g + e) for g, e in zip(m, _unit_rows(k))]
+    det = zlattice._bareiss(aug, k, reduced=True)[1]
+    inverse = list(zip(*aug))[k:]  # columns of det * m^-1
+    yield abs(det)
+    for e in product(*map(range, diag)):
+        frac = [_dot(e, col) % det for col in inverse]
+        if any(frac[len(gens) :]):
             continue
-        if not _decomposes(py, h, chosen_proj):
-            chosen.append(y)
-            chosen_proj.append((py, h))
-
-    units = [v for b in dual.lin for v in (b, tuple(-x for x in b))]
-    result = sorted(dict.fromkeys(units + chosen))
-
-    # verification: everything in the box decomposes over the result
-    res_proj = [(project(s), height(s)) for s in result if height(s) > 0]
-    for y in candidates:
-        py, h = project(y), height(y)
-        if h == 0:
-            continue
-        if not _decomposes(py, h, res_proj):
-            raise InternalError(f"monoid element {y} fails to decompose")
-    return result
+        y = [_dot(frac, col) for col in zip(*m)]
+        point = tuple(v // det for v in y)
+        if any(v % det for v in y) or not dual.contains_vector(point):
+            raise InternalError(f"parallelepiped point {y} / {det} is not a lattice point of the dual")
+        yield point
 
 
-def _decomposes(py, h, parts) -> bool:
-    """Is the projected vector ``py`` of height ``h`` a nonneg-integer
-    combination of the projected generators ``parts`` ((projection,
-    height) pairs)?  Height strictly decreases along the search, so it
-    terminates."""
-    memo: set = set()
-
-    def rec(v, hv):
-        if all(x == 0 for x in v):
-            return True
-        if (v, hv) in memo:
-            return False
-        memo.add((v, hv))
-        for s, hs in parts:
-            if hs > hv:
-                continue
-            if rec(tuple(a - b for a, b in zip(v, s)), hv - hs):
-                return True
-        return False
-
-    return rec(py, h)
+def _least_member(y, units) -> tuple[int, ...]:
+    """The least member of y + Z units in the order (|w|_1, w), by a
+    triangular search over the Hermite rows ``units``: each row moves
+    its pivot entry, which no later row touches, and which is at most
+    |y|_1 on the least member."""
+    bound, members = sum(map(abs, y)), [y]
+    for u in units:
+        p = next(j for j, x in enumerate(u) if x)
+        members = [
+            tuple(a + t * b for a, b in zip(v, u))
+            for v in members
+            for t in range(-((bound + v[p]) // u[p]), (bound - v[p]) // u[p] + 1)
+        ]
+    return min(members, key=lambda v: (sum(map(abs, v)), v))
 
 
 # ---------------------------------------------------------------------------
@@ -571,33 +566,31 @@ def torus_sequence_check(r: int, n: int) -> SequenceReport:
     with the middle maps z |-> (z,...,z; z^r) and
     (u; z) |-> (u_0^{i_0} ... u_n^{i_n} z^{-1})_i."""
     pts = enumerate_lattice_points(r, n)
-    if len(pts) > 12:
-        raise TooLarge("torus sequence check capped at 12 lattice points")
+    if len(pts) > ENUMERATION_POINT_CAP:
+        raise TooLarge("torus sequence check exceeds the enumeration cap")
     g_rows = [list(p) + [-1] for p in pts]  # map Z^{n+2} -> Z^{S}
     f_vec = [1] * (n + 1) + [r]
-    checks = []
-    # g o f = 0
-    gf = [sum(row[j] * f_vec[j] for j in range(n + 2)) for row in g_rows]
-    checks.append(("composite_zero", all(v == 0 for v in gf)))
-    # ker(g) = Z f(1)
     ker = zlattice.int_kernel(g_rows, n + 2)
-    checks.append(
-        ("kernel_is_image", len(ker) == 1 and ker[0] == zlattice.primitive(f_vec))
-    )
-    # f injective
-    checks.append(("first_map_injective", any(f_vec)))
-    # image of g saturated: g and its transpose have the same elementary
-    # divisors, so the image is saturated exactly when the row lattice is
-    checks.append(("image_saturated", _is_saturated(g_rows, n + 2)))
     dim_t = len(pts) - zlattice.int_rank(g_rows)
-    checks.append(("dim_torus", dim_t == len(pts) - n - 1))
-    # cross-check against the quotient lattice of normal forms
-    checks.append(("quotient_rank", quotient_lattice(r, n).rank == dim_t))
-    # image of g consists of affine functions (normal forms vanish)
-    affine_ok = not any(
-        any(scaled_normal_form(r, n, [row[j] for row in g_rows])) for j in range(n + 2)
-    )
-    checks.append(("image_is_affine", affine_ok))
+    checks = [
+        # g o f = 0
+        ("composite_zero", not any(_dot(row, f_vec) for row in g_rows)),
+        # ker(g) = Z f(1)
+        ("kernel_is_image", len(ker) == 1 and ker[0] == zlattice.primitive(f_vec)),
+        # f injective
+        ("first_map_injective", any(f_vec)),
+        # image of g saturated: g and its transpose have the same
+        # elementary divisors, so the image is saturated exactly when the
+        # row lattice is
+        ("image_saturated", _is_saturated(g_rows, n + 2)),
+        ("dim_torus", dim_t == len(pts) - n - 1),
+        # cross-check against the quotient lattice of normal forms
+        ("quotient_rank", quotient_lattice(r, n).rank == dim_t),
+        # image of g consists of affine functions (normal forms vanish)
+        ("image_is_affine", not any(
+            any(scaled_normal_form(r, n, [row[j] for row in g_rows])) for j in range(n + 2)
+        )),
+    ]
     return SequenceReport(all(ok for _, ok in checks), dim_t, checks)
 
 
@@ -643,7 +636,7 @@ def tau_sequence_check(r: int, q: int) -> SequenceReport:
 
 def orthant_fan(rank: int) -> Fan:
     """The fan of all faces of the nonnegative orthant."""
-    basis = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    basis = _unit_rows(rank)
     cones = []
     for k in range(rank + 1):
         for sub in combinations(range(rank), k):

@@ -63,6 +63,7 @@ from .fans import (
 )
 from .ratlp import max_slack
 from .simplex_core import (
+    ENUMERATION_POINT_CAP,
     LatticeFunction,
     Point,
     check_simplex,
@@ -71,9 +72,6 @@ from .simplex_core import (
     quotient_lattice,
 )
 
-# |S^{r,n}| bound for enumeration; it bounds the output (8,192 pavings
-# for (14, 1), 12,800 for (4, 2)), not a search over point subsets
-ENUMERATION_POINT_CAP = 15
 ENUMERATION_N_CAP = 2  # unit-cell machinery covers n <= 2 (r >= 2)
 # per-(r, n) caches: bounded above the 18 configurations 1 <= n <= 2
 # under ENUMERATION_POINT_CAP

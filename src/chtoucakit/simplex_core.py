@@ -28,6 +28,11 @@ from .errors import InternalError, InvalidData
 
 Point = tuple[int, ...]
 
+# |S^{r,n}| bound for the enumerations over point sets: it bounds the
+# output of `pavings.enumerate_admissible_pavings` (8,192 pavings for
+# (14, 1), 12,800 for (4, 2)) and the rows of `fans.torus_sequence_check`
+ENUMERATION_POINT_CAP = 15
+
 # bounded caches: per (r, n), far above the configurations any capped
 # enumeration or check visits, and per (r, n, point) for point_index
 CONFIG_CACHE_SIZE = 256

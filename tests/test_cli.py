@@ -104,18 +104,19 @@ def test_fans_dual_and_monoid(tmp_path):
     assert json.loads(out)["generators"] == [[0, 1], [1, 0], [2, -1]]
 
 
-def test_fans_monoid_rejects_bounds_below_one(tmp_path):
+def test_fans_monoid_has_no_bound_option(tmp_path):
     cone = {"rank": 2, "rays": [[1, 0], [0, 1]]}
-    for bound in ("0", "-1"):
-        rc, out, err = run_cli(
-            ["fans", "monoid", "--cone", "cone.json", "--bound", bound], {"cone.json": cone}, tmp_path
-        )
-        assert rc == 1 and out == ""
-        assert json.loads(err)["error"]["type"] == "InvalidData"
-    rc, out, _ = run_cli(
-        ["fans", "monoid", "--cone", "cone.json", "--bound", "1"], {"cone.json": cone}, tmp_path
-    )
-    assert rc == 0 and json.loads(out)["generators"] == [[0, 1], [1, 0]]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["fans", "monoid", "--cone", "cone.json", "--bound", "8"], {"cone.json": cone}, tmp_path)
+    assert exc.value.code == 2
+
+
+def test_fans_torus_seq_runs_to_the_enumeration_point_cap():
+    rc, out, _ = run_cli(["fans", "torus-seq", "--r", "4", "--n", "2"])
+    payload = json.loads(out)
+    assert rc == 0 and payload["ok"] and payload["dim_torus"] == 12
+    rc, out, err = run_cli(["fans", "torus-seq", "--r", "15", "--n", "1"])
+    assert rc == 1 and out == "" and json.loads(err)["error"]["type"] == "TooLarge"
 
 
 def test_fans_sequences():

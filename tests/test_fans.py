@@ -1,4 +1,6 @@
 import functools
+import itertools
+import json
 import os
 import random
 import subprocess
@@ -542,12 +544,19 @@ def test_internal_checks_run_under_python_O():
         "        call()\n"
         "    except InternalError:\n"
         "        print('InternalError')\n"
-        "orthant = fans.Cone.from_generators(2, [(1, 0), (0, 1)])\n"
+        "singular = fans.Cone.from_generators(2, [(1, 0), (1, 2)])\n"
         "paving = pavings.enumerate_admissible_pavings(2, 2)[-1]\n"
         # the enumeration caches the unit-cell cone; rebuild it
         "pavings.clear_caches()\n"
-        "fans._decomposes = lambda py, h, parts: False\n"
-        "report(lambda: fans.monoid_generators(orthant, bound=1))\n"
+        # an elimination whose determinant is off by a factor 2 puts the
+        # parallelepiped points off the lattice of the dual
+        "bareiss = fans.zlattice._bareiss\n"
+        "def doubled(m, ncols, reduced=False):\n"
+        "    pivots, det, sign = bareiss(m, ncols, reduced)\n"
+        "    return pivots, 2 * det, sign\n"
+        "fans.zlattice._bareiss = doubled\n"
+        "report(lambda: fans.monoid_generators(singular))\n"
+        "fans.zlattice._bareiss = bareiss\n"
         "dd = fans.double_description\n"
         "def negated(rows, dim):\n"
         "    lin, rays = dd(rows, dim)\n"
@@ -1077,3 +1086,171 @@ def test_fans_imports_neither_fractions_nor_qlinalg():
             imported |= {a.name for a in node.names}
     assert "fractions" not in imported
     assert "qlinalg" not in imported and "chtoucakit.qlinalg" not in imported
+
+
+# ---------------------------------------------------------------------------
+# dual-monoid generators from fundamental parallelepipeds, against the box
+# search and its depth-first decomposition test that they replaced
+
+
+def oracle_decomposes(py, h, parts):
+    """Is the projected vector ``py`` of height ``h`` a nonneg-integer
+    combination of the projected generators ``parts`` ((projection,
+    height) pairs)?  Height strictly decreases along the search, so it
+    terminates."""
+    memo = set()
+
+    def rec(v, hv):
+        if all(x == 0 for x in v):
+            return True
+        if (v, hv) in memo:
+            return False
+        memo.add((v, hv))
+        return any(
+            rec(tuple(a - b for a, b in zip(v, s)), hv - hs) for s, hs in parts if hs <= hv
+        )
+
+    return rec(py, h)
+
+
+def oracle_box_monoid(c, bound):
+    """Generators of Z^rank cap dual(c) by the bounded search: every
+    nonzero point of [-bound, bound]^rank in the dual, in the order
+    (height, |y|_1, y), is kept unless its class modulo the units
+    decomposes over the kept ones; then every point of the box is
+    checked to decompose over the result."""
+    gens_c = c.generators()
+    dual = dual_cone(c)
+
+    def height(y):
+        return sum(fans._dot(g, y) for g in gens_c)
+
+    # the quotient map kills the units, the lineality of the dual
+    proj_rows = zlattice.int_kernel([list(b) for b in dual.lin], c.rank)
+
+    def project(y):
+        return tuple(fans._dot(w, y) for w in proj_rows)
+
+    box = itertools.product(range(-bound, bound + 1), repeat=c.rank)
+    candidates = sorted(
+        (y for y in box if any(y) and dual.contains_vector(y)),
+        key=lambda y: (height(y), sum(map(abs, y)), y),
+    )
+    chosen, chosen_proj = [], []
+    for y in candidates:
+        py, h = project(y), height(y)
+        if h > 0 and not oracle_decomposes(py, h, chosen_proj):
+            chosen.append(y)
+            chosen_proj.append((py, h))
+    units = [v for b in dual.lin for v in (b, tuple(-x for x in b))]
+    result = sorted(dict.fromkeys(units + chosen))
+    res_proj = [(project(s), height(s)) for s in result if height(s) > 0]
+    for y in candidates:
+        if height(y) > 0:
+            assert oracle_decomposes(project(y), height(y), res_proj), y
+    return result
+
+
+def monoid_sweep_cones():
+    """Every paving cone of (2,1), (3,1), (4,1) and (2,2), the zero and
+    full cones of rank <= 4, and seeded random cones of rank <= 3, cut
+    out by rows (often with lineality) or spanned by generators."""
+    cones = [
+        pv.sigma_cone(p)
+        for r, n in [(2, 1), (3, 1), (4, 1), (2, 2)]
+        for p in pv.enumerate_admissible_pavings(r, n)
+    ]
+    cones += [make(k) for k in range(1, 5) for make in (Cone.zero, Cone.full)]
+    rng = random.Random(25)
+    for _ in range(80):
+        rank = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, 4))]
+        make = Cone.from_hrep if rng.random() < 0.3 else Cone.from_generators
+        cones.append(make(rank, rows))
+    return cones
+
+
+def test_monoid_matches_box_search_oracle():
+    cones = monoid_sweep_cones()
+    # the sweep has cones with lineality and duals with units
+    assert any(c.lin for c in cones) and any(c.eqs for c in cones)
+    for c in cones:
+        gens = monoid_generators(c)
+        bound = max([1] + [abs(x) for g in gens for x in g])
+        assert gens == oracle_box_monoid(c, bound), (c.rank, c.rays, c.lin)
+
+
+def test_monoid_finds_the_dual_ray_outside_the_old_default_box():
+    c = Cone.from_generators(3, [(-3, -3, 1), (0, -1, 1), (1, 0, -3)])
+    dual = dual_cone(c)
+    assert (9, -8, 3) in dual.rays and not dual.lin
+    gens = monoid_generators(c)
+    assert (9, -8, 3) in gens
+    # the box search at its old default bound 8 left it out
+    assert (9, -8, 3) not in oracle_box_monoid(c, 8)
+    # the dual is pointed, so every member is irreducible: none
+    # decomposes over the others
+    height = {g: sum(fans._dot(r, g) for r in c.rays) for g in gens}
+    for g in gens:
+        assert not oracle_decomposes(g, height[g], [(h, height[h]) for h in gens if h != g]), g
+
+
+def run_cli_subprocess(argv, timeout):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "chtoucakit.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_fans_monoid_on_the_finest_cones_finishes(tmp_path, r):
+    # both cones are unimodular, so the Hilbert basis is the dual's rays
+    finest = pv.enumerate_admissible_pavings(r, 1)[-1]
+    assert len(finest.paves) == r
+    cone = pv.sigma_cone(finest)
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rank": cone.rank, "rays": [list(x) for x in cone.rays]}))
+    out = run_cli_subprocess(["fans", "monoid", "--cone", str(path)], timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["generators"] == [list(g) for g in dual_cone(cone).rays]
+
+
+def test_monoid_point_cap_raises_before_enumerating(tmp_path):
+    # |det| = 10^7 parallelepiped points
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [1, 10**7]]}))
+    out = run_cli_subprocess(["fans", "monoid", "--cone", str(path)], timeout=30)
+    assert out.returncode == 1 and out.stdout == ""
+    assert json.loads(out.stderr)["error"]["type"] == "TooLarge"
+    # about 1,000 parallelepiped points, but classes modulo the units
+    # whose least members lie among (2 |y|_1 + 1)^2 members each
+    b1, b2 = (0, 0, 1, 0), (0, 0, 0, 1)
+    c = Cone.from_generators(4, [b2, tuple(1000 * x - y for x, y in zip(b1, b2))])
+    assert dual_cone(c).lin == ((1, 0, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(TooLarge):
+        monoid_generators(c)
+
+
+def test_monoid_point_cap_counts_parallelepiped_points(monkeypatch):
+    c = Cone.from_generators(2, [(1, 0), (1, 2)])  # |det| = 2
+    assert monoid_generators(c) == [(0, 1), (1, 0), (2, -1)]
+    monkeypatch.setattr(fans, "MONOID_POINT_CAP", 1)
+    with pytest.raises(TooLarge):
+        monoid_generators(c)
+
+
+def test_verify_fan_builds_no_face_cones():
+    fan = secondary_fan(3, 2)
+    with mock.patch.object(fans, "face", wraps=fans.face) as face:
+        assert verify_fan(fan).ok
+    assert face.call_count == 0
+
+
+def test_torus_sequence_reads_the_enumeration_point_cap():
+    assert fans.ENUMERATION_POINT_CAP == pv.ENUMERATION_POINT_CAP == 15
+    rep = torus_sequence_check(4, 2)  # 15 lattice points
+    assert rep.ok and rep.dim_torus == 12
+    with pytest.raises(TooLarge):
+        torus_sequence_check(15, 1)  # 16 lattice points
