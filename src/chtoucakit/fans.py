@@ -12,11 +12,10 @@ The double description method runs incrementally over facet rows
 (Fukuda & Prodon, *Double description method revisited*, 1996).  Each
 ray carries the set of processed rows tight on it as an int bitmask,
 updated as rays are cut, kept or combined rather than recomputed.  Two
-rays are adjacent when their common tight rows have rank
-dim - dim(lineality) - 2 (the algebraic test, which stays correct in the
-presence of redundant input rows); a pair with fewer common tight rows
-than that is skipped before any rank is taken, and the rank itself is
-the fraction-free `zlattice.int_rank`.  All arithmetic is exact.
+rays are adjacent exactly when no third ray is tight on every row tight
+on both (the combinatorial test, a pure bitmask scan), and a pair with
+fewer common tight rows than dim - dim(lineality) - 2 is skipped before
+the scan.  All arithmetic is exact.
 
 Each cone takes one double description, of its inequality rows; the
 equalities are the integer kernel of the generators it returns, and the
@@ -101,16 +100,19 @@ def double_description(rows: list[tuple[int, ...]], dim: int):
 
     Returns (lineality_basis, rays): the lineality as a saturated HNF
     basis and the extreme rays (primitive, reduced mod lineality, sorted).
+    The rays at each step are the extreme rays of the cone cut out so
+    far, so the smallest face holding two holds the rays whose tight-row
+    masks contain the and of theirs; they are adjacent when no third ray
+    does (Fukuda & Prodon, LNCS 1120, 1996), whatever rows are redundant.
     """
     lin = list(_unit_rows(dim))
-    # ray -> bitmask of the processed rows tight on it (bit j: processed[j])
+    # ray -> bitmask of the processed rows tight on it; ``bit``: the current row
     rays: dict[tuple[int, ...], int] = {}
-    processed: list[tuple[int, ...]] = []
+    bit = 1
 
     for a in rows:
         if not any(a):
             continue
-        bit = 1 << len(processed)
         lin_dots = [_dot(a, l) for l in lin]
         k = next((i for i, d in enumerate(lin_dots) if d != 0), None)
         if k is not None:
@@ -137,23 +139,23 @@ def double_description(rows: list[tuple[int, ...]], dim: int):
             new_rays = {r: mask | bit if d == 0 else mask for r, mask, d in sides if d >= 0}
             plus = [s for s in sides if s[2] > 0]
             minus = [s for s in sides if s[2] < 0]
-            # two rays are adjacent when their common tight rows have rank
-            # dim - len(lin) - 2; fewer rows than that cannot have it
+            masks = list(rays.values())
+            # adjacent rays share tight rows of rank dim - len(lin) - 2, so
+            # never fewer rows than that, and no third ray is tight on them
             need = dim - len(lin) - 2
             for rp, mp, dp in plus:
                 for rm, mm, dm in minus:
                     common = mp & mm
-                    if common.bit_count() < need:
-                        continue
-                    tight = [row for j, row in enumerate(processed) if common >> j & 1]
-                    if zlattice.int_rank(tight) != need:
+                    if common.bit_count() < need or any(
+                        o & common == common and o != mp and o != mm for o in masks
+                    ):
                         continue
                     combo = tuple(dp * x - dm * y for x, y in zip(rm, rp))
                     # a positive combination of two feasible rays is tight
                     # exactly where both are
                     new_rays.setdefault(zlattice.primitive_ray(combo), common | bit)
         rays = new_rays
-        processed.append(tuple(a))
+        bit <<= 1
 
     lin = _saturate(lin, dim)
     canon = []

@@ -37,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
+from operator import ge
 
 from . import zlattice
 from .errors import (
@@ -131,29 +132,40 @@ class IntegerPave:
         return mask
 
 
-def _check_supermodular(d: dict, n: int) -> None:
-    """Raise NotAPave unless the profile d (over every subset of
-    {0,...,n}) is supermodular.
+def _check_supermodular(d: list, n: int, subsets, quads) -> None:
+    """Raise NotAPave unless the profile d, its values on the subsets of
+    {0,...,n} in the order ``subsets``, is supermodular.
 
     The local exchange condition d[S+i] + d[S+j] <= d[S] + d[S+i+j], for
-    every S and i < j outside S, is equivalent to supermodularity over
-    all pairs of subsets (Schrijver, *Combinatorial Optimization*,
-    sec. 44.1).  Only when it fails are all pairs scanned, so that the
-    error names the first failing pair in subset order."""
-    by_mask = {sum(1 << j for j in J): v for J, v in d.items()}
-    if all(
-        by_mask[s | a] + by_mask[s | b] <= ds + by_mask[s | a | b]
-        for s, ds in by_mask.items()
-        for a, b in combinations([1 << j for j in range(n + 1) if not s >> j & 1], 2)
-    ):
+    every S and i < j outside S (the index quadruples ``quads``), is
+    equivalent to supermodularity over all pairs of subsets (Schrijver,
+    *Combinatorial Optimization*, sec. 44.1).  Only when it fails are all
+    pairs scanned, so that the error names the first failing pair in the
+    order of `_subsets`."""
+    if all(d[sa] + d[sb] <= d[s] + d[sab] for s, sa, sb, sab in quads):
         return
-    subsets = _subsets(n)
-    for j1 in subsets:
-        for j2 in subsets:
-            union = tuple(sorted(set(j1) | set(j2)))
-            inter = tuple(sorted(set(j1) & set(j2)))
-            if d[j1] + d[j2] > d[union] + d[inter]:
-                raise NotAPave(f"profile not supermodular at {j1}, {j2}")
+    d = dict(zip(subsets, d))
+    for j1, j2 in product(_subsets(n), repeat=2):
+        union = tuple(sorted(set(j1) | set(j2)))
+        inter = tuple(sorted(set(j1) & set(j2)))
+        if d[j1] + d[j2] > d[union] + d[inter]:
+            raise NotAPave(f"profile not supermodular at {j1}, {j2}")
+
+
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _pave_table(r: int, n: int):
+    """The subsets of {0,...,n} in sorted order (that of `PaveProfile.d`),
+    each lattice point with its vector of sums over them, and the index
+    quadruples of the local exchange test of `_check_supermodular`."""
+    subsets = sorted(_subsets(n))
+    index = {sum(1 << j for j in J): k for k, J in enumerate(subsets)}
+    sums = {p: tuple(sum(p[j] for j in J) for J in subsets) for p in enumerate_lattice_points(r, n)}
+    quads = tuple(
+        (k, index[s | a], index[s | b], index[s | a | b])
+        for s, k in index.items()
+        for a, b in combinations([1 << j for j in range(n + 1) if not s >> j & 1], 2)
+    )
+    return subsets, sums, quads
 
 
 def pave_from_points(r: int, n: int, points) -> IntegerPave:
@@ -163,28 +175,22 @@ def pave_from_points(r: int, n: int, points) -> IntegerPave:
     construction fails (NotAPave) if the profile is not supermodular or
     if the region it cuts out contains lattice points beyond the input,
     and fails (EmptyInterior) if the points do not have integer rank
-    n+1, i.e. the region has no interior."""
+    n+1, i.e. the region has no interior.  The sums come from
+    `_pave_table`, so nothing is summed per call."""
     pts = sorted({tuple(int(x) for x in p) for p in points}, key=point_key)
     if not pts:
         raise NotAPave("empty point set")
-    all_pts = enumerate_lattice_points(r, n)
-    universe = set(all_pts)
+    subsets, sums, quads = _pave_table(r, n)
     for p in pts:
-        if p not in universe:
+        if p not in sums:
             raise NotAPave(f"{p} is not a lattice point of the simplex")
-    subsets = _subsets(n)
-    d = {J: min(sum(p[j] for j in J) for p in pts) for J in subsets}
-    if d[()] != 0 or d[tuple(range(n + 1))] != r:
-        raise NotAPave("profile endpoints wrong")  # cannot happen for valid points
-    _check_supermodular(d, n)
+    d = list(map(min, zip(*[sums[p] for p in pts])))
+    _check_supermodular(d, n, subsets, quads)
     # every input point meets each d_J, which is its minimum, so only
-    # the other lattice points can show the region to be larger
-    proper = _proper_nonempty_subsets(n)
+    # the other lattice points can show the region to be larger (the
+    # sums over J = {} and J = everything are 0 and r at every point)
     given = set(pts)
-    extra = [
-        p for p in all_pts
-        if p not in given and all(sum(p[j] for j in J) >= d[J] for J in proper)
-    ]
+    extra = [p for p, v in sums.items() if p not in given and all(map(ge, v, d))]
     if extra:
         raise NotAPave(f"reconstruction mismatch: region also contains {extra[:3]}")
     # d is an integer supermodular profile, so the region is an integral
@@ -194,7 +200,7 @@ def pave_from_points(r: int, n: int, points) -> IntegerPave:
     # system and the largest slack of a strict solution is exactly 0.
     if zlattice.int_rank(pts) != n + 1:
         raise EmptyInterior("pave has empty interior (slack 0)")
-    profile = PaveProfile(r, n, tuple(sorted(d.items())))
+    profile = PaveProfile(r, n, tuple(zip(subsets, d)))
     return IntegerPave(r, n, tuple(pts), profile)
 
 
@@ -651,5 +657,6 @@ def pave_edge_count(pave: IntegerPave) -> int:
 
 def clear_caches():
     is_admissible.cache_clear()
+    _pave_table.cache_clear()
     _unit_cone.cache_clear()
     unit_cells.cache_clear()

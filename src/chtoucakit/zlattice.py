@@ -3,7 +3,7 @@ the integer kernel, and fraction-free (Bareiss) elimination with the
 integer rank it gives; `qlinalg` runs the same elimination for every
 matrix over Q.  Lattice points of the simplex are integer vectors, so
 pavé interiors, walls and the affine dependencies behind secondary cones
-are computed here.
+are computed here.  A vector's gcd is one call of `math.gcd`, in C.
 
 Everything works on plain lists of Python ints; sizes here are tiny
 (ranks at most ~12), so the classic O(n^3) algorithms with exact integer
@@ -16,31 +16,22 @@ from math import gcd
 
 
 def vec_gcd(v) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, abs(int(a)))
-    return g
+    return gcd(*map(int, v))
 
 
 def primitive_ray(v) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries, keeping the
     direction.  The zero vector maps to itself."""
-    g = vec_gcd(v)
-    if g == 0:
-        return tuple(int(a) for a in v)
-    return tuple(int(a) // g for a in v)
+    v = tuple(map(int, v))
+    g = gcd(*v)
+    return tuple(a // g for a in v) if g > 1 else v
 
 
 def primitive(v) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries; sign-normalize
     so the first nonzero entry is positive.  The zero vector maps to itself."""
     w = primitive_ray(v)
-    for a in w:
-        if a != 0:
-            if a < 0:
-                w = tuple(-x for x in w)
-            break
-    return w
+    return tuple(-x for x in w) if next((a for a in w if a), 0) < 0 else w
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from chtoucakit import fans, qlinalg, ratlp, zlattice
 from chtoucakit import pavings as pv
-from chtoucakit.errors import TooLarge
+from chtoucakit.errors import NotAPaving, TooLarge
 from chtoucakit.fields import QQ
 from chtoucakit.simplex_core import LatticeFunction
 from chtoucakit.fans import (
@@ -34,6 +34,7 @@ from chtoucakit.fans import (
     torus_sequence_check,
     verify_fan,
 )
+from test_pavings import subdivision_sweep
 from test_zlattice import snf_diagonal
 
 
@@ -255,6 +256,56 @@ def oracle_double_description(rows, dim):
     return lin, sorted(dict.fromkeys(canon))
 
 
+def oracle_rank_double_description(rows, dim):
+    """Double description with the tight-row masks of the package's, but
+    the algebraic adjacency test: the common tight rows of a pair have
+    rank dim - dim(lineality) - 2."""
+    lin = list(fans._unit_rows(dim))
+    rays = {}
+    processed = []
+    for a in rows:
+        if not any(a):
+            continue
+        bit = 1 << len(processed)
+        lin_dots = [fans._dot(a, l) for l in lin]
+        k = next((i for i, d in enumerate(lin_dots) if d != 0), None)
+        if k is not None:
+            cut, al = lin[k], lin_dots[k]
+            if al < 0:
+                cut, al = tuple(-x for x in cut), -al
+            new_lin = []
+            for l, d in zip(lin, lin_dots):
+                adj = tuple(al * x - d * y for x, y in zip(l, cut))
+                if any(adj):
+                    new_lin.append(zlattice.primitive(adj))
+            lin = new_lin
+            new_rays = {zlattice.primitive_ray(cut): bit - 1}
+            for r, mask in rays.items():
+                d = fans._dot(a, r)
+                adj = tuple(al * x - d * y for x, y in zip(r, cut))
+                if any(adj):
+                    new_rays[zlattice.primitive_ray(adj)] = mask | bit
+        else:
+            sides = [(r, mask, fans._dot(a, r)) for r, mask in rays.items()]
+            new_rays = {r: mask | bit if d == 0 else mask for r, mask, d in sides if d >= 0}
+            need = dim - len(lin) - 2
+            for rp, mp, dp in (s for s in sides if s[2] > 0):
+                for rm, mm, dm in (s for s in sides if s[2] < 0):
+                    common = mp & mm
+                    if common.bit_count() < need:
+                        continue
+                    tight = [row for j, row in enumerate(processed) if common >> j & 1]
+                    if zlattice.int_rank(tight) != need:
+                        continue
+                    combo = tuple(dp * x - dm * y for x, y in zip(rm, rp))
+                    new_rays.setdefault(zlattice.primitive_ray(combo), common | bit)
+        rays = new_rays
+        processed.append(tuple(a))
+    lin = fans._saturate(lin, dim)
+    canon = [red for red in (fans._reduce_mod_lineality(r, lin) for r in rays) if any(red)]
+    return lin, sorted(dict.fromkeys(canon))
+
+
 def oracle_canonical(rank, lin, rays):
     gens = list(rays) + [v for b in lin for v in (b, tuple(-x for x in b))]
     eqs, ineqs = oracle_double_description(gens, rank)
@@ -422,6 +473,27 @@ def cones_with_lineality(draw, max_dim=5):
     return Cone.from_generators(dim, rays + lines + [tuple(-x for x in v) for v in lines])
 
 
+@st.composite
+def zero_one_rows(draw):
+    """0/1 rows in dimension 4 to 6: cones far from general position,
+    where rays that are not adjacent often share enough tight rows to
+    pass the count test."""
+    dim = draw(st.integers(4, 6))
+    vec = st.tuples(*[st.integers(0, 1)] * dim)
+    return dim, draw(st.lists(vec, min_size=dim, max_size=dim + 6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    hrep_rows(),
+    zero_one_rows(),
+    cones_with_lineality().map(lambda c: (c.rank, c.generators())),
+))
+def test_combinatorial_adjacency_matches_rank_oracle(case):
+    dim, rows = case
+    assert fans.double_description(rows, dim) == oracle_rank_double_description(rows, dim)
+
+
 def assert_faces_match_dd_oracle(c):
     with mock.patch.object(fans, "double_description", side_effect=AssertionError("DD")):
         faces = proper_faces(c)
@@ -511,6 +583,35 @@ def test_secondary_cones_match_oracle(r, n):
         assert sorted(map(fields_of, faces)) == sorted(map(fields_of, want))
         for t in cones + list(want):
             assert is_face(t, c) == oracle_is_face(t, c)
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 1), (4, 1), (5, 1), (3, 2)])
+def test_combinatorial_adjacency_matches_rank_oracle_on_secondary_cones(r, n):
+    _, _, calls = _sigma_dd_inputs(r, n)
+    assert calls
+    for rows, dim in calls:
+        assert fans.double_description(rows, dim) == oracle_rank_double_description(rows, dim)
+
+
+def test_combinatorial_adjacency_matches_rank_oracle_on_lifted_heights():
+    # the lower hulls of a seeded regular-subdivision sweep
+    calls = []
+    real = fans.double_description
+
+    def record(rows, dim):
+        calls.append((list(rows), dim))
+        return real(rows, dim)
+
+    heights = subdivision_sweep(101)
+    with mock.patch.object(pv, "double_description", record):
+        for h in heights:
+            try:
+                pv.regular_subdivision(h)
+            except NotAPaving:
+                pass
+    assert len(calls) == len(heights)
+    for rows, dim in calls:
+        assert fans.double_description(rows, dim) == oracle_rank_double_description(rows, dim)
 
 
 def test_proper_faces_share_lineality():

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -394,6 +396,35 @@ def oracle_pave_from_points(r, n, points):
     return tuple(pts), tuple(sorted(d.items()))
 
 
+def oracle_scan_pave_from_points(r, n, points):
+    """pave_from_points summing every J over every point afresh, the
+    loops that the per-configuration tables replaced."""
+    pts = sorted({tuple(int(x) for x in p) for p in points}, key=point_key)
+    if not pts:
+        raise NotAPave("empty point set")
+    all_pts = enumerate_lattice_points(r, n)
+    universe = set(all_pts)
+    for p in pts:
+        if p not in universe:
+            raise NotAPave(f"{p} is not a lattice point of the simplex")
+    subsets = pv._subsets(n)
+    d = {J: min(sum(p[j] for j in J) for p in pts) for J in subsets}
+    if d[()] != 0 or d[tuple(range(n + 1))] != r:
+        raise NotAPave("profile endpoints wrong")
+    oracle_check_supermodular(d, n)
+    proper = pv._proper_nonempty_subsets(n)
+    given = set(pts)
+    extra = [
+        p for p in all_pts
+        if p not in given and all(sum(p[j] for j in J) >= d[J] for J in proper)
+    ]
+    if extra:
+        raise NotAPave(f"reconstruction mismatch: region also contains {extra[:3]}")
+    if zlattice.int_rank(pts) != n + 1:
+        raise EmptyInterior("pave has empty interior (slack 0)")
+    return tuple(pts), tuple(sorted(d.items()))
+
+
 def oracle_check_supermodular(d, n):
     """The scan over all pairs of subsets that the local exchange test
     replaced."""
@@ -434,19 +465,26 @@ def _supermodular_outcome(check, d, n):
     return None
 
 
+def table_check_supermodular(d, n):
+    """`_check_supermodular` on a profile given as a dict, with the subset
+    order and exchange quadruples of the pavé tables (those of (1, n))."""
+    subsets, _, quads = pv._pave_table(1, n)
+    pv._check_supermodular([d[J] for J in subsets], n, subsets, quads)
+
+
 @settings(max_examples=400, deadline=None)
 @given(profiles())
 def test_local_exchange_matches_all_pairs(case):
     n, d = case
-    new = _supermodular_outcome(pv._check_supermodular, d, n)
+    new = _supermodular_outcome(table_check_supermodular, d, n)
     assert new == _supermodular_outcome(oracle_check_supermodular, d, n)
 
 
 def test_local_exchange_sees_both_verdicts():
     # d(0) + d(1) = 2 exceeds d(01) + d() = 1; every pavé's profile passes
-    assert _supermodular_outcome(pv._check_supermodular, {(): 0, (0,): 1, (1,): 1, (0, 1): 1}, 1)
+    assert _supermodular_outcome(table_check_supermodular, {(): 0, (0,): 1, (1,): 1, (0, 1): 1}, 1)
     for pave in oracle_candidate_paves(3, 2):
-        assert _supermodular_outcome(pv._check_supermodular, pave.profile.as_dict(), 2) is None
+        assert _supermodular_outcome(table_check_supermodular, pave.profile.as_dict(), 2) is None
 
 
 def test_paving_beyond_n_2_compares_point_sets():
@@ -519,6 +557,85 @@ def test_interior_by_rank_matches_slack_lp_exhaustively(r, n):
     assert "pave" in seen
     if r > 1:
         assert EmptyInterior in seen
+
+
+def _same_table_outcome(r, n, pts):
+    """Compare the table-driven build with the scanning oracle; returns
+    the outcome."""
+    new = _interior_outcome(_built, r, n, pts)
+    assert new == _interior_outcome(oracle_scan_pave_from_points, r, n, pts), (r, n, pts)
+    return new
+
+
+TABLE_CONFIGS = ((1, 0), (3, 0), (1, 1), (4, 1), (2, 2), (3, 2), (2, 3), (1, 3))
+
+
+@st.composite
+def pave_inputs(draw):
+    """Point sets: random subsets of the lattice points for n = 0..3,
+    with at times a point off the simplex, a collinear (rank-deficient)
+    set, or the union of two pavés of (3, 2) from its exact covers."""
+    kind = draw(st.sampled_from(("subset", "off", "line", "union")))
+    if kind == "union":
+        paves = exact_cover_paves(3, 2)
+        a, b = draw(st.sampled_from(paves)), draw(st.sampled_from(paves))
+        return 3, 2, list(a.points) + list(b.points)
+    r, n = draw(st.sampled_from(TABLE_CONFIGS))
+    pts = enumerate_lattice_points(r, n)
+    if kind == "line":
+        i, c = draw(st.integers(0, n)), draw(st.integers(0, r))
+        return r, n, [p for p in pts if p[i] == c]
+    keep = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
+    sub = [p for p, k in zip(pts, keep) if k]
+    if kind == "off":
+        bad = draw(st.sampled_from((
+            (r + 1,) + (0,) * n,
+            (r + 1, -1) + (0,) * (n - 1) if n else (r - 1,),
+            (0,) * (n + 2),
+            (r,) + (0,) * (n + 1),
+        )))
+        sub.insert(draw(st.integers(0, len(sub))), bad)
+    return r, n, sub
+
+
+@cache
+def exact_cover_paves(r, n):
+    """Every pavé that occurs in an exact cover of the unit cells."""
+    return sorted({pave for cover in oracle_exact_covers(r, n) for pave in cover.paves},
+                  key=lambda p: p.key())
+
+
+@settings(max_examples=500, deadline=None)
+@given(pave_inputs())
+def test_pave_tables_match_scanning_oracle(case):
+    _same_table_outcome(*case)
+
+
+def _outcome_kind(out):
+    return out[1].split(" at ")[0].split(":")[0] if isinstance(out[0], type) else "pave"
+
+
+def test_pave_tables_match_scanning_oracle_on_exact_cover_paves_and_all_of_2_3():
+    # for n <= 2 every profile of lattice points is supermodular, so the
+    # other verdict needs n = 3
+    paves = exact_cover_paves(3, 2)
+    assert len(paves) > 20
+    for pave in paves:
+        assert _same_table_outcome(3, 2, pave.points) == (pave.points, pave.profile.d)
+    kinds = {_outcome_kind(_same_table_outcome(3, 2, a.points + b.points))
+             for a, b in combinations(paves, 2)}
+    assert kinds == {"pave", "reconstruction mismatch"}
+    pts = enumerate_lattice_points(2, 3)
+    kinds = {
+        _outcome_kind(_same_table_outcome(2, 3, [p for i, p in enumerate(pts) if mask >> i & 1]))
+        for mask in range(1 << len(pts))
+    }
+    assert kinds == {
+        "pave", "empty point set", "profile not supermodular", "reconstruction mismatch",
+        "pave has empty interior (slack 0)",
+    }
+    out = _same_table_outcome(3, 2, [(3, 0, 0), (2, 1, 1)])
+    assert out == (NotAPave, "(2, 1, 1) is not a lattice point of the simplex")
 
 
 def oracle_clear_denominators(v):
@@ -923,6 +1040,85 @@ def test_lower_hull_regenerates_every_admissible_paving(r, n):
         assert _same_subdivision(witness) == paving.key()
 
 
+def bent_height(rng, r, n):
+    """A sum of max(0, k - x_i) with random nonnegative weights, convex
+    and bent only along the lines x_i = k that bound the unit cells, plus
+    a random affine function: its regular subdivision is a paving."""
+    bends = [(i, k, Fraction(rng.choice((0, 0, 1, 2, 3)), rng.choice((1, 2))))
+             for i in range(n + 1) for k in range(1, r)]
+    affine = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)]
+    return LatticeFunction(r, n, tuple(
+        sum(c * max(0, k - p[i]) for i, k, c in bends) + sum(a * x for a, x in zip(affine, p))
+        for p in enumerate_lattice_points(r, n)
+    ))
+
+
+def subdivision_sweep(seed):
+    """Seeded heights of the sizes the subdivision benchmark draws: bent
+    ones and uniform rationals (mostly degenerate for n = 2) on (3, 2)
+    and (2, 2), and one uniform height on (r, 1) for r = 3..6."""
+    rng = random.Random(seed)
+    out = []
+    for (r, n), bent, uniform in [((3, 2), 16, 24), ((2, 2), 8, 4)] + [
+        ((r, 1), 0, 1) for r in range(3, 7)
+    ]:
+        out += [bent_height(rng, r, n) for _ in range(bent)]
+        out += [
+            LatticeFunction(r, n, tuple(
+                Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4)))
+                for _ in enumerate_lattice_points(r, n)
+            ))
+            for _ in range(uniform)
+        ]
+    return out
+
+
+def test_double_description_takes_no_rank_and_pave_tables_miss_once_per_configuration():
+    """Work counts of the enumeration of (3, 2) and a seeded subdivision
+    sweep: one double description for the unit-cell cone and one per
+    height, none of which takes an integer rank, and one pavé table per
+    configuration, read by every other pavé built."""
+    callers = Counter()
+    builds = []
+    dd_calls = []
+    real_rank, real_build, real_dd = zlattice.int_rank, pv.pave_from_points, fans.double_description
+
+    def rank_spy(rows):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real_rank(rows)
+
+    def build_spy(r, n, points):
+        builds.append((r, n))
+        return real_build(r, n, points)
+
+    def dd_spy(rows, dim):
+        dd_calls.append(dim)
+        return real_dd(rows, dim)
+
+    heights = subdivision_sweep(101)
+    pv.clear_caches()
+    try:
+        with mock.patch.object(zlattice, "int_rank", rank_spy), mock.patch.object(
+            pv, "pave_from_points", build_spy
+        ), mock.patch.object(pv, "double_description", dd_spy), mock.patch.object(
+            fans, "double_description", dd_spy
+        ):
+            assert len(enumerate_admissible_pavings(3, 2)) == 176
+            for h in heights:
+                try:
+                    regular_subdivision(h)
+                except NotAPaving:
+                    pass
+        info = pv._pave_table.cache_info()
+    finally:
+        pv.clear_caches()
+    assert len(dd_calls) == 1 + len(heights)
+    assert callers["double_description"] == 0
+    assert callers["pave_from_points"] > 0
+    assert info.misses == len(set(builds)) == 6
+    assert info.hits == len(builds) - info.misses
+
+
 @cache
 def admissible_keys(r, n):
     """The keys of `enumerate_admissible_pavings(r, n)`, enumerated once."""
@@ -941,13 +1137,7 @@ def test_regular_subdivisions_of_4_2_lie_in_the_enumeration():
     rng = random.Random(42)
     seen = set()
     for _ in range(200):
-        bends = [(i, k, Fraction(rng.choice((0, 0, 1, 2, 3)), rng.choice((1, 2))))
-                 for i in range(n + 1) for k in range(1, r)]
-        affine = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)]
-        h = LatticeFunction(r, n, tuple(
-            sum(c * max(0, k - p[i]) for i, k, c in bends) + sum(a * x for a, x in zip(affine, p))
-            for p in pts
-        ))
+        h = bent_height(rng, r, n)
         key = regular_subdivision(h).key()
         assert key in keys, h.values
         seen.add(key)
@@ -1030,22 +1220,25 @@ def test_caches_are_bounded():
     configs = [(r, n) for n in (1, 2) for r in range(1, pv.ENUMERATION_POINT_CAP)
                if comb(r + n, n) <= pv.ENUMERATION_POINT_CAP]
     assert len(configs) == 18 and len(configs) <= pv.CONFIG_CACHE_SIZE
-    for cached in (pv.unit_cells, pv._unit_cone):
+    for cached in (pv.unit_cells, pv._unit_cone, pv._pave_table):
         assert cached.cache_info().maxsize == pv.CONFIG_CACHE_SIZE
     assert is_admissible.cache_info().maxsize == pv.CACHE_SIZE
 
 
 def test_clear_caches_empties_the_configuration_caches():
+    caches = [
+        f for f in vars(pv).values()
+        if hasattr(f, "cache_info") and f.__module__ == pv.__name__
+    ]
+    assert {f.__name__ for f in caches} == {
+        "unit_cells", "_unit_cone", "_pave_table", "is_admissible"
+    }
     # the enumeration runs no admissibility LP; one runs here
     enumerate_admissible_pavings(2, 2)
     is_admissible(trivial_paving(2, 2))
-    assert pv.unit_cells.cache_info().currsize > 0
-    assert is_admissible.cache_info().currsize > 0
-    assert pv._unit_cone.cache_info().currsize > 0
+    assert all(f.cache_info().currsize > 0 for f in caches)
     pv.clear_caches()
-    assert pv.unit_cells.cache_info().currsize == 0
-    assert is_admissible.cache_info().currsize == 0
-    assert pv._unit_cone.cache_info().currsize == 0
+    assert all(f.cache_info().currsize == 0 for f in caches)
 
 
 # ---------------------------------------------------------------------------

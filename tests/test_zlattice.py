@@ -24,6 +24,66 @@ def test_primitive_vs_ray():
     assert primitive((0, 0)) == (0, 0)
 
 
+# the gcd loops that the variadic math.gcd replaced, kept here as oracles
+
+
+def oracle_vec_gcd(v) -> int:
+    g = 0
+    for a in v:
+        g = gcd(g, abs(int(a)))
+    return g
+
+
+def oracle_primitive_ray(v) -> tuple[int, ...]:
+    g = oracle_vec_gcd(v)
+    if g == 0:
+        return tuple(int(a) for a in v)
+    return tuple(int(a) // g for a in v)
+
+
+def oracle_primitive(v) -> tuple[int, ...]:
+    w = oracle_primitive_ray(v)
+    for a in w:
+        if a != 0:
+            if a < 0:
+                w = tuple(-x for x in w)
+            break
+    return w
+
+
+def assert_gcd_helpers_match_loops(v):
+    assert vec_gcd(v) == oracle_vec_gcd(v)
+    assert primitive_ray(v) == oracle_primitive_ray(v)
+    assert primitive(v) == oracle_primitive(v)
+    # integral Fractions come back as ints, as the loops made them
+    assert type(vec_gcd(v)) is int
+    assert all(type(a) is int for a in primitive_ray(v) + primitive(v))
+
+
+def test_gcd_helpers_on_edge_cases():
+    for v in ([], (), [0], (0, 0, 0), [-6], (-4, 6, -10), [Fraction(-4), Fraction(6)],
+              [Fraction(0), Fraction(0)], (2**70, -(2**71)), [1, -1], [-3, 0, 0]):
+        assert_gcd_helpers_match_loops(v)
+    assert vec_gcd([]) == 0 and primitive_ray([]) == primitive([]) == ()
+    assert primitive_ray([Fraction(-4), Fraction(6), 0]) == (-2, 3, 0)
+    assert primitive([Fraction(-4), Fraction(6), 0]) == (2, -3, 0)
+
+
+integral = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-(2**80), 2**80),
+    st.integers(-30, 30).map(Fraction),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(integral, max_size=6), st.sampled_from((1, 2, 6, -4, 0)))
+def test_gcd_helpers_match_loops(v, scale):
+    # scaling by a common factor makes gcds above 1, and by 0 the zero vector
+    assert_gcd_helpers_match_loops(v)
+    assert_gcd_helpers_match_loops([a * scale for a in v])
+
+
 def clear_denominators(row) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same sign),
     for the rational oracles below."""
