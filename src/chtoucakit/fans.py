@@ -30,7 +30,9 @@ A face's H-description comes from the same incidence by bit-ands: its
 equalities are the integer kernel of its generators, and its facets are
 its maximal intersections with the facets of `c`.  The faces of a face
 are the faces of `c` whose ray masks lie inside its own, so `verify_fan`
-reads the face lattice off the maximal members alone, as keys.
+reads the face lattice off the maximal members alone, as keys, and
+intersects only the pairs that no two properly meeting maximal members
+cover; its report lists the missing zero cone, faces, then pairs.
 
 The dual monoid's generators come from the lattice points of fundamental
 parallelepipeds (Bruns-Ichim, *Normaliz*, J. Algebra 324, 2010), with
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, product
 from math import comb
 
@@ -57,9 +60,11 @@ from .simplex_core import (
 
 # explicit desk-scale caps for the expensive feature-flagged computations;
 # the point cap bounds each enumeration of `monoid_generators` (subsets
-# of rays, parallelepiped points, class members), checked before it runs
+# of rays, parallelepiped points, class members), checked before it runs,
+# and the report cap the entries of one `verify_fan` report
 MONOID_RANK_CAP = 4
 MONOID_POINT_CAP = 10_000
+FAN_REPORT_CAP = 100_000
 
 
 def _dot(a, b) -> int:
@@ -158,12 +163,8 @@ def double_description(rows: list[tuple[int, ...]], dim: int):
         bit <<= 1
 
     lin = _saturate(lin, dim)
-    canon = []
-    for r in rays:
-        red = _reduce_mod_lineality(r, lin)
-        if any(red):
-            canon.append(red)
-    return lin, sorted(dict.fromkeys(canon))
+    canon = {_reduce_mod_lineality(r, lin) for r in rays}
+    return lin, sorted(red for red in canon if any(red))
 
 
 def _incidence(rows, vectors) -> list[int]:
@@ -212,9 +213,7 @@ class Cone:
         maximal tight-ray sets."""
         rows = [tuple(int(x) for x in r) for r in ineqs]
         for e in eqs:
-            e = tuple(int(x) for x in e)
-            rows.append(e)
-            rows.append(tuple(-x for x in e))
+            rows += [tuple(int(x) for x in e), tuple(-int(x) for x in e)]
         rows = list(dict.fromkeys(rows))
         lin, rays = double_description(rows, rank)
         eqs = zlattice.int_kernel(list(rays) + lin, rank)
@@ -340,19 +339,15 @@ def proper_faces(c: Cone) -> set[Cone]:
     return {face(c, m, facets) for m in face_masks(c, facets) if m != full}
 
 
-def relint_meets(c1: Cone, c2: Cone) -> bool:
-    """Do the relative interiors intersect?  Read off the intersection,
-    with no LP (see `_relints_meet`)."""
-    return _relints_meet(c1, c2, c1.intersect(c2))
-
-
-def _relints_meet(c1: Cone, c2: Cone, inter: Cone) -> bool:
-    """`relint_meets` given inter = c1 & c2.  The sum x of inter's rays
+def relint_meets(c1: Cone, c2: Cone, inter: Cone | None = None) -> bool:
+    """Do the relative interiors intersect?  Read off inter = c1 & c2,
+    intersected here unless given, with no LP.  The sum x of inter's rays
     lies in inter's relative interior.  If inter meets the relative
     interior of c1, it lies in no proper face of c1, and neither does x
     (Rockafellar, *Convex Analysis*, cor. 6.5.2); likewise for c2.  So
     the relative interiors meet exactly when x is strictly positive on
     every facet row of c1 and of c2."""
+    inter = c1.intersect(c2) if inter is None else inter
     x = [sum(col) for col in zip(*inter.rays)] or [0] * inter.rank
     return all(_dot(a, x) > 0 for a in c1.ineqs + c2.ineqs)
 
@@ -375,89 +370,110 @@ class Fan:
 def verify_fan(fan: Fan) -> FanReport:
     """Check the fan axioms: the zero cone is present, every face of a
     member is a member, and every pair intersects in a common face with
-    disjoint relative interiors.  Reports carry every violation found.
+    disjoint relative interiors.  The report lists the missing zero cone,
+    each member's first missing face (in the set order of `proper_faces`),
+    then each pair (i, j)'s violations in order; a report longer than
+    FAN_REPORT_CAP raises TooLarge before it is built.
 
-    If the members are exactly the faces of the maximal members, with no
-    repeats, and every two maximal members M1, M2 meet in a common face,
-    the collection is a fan: faces of M1 and of M2 meet in a face of
-    M1 cap M2, hence of each.  Only a collection failing that test is
-    checked member by member and pair by pair (`_violations`)."""
-    cones = list(fan.cones)
-    index: dict[Cone, int] = {}  # cone -> bitmask of its indices
-    for idx, c in enumerate(cones):
-        index[c] = index.get(c, 0) | 1 << idx
-    maximal, faces = _maximal_members(index)
-    if (
-        Cone.zero(fan.rank) in index
-        and faces <= {c.key() for c in index}
-        and all(group & (group - 1) == 0 for group in index.values())
-        and not any(_pair_violations(c1, c2, index) for c1, c2 in combinations(maximal, 2))
-    ):
-        return FanReport(True, fan.rank, len(cones))
-    return FanReport(False, fan.rank, len(cones), _violations(fan.rank, cones, index))
+    Let c1, c2 be faces of maximal members M1, M2, where M1 = M2 or
+    M1 cap M2 is a common face with disjoint relative interiors.  Then
+    c1 cap c2 is the face of both on their common rays, and distinct
+    faces of a cone have disjoint relative interiors (Rockafellar,
+    *Convex Analysis*, sec. 18): the pair breaks an axiom only if it
+    repeats a member or that face is missing, and then both miss a face.
+    Only maximal pairs and pairs no such M1, M2 cover are intersected."""
+    index: dict[Cone, list[int]] = {}  # member -> its indices
+    for idx, c in enumerate(fan.cones):
+        index.setdefault(c, []).append(idx)
+    maximal, covers, key = _maximal_members(index)
+    present = set(key.values())
+    # per maximal member, the ray bits of its minimal faces that are absent
+    lacking: list[list[int]] = [[] for _ in maximal]
+    for k in sorted(covers.keys() - present, key=lambda k: k[2].bit_count()):
+        for a, gs in enumerate(lacking):
+            if covers[k] >> a & 1 and not any(g & k[2] == g for g in gs):
+                gs.append(k[2])
+    incomplete = [c for c in index if any(
+        g & key[c][2] == g for g in lacking[covers[key[c]].bit_length() - 1])]
+    head = [("missing_zero_cone",)] if Cone.zero(fan.rank) not in index else []
+    room = FAN_REPORT_CAP - len(head) - sum(len(index[c]) for c in incomplete)
+    pairs: list[tuple] = []
+
+    def add(kinds, ij, count):
+        if len(pairs) + len(kinds) * count > room:
+            raise TooLarge(f"fan report exceeds {FAN_REPORT_CAP} entries")
+        pairs.extend((kind, *sorted(p)) for p in ij for kind in kinds)
+
+    for i in index.values():
+        add(["duplicate_cone"], combinations(i, 2), comb(len(i), 2))
+    near = [1 << a for a in range(len(maximal))]  # maximal members meeting properly
+    meets = {}
+    for (a, m1), (b, m2) in combinations(enumerate(maximal), 2):
+        meets[m1, m2] = meets[m2, m1] = m1.intersect(m2)
+        if not _meet_violations(m1, m2, meets[m1, m2]):
+            near[a] |= 1 << b
+            near[b] |= 1 << a
+    reach = {s: reduce(operator.or_, (n for a, n in enumerate(near) if s >> a & 1))
+             for s in set(covers.values())}
+    ends = [(key[c], covers[key[c]], index[c]) for c in incomplete]
+    for ((rank, lin, g1), s1, i1), ((_, _, g2), s2, i2) in combinations(ends, 2):
+        if reach[s1] & s2 and (rank, lin, g1 & g2) not in present:
+            add(["intersection_not_member"], product(i1, i2), len(i1) * len(i2))
+    groups: dict[int, list[Cone]] = {}  # members by the maximal members over them
+    for c in index:
+        groups.setdefault(covers[key[c]], []).append(c)
+    for (s, cs1), (t, cs2) in combinations(groups.items(), 2):
+        if reach[s] & t:
+            continue
+        for c1, c2 in product(cs1, cs2):
+            inter = meets[c1, c2] if (c1, c2) in meets else c1.intersect(c2)
+            kinds = _meet_violations(c1, c2, inter) if inter in index else ["intersection_not_member"]
+            add(kinds, product(index[c1], index[c2]), len(index[c1]) * len(index[c2]))
+    keys, missing = {c.key() for c in index}, []
+    for c in incomplete:
+        full = (1 << len(c.rays)) - 1
+        faces = {(c.rank, c.lin, tuple(r for i, r in enumerate(c.rays) if m >> i & 1))
+                 for m in face_masks(c, _incidence(c.ineqs, c.rays)) if m != full}
+        rays = next(f for f in faces if f not in keys)[2]
+        missing += [("face_missing", idx, rays) for idx in index[c]]
+    failures = head + sorted(missing, key=lambda f: f[1]) + sorted(pairs, key=lambda f: f[1:])
+    return FanReport(not failures, fan.rank, len(fan.cones), failures)
 
 
-def _maximal_members(members) -> tuple[list[Cone], set[tuple]]:
-    """The members that are faces of no other member, and the keys
-    (`Cone.key`) of all their faces: a face of c with ray mask m keeps
+def _maximal_members(members) -> tuple[list[Cone], dict[tuple, int], dict[Cone, tuple]]:
+    """The members that are faces of no other member; the key of each of
+    their faces, mapped to the bitmask of the maximal members it is a
+    face of; and each member's key, (rank, lineality, bitmask of its rays
+    among all rays of maximal members).  A face of c with ray mask m keeps
     c's lineality and has the rays of c in m, so no face is built.  A
     proper face has fewer rays than its cone, so in order of decreasing
-    ray count a member is maximal exactly when it is not a face of a
-    maximal member met before."""
+    ray count a member is maximal when it is not a face of one met before."""
     maximal: list[Cone] = []
-    faces: set[tuple] = set()
+    covers: dict[tuple, int] = {}
+    bit: dict[tuple[int, ...], int] = {}  # ray -> its bit in every key
+
+    def key(c):
+        return (c.rank, c.lin, sum(bit.setdefault(r, 1 << len(bit)) for r in c.rays))
+
     for c in sorted(members, key=lambda c: -len(c.rays)):
-        if c.key() not in faces:
-            maximal.append(c)
+        if key(c) not in covers:
+            bits = [bit[r] for r in c.rays]
             for m in face_masks(c, _incidence(c.ineqs, c.rays)):
-                faces.add((c.rank, c.lin, tuple(r for i, r in enumerate(c.rays) if m >> i & 1)))
-    return maximal, faces
+                f = (c.rank, c.lin, sum(b for i, b in enumerate(bits) if m >> i & 1))
+                covers[f] = covers.get(f, 0) | 1 << len(maximal)
+            maximal.append(c)
+    return maximal, covers, {c: key(c) for c in members}
 
 
-def _pair_violations(c1: Cone, c2: Cone, index) -> list[str]:
-    """The axioms two distinct members break."""
-    inter = c1.intersect(c2)
-    if inter not in index:
-        return ["intersection_not_member"]
+def _meet_violations(c1: Cone, c2: Cone, inter: Cone) -> list[str]:
+    """Whether inter = c1 & c2 fails to be a common face of two distinct
+    cones, and whether their relative interiors meet."""
     out = []
     if not (is_face(inter, c1) and is_face(inter, c2)):
         out.append("intersection_not_common_face")
-    if _relints_meet(c1, c2, inter):
+    if relint_meets(c1, c2, inter):
         out.append("relative_interiors_meet")
     return out
-
-
-def _violations(rank: int, cones: list[Cone], index) -> list[tuple]:
-    """Every violation in a fixed order: the missing zero cone, each
-    member's first missing face, then each pair (i, j)'s.  Two faces of
-    a member whose faces are all present meet in a common face with
-    disjoint relative interiors, so such pairs are only checked for
-    repeats."""
-    failures: list[tuple] = []
-    if Cone.zero(rank) not in index:
-        failures.append(("missing_zero_cone",))
-    # marked[i] >> j & 1: cones i and j are faces of one member
-    marked = [0] * len(cones)
-    for idx, c in enumerate(cones):
-        faces = proper_faces(c)
-        missing = next((f for f in faces if f not in index), None)
-        if missing is not None:
-            failures.append(("face_missing", idx, missing.rays))
-            continue
-        group = index[c]
-        for f in faces:
-            group |= index[f]
-        for i in range(len(cones)):
-            if group >> i & 1:
-                marked[i] |= group
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            c1, c2 = cones[i], cones[j]
-            if c1 == c2:
-                failures.append(("duplicate_cone", i, j))
-            elif not marked[i] >> j & 1:
-                failures.extend((kind, i, j) for kind in _pair_violations(c1, c2, index))
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +624,7 @@ def tau_sequence_check(r: int, q: int) -> SequenceReport:
         raise TooLarge("tau sequence check capped at r <= 4")
     s_tau = tau_points(r)
     w = [p[0] + q * p[1] for p in s_tau]
-    checks = []
-    checks.append(("first_map_injective", any(w)))
-    checks.append(("cokernel_torsion_free", zlattice.vec_gcd(w) == 1))
+    checks = [("first_map_injective", any(w)), ("cokernel_torsion_free", zlattice.vec_gcd(w) == 1)]
     # embedding into Gm^{S^{r,2}} followed by the class map must kill w:
     # E w must be an integer affine exponent vector
     pts = enumerate_lattice_points(r, 2)
@@ -639,8 +653,5 @@ def tau_sequence_check(r: int, q: int) -> SequenceReport:
 def orthant_fan(rank: int) -> Fan:
     """The fan of all faces of the nonnegative orthant."""
     basis = _unit_rows(rank)
-    cones = []
-    for k in range(rank + 1):
-        for sub in combinations(range(rank), k):
-            cones.append(Cone.from_generators(rank, [basis[i] for i in sub]))
-    return Fan(rank, tuple(cones))
+    subs = [sub for k in range(rank + 1) for sub in combinations(range(rank), k)]
+    return Fan(rank, tuple(Cone.from_generators(rank, [basis[i] for i in sub]) for sub in subs))

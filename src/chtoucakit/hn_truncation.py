@@ -232,10 +232,14 @@ def split_truncation(p: Polygon, d: int, cuts) -> SplitResult:
     """Split a 2-convex truncation parameter along the composition given
     by cuts = {r_1 < ... < r_{s-1}}.
 
-    With ptilde(rho) = floor(p(rho) + rho d / r):
-      d_1 = ptilde(r_1),  d_sigma = ptilde(r_sigma) - ptilde(r_{sigma-1}) - 1,
-    and each part is ptilde re-based to its block minus the linear term;
-    the identity sum d_sigma = d - s + 1 always holds."""
+    With ptilde(rho) = floor(p(rho) + rho d / r), block sigma is ptilde
+    on [r_{sigma-1}, r_sigma] less its base ptilde(r_{sigma-1}) + 1 (0
+    for the first block): d_sigma is its right end, and the part is it
+    minus the linear term, pinned to 0 at the left end.  So
+    sum d_sigma = d - s + 1 always holds.  A mu-convex p gives
+    (floor(mu) - 2)-convex parts, (mu - 2)-convex ones for integral mu
+    (criterion 10): each drop of ptilde is an integer above mu - 2, and
+    the pinned left end of a later block costs 1 more."""
     if not is_truncation_parameter(p):
         raise NotConvexEnough("input is not a truncation parameter")
     if not is_mu_convex(p, 2):
@@ -244,32 +248,17 @@ def split_truncation(p: Polygon, d: int, cuts) -> SplitResult:
     cuts = sorted(set(int(c) for c in cuts))
     if any(not 0 < c < r for c in cuts):
         raise InvalidData("cuts must lie strictly between 0 and r")
-    bounds = [0] + cuts + [r]
-    s = len(bounds) - 1
+    blocks = list(zip([0] + cuts, cuts + [r]))
     ptilde = [floor(p.values[rho] + Fraction(rho * d, r)) for rho in range(r + 1)]
-    d_parts = [ptilde[bounds[1]]]
-    for sigma in range(2, s + 1):
-        d_parts.append(ptilde[bounds[sigma]] - ptilde[bounds[sigma - 1]] - 1)
-    if sum(d_parts) != d - s + 1:
-        raise InternalError(f"split degrees {d_parts} do not sum to d - s + 1 = {d - s + 1}")
+    bases = [0] + [ptilde[lo] + 1 for lo in cuts]
+    d_parts = [ptilde[hi] - base for (_, hi), base in zip(blocks, bases)]
+    if sum(d_parts) != d - len(cuts):
+        raise InternalError(f"split degrees {d_parts} do not sum to d - s + 1 = {d - len(cuts)}")
     p_parts = []
-    for sigma in range(1, s + 1):
-        lo, hi = bounds[sigma - 1], bounds[sigma]
+    for sigma, ((lo, hi), base, d_sigma) in enumerate(zip(blocks, bases, d_parts), 1):
         m = hi - lo
-        vals = []
-        for rho in range(m + 1):
-            if rho == 0 or rho == m:
-                vals.append(Fraction(0))
-            elif sigma == 1:
-                vals.append(ptilde[rho] - Fraction(rho * d_parts[0], m))
-            else:
-                vals.append(
-                    ptilde[lo + rho]
-                    - ptilde[lo]
-                    - 1
-                    - Fraction(rho * d_parts[sigma - 1], m)
-                )
-        part = Polygon(m, tuple(vals))
+        vals = [ptilde[lo + rho] - base - Fraction(rho * d_sigma, m) for rho in range(1, m + 1)]
+        part = Polygon(m, (Fraction(0), *vals))
         if not is_truncation_parameter(part):
             raise NotConvexEnough(f"part {sigma} is not a truncation parameter")
         p_parts.append(part)

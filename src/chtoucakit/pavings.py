@@ -60,7 +60,6 @@ from .fans import (
     double_description,
     face,
     face_masks,
-    relint_meets,
 )
 from .ratlp import max_slack
 from .simplex_core import (
@@ -83,12 +82,8 @@ HeightFunction = LatticeFunction
 
 
 def _subsets(n: int):
-    """All subsets of {0,...,n} as sorted tuples."""
-    items = list(range(n + 1))
-    out = []
-    for k in range(n + 2):
-        out.extend(combinations(items, k))
-    return out
+    """All subsets of {0,...,n} as sorted tuples, by size."""
+    return [J for k in range(n + 2) for J in combinations(range(n + 1), k)]
 
 
 def _proper_nonempty_subsets(n: int):
@@ -214,9 +209,7 @@ def unit_cells(r: int, n: int) -> tuple[tuple[Point, ...], ...]:
     if n == 0:
         return (((r,),),)
     if n == 1:
-        return tuple(
-            ((r - k, k), (r - k - 1, k + 1)) for k in range(r)
-        )
+        return tuple(((r - k, k), (r - k - 1, k + 1)) for k in range(r))
     if n == 2:
         cells = []
         for a in range(r):
@@ -375,14 +368,9 @@ def interior_walls(paving: Paving):
         set_k = paves[k].point_set()
         for l in range(k + 1, len(paves)):
             shared = [p for p in paves[l].points if p in set_k]
-            if not shared:
-                continue
-            if zlattice.int_rank(shared) != paving.n:
-                continue
-            witness = next(
-                p for p in paves[l].points if p not in set(shared)
-            )
-            out.append((k, l, tuple(shared), witness))
+            if shared and zlattice.int_rank(shared) == paving.n:
+                witness = next(p for p in paves[l].points if p not in set_k)
+                out.append((k, l, tuple(shared), witness))
     return out
 
 
@@ -622,11 +610,20 @@ def _twisted_rows(r: int, q: int) -> list[tuple[int, ...]]:
     ]
 
 
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _twisted_cone(r: int, q: int) -> Cone:
+    """C cap L: the unit-cell cone C of (r, 2) cut by `_twisted_rows`."""
+    cone = _unit_cone(r, 2)[2]
+    return Cone.from_hrep(cone.rank, cone.ineqs, cone.eqs + tuple(_twisted_rows(r, q)))
+
+
 def is_q_admissible(paving: Paving, q: int) -> bool:
     """Do some height h inducing the paving and some affine a satisfy
     (h+a)(0,i1,i2) = q (h+a)(i1,0,i2) wherever the first coordinate
-    vanishes?  That is, does the subspace cut out by `_twisted_rows`
-    meet the relative interior of the paving's secondary cone?"""
+    vanishes?  That is, does the subspace L cut out by `_twisted_rows`
+    meet the relative interior of the paving's cone F, a face of the
+    unit-cell cone C?  F cap L is the face of C cap L on its rays in F,
+    so it does when their sum is positive on F's facets (`relint_meets`)."""
     if paving.n != 2:
         raise WrongDimension("q-admissibility is defined for n = 2")
     if q < 2:
@@ -635,7 +632,8 @@ def is_q_admissible(paving: Paving, q: int) -> bool:
         cone = sigma_cone(paving)
     except NotAdmissible:
         return False
-    return relint_meets(cone, Cone.from_hrep(cone.rank, (), _twisted_rows(paving.r, q)))
+    rays = [v for v in _twisted_cone(paving.r, q).rays if cone.contains_vector(v)]
+    return all(sum(_dot(a, v) for v in rays) > 0 for a in cone.ineqs)
 
 
 def pave_edge_count(pave: IntegerPave) -> int:
@@ -659,4 +657,5 @@ def clear_caches():
     is_admissible.cache_clear()
     _pave_table.cache_clear()
     _unit_cone.cache_clear()
+    _twisted_cone.cache_clear()
     unit_cells.cache_clear()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtoucakit import fans, qlinalg, ratlp, zlattice
+from chtoucakit import fans, jsonio, qlinalg, ratlp, zlattice
 from chtoucakit import pavings as pv
 from chtoucakit.errors import NotAPaving, TooLarge
 from chtoucakit.fields import QQ
@@ -826,7 +826,7 @@ def corrupted_fans(draw):
 @settings(max_examples=60, deadline=None)
 @given(corrupted_fans())
 def test_verify_fan_matches_oracle_on_corrupted_fans(fan):
-    assert verify_fan(fan) == oracle_verify_fan(fan)
+    assert verify_fan(fan) == oracle_verify_fan(fan) == oracle_marked_verify_fan(fan)
 
 
 @settings(max_examples=200, deadline=None)
@@ -937,6 +937,168 @@ def test_verify_fan_reads_faces_once_per_maximal_member():
     assert counts == {"face_masks": 4}
 
 
+def oracle_pair_violations(c1, c2, index):
+    """The axioms two distinct members break, after intersecting them."""
+    inter = c1.intersect(c2)
+    if inter not in index:
+        return ["intersection_not_member"]
+    out = []
+    if not (is_face(inter, c1) and is_face(inter, c2)):
+        out.append("intersection_not_common_face")
+    if fans.relint_meets(c1, c2, inter):
+        out.append("relative_interiors_meet")
+    return out
+
+
+def oracle_marked_verify_fan(fan):
+    """The former second path of `verify_fan`: every member's
+    `proper_faces`, and every pair intersected unless both are faces of
+    one member whose faces are all present (marked[i] >> j & 1)."""
+    cones = list(fan.cones)
+    index = {}
+    for idx, c in enumerate(cones):
+        index[c] = index.get(c, 0) | 1 << idx
+    failures = []
+    if Cone.zero(fan.rank) not in index:
+        failures.append(("missing_zero_cone",))
+    marked = [0] * len(cones)
+    for idx, c in enumerate(cones):
+        faces = proper_faces(c)
+        missing = next((f for f in faces if f not in index), None)
+        if missing is not None:
+            failures.append(("face_missing", idx, missing.rays))
+            continue
+        group = index[c]
+        for f in faces:
+            group |= index[f]
+        for i in range(len(cones)):
+            if group >> i & 1:
+                marked[i] |= group
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            c1, c2 = cones[i], cones[j]
+            if c1 == c2:
+                failures.append(("duplicate_cone", i, j))
+            elif not marked[i] >> j & 1:
+                failures.extend((kind, i, j) for kind in oracle_pair_violations(c1, c2, index))
+    return fans.FanReport(not failures, fan.rank, len(cones), failures)
+
+
+def corrupted_3_2_fans():
+    """The (3, 2) secondary fan without its maximal cone sigma(T) and one
+    more member, so that faces of different maximal members miss a face;
+    and with a member repeated and a cone over three of its rays added."""
+    fan = secondary_fan(3, 2)
+    top = max(fan.cones, key=lambda c: len(c.rays))
+    rays = sorted({r for c in fan.cones for r in c.rays})
+    rng = random.Random(0)
+    cones = [c for c in fan.cones if c != top]
+    del cones[rng.randrange(len(cones))]
+    out = [Fan(fan.rank, tuple(cones))]
+    # sigma(T) has 8 rays in rank 7, so most sets of three span a face;
+    # this seed draws one that does not
+    rng = random.Random(4)
+    cones = list(fan.cones)
+    cones.insert(rng.randrange(len(cones)), cones[rng.randrange(len(cones))])
+    cones.insert(rng.randrange(len(cones)), Cone.from_generators(fan.rank, rng.sample(rays, 3)))
+    return out + [Fan(fan.rank, tuple(cones))]
+
+
+def test_verify_fan_matches_marked_oracle_on_corrupted_3_2_fans():
+    kinds = set()
+    for fan in corrupted_3_2_fans():
+        report = verify_fan(fan)
+        assert report == oracle_marked_verify_fan(fan)
+        kinds |= {f[0] for f in report.failures}
+    assert kinds == {"face_missing", "duplicate_cone", "intersection_not_member",
+                     "intersection_not_common_face", "relative_interiors_meet"}
+
+
+def test_verify_fan_matches_marked_oracle_on_small_invalid_fans():
+    # each also without its first member, the zero cone, so that faces
+    # of overlapping maximal cones miss a face
+    for fan in invalid_fans() + list(quadrant_fans()):
+        assert verify_fan(fan) == oracle_marked_verify_fan(fan)
+        if fan.cones[0] == Cone.zero(fan.rank):
+            fan = Fan(fan.rank, fan.cones[1:])
+            assert verify_fan(fan) == oracle_marked_verify_fan(fan)
+
+
+def random_face_collections(seed, count):
+    """Cones spanned by vectors with entries in {-1, 0, 1} (lines among
+    them), each with most of its faces, some members repeated, shuffled:
+    overlapping maximal members, missing faces and repeats."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 3)
+        pool = [v for v in itertools.product((-1, 0, 1), repeat=dim) if any(v)]
+        cones = []
+        for _ in range(rng.randint(1, 3)):
+            c = Cone.from_generators(dim, rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+            cones += [c] + [f for f in sorted(proper_faces(c), key=fields_of) if rng.random() < 0.8]
+        for _ in range(rng.randint(0, 2)):
+            cones.insert(rng.randrange(len(cones) + 1), rng.choice(cones))
+        rng.shuffle(cones)
+        yield Fan(dim, tuple(cones))
+
+
+def test_verify_fan_matches_marked_oracle_on_random_face_collections():
+    kinds = Counter()
+    for fan in random_face_collections(7, 150):
+        report = verify_fan(fan)
+        assert report == oracle_marked_verify_fan(fan)
+        kinds.update({f[0] for f in report.failures})
+    assert set(kinds) == {"missing_zero_cone", "face_missing", "duplicate_cone",
+                          "intersection_not_member", "intersection_not_common_face",
+                          "relative_interiors_meet"}
+
+
+def test_verify_fan_of_3_2_with_a_face_dropped_runs_no_double_description():
+    fan = secondary_fan(3, 2)
+    top = max(fan.cones, key=lambda c: len(c.rays))
+    k = next(i for i, c in enumerate(fan.cones) if c != top and len(c.rays) == 2)
+    with counting_work() as counts:
+        report = verify_fan(Fan(fan.rank, fan.cones[:k] + fan.cones[k + 1:]))
+    assert counts == {}
+    assert {f[0] for f in report.failures} == {"face_missing", "intersection_not_member"}
+
+
+def test_fan_report_cap_counts_every_entry(monkeypatch):
+    # the entries come from the zero cone, missing faces, repeats and pairs
+    cases = [(fan, verify_fan(fan).failures) for fan in invalid_fans() + [
+        quadrant_fans()[1], Fan(2, (Cone.zero(2), Cone.zero(2)))]]
+    for fan, failures in cases:
+        monkeypatch.setattr(fans, "FAN_REPORT_CAP", len(failures))
+        assert verify_fan(fan).failures == failures
+        monkeypatch.setattr(fans, "FAN_REPORT_CAP", len(failures) - 1)
+        with pytest.raises(TooLarge):
+            verify_fan(fan)
+
+
+def test_verify_fan_of_4_2_with_a_member_dropped_stops_at_the_cap(tmp_path):
+    # without its second member, a ray, the report would hold 6,399
+    # missing faces and 2,027,038 pairs; without the zero cone, nearly
+    # every pair.  The command line runs the first case meanwhile.
+    pavings = pv.enumerate_admissible_pavings(4, 2)
+    path = tmp_path / "pavings.json"
+    path.write_text(json.dumps({"r": 4, "n": 2, "pavings": [
+        jsonio.paving_to_json(p)["paves"] for p in pavings[:1] + pavings[2:]]}))
+    args, env = cli_args_and_env(["fans", "verify", str(path)])
+    with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as cli:
+        try:
+            fan = pv.paving_fan(pavings)
+            assert fan.cones[0] == Cone.zero(fan.rank) and len(fan.cones[1].rays) == 1
+            for k in (0, 1):
+                with pytest.raises(TooLarge):
+                    verify_fan(Fan(fan.rank, fan.cones[:k] + fan.cones[k + 1:]))
+            out, err = cli.communicate(timeout=60)
+        finally:
+            cli.kill()
+    assert cli.returncode == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "TooLarge"
+
+
 # ---------------------------------------------------------------------------
 # relative interiors compared through the sum of the rays of the
 # intersection, against the LP it replaced
@@ -1000,14 +1162,18 @@ def test_relint_meets_across_two_maximal_cones():
 
 
 def test_verify_fan_and_q_admissibility_run_no_lp():
-    dd_calls = 0
+    dd_calls = []
     for fan in invalid_fans():
         with counting_work() as counts:
             report = verify_fan(fan)
         assert not report.ok and "lp" not in counts
-        dd_calls += counts["dd"]
-    # the pairs of these fans are intersected, one double description each
-    assert dd_calls > 2 * len(invalid_fans())
+        dd_calls.append(counts["dd"])
+    # only pairs of two maximal members, and pairs that no two maximal
+    # members meeting properly cover, are intersected, one double
+    # description each: the second fan's two overlapping cones, each with
+    # a face the other lacks (2 x 2 pairs), and the orthant's four faces
+    # against the plane
+    assert dd_calls == [0, 4, 0, 4, 0]
     with counting_work() as counts:
         answers = {pv.is_q_admissible(p, q) for p in pv.enumerate_admissible_pavings(2, 2)
                    for q in (2, 3)}
@@ -1296,13 +1462,16 @@ def test_monoid_finds_the_dual_ray_outside_the_old_default_box():
         assert not oracle_decomposes(g, height[g], [(h, height[h]) for h in gens if h != g]), g
 
 
-def run_cli_subprocess(argv, timeout):
+def cli_args_and_env(argv):
+    """The command line on the sources of this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "chtoucakit.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
-    )
+    return [sys.executable, "-m", "chtoucakit.cli", *argv], env
+
+
+def run_cli_subprocess(argv, timeout):
+    args, env = cli_args_and_env(argv)
+    return subprocess.run(args, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("r", [4, 5])

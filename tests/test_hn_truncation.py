@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -10,6 +11,7 @@ from chtoucakit.errors import (
 )
 from chtoucakit.hn_truncation import (
     Polygon,
+    SplitResult,
     SubobjectLattice,
     SubobjectRecord,
     deg_alpha,
@@ -172,6 +174,50 @@ class TestSplitTruncation:
         with pytest.raises(NotConvexEnough):
             split_truncation(p, 0, [1])
 
+    # inputs whose parts fall below mu - 2 at the left end of their
+    # second block, found by seeded sweeps (values, d, cuts, d_parts,
+    # second part)
+    BELOW_MU_MINUS_TWO = [
+        (["0", "21/2", "29/2", "10", "0"], -3, [2], (13, -17), ["0", "3/2", "0"]),
+        (["0", "124/7", "405/14", "239/7", "244/7", "200/7", "249/14", "0"], 4, [2],
+         (30, -27), ["0", "47/5", "84/5", "81/5", "58/5", "0"]),
+    ]
+
+    def test_parts_are_floor_mu_minus_two_convex(self):
+        rng = random.Random(28)
+        below = 0
+        for _ in range(2000):
+            r = rng.randint(2, 8)
+            drops = [rng.randint(2, 6) + Fraction(rng.randint(0, 8), rng.choice((1, 2, 3)))
+                     for _ in range(r - 1)]
+            p = _polygon_with_drops(drops)
+            mu = min(drops)
+            cuts = sorted(rng.sample(range(1, r), rng.randint(0, r - 1)))
+            for part in split_truncation(p, rng.randint(-20, 20), cuts).p_parts:
+                assert is_mu_convex(part, floor(mu) - 2)
+                assert is_mu_convex(part, mu - 2) or mu.denominator > 1
+                below += not is_mu_convex(part, mu - 2)
+        assert below > 0
+        for values, d, cuts, d_parts, second in self.BELOW_MU_MINUS_TWO:
+            p = Polygon.from_values([Fraction(v) for v in values])
+            mu = min(p.second_drop(rho) for rho in range(1, p.r))
+            res = split_truncation(p, d, cuts)
+            assert res.d_parts == d_parts
+            assert res.p_parts[1].values == tuple(Fraction(v) for v in second)
+            assert is_mu_convex(res.p_parts[1], floor(mu) - 2)
+            assert not is_mu_convex(res.p_parts[1], mu - 2)
+
+    def test_blocks_by_base_match_per_block_oracle(self):
+        rng = random.Random(2028)
+        for _ in range(500):
+            r = rng.randint(2, 8)
+            drops = [rng.randint(2, 6) + Fraction(rng.randint(0, 8), rng.choice((1, 2, 3)))
+                     for _ in range(r - 1)]
+            p = _polygon_with_drops(drops)
+            d = rng.randint(-20, 20)
+            cuts = sorted(rng.sample(range(1, r), rng.randint(0, r - 1)))
+            assert split_truncation(p, d, cuts) == oracle_split_truncation(p, d, cuts)
+
     def test_degree_identity_random(self):
         rng = random.Random(14)
         for _ in range(200):
@@ -194,3 +240,44 @@ class TestSplitTruncation:
             assert sum(res.d_parts) == d - (len(cuts) + 1) + 1
             for part in res.p_parts:
                 assert is_truncation_parameter(part)
+
+
+def _polygon_with_drops(drops):
+    """The truncation parameter of length len(drops) + 1 whose second
+    drops are ``drops``."""
+    raw = [Fraction(0)]
+    for d in drops:
+        raw.append(raw[-1] + d)
+    r = len(drops) + 1
+    shift = Fraction(sum(raw), r)
+    vals = [Fraction(0)]
+    for rho in range(r):
+        vals.append(vals[-1] + shift - raw[rho])
+    return Polygon(r, tuple(vals))
+
+
+def oracle_split_truncation(p, d, cuts):
+    """The former body of `split_truncation` on valid input: d_1 and
+    each later d_sigma from its own formula, and each part's values case
+    by case."""
+    r = p.r
+    bounds = [0] + sorted(set(cuts)) + [r]
+    s = len(bounds) - 1
+    ptilde = [floor(p.values[rho] + Fraction(rho * d, r)) for rho in range(r + 1)]
+    d_parts = [ptilde[bounds[1]]]
+    for sigma in range(2, s + 1):
+        d_parts.append(ptilde[bounds[sigma]] - ptilde[bounds[sigma - 1]] - 1)
+    p_parts = []
+    for sigma in range(1, s + 1):
+        lo, hi = bounds[sigma - 1], bounds[sigma]
+        m = hi - lo
+        vals = []
+        for rho in range(m + 1):
+            if rho == 0 or rho == m:
+                vals.append(Fraction(0))
+            elif sigma == 1:
+                vals.append(ptilde[rho] - Fraction(rho * d_parts[0], m))
+            else:
+                vals.append(ptilde[lo + rho] - ptilde[lo] - 1 - Fraction(rho * d_parts[sigma - 1], m))
+        p_parts.append(Polygon(m, tuple(vals)))
+    return SplitResult(tuple(d_parts), tuple(p_parts))

@@ -1220,7 +1220,7 @@ def test_caches_are_bounded():
     configs = [(r, n) for n in (1, 2) for r in range(1, pv.ENUMERATION_POINT_CAP)
                if comb(r + n, n) <= pv.ENUMERATION_POINT_CAP]
     assert len(configs) == 18 and len(configs) <= pv.CONFIG_CACHE_SIZE
-    for cached in (pv.unit_cells, pv._unit_cone, pv._pave_table):
+    for cached in (pv.unit_cells, pv._unit_cone, pv._pave_table, pv._twisted_cone):
         assert cached.cache_info().maxsize == pv.CONFIG_CACHE_SIZE
     assert is_admissible.cache_info().maxsize == pv.CACHE_SIZE
 
@@ -1231,11 +1231,12 @@ def test_clear_caches_empties_the_configuration_caches():
         if hasattr(f, "cache_info") and f.__module__ == pv.__name__
     ]
     assert {f.__name__ for f in caches} == {
-        "unit_cells", "_unit_cone", "_pave_table", "is_admissible"
+        "unit_cells", "_unit_cone", "_pave_table", "is_admissible", "_twisted_cone"
     }
     # the enumeration runs no admissibility LP; one runs here
     enumerate_admissible_pavings(2, 2)
     is_admissible(trivial_paving(2, 2))
+    is_q_admissible(trivial_paving(2, 2), 2)
     assert all(f.cache_info().currsize > 0 for f in caches)
     pv.clear_caches()
     assert all(f.cache_info().currsize == 0 for f in caches)
@@ -1399,6 +1400,47 @@ def test_q_admissibility_matches_lp_oracle_on_every_exact_cover(r):
     # (3, 2) has non-admissible covers, which are never q-admissible
     assert seen == ({(True, True), (False, True), (False, False)} if r == 3
                     else {(True, True), (False, True)})
+
+
+def oracle_intersection_is_q_admissible(paving, q):
+    """The former `is_q_admissible`: the paving's secondary cone is
+    intersected with the twisted subspace on every call, two double
+    descriptions each."""
+    try:
+        cone = sigma_cone(paving)
+    except NotAdmissible:
+        return False
+    return fans.relint_meets(cone, Cone.from_hrep(cone.rank, (), pv._twisted_rows(paving.r, q)))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_q_admissibility_matches_intersection_oracle_on_every_exact_cover(r):
+    covers = oracle_exact_covers(r, 2)
+    for q in (2, 3, 5):
+        got = [is_q_admissible(p, q) for p in covers]
+        assert got == [oracle_intersection_is_q_admissible(p, q) for p in covers], q
+        assert True in got and False in got
+
+
+def test_q_admissibility_runs_one_double_description_per_q():
+    pavings = enumerate_admissible_pavings(3, 2)
+    real_dd = fans.double_description
+    calls = []
+
+    def dd(rows, dim):
+        calls.append(dim)
+        return real_dd(rows, dim)
+
+    pv.clear_caches()
+    try:
+        with mock.patch.object(fans, "double_description", dd):
+            # the unit-cell cone, then C cap L once per q
+            assert sum(is_q_admissible(p, 2) for p in pavings) == 56
+            assert len(calls) == 2
+            assert sum(is_q_admissible(p, 3) for p in pavings) == 56
+            assert len(calls) == 3
+    finally:
+        pv.clear_caches()
 
 
 # ---------------------------------------------------------------------------
