@@ -331,145 +331,93 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+# The command tree: group -> command -> argument specs, and the group-less
+# `selftest`.  The handler of "G C" is `cmd_G_C`, looked up when its parser
+# is built; every command in a group also takes --out.
+_INT = {"type": int, "required": True}
+_REQ = {"required": True}
+_FILE = ("file", {})
+_TREE = {
+    "pavings": {
+        "enum": (("--r", _INT), ("--n", _INT)),
+        "check": (_FILE,),
+        "qadm": (_FILE, ("--q", _INT)),
+    },
+    "fans": {
+        "verify": (_FILE,),
+        "dual": (("--cone", _REQ),),
+        "monoid": (("--cone", _REQ),),
+        "torus-seq": (("--r", _INT), ("--n", _INT)),
+        "tau-seq": (("--r", _INT), ("--q", _INT)),
+    },
+    "homs": {
+        "complete": (_FILE,),
+        "stratum": (_FILE,),
+        "act": (_FILE, ("--mu", {"required": True, "help": "comma-separated scalars"})),
+        "lang": (_FILE, ("--q", _INT)),
+    },
+    "hn": {"compute": (_FILE, ("--alpha", {"default": "0"}))},
+    "trunc": {
+        "split": (("--p", _REQ), ("--d", _INT), ("--R", {"dest": "cuts", "default": ""})),
+        "convex": (_FILE, ("--mu", {"default": "0"})),
+    },
+    "graphs": {"check": (_FILE,)},
+    "lfun": {
+        "local": (_FILE, ("--D", {"dest": "order", **_INT})),
+        "partial": (_FILE, ("--D", {"dest": "order", **_INT})),
+        "star": (("--a", _REQ), ("--b", _REQ)),
+        "psum": (_FILE, ("--nu", _INT)),
+        "bounds": (
+            _FILE, ("--q", _INT), ("--mode", {"choices": ["js", "rp", "JS", "RP"], "required": True}),
+            ("--tol", {"type": float, "default": 1e-9}),
+        ),
+        "spectral": (
+            ("--trace", _REQ), ("--r", _INT), ("--deg-xi", _INT), ("--n", _INT), ("--inf", _REQ),
+            ("--deg-inf", _INT), ("--o", _REQ), ("--deg-o", _INT), ("--q", _INT),
+        ),
+    },
+    "selftest": (("--criteria", {"help": "comma-separated subset, e.g. 1,2,5"}),),
+}
+
+
+class _Pending:
+    """Stands in for a subparser: keeps the keyword arguments `add_parser`
+    gives it and builds the real parser only when argparse dispatches to
+    it, which it does through `parse_known_args` alone.  Help, usage and
+    errors read only the choice names and the parser invoked, so their
+    text is that of the fully built tree."""
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs
+
+    def parse_known_args(self, args, namespace):
+        parser = _fill(argparse.ArgumentParser(**self.kwargs), *self.pending)
+        return parser.parse_known_args(args, namespace)
+
+
+def _fill(parser, node, path=()):
+    """Add the table node at ``path`` to ``parser``: a group's
+    subcommands as pending parsers, or a command's arguments and handler."""
+    if isinstance(node, dict):
+        sub = parser.add_subparsers(dest="command" if path else "group", required=True, parser_class=_Pending)
+        for name, child in node.items():
+            sub.add_parser(name).pending = (child, path + (name,))
+        return parser
+    for flag, kwargs in node:
+        parser.add_argument(flag, **kwargs)
+    if len(path) == 2:
+        parser.add_argument("--out")
+    parser.set_defaults(func=globals()["_".join(("cmd",) + path).replace("-", "_")])
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chtouca-kit",
         description="Exact pavings, fans, complete homomorphisms, slope polygons and L-factor algebra",
     )
     parser.add_argument("--jobs", type=int, default=None, help="parallelism degree (accepted; execution is sequential)")
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    g = sub.add_parser("pavings").add_subparsers(dest="command", required=True)
-    p = g.add_parser("enum")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_pavings_enum)
-    p = g.add_parser("check")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_pavings_check)
-    p = g.add_parser("qadm")
-    p.add_argument("file")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_pavings_qadm)
-
-    g = sub.add_parser("fans").add_subparsers(dest="command", required=True)
-    p = g.add_parser("verify")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fans_verify)
-    p = g.add_parser("dual")
-    p.add_argument("--cone", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fans_dual)
-    p = g.add_parser("monoid")
-    p.add_argument("--cone", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fans_monoid)
-    p = g.add_parser("torus-seq")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fans_torus_seq)
-    p = g.add_parser("tau-seq")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fans_tau_seq)
-
-    g = sub.add_parser("homs").add_subparsers(dest="command", required=True)
-    p = g.add_parser("complete")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_homs_complete)
-    p = g.add_parser("stratum")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_homs_stratum)
-    p = g.add_parser("act")
-    p.add_argument("file")
-    p.add_argument("--mu", required=True, help="comma-separated scalars")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_homs_act)
-    p = g.add_parser("lang")
-    p.add_argument("file")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_homs_lang)
-
-    g = sub.add_parser("hn").add_subparsers(dest="command", required=True)
-    p = g.add_parser("compute")
-    p.add_argument("file")
-    p.add_argument("--alpha", default="0")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_hn_compute)
-
-    g = sub.add_parser("trunc").add_subparsers(dest="command", required=True)
-    p = g.add_parser("split")
-    p.add_argument("--p", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--R", dest="cuts", default="")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_trunc_split)
-    p = g.add_parser("convex")
-    p.add_argument("file")
-    p.add_argument("--mu", default="0")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_trunc_convex)
-
-    g = sub.add_parser("graphs").add_subparsers(dest="command", required=True)
-    p = g.add_parser("check")
-    p.add_argument("file")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_graphs_check)
-
-    g = sub.add_parser("lfun").add_subparsers(dest="command", required=True)
-    p = g.add_parser("local")
-    p.add_argument("file")
-    p.add_argument("--D", dest="order", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lfun_local)
-    p = g.add_parser("partial")
-    p.add_argument("file")
-    p.add_argument("--D", dest="order", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lfun_partial)
-    p = g.add_parser("star")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lfun_star)
-    p = g.add_parser("psum")
-    p.add_argument("file")
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lfun_psum)
-    p = g.add_parser("bounds")
-    p.add_argument("file")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--mode", choices=["js", "rp", "JS", "RP"], required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lfun_bounds)
-    p = g.add_parser("spectral")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--deg-xi", dest="deg_xi", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--inf", required=True)
-    p.add_argument("--deg-inf", dest="deg_inf", type=int, required=True)
-    p.add_argument("--o", required=True)
-    p.add_argument("--deg-o", dest="deg_o", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lfun_spectral)
-
-    p = sub.add_parser("selftest")
-    p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,5")
-    p.set_defaults(func=cmd_selftest)
-    return parser
+    return _fill(parser, _TREE)
 
 
 # a value starting with "-" and a digit, "." or "/" (a negative scalar)

@@ -151,7 +151,12 @@ def _check_supermodular(d: list, n: int, subsets, quads) -> None:
 def _pave_table(r: int, n: int):
     """The subsets of {0,...,n} in sorted order (that of `PaveProfile.d`),
     each lattice point with its vector of sums over them, and the index
-    quadruples of the local exchange test of `_check_supermodular`."""
+    quadruples of the local exchange test of `_check_supermodular`.  No
+    table grows past that of S^{1,CAP-1}, the largest the enumeration cap
+    admits: CAP points with 2^CAP sums each."""
+    check_simplex(r, n)
+    if comb(r + n, n) << (n + 1) > ENUMERATION_POINT_CAP << ENUMERATION_POINT_CAP:
+        raise TooLarge(f"the pavé table of S^{{{r},{n}}} exceeds the enumeration cap")
     subsets = sorted(_subsets(n))
     index = {sum(1 << j for j in J): k for k, J in enumerate(subsets)}
     sums = {p: tuple(sum(p[j] for j in J) for J in subsets) for p in enumerate_lattice_points(r, n)}

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from chtoucakit import cli
+from chtoucakit import acceptance, cli
 from chtoucakit.errors import InternalError
+from chtoucakit.simplex_core import enumerate_lattice_points
 
 
 def run_cli(argv, files=None, tmp_path=None):
@@ -567,3 +569,238 @@ def test_lfun_q_below_two_and_r_below_one_are_invalid_data(tmp_path, argv, messa
     rc, out, err = run_cli(argv, LFUN_FILES, tmp_path)
     assert (rc, out) == (1, "")
     assert json.loads(err)["error"] == {"type": "InvalidData", "message": message}
+
+
+# ---------------------------------------------------------------------------
+# the parsers built on a command's path against the eagerly built tree
+
+
+def oracle_build_parser():
+    """The whole command tree with every parser built up front, as
+    `cli.build_parser` built it before it deferred each subparser."""
+    parser = argparse.ArgumentParser(
+        prog="chtouca-kit",
+        description="Exact pavings, fans, complete homomorphisms, slope polygons and L-factor algebra",
+    )
+    parser.add_argument("--jobs", type=int, default=None, help="parallelism degree (accepted; execution is sequential)")
+    sub = parser.add_subparsers(dest="group", required=True)
+
+    g = sub.add_parser("pavings").add_subparsers(dest="command", required=True)
+    p = g.add_parser("enum")
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_pavings_enum)
+    p = g.add_parser("check")
+    p.add_argument("file")
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_pavings_check)
+    p = g.add_parser("qadm")
+    p.add_argument("file")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_pavings_qadm)
+
+    g = sub.add_parser("fans").add_subparsers(dest="command", required=True)
+    p = g.add_parser("verify")
+    p.add_argument("file")
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_fans_verify)
+    p = g.add_parser("dual")
+    p.add_argument("--cone", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_fans_dual)
+    p = g.add_parser("monoid")
+    p.add_argument("--cone", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_fans_monoid)
+    p = g.add_parser("torus-seq")
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_fans_torus_seq)
+    p = g.add_parser("tau-seq")
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_fans_tau_seq)
+
+    g = sub.add_parser("homs").add_subparsers(dest="command", required=True)
+    p = g.add_parser("complete")
+    p.add_argument("file")
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_homs_complete)
+    p = g.add_parser("stratum")
+    p.add_argument("file")
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_homs_stratum)
+    p = g.add_parser("act")
+    p.add_argument("file")
+    p.add_argument("--mu", required=True, help="comma-separated scalars")
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_homs_act)
+    p = g.add_parser("lang")
+    p.add_argument("file")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_homs_lang)
+
+    g = sub.add_parser("hn").add_subparsers(dest="command", required=True)
+    p = g.add_parser("compute")
+    p.add_argument("file")
+    p.add_argument("--alpha", default="0")
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_hn_compute)
+
+    g = sub.add_parser("trunc").add_subparsers(dest="command", required=True)
+    p = g.add_parser("split")
+    p.add_argument("--p", required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--R", dest="cuts", default="")
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_trunc_split)
+    p = g.add_parser("convex")
+    p.add_argument("file")
+    p.add_argument("--mu", default="0")
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_trunc_convex)
+
+    g = sub.add_parser("graphs").add_subparsers(dest="command", required=True)
+    p = g.add_parser("check")
+    p.add_argument("file")
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_graphs_check)
+
+    g = sub.add_parser("lfun").add_subparsers(dest="command", required=True)
+    p = g.add_parser("local")
+    p.add_argument("file")
+    p.add_argument("--D", dest="order", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_lfun_local)
+    p = g.add_parser("partial")
+    p.add_argument("file")
+    p.add_argument("--D", dest="order", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_lfun_partial)
+    p = g.add_parser("star")
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_lfun_star)
+    p = g.add_parser("psum")
+    p.add_argument("file")
+    p.add_argument("--nu", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_lfun_psum)
+    p = g.add_parser("bounds")
+    p.add_argument("file")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--mode", choices=["js", "rp", "JS", "RP"], required=True)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_lfun_bounds)
+    p = g.add_parser("spectral")
+    p.add_argument("--trace", required=True)
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--deg-xi", dest="deg_xi", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--inf", required=True)
+    p.add_argument("--deg-inf", dest="deg_inf", type=int, required=True)
+    p.add_argument("--o", required=True)
+    p.add_argument("--deg-o", dest="deg_o", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_lfun_spectral)
+
+    p = sub.add_parser("selftest")
+    p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,5")
+    p.set_defaults(func=cli.cmd_selftest)
+    return parser
+
+
+COMMANDS = {
+    "pavings": ["enum", "check", "qadm"],
+    "fans": ["verify", "dual", "monoid", "torus-seq", "tau-seq"],
+    "homs": ["complete", "stratum", "act", "lang"],
+    "hn": ["compute"],
+    "trunc": ["split", "convex"],
+    "graphs": ["check"],
+    "lfun": ["local", "partial", "star", "psum", "bounds", "spectral"],
+}
+# --help, no arguments, an unknown option and surplus positionals at every
+# level; unknown names; the top-level --jobs forms; the signed-value joins
+PARSER_CASES = [
+    path + tail
+    for path in [[g] for g in [*COMMANDS, "selftest"]] + [[g, c] for g in COMMANDS for c in COMMANDS[g]]
+    for tail in (["--help"], [], ["--bogus"], ["a.json", "b.json"])
+] + [
+    [], ["--help"], ["nosuch"], ["pavings", "nosuch"], ["--jobs"], ["--jobs", "x", "pavings"],
+    ["--jo", "2", "pavings", "enum", "--r", "2", "--n", "1"],
+    ["pavings", "enum", "--r", "2", "--n", "1", "--bogus"],
+    ["fans", "torus-seq", "--r", "2", "--n", "2", "extra"],
+    ["homs", "act", "h.json", "--mu", "-1,7,7"], ["hn", "compute", "l.json", "--alpha", "-1/2"],
+    ["lfun", "bounds", "p.json", "--q", "4", "--mode", "xx"], ["lfun", "local", "p.json", "--D", "x"],
+]
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of `cli.main`, help and usage errors
+    (which exit through SystemExit) included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def cli_sandbox(monkeypatch, tmp_path):
+    """Help text wrapped at 80 columns, relative paths in an empty
+    directory and `selftest` reduced to echoing the criteria it was given."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(acceptance, "run_all", lambda wanted, verbose: print(wanted) or [])
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parsers_on_the_path_match_the_eager_tree(monkeypatch, cli_sandbox, argv):
+    got = run_main(argv)
+    monkeypatch.setattr(cli, "build_parser", oracle_build_parser)
+    assert got == run_main(argv)
+    assert got[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv,progs", [
+    (["pavings", "enum", "--r", "2", "--n", "1"], ["pavings", "pavings enum"]),
+    (["fans", "verify", "--help"], ["fans", "fans verify"]),
+    (["selftest", "--criteria", "1"], ["selftest"]),
+    (["lfun", "--help"], ["lfun"]),
+    (["--help"], []),
+])
+def test_parsers_built_per_call(monkeypatch, cli_sandbox, argv, progs):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    oracle_build_parser()
+    assert len(built) == 31
+    built.clear()
+    run_main(argv)
+    assert built == ["chtouca-kit"] + [f"chtouca-kit {prog}" for prog in progs]
+
+
+def test_pave_table_past_the_enumeration_cap_is_too_large(tmp_path):
+    points = [list(p) for p in enumerate_lattice_points(2, 14)]
+    paving = {"r": 2, "n": 14, "paves": [{"points": points}]}
+    for command in (["pavings", "check"], ["fans", "verify"]):
+        rc, out, err = run_cli(command + ["trivial.json"], {"trivial.json": paving}, tmp_path)
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "type": "TooLarge", "message": "the pavé table of S^{2,14} exceeds the enumeration cap"
+        }

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -492,6 +493,27 @@ def test_paving_beyond_n_2_compares_point_sets():
     corner = pave_from_points(2, 3, [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)])
     with pytest.raises(NotAPaving, match="only the trivial paving"):
         pv.paving_from_paves(2, 3, [corner])
+
+
+def test_pave_table_stops_at_the_largest_the_enumeration_cap_admits():
+    cap = pv.ENUMERATION_POINT_CAP
+    sizes = {(r, n): comb(r + n, n) << (n + 1)
+             for n in range(cap) for r in range(1, cap + 1) if comb(r + n, n) <= cap}
+    assert max(sizes, key=sizes.get) == (1, cap - 1)
+    subsets, sums, _ = pv._pave_table(1, cap - 1)
+    assert len(subsets) * len(sums) == sizes[1, cap - 1] == 491_520
+    assert len(enumerate_admissible_pavings(1, cap - 1)) == 1
+    assert len(trivial_paving(3, 3).paves) == 1
+    # just past the bound: with r one less each table fits
+    for r, n in ((2, 12), (3, 10), (350, 2), (122_880, 1)):
+        assert comb(r + n, n) << (n + 1) > sizes[1, cap - 1] >= comb(r + n - 1, n) << (n + 1)
+        with pytest.raises(TooLarge, match="pavé table"):
+            pv._pave_table(r, n)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="pavé table"):
+        trivial_paving(2, 14)
+    # building that table took 3 s and 127 MiB before the bound
+    assert time.perf_counter() - start < 1
 
 
 def _interior_outcome(build, r, n, pts):
