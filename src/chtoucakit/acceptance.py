@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import NoDominantChain, NotAPaving, TooLarge
+from .errors import InvalidData, NoDominantChain, NotAPaving, TooLarge
 from .fans import (
     is_face,
     tau_sequence_check,
@@ -611,7 +611,11 @@ CRITERIA = (
 
 def run_all(wanted=None, verbose=False):
     """Run the acceptance criteria; returns [(number, status, seconds,
-    detail)] with status PASS, FAIL or SKIP (cap exceeded)."""
+    detail)] with status PASS, FAIL or SKIP (cap exceeded).  A wanted
+    number that names no criterion is InvalidData, before any runs."""
+    unknown = sorted(set(wanted or ()) - {number for number, _, _ in CRITERIA})
+    if unknown:
+        raise InvalidData(f"no acceptance criterion {', '.join(map(str, unknown))}")
     results = []
     for number, title, fn in CRITERIA:
         if wanted is not None and number not in wanted:

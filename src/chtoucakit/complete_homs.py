@@ -139,10 +139,11 @@ def complete_from_open(field, u1, lams) -> CompleteHom:
         raise InvalidData("need r-1 scalars")
     if any(field.is_zero(l) for l in lams):
         raise ZeroLambda("all lambda_rho must be invertible on the open locus")
-    u1_scaled = scaled(field, u1)
-    if qlinalg.scaled_inverse(field, *u1_scaled) is None:
+    if any(len(row) != r for row in u1):
+        raise InvalidData(f"u_1 must be {r}x{r}")
+    wedges = scaled_compounds(field, scaled(field, u1), r)
+    if field.is_zero(wedges[-1][0][0][0]):  # wedge^r u_1 = det u_1
         raise Singular("u_1 must be an isomorphism")
-    wedges = scaled_compounds(field, u1_scaled, r)
     us = [u1]
     for rho in range(2, r + 1):
         scale = field.inv(lambda_monomial(field, lams, rho))
@@ -287,21 +288,20 @@ def _normalize(field, m):
     return first, tuple(map(tuple, unscaled(field, scaled_times(field, field.inv(first), m))))
 
 
-def _flag_blocks(field, r: int, chain):
-    """Blocks of the basis of k^r adapted to a nested flag chain[0] in
-    chain[1] in ..., each member a scaled matrix of spanning rows, and
-    the denominator e of the blocks' rows.
+def _flag_blocks(field, r: int, spaces):
+    """Blocks of the basis of k^r adapted to the flag spaces[0] in
+    spaces[1] in ..., each member given by its canonical basis (the
+    scaled rows of `qlinalg.scaled_row_basis`), and the denominator e of
+    the blocks' rows; None if the members are not nested.
 
-    The canonical (rref) bases of the members, then the unit vectors, are
-    scanned in order, and a vector is kept when it is independent of the
-    vectors kept before it; block t holds those kept from member t (the
-    last block from the unit vectors).  The kept vectors are the pivot
-    columns of one rref of the transpose of the scanned rows, which are
-    put over the lcm e of the members' denominators first: scaling a
-    column moves no pivot."""
-    spaces = [qlinalg.scaled_row_basis(field, n) for n, _ in chain]
+    The members' bases, then the unit vectors, are scanned in order, and
+    a vector is kept when it is independent of the vectors kept before
+    it; block t holds those kept from member t (the last block from the
+    unit vectors).  The kept vectors are the pivot columns of one rref of
+    the transpose of the scanned rows, which are put over the lcm e of
+    the members' denominators first: scaling a column moves no pivot."""
     # 0 and 1 are the zero and one of Z and of GF(p^k)
-    spaces.append(([[int(i == j) for j in range(r)] for i in range(r)], 1))
+    spaces = [*spaces, ([[int(i == j) for j in range(r)] for i in range(r)], 1)]
     e = lcm(*[d for _, d in spaces])  # 1 over GF(p^k)
     rows = [[x * (e // d) for x in row] for n, d in spaces for row in n]
     _, pivots = qlinalg.scaled_rref(field, [list(col) for col in zip(*rows)])
@@ -313,43 +313,29 @@ def _flag_blocks(field, r: int, chain):
         start = end
         # member t spans the sum of members 0..t exactly when it contains them
         if sum(map(len, blocks)) != len(n):
-            raise InvalidData("cannot complete basis: containment violated")
+            return None
     return blocks, e
 
 
-def adapted_bases(field, r: int, vfilt, wfilt):
-    """Adapted bases for a filtration pair of scaled matrices.
-
-    Returns scaled (A, B): columns of A are the V-adapted basis grouped
-    in blocks 1..s with V^sigma spanned by the trailing columns; columns
-    of B are the W-adapted basis with W_sigma spanned by the leading
-    columns.  Each side is completed from the canonical bases of the flag
-    V^{s-1} in ... in V^1 in k^r (resp. W_1 in ... in W_{s-1} in k^r),
-    then the standard unit vectors, so the choice is deterministic."""
-    v_blocks, a_d = _flag_blocks(field, r, vfilt[::-1])
-    w_blocks, b_d = _flag_blocks(field, r, wfilt)
-    a_cols = [row for block in reversed(v_blocks) for row in block]
-    b_cols = [row for block in w_blocks for row in block]
-    # column-major matrices
-    a = _reduced([list(row) for row in zip(*a_cols)], a_d)
-    return a, _reduced([list(row) for row in zip(*b_cols)], b_d)
-
-
-def _nested(field, chain, dims) -> bool:
-    """Whether chain[t] lies in chain[t + 1] for every t, where chain[t]
-    is a scaled matrix of dimension dims[t]: one rank per consecutive
-    pair.  Scaling a row keeps the rank, so the pairs' rows are stacked
-    without their denominators."""
-    return all(
-        qlinalg.scaled_rank(field, [*big[0], *small[0]]) == dim
-        for small, big, dim in zip(chain, chain[1:], dims[1:])
-    )
+def _columns(blocks, e):
+    """The scaled matrix whose columns are the rows of the blocks over e,
+    in order: an adapted basis of `_flag_blocks`."""
+    return _reduced([list(row) for row in zip(*(row for block in blocks for row in block))], e)
 
 
 def _validate_stratum_data(d: StratumData):
-    """Raise InvalidData unless d describes a stratum point; return the
-    filtration members and the true graded maps (scale times map) as
-    scaled matrices (vfilt, wfilt, maps)."""
+    """Raise InvalidData unless d describes a stratum point; return its
+    adapted bases and true graded maps (scale times map) as scaled
+    matrices (A, B, maps).
+
+    Columns of A are the V-adapted basis grouped in blocks 1..s with
+    V^sigma spanned by the trailing columns; columns of B are the
+    W-adapted basis with W_sigma spanned by the leading columns.  Each
+    side is completed from the canonical bases of the flag V^{s-1} in
+    ... in V^1 in k^r (resp. W_1 in ... in W_{s-1} in k^r), then the
+    standard unit vectors, so the choice is deterministic.  A member's
+    dimension is the row count of its canonical basis, and the flag is
+    nested exactly when `_flag_blocks` completes it."""
     field = d.field
     r = d.r
     cuts = list(d.cuts)
@@ -361,17 +347,19 @@ def _validate_stratum_data(d: StratumData):
         raise InvalidData("need one proper subspace per cut")
     if any(len(row) != r for m in (*d.vfilt, *d.wfilt) for row in m):
         raise InvalidData(f"filtration rows must have length r = {r}")
-    vfilt = [scaled(field, m) for m in d.vfilt]
-    wfilt = [scaled(field, m) for m in d.wfilt]
+    vfilt = [qlinalg.scaled_row_basis(field, scaled(field, m)[0]) for m in d.vfilt]
+    wfilt = [qlinalg.scaled_row_basis(field, scaled(field, m)[0]) for m in d.wfilt]
     for t, (n, _) in enumerate(vfilt):
-        if qlinalg.scaled_rank(field, n) != r - bounds[t + 1]:
+        if len(n) != r - bounds[t + 1]:
             raise InvalidData(f"V^{t+1} has wrong dimension")
     for t, (n, _) in enumerate(wfilt):
-        if qlinalg.scaled_rank(field, n) != bounds[t + 1]:
+        if len(n) != bounds[t + 1]:
             raise InvalidData(f"W_{t+1} has wrong dimension")
-    if not _nested(field, vfilt[::-1], [r - c for c in reversed(cuts)]):
+    v_flag = _flag_blocks(field, r, vfilt[::-1])
+    if v_flag is None:
         raise InvalidData("V filtration is not decreasing")
-    if not _nested(field, wfilt, cuts):
+    w_flag = _flag_blocks(field, r, wfilt)
+    if w_flag is None:
         raise InvalidData("W filtration is not increasing")
     if len(d.v) != s or len(d.scales) != s:
         raise InvalidData("need one graded map and scale per block")
@@ -392,7 +380,8 @@ def _validate_stratum_data(d: StratumData):
         raise InvalidData("free lambdas must cover exactly [r-1] minus the cuts")
     if any(field.is_zero(l) for l in free.values()):
         raise InvalidData("free lambdas must be invertible")
-    return vfilt, wfilt, [scaled_times(field, sc, m) for m, sc in zip(v, d.scales)]
+    maps = [scaled_times(field, sc, m) for m, sc in zip(v, d.scales)]
+    return _columns(v_flag[0][::-1], v_flag[1]), _columns(*w_flag), maps
 
 
 def build_stratum_point(d: StratumData) -> CompleteHom:
@@ -404,17 +393,16 @@ def build_stratum_point(d: StratumData) -> CompleteHom:
     minor of the graded maps; elsewhere it vanishes.  The free lambdas
     scale u_rho exactly as on the open locus."""
     field = d.field
-    vfilt, wfilt, maps = _validate_stratum_data(d)
-    us = _stratum_point(d, maps, *adapted_bases(field, d.r, vfilt, wfilt))
+    us = _stratum_point(d, *_validate_stratum_data(d))
     free = dict(d.free_lams)
     lams = tuple(free.get(rho, field.zero()) for rho in range(1, d.r))
     return CompleteHom(field, d.r, tuple(unscaled(field, u) for u in us), lams)
 
 
-def _stratum_point(d: StratumData, maps, a, b):
+def _stratum_point(d: StratumData, a, b, maps):
     """The scaled matrices u_1, ..., u_r of the point of
-    `build_stratum_point` from valid data d, its true graded maps (scale
-    times normalized matrix) and its adapted bases (A, B), all scaled."""
+    `build_stratum_point` from valid data d, its adapted bases (A, B) and
+    its true graded maps (scale times normalized matrix), all scaled."""
     field = d.field
     r = d.r
     bounds = [0, *d.cuts, r]
@@ -526,12 +514,14 @@ def stratum_data(h: CompleteHom) -> StratumData:
                 f"recovered W_{t+1} has dimension {len(span[0])}, expected {rho}"
             )
         wfilt.append(span)
-    if not _nested(field, vfilt[::-1], [r - c for c in reversed(cuts)]):
+    v_flag = _flag_blocks(field, r, vfilt[::-1])
+    if v_flag is None:
         raise NotOnStratum("recovered V filtration is not nested")
-    if not _nested(field, wfilt, cuts):
+    w_flag = _flag_blocks(field, r, wfilt)
+    if w_flag is None:
         raise NotOnStratum("recovered W filtration is not nested")
     free = {rho: h.lams[rho - 1] for rho in range(1, r) if rho not in set(cuts)}
-    a, b = adapted_bases(field, r, vfilt, wfilt)
+    a, b = _columns(v_flag[0][::-1], v_flag[1]), _columns(*w_flag)
     b_inv = qlinalg.scaled_inverse(field, *b)
     if b_inv is None:
         raise InternalError("adapted basis B is singular")
@@ -582,7 +572,7 @@ def stratum_data(h: CompleteHom) -> StratumData:
         tuple(sorted(free.items())),
     )
     # scaled forms are unique; the lambdas of the rebuild are h's own
-    if _stratum_point(data, maps, a, b) != us:
+    if _stratum_point(data, a, b, maps) != us:
         raise NotOnStratum("point does not satisfy the stratum relations")
     return data
 

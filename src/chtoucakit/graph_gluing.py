@@ -17,8 +17,10 @@ from dataclasses import dataclass, field as dfield
 from functools import cached_property
 
 from .errors import InvalidData
-from .pavings import Paving, _proper_nonempty_subsets, interior_walls, trivial_paving
-from .complete_homs import StratumData, adapted_bases, _validate_stratum_data
+from .pavings import (
+    Paving, _proper_nonempty_subsets, interior_walls, pave_from_points, paving_from_paves, trivial_paving,
+)
+from .complete_homs import StratumData, _validate_stratum_data
 from . import qlinalg
 from .fields import scaled, scaled_mul, unscaled
 
@@ -151,15 +153,13 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
 
     in the adapted bases, which satisfies both glued-graph conditions by
     construction."""
-    vfilt, wfilt, maps = _validate_stratum_data(d)
+    a, b, maps = _validate_stratum_data(d)
     field = d.field
     r = d.r
     bounds = [0] + list(d.cuts) + [r]
     # the columns of A / B, the adapted bases, as rows of scaled matrices
-    a, b = (([list(col) for col in zip(*n)], e) for n, e in adapted_bases(field, r, vfilt, wfilt))
+    a, b = (([list(col) for col in zip(*n)], e) for n, e in (a, b))
     a_cols, b_cols = unscaled(field, a), unscaled(field, b)
-    from .pavings import pave_from_points, paving_from_paves
-
     paves = []
     w_by_key = {}
     for sigma in range(1, len(bounds)):

@@ -222,6 +222,8 @@ def spectral_term(
         raise InvalidData("r must be at least 1")
     if q < 2:
         raise InvalidData("q must be at least 2")
+    if deg_inf < 1 or deg_o < 1:
+        raise InvalidData("place degrees must be positive")
     total = deg_xi * n
     if total % deg_inf != 0 or total % deg_o != 0:
         raise NonIntegralExponent(

@@ -77,9 +77,6 @@ ENUMERATION_N_CAP = 2  # unit-cell machinery covers n <= 2 (r >= 2)
 # under ENUMERATION_POINT_CAP
 CONFIG_CACHE_SIZE = 64
 
-# height functions are plain rational functions on the lattice points
-HeightFunction = LatticeFunction
-
 
 def _subsets(n: int):
     """All subsets of {0,...,n} as sorted tuples, by size."""

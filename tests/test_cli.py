@@ -504,10 +504,10 @@ LFUN_FILES = {
 }
 
 
-def spectral_argv(trace="1", r="2", q="4"):
+def spectral_argv(trace="1", r="2", q="4", deg_inf="1", deg_o="1"):
     return [
         "lfun", "spectral", "--trace", trace, "--r", r, "--deg-xi", "1", "--n", "1",
-        "--inf", "pi.json", "--deg-inf", "1", "--o", "pi.json", "--deg-o", "1", "--q", q,
+        "--inf", "pi.json", "--deg-inf", deg_inf, "--o", "pi.json", "--deg-o", deg_o, "--q", q,
     ]
 
 
@@ -569,6 +569,40 @@ def test_lfun_q_below_two_and_r_below_one_are_invalid_data(tmp_path, argv, messa
     rc, out, err = run_cli(argv, LFUN_FILES, tmp_path)
     assert (rc, out) == (1, "")
     assert json.loads(err)["error"] == {"type": "InvalidData", "message": message}
+
+
+@pytest.mark.parametrize("deg_inf,deg_o", [("0", "1"), ("1", "0"), ("-1", "1"), ("-2", "-2")])
+def test_lfun_spectral_place_degrees_below_one_are_invalid_data(tmp_path, deg_inf, deg_o):
+    """Degree 0 once divided by zero, and negative degrees passed the
+    divisibility test."""
+    assert_invalid_data(spectral_argv(deg_inf=deg_inf, deg_o=deg_o), LFUN_FILES, tmp_path,
+                        "place degrees must be positive")
+
+
+@pytest.mark.parametrize("field,u1,lams,size", [
+    ({"Q": True}, [["1"], ["2"]], ["1"], 2),
+    ({"GF": [5, 1]}, [["1", "2"], ["3"]], ["1"], 2),
+    ({"Q": True}, [["0", "0", "1"], ["0", "1", "0"]], ["1"], 2),
+    ({"Q": True}, [["1", "0", "0"], ["0", "1", "0"]], ["1"], 2),
+    ({"Q": True}, [[]], [], 1),
+    ({"Q": True}, [["1", "2", "3"]], [], 1),
+], ids=["ragged-Q", "ragged-GF5", "2x3-singular-minor", "2x3-invertible-minor", "1x0", "1x3"])
+def test_homs_complete_rejects_non_square_u1(tmp_path, field, u1, lams, size):
+    """Ragged rows once ended in an IndexError, and a 2x3 u_1 was Singular
+    or InvalidData by the values of its entries."""
+    payload = {"field": field, "u1": u1, "lambda": lams}
+    assert_invalid_data(["homs", "complete", "h.json"], {"h.json": payload}, tmp_path,
+                        f"u_1 must be {size}x{size}")
+
+
+@pytest.mark.parametrize("criteria,unknown", [("99", "99"), ("0,15", "0, 15"), ("1,99", "99")])
+def test_selftest_rejects_unknown_criteria_before_running_any(criteria, unknown):
+    """A mistyped number once ran nothing and exited 0."""
+    rc, out, err = run_cli(["selftest", "--criteria", criteria])
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "InvalidData", "message": f"no acceptance criterion {unknown}"
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -351,12 +351,19 @@ def oracle_complete_rows(field, have: list, pool: list, target_rank: int):
 
 
 def field_adapted_bases(field, r, vfilt, wfilt):
-    """`ch.adapted_bases` of members given as matrices of field elements,
-    as matrices of field elements."""
-    a, b = ch.adapted_bases(
-        field, r, [scaled(field, m) for m in vfilt], [scaled(field, m) for m in wfilt]
-    )
-    return unscaled(field, a), unscaled(field, b)
+    """The adapted bases (A, B) of `ch._validate_stratum_data` for members
+    given as matrices of field elements, as matrices of field elements:
+    `ch._flag_blocks` on the members' canonical bases, one flag per side."""
+    def adapted(members):
+        spaces = [qlinalg.scaled_row_basis(field, scaled(field, m)[0]) for m in members]
+        flag = ch._flag_blocks(field, r, spaces)
+        if flag is None:
+            raise InvalidData("cannot complete basis: containment violated")
+        return flag
+
+    v_blocks, a_e = adapted(vfilt[::-1])
+    w_blocks, b_e = adapted(wfilt)
+    return unscaled(field, ch._columns(v_blocks[::-1], a_e)), unscaled(field, ch._columns(w_blocks, b_e))
 
 
 def oracle_adapted_bases(field, r, cuts, vfilt, wfilt):
@@ -471,8 +478,8 @@ def test_nesting_check_matches_per_row_oracle(data):
         t = rng.randrange(len(chain))
         dim = qlinalg.rank(field, [list(row) for row in chain[t]])
         chain[t] = redundant_span(field, rng, rand_invertible(field, rng, r)[:dim])
-    dims = [qlinalg.rank(field, [list(row) for row in m]) for m in chain]
-    assert ch._nested(field, [scaled(field, m) for m in chain], dims) == oracle_nested(field, chain)
+    spaces = [qlinalg.scaled_row_basis(field, scaled(field, m)[0]) for m in chain]
+    assert (ch._flag_blocks(field, r, spaces) is None) == (not oracle_nested(field, chain))
 
 
 @contextmanager
@@ -489,12 +496,12 @@ def counting_stratum_work():
 
         return mock.patch.object(module, name, call)
 
-    names = ("adapted_bases", "_validate_stratum_data", "build_stratum_point", "_stratum_point")
+    names = ("_flag_blocks", "_validate_stratum_data", "build_stratum_point", "_stratum_point")
     with ExitStack() as stack:
         for name in names:
             stack.enter_context(spy(ch, name))
-        stack.enter_context(spy(qlinalg, "_forward"))
-        stack.enter_context(spy(qlinalg, "_bareiss"))
+        for name in ("_eliminate", "_forward", "_bareiss"):
+            stack.enter_context(spy(qlinalg, name))
         yield counts
 
 
@@ -512,13 +519,36 @@ def test_stratum_data_validates_once_and_reduces_each_flag_once():
         with counting_stratum_work() as counts:
             rec = stratum_data(h)
         assert rec.eq(d.normalized())
-        assert counts["adapted_bases"] == counts["_stratum_point"] == 1
+        # one flag reduction per side, which also decides the nesting
+        assert counts["_flag_blocks"] == 2
+        assert counts["_stratum_point"] == 1
         assert counts["_validate_stratum_data"] == counts["build_stratum_point"] == 0
+        # per cut 5 reductions recover V^t and W_t; then the 2 flags, B^-1,
+        # the 3 graded-map determinants and A^-1 of the rebuild
+        assert counts["_eliminate"] == 5 * 2 + 2 + 1 + 3 + 1
         with counting_stratum_work() as counts:
             field_adapted_bases(rec.field, 4, rec.vfilt, rec.wfilt)
         # one canonical basis per member and one reduction per side
         assert counts[reduction] == 2 * len(rec.cuts) + 2
         assert counts[other] == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1)], ids=["Q", "GF5"])
+def test_deepest_stratum_round_trip_eliminates_a_pinned_number_of_times(field):
+    """r = 4, cuts (1, 2, 3).  Building the point reduces each of the 6
+    filtration members once, each flag once, takes the 4 graded-map
+    determinants and A^-1: 13 eliminations.  Recovering it takes 5 per
+    cut for V^t and W_t, the 2 flags, B^-1, the 4 block determinants and
+    A^-1 of the rebuild: 23.  A second rank or row reduction of a member
+    shows here."""
+    d = rand_stratum_data(field, random.Random(43), 4, (1, 2, 3))
+    with counting_stratum_work() as counts:
+        h = build_stratum_point(d)
+    assert counts["_eliminate"] == 6 + 2 + 4 + 1
+    with counting_stratum_work() as counts:
+        rec = stratum_data(h)
+    assert counts["_eliminate"] == 5 * 3 + 2 + 1 + 4 + 1
+    assert rec.eq(d.normalized())
 
 
 @contextmanager

@@ -28,12 +28,16 @@ def report(call):
 
 h = ch.complete_from_open(QQ, [[2, 1, 0], [0, 1, 0], [1, 0, 1]], [QQ.one(), QQ.one()])
 data = ch.stratum_data(h)
-# scaled adapted bases (N, d)
-eye = ([[int(i == j) for j in range(3)] for i in range(3)], 1)
-zero = ([[0] * 3 for _ in range(3)], 1)
-ch.adapted_bases = lambda *args: (zero, eye)
+columns = ch._columns
+
+def zero_basis(k):
+    # the scaled adapted bases (N, d) are built A first, then B: zero the k-th
+    calls = iter((1, 2))
+    return lambda *args: ([[0] * 3 for _ in range(3)], 1) if next(calls) == k else columns(*args)
+
+ch._columns = zero_basis(1)
 report(lambda: ch.build_stratum_point(data))
-ch.adapted_bases = lambda *args: (eye, zero)
+ch._columns = zero_basis(2)
 report(lambda: ch.stratum_data(h))
 
 hn.floor = lambda x: math.floor(x) + 1

@@ -206,6 +206,13 @@ class TestSpectralTerm:
         with pytest.raises(NonIntegralExponent):
             spectral_term(1, 2, 3, 1, one, 2, one, 1, 4)
 
+    @pytest.mark.parametrize("deg_inf,deg_o", [(0, 1), (1, 0), (-1, 1), (-3, -3), (0, 0)])
+    def test_place_degrees_below_one_rejected(self, deg_inf, deg_o):
+        # deg(xi) n = 3 is divisible by -1 and -3: checked before divisibility
+        one = SatakeParams.from_roots([1])
+        with pytest.raises(InvalidData, match="^place degrees must be positive$"):
+            spectral_term(1, 2, 3, 1, one, deg_inf, one, deg_o, 4)
+
 
 class TestBounds:
     def test_rp_unit_circle(self):
