@@ -17,8 +17,6 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .errors import InvalidData, NoDominantChain, NotAPaving, TooLarge
 from .fans import (
     is_face,
@@ -451,6 +449,8 @@ def criterion_10():
 def criterion_11():
     """Root-pairing against the float-root oracle (1e-9 per coefficient)
     and exact power-sum multiplicativity for nu in {±1, ±2, ±3}."""
+    import numpy as np
+
     rng = random.Random(20240 + 11)
     for trial in range(200):
         da, db = rng.randint(1, 3), rng.randint(1, 3)

@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import VERSION, jsonio
 from .errors import DomainError, InternalError, InvalidData
 from .fans import (
+    check_monoid_rank,
     dual_cone,
     monoid_generators,
     tau_sequence_check,
@@ -152,8 +153,11 @@ def cmd_fans_dual(args):
 
 
 def cmd_fans_monoid(args):
-    cone = jsonio.cone_from_json(_read_json(args.cone))
-    gens = monoid_generators(cone)
+    obj = _read_json(args.cone)
+    # the cone of a JSON rank past the cap is not built: its double
+    # description alone grows with the square of the rank
+    check_monoid_rank(jsonio.rank_from_json(obj))
+    gens = monoid_generators(jsonio.cone_from_json(obj))
     _emit({"generators": [list(g) for g in gens]}, args.out)
     return 0
 

@@ -238,9 +238,6 @@ class Cone:
     def generators(self) -> list[tuple[int, ...]]:
         return list(self.rays) + [v for b in self.lin for v in (b, tuple(-x for x in b))]
 
-    def dim(self) -> int:
-        return zlattice.int_rank(self.generators())
-
     def contains_vector(self, v) -> bool:
         return all(_dot(e, v) == 0 for e in self.eqs) and all(
             _dot(a, v) >= 0 for a in self.ineqs
@@ -480,6 +477,12 @@ def _meet_violations(c1: Cone, c2: Cone, inter: Cone) -> list[str]:
 # dual-monoid generators
 
 
+def check_monoid_rank(rank: int) -> None:
+    """TooLarge past MONOID_RANK_CAP, checked before any cone is built."""
+    if rank > MONOID_RANK_CAP:
+        raise TooLarge(f"monoid generators capped at rank {MONOID_RANK_CAP}")
+
+
 def monoid_generators(c: Cone) -> list[tuple[int, ...]]:
     """Generators of the monoid Z^rank cap D, D = dual(c): both signs of
     the Hermite basis of its units U, and the least member in the order
@@ -494,8 +497,7 @@ def monoid_generators(c: Cone) -> list[tuple[int, ...]]:
     in order of the height <sum of c's rays, y>: one is kept unless
     y - x lies in D for a kept x.  Each enumeration is counted against
     MONOID_POINT_CAP before it starts."""
-    if c.rank > MONOID_RANK_CAP:
-        raise TooLarge(f"monoid generators capped at rank {MONOID_RANK_CAP}")
+    check_monoid_rank(c.rank)
     dual = dual_cone(c)
     size = c.rank - len(dual.lin + dual.eqs)
     _capped(comb(len(dual.rays), size))

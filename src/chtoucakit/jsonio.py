@@ -181,7 +181,7 @@ def _lattice_rows(rows, rank: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _rank_from_json(obj) -> int:
+def rank_from_json(obj) -> int:
     rank = _json_int(obj["rank"], "rank")
     if rank < 0:
         raise InvalidData(f"rank must be >= 0, got {rank}")
@@ -189,7 +189,7 @@ def _rank_from_json(obj) -> int:
 
 
 def cone_from_json(obj) -> Cone:
-    rank = _rank_from_json(obj)
+    rank = rank_from_json(obj)
     if obj.get("ineqs") is not None:
         return Cone.from_hrep(
             rank, _lattice_rows(obj["ineqs"], rank), _lattice_rows(obj.get("eqs") or [], rank)
@@ -224,13 +224,13 @@ def fan_to_json(fan: Fan):
 
 
 def fan_from_json(obj) -> Fan:
-    rank = _rank_from_json(obj)
+    rank = rank_from_json(obj)
     rays = _lattice_rows(obj["rays"], rank)
     cones = []
     tags = []
     for entry in obj["cones"]:
         for i in entry["rays"]:
-            if not (isinstance(i, int) and 0 <= i < len(rays)):
+            if not 0 <= _json_int(i, "a ray index") < len(rays):
                 raise InvalidData(f"ray index {i!r} is not in range({len(rays)})")
         gens = [rays[i] for i in entry["rays"]]
         cones.append(Cone.from_generators(rank, gens))

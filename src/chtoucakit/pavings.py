@@ -404,13 +404,7 @@ def _admissibility_lp(paving: Paving):
         # the witness sits in pavé l, where the envelope is c_l . x, and
         # pavé k's support must stay strictly below: (c_l - c_k) . w > 0
         ineq_rows.append([a - b for a, b in zip(cell_row(l, witness), cell_row(k, witness))])
-    return max_slack(
-        ineq_rows,
-        [0] * len(ineq_rows),
-        eq_rows or None,
-        [0] * len(eq_rows) if eq_rows else None,
-        nvars=nvars,
-    )
+    return max_slack(ineq_rows, eq_rows, nvars=nvars)
 
 
 # the LP answers of `pavings check` and of the selftest sweeps; the

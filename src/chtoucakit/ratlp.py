@@ -1,53 +1,27 @@
-"""Exact rational linear programming via two-phase primal simplex.
+"""Exact slack LP via two-phase primal simplex.
 
-Variables are free rationals; the solver converts to standard form
-internally (x = x+ - x-, slack variables, phase-1 artificials) and
-pivots with Bland's rule, so it terminates on every input and needs no
-tolerance knobs.  Feasibility answers are exact booleans, which is what
-the admissibility test downstream relies on.
+`max_slack` maximizes the common slack d of a homogeneous system of
+strict inequalities, which is what the admissibility test downstream
+relies on: the system is solvable exactly when d > 0.  The variables
+are free rationals; the LP is put in standard form (x = x+ - x-, slack
+variables, phase-1 artificials) and pivoted with Bland's rule, so it
+terminates on every input and needs no tolerance knobs.
 
 The tableau holds each row as a list of Python ints over one positive
 int denominator, divided by the gcd of its entries and denominator after
 every row operation (integer rows in the sense of Edmonds, J. Res. NBS
 71B, 1967, and Azulay & Pique, ACM TOMS 27, 2001).  Every comparison is
 made exactly on the numerators, so the pivots are the same Bland pivots
-that a Fraction tableau takes; ``Fraction`` appears only in the inputs
-and in the returned point and value.
+that a Fraction tableau takes; ``Fraction`` appears only in the returned
+point and value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InternalError
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-
-@dataclass
-class LPResult:
-    status: str
-    value: Fraction | None = None
-    x: list[Fraction] | None = None
-
-
-def _rational(v):
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
-def _int_row(values) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator of ``values``."""
-    qs = [_rational(v) for v in values]
-    den = 1
-    # pairwise: lcm(*generator) raised the peak RSS of `pavings enum
-    # --r 3 --n 2` by about 0.7 MiB (CPython 3.11)
-    for q in qs:
-        den = lcm(den, q.denominator)
-    return [q.numerator * (den // q.denominator) for q in qs], den
 
 
 def _eliminate(rows, dens, t, r, e, support) -> None:
@@ -96,8 +70,9 @@ def _pivot(rows, dens, r: int, e: int) -> None:
             _eliminate(rows, dens, i, r, e, support)
 
 
-def _simplex(rows, dens, basis: list[int], ncols: int) -> str:
-    """Run primal simplex on a tableau in canonical form.
+def _simplex(rows, dens, basis: list[int], ncols: int) -> bool:
+    """Run primal simplex on a tableau in canonical form; True at an
+    optimum, False if the objective is unbounded below.
 
     rows[i] = numerators of a row of length ncols+1 (last entry = rhs)
     over dens[i] > 0; rows[-1] = objective row (minimization, last entry
@@ -114,7 +89,7 @@ def _simplex(rows, dens, basis: list[int], ncols: int) -> str:
                 enter = j
                 break
         if enter == -1:
-            return OPTIMAL
+            return True
         leave = -1
         best_b = best_a = 0
         for i in range(m):
@@ -131,7 +106,7 @@ def _simplex(rows, dens, basis: list[int], ncols: int) -> str:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave, best_b, best_a = i, b, a
         if leave == -1:
-            return UNBOUNDED
+            return False
         _pivot(rows, dens, leave, enter)
         basis[leave] = enter
 
@@ -144,133 +119,71 @@ def _price_out(rows, dens, basis: list[int]) -> None:
             _eliminate(rows, dens, obj, i, bj, [j for j, v in enumerate(rows[i]) if v])
 
 
-def solve_lp(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-    maximize: bool = False,
-) -> LPResult:
-    """Optimize c.x subject to a_ub.x <= b_ub and a_eq.x = b_eq, x free.
+SLACK_CAP = 1  # keeps the slack of `max_slack` bounded
 
-    Returns an LPResult whose ``x`` is an optimal point when status is
-    "optimal".  For "unbounded" no point is returned.
+
+def max_slack(rows, eq_rows, nvars: int) -> tuple[Fraction, list[Fraction]]:
+    """Maximize d <= SLACK_CAP subject to rows.x >= d and eq_rows.x = 0,
+    over integer rows of length ``nvars``.
+
+    Returns (d*, x*) where x* achieves the optimum; the system of strict
+    inequalities rows.x > 0 is solvable on eq_rows.x = 0 iff d* > 0.
+    With no rows at all the answer is (SLACK_CAP, trivial point).
     """
-    n = len(c)
-    constraints = []
-    for a, b in ((a_ub, b_ub), (a_eq, b_eq)):
-        for k, row in enumerate(a or ()):
-            if len(row) != n:
-                raise ValueError(f"row length {len(row)} does not match {n} variables")
-            constraints.append(_int_row([*row, b[k]]))
-    nslack = len(a_ub) if a_ub else 0
+    # variables x (nvars) then d, each split as x+ - x-; the inequalities
+    # are -row.x + d <= 0 and d <= SLACK_CAP, each with its slack column
+    n = nvars + 1
+    ineqs = [[-v for v in row] + [1] for row in rows]
+    ineqs.append([0] * nvars + [1])
+    constraints = [*ineqs, *([*row, 0] for row in eq_rows)]
+    nslack = len(ineqs)
     m = len(constraints)
 
-    # standard-form columns: x+ (n), x- (n), slacks (nslack), artificials (m)
+    # standard-form columns: x+ (n), x- (n), slacks (nslack), artificials (m);
+    # every right-hand side is 0 but SLACK_CAP, so no row changes sign
     nreal = 2 * n + nslack
     ncols = nreal + m
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    for i, (nums, den) in enumerate(constraints):
-        sign = 1 if nums[-1] >= 0 else -1
-        row = [0] * (ncols + 1)
-        for j in range(n):
-            row[j] = sign * nums[j]
-            row[n + j] = -sign * nums[j]
+    tableau: list[list[int]] = []
+    for i, a in enumerate(constraints):
+        row = [*a, *(-v for v in a)] + [0] * (ncols - 2 * n + 1)
         if i < nslack:
-            row[2 * n + i] = sign * den
-        row[nreal + i] = den
-        row[-1] = sign * nums[-1]
-        rows.append(row)
-        dens.append(den)
+            row[2 * n + i] = 1
+        row[nreal + i] = 1
+        tableau.append(row)
+    tableau[nslack - 1][-1] = SLACK_CAP
+    dens = [1] * m
     basis = [nreal + i for i in range(m)]
 
-    # phase 1: minimize sum of artificials
-    obj = [0] * (ncols + 1)
-    for j in range(nreal, ncols):
-        obj[j] = 1
-    rows.append(obj)
+    # phase 1: minimize sum of artificials; x = 0, d = 0 is feasible
+    tableau.append([0] * nreal + [1] * m + [0])
     dens.append(1)
-    _price_out(rows, dens, basis)
-    status = _simplex(rows, dens, basis, ncols)
-    if status != OPTIMAL:
-        raise InternalError(f"phase 1 ended {status}; its objective is bounded below by 0")
-    if rows[-1][-1] != 0:
-        return LPResult(INFEASIBLE)
+    _price_out(tableau, dens, basis)
+    if not _simplex(tableau, dens, basis, ncols) or tableau[-1][-1] != 0:
+        raise InternalError("phase 1 of the slack LP did not reach its feasible point x = 0, d = 0")
 
     # drive leftover artificials out of the basis (degenerate rows)
     for i in range(m):
         if basis[i] >= nreal:
-            row = rows[i]
+            row = tableau[i]
             pivot_col = next((j for j in range(nreal) if row[j]), -1)
             if pivot_col == -1:
                 continue  # redundant constraint row
-            _pivot(rows, dens, i, pivot_col)
+            _pivot(tableau, dens, i, pivot_col)
             basis[i] = pivot_col
 
-    # phase 2: original objective over x+, x-; artificials never re-enter
-    cnums, cden = _int_row(c)
-    if maximize:
-        cnums = [-v for v in cnums]
+    # phase 2: minimize -d over x+, x-; artificials never re-enter
     obj = [0] * (ncols + 1)
-    for j in range(n):
-        obj[j] = cnums[j]
-        obj[n + j] = -cnums[j]
-    rows[-1] = obj
-    dens[-1] = cden
-    _price_out(rows, dens, basis)
-    status = _simplex(rows, dens, basis, nreal)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+    obj[nvars] = -1
+    obj[n + nvars] = 1
+    tableau[-1] = obj
+    dens[-1] = 1
+    _price_out(tableau, dens, basis)
+    if not _simplex(tableau, dens, basis, nreal):
+        raise InternalError(f"the slack LP ended unbounded; d <= {SLACK_CAP} bounds it")
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] += Fraction(rows[i][-1], dens[i])
+            x[basis[i]] += Fraction(tableau[i][-1], dens[i])
         elif basis[i] < 2 * n:
-            x[basis[i] - n] -= Fraction(rows[i][-1], dens[i])
-    value = Fraction(-rows[-1][-1], dens[-1])
-    if maximize:
-        value = -value
-    return LPResult(OPTIMAL, value, x)
-
-
-SLACK_CAP = 1  # keeps the slack of `max_slack` bounded
-
-
-def max_slack(
-    strict_rows,
-    strict_rhs,
-    a_eq=None,
-    b_eq=None,
-    nvars: int | None = None,
-) -> tuple[Fraction, list[Fraction] | None]:
-    """Maximize d subject to strict_rows.x >= strict_rhs + d (and
-    equalities), capping d <= SLACK_CAP so the LP stays bounded.
-
-    Returns (d*, x*) where x* achieves the optimum; the system of strict
-    inequalities strict_rows.x > strict_rhs is solvable iff d* > 0.
-    With no strict rows at all the answer is (SLACK_CAP, trivial point).
-    """
-    if nvars is None:
-        nvars = max((len(r) for r in [*strict_rows, *(a_eq or ())]), default=0)
-    # variables: x (nvars) then d
-    a_ub = []
-    b_ub = []
-    for row, b in zip(strict_rows, strict_rhs):
-        r = [-_rational(v) for v in row] + [0] * (nvars - len(row))
-        r.append(1)  # -row.x + d <= -b
-        a_ub.append(r)
-        b_ub.append(-_rational(b))
-    a_ub.append([0] * nvars + [1])
-    b_ub.append(SLACK_CAP)
-    eqs = None
-    if a_eq:
-        eqs = [list(row) + [0] * (nvars - len(row) + 1) for row in a_eq]
-    obj = [0] * nvars + [1]
-    res = solve_lp(obj, a_ub, b_ub, eqs, b_eq, maximize=True)
-    if res.status == INFEASIBLE:
-        return Fraction(-1), None
-    if res.status != OPTIMAL:
-        raise InternalError(f"capped slack LP ended {res.status}")
-    return res.value, res.x[:nvars]
+            x[basis[i] - n] -= Fraction(tableau[i][-1], dens[i])
+    return Fraction(tableau[-1][-1], dens[-1]), x[:nvars]

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from chtoucakit import acceptance, cli
+from chtoucakit import acceptance, cli, fans
 from chtoucakit.errors import InternalError
 from chtoucakit.simplex_core import enumerate_lattice_points
 
@@ -414,6 +415,24 @@ def test_fans_verify_rejects_ray_index_past_the_end(tmp_path):
     fan = dict(TWO_MAXIMAL_CONES, cones=TWO_MAXIMAL_CONES["cones"] + [{"rays": [4]}])
     assert_invalid_data(["fans", "verify", "f.json"], {"f.json": fan}, tmp_path,
                         "ray index 4 is not in range(4)")
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0])
+def test_fans_verify_rejects_ray_index_that_is_not_an_integer(tmp_path, index):
+    fan = dict(TWO_MAXIMAL_CONES, cones=TWO_MAXIMAL_CONES["cones"] + [{"rays": [index]}])
+    assert_invalid_data(["fans", "verify", "f.json"], {"f.json": fan}, tmp_path,
+                        f"a ray index must be an integer, got {index!r}")
+
+
+@pytest.mark.parametrize("rank", [5, 600])
+def test_fans_monoid_rank_cap_comes_before_the_cone(tmp_path, rank):
+    cone = {"rank": rank, "rays": []}
+    with mock.patch.object(fans, "double_description", side_effect=AssertionError("cone built")):
+        rc, out, err = run_cli(["fans", "monoid", "--cone", "c.json"], {"c.json": cone}, tmp_path)
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "TooLarge", "message": f"monoid generators capped at rank {fans.MONOID_RANK_CAP}",
+    }
 
 
 def test_fans_dual_rejects_float_coordinate(tmp_path):

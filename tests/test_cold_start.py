@@ -47,15 +47,14 @@ def run_fresh(modules, commands, cwd):
 
 
 def package_modules():
-    """Every module of the package but `acceptance`, which imports numpy
-    for selftest criterion 11."""
+    """Every module of the package."""
     names = sorted(p.stem for p in Path(SRC, "chtoucakit").glob("*.py"))
-    return [f"chtoucakit.{n}" for n in names if n not in ("__init__", "acceptance")]
+    return [f"chtoucakit.{n}" for n in names if n != "__init__"]
 
 
 def test_commands_other_than_bounds_do_not_load_numpy(tmp_path):
     modules = package_modules()
-    assert "chtoucakit.l_functions" in modules and "chtoucakit.jsonio" in modules
+    assert {"chtoucakit.acceptance", "chtoucakit.l_functions", "chtoucakit.jsonio"} <= set(modules)
     hom = {"r": 2, "field": {"Q": True}, "u": [[["1", "2"], ["2", "4"]], [["3"]]], "lambda": ["0"]}
     (tmp_path / "hom.json").write_text(json.dumps(hom))
     (tmp_path / "a.json").write_text(json.dumps({"coeffs": ["1", "-2"]}))
@@ -65,11 +64,13 @@ def test_commands_other_than_bounds_do_not_load_numpy(tmp_path):
         ["fans", "verify", "enum.json"],
         ["homs", "stratum", "hom.json"],
         ["lfun", "star", "--a", "a.json", "--b", "b.json"],
+        ["selftest", "--criteria", "1"],
     ], tmp_path)
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert json.loads(result["outs"][1])["ok"] is True
     assert json.loads(result["outs"][2])["stratum"] == [1]
     assert json.loads(result["outs"][3])["coeffs"] == ["1", "-6"]
+    assert result["outs"][4].startswith("PASS criterion  1 ")
     assert result["numpy"] == []
 
 

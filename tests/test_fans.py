@@ -685,7 +685,7 @@ def oracle_lp_relint_meets(c1, c2):
     if not strict:
         # both are linear spaces, whose relative interiors contain 0
         return True
-    d, _ = ratlp.max_slack(strict, [0] * len(strict), eqs or None, [0] * len(eqs) if eqs else None)
+    d, _ = ratlp.max_slack(strict, eqs, nvars=c1.rank)
     return d > 0
 
 
@@ -721,10 +721,10 @@ def oracle_verify_fan(fan):
 
 @contextmanager
 def counting_work():
-    """Count the double descriptions run by `fans` and the LPs run by
-    any module."""
+    """Count the double descriptions run by `fans` and the simplex runs
+    (two per LP) of any module."""
     counts = Counter()
-    real_dd, real_lp = fans.double_description, ratlp.solve_lp
+    real_dd, real_lp = fans.double_description, ratlp._simplex
 
     def dd(rows, dim):
         counts["dd"] += 1
@@ -735,7 +735,7 @@ def counting_work():
         return real_lp(*args, **kwargs)
 
     with mock.patch.object(fans, "double_description", dd), mock.patch.object(
-        ratlp, "solve_lp", lp
+        ratlp, "_simplex", lp
     ):
         yield counts
 

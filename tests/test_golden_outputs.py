@@ -169,3 +169,172 @@ ALGEBRA_DIGESTS = {
 def test_algebra_commands(name, tmp_path):
     outs = {cmd: digest(text) for cmd, text in algebra_outputs(name, tmp_path).items()}
     assert outs == ALGEBRA_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# `pavings check` witnesses, and the commands with fixed small inputs
+
+# concatenated stdout of `pavings check` on every paving `pavings enum`
+# lists for (r, n), in enumeration order: the witnesses are the LP vertices
+PAVINGS_CHECK = {
+    (4, 1): "b68af258737d27bc672732dcb8ec34a0679cc9b117cef81c03689ece396e8cbc",
+    (2, 2): "7a0c52d6ec4010325b89ffbbcc7a3f773f89cea93ff20f39b2e2a0b607df8f40",
+    (3, 2): "6595c7e7c774bdc49e3a45bbbeabb0c110d30df9aeab8a77c91a39706a60cf2f",
+}
+
+
+@pytest.mark.parametrize("r, n", list(PAVINGS_CHECK))
+def test_pavings_check_on_enumerated_pavings(r, n, tmp_path):
+    enum = cli_stdout(["pavings", "enum", "--r", str(r), "--n", str(n)], tmp_path)
+    out = "".join(
+        cli_stdout(["pavings", "check", "IN"], tmp_path, {"r": r, "n": n, "paves": paves})
+        for paves in json.loads(enum)["pavings"]
+    )
+    assert digest(out) == PAVINGS_CHECK[r, n]
+
+
+def test_pavings_qadm_on_enumerated_pavings(tmp_path):
+    out = ""
+    enum = cli_stdout(["pavings", "enum", "--r", "3", "--n", "2"], tmp_path)
+    for paves in json.loads(enum)["pavings"]:
+        for q in (2, 3, 5):
+            payload = {"r": 3, "n": 2, "paves": paves}
+            out += cli_stdout(["pavings", "qadm", "--q", str(q), "IN"], tmp_path, payload)
+    assert digest(out) == (
+        "a825becfebcbb18332f62624b544795f9bf1b554f2876662748f48fb6dff6118"
+    )
+
+
+CONES = [
+    {"rank": 2, "rays": [[1, 2]]},
+    {"rank": 2, "rays": [[1, 0], [1, 5]]},
+    {"rank": 2, "rays": [[3, -1], [-1, 2]]},
+    {"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [1, 1, 3]]},
+    {"rank": 3, "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 1], [0, 2, -1]]},
+    {"rank": 3, "ineqs": [[1, 0, 0], [0, 1, 0], [1, 1, -2]]},
+    {"rank": 3, "ineqs": [[1, 2, 0]], "eqs": [[0, 1, -1]]},
+    {"rank": 4, "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 2]]},
+    {"rank": 4, "rays": []},
+]
+
+
+@pytest.mark.parametrize("command, digest_", [
+    (["fans", "dual", "--cone", "IN"],
+     "aa10ce99a58d1d93f769157cee269da435945670477b4638f0d7e3264d1b052d"),
+    (["fans", "monoid", "--cone", "IN"],
+     "17b5420e87a8bcf4d61e1e4a17c6d69958d9e7ea11bcc2cb9baa1fa03ce9243e"),
+])
+def test_cone_commands(command, digest_, tmp_path):
+    out = "".join(cli_stdout(command, tmp_path, cone) for cone in CONES)
+    assert digest(out) == digest_
+
+
+def test_homs_lang(tmp_path):
+    rng = random.Random("golden-lang")
+    out = ""
+    for (p, k), qs in (((2, 2), (2, 4)), ((3, 1), (3, 9)), ((5, 1), (5,)), ((3, 2), (3, 9))):
+        field = GF(p, k)
+        for size in (1, 2, 3):
+            m = rand_invertible(field, rng, size)
+            matrix = [[field.format(x) for x in row] for row in m]
+            payload = {"field": field_to_json(field), "matrix": matrix}
+            for q in qs:
+                out += cli_stdout(["homs", "lang", "--q", str(q), "IN"], tmp_path, payload)
+    assert digest(out) == (
+        "553b83339eb5e0280d209148401a3e734713ba96e0840b2e5b33af579a1a7c5c"
+    )
+
+
+LATTICES = [
+    {"r": 2, "records": [
+        {"id": "0", "rank": 0, "deg0": 0, "deg1": 0},
+        {"id": "F", "rank": 1, "deg0": 5, "deg1": 5},
+        {"id": "E", "rank": 2, "deg0": 0, "deg1": 0},
+    ], "order": [["0", "F"], ["F", "E"]]},
+    {"r": 3, "records": [
+        {"id": "0", "rank": 0, "deg0": 0, "deg1": 0},
+        {"id": "A", "rank": 1, "deg0": 2, "deg1": 3},
+        {"id": "B", "rank": 1, "deg0": -1, "deg1": 4},
+        {"id": "C", "rank": 2, "deg0": 3, "deg1": 1},
+        {"id": "D", "rank": 2, "deg0": 0, "deg1": 6},
+        {"id": "E", "rank": 3, "deg0": 1, "deg1": 2},
+    ], "order": [["A", "C"], ["A", "D"], ["B", "D"]]},
+]
+
+
+def test_hn_compute(tmp_path):
+    out = "".join(
+        cli_stdout(["hn", "compute", "IN", "--alpha", alpha], tmp_path, lattice)
+        for lattice in LATTICES
+        for alpha in ("0", "1/2", "-1/3", "1")
+    )
+    assert digest(out) == (
+        "d0bed05958d248f1a8c1f7fe30166c7cb48ed23d073badda4cc0ead0fead9379"
+    )
+
+
+POLYGONS = [
+    {"r": 3, "values": ["0", "4", "4", "0"]},
+    {"r": 4, "values": ["0", "7", "10", "8", "0"]},
+    {"r": 5, "values": ["0", "9", "14", "15", "11", "0"]},
+    {"r": 4, "values": ["0", "7/2", "5", "7/2", "0"]},
+]
+
+
+def test_trunc_commands(tmp_path):
+    out = ""
+    # the last polygon is convex only for mu <= -1, so it cannot be split
+    for polygon in [*POLYGONS, {"r": 3, "values": ["0", "1", "3", "0"]}]:
+        for mu in ("-1", "-1/2", "0", "1", "3/2", "2", "4"):
+            out += cli_stdout(["trunc", "convex", "--mu", mu, "IN"], tmp_path, polygon)
+    for polygon in POLYGONS:
+        r = polygon["r"]
+        for d in (0, 3, -2):
+            for cuts in ("", "1", ",".join(map(str, range(1, r)))):
+                argv = ["trunc", "split", "--p", "IN", "--d", str(d), "--R", cuts]
+                out += cli_stdout(argv, tmp_path, polygon)
+    assert digest(out) == (
+        "4bc7238720def5d921cf57b11ad990e07dc9a02a4db046dede2cf3184fb674c2"
+    )
+
+
+SATAKE = [["1", "-2"], ["1", "-3"], ["1", "-5", "6"], ["1", "-5/2", "1"], ["1", "0", "4"],
+          ["1", "1/3", "-2/7", "1"]]
+PLACES = [{"deg": 1, "coeffs": ["1", "-1"]}, {"deg": 2, "coeffs": ["1", "-5/2", "1"]},
+          {"deg": 3, "coeffs": ["1", "0", "4"]}, {"deg": 1, "coeffs": ["1", "-1/2", "1/4"]}]
+
+
+def test_lfun_bounds(tmp_path):
+    out = "".join(
+        cli_stdout(["lfun", "bounds", "--q", str(q), "--mode", mode, "IN"], tmp_path, place)
+        for place in PLACES
+        for q in (2, 4, 9)
+        for mode in ("js", "rp")
+    )
+    assert digest(out) == (
+        "b3edf57dafe09c456901d72688668733d33bcd85a351c29e34c0a1b61048a486"
+    )
+
+
+def test_lfun_commands(tmp_path):
+    out = "".join(cli_stdout(["lfun", "local", "IN", "--D", "7"], tmp_path, p) for p in PLACES)
+    out += cli_stdout(["lfun", "partial", "IN", "--D", "8"], tmp_path, {"places": PLACES})
+    for a in SATAKE:
+        for nu in (-2, -1, 1, 3):
+            out += cli_stdout(["lfun", "psum", "--nu", str(nu), "IN"], tmp_path, {"coeffs": a})
+        path = tmp_path / "b.json"
+        for b in SATAKE[:3]:
+            path.write_text(json.dumps({"coeffs": b}))
+            argv = ["lfun", "star", "--a", "IN", "--b", str(path)]
+            out += cli_stdout(argv, tmp_path, {"coeffs": a})
+    (tmp_path / "po.json").write_text(json.dumps({"coeffs": ["1", "-10/3", "1"]}))
+    for trace, r, deg_xi, n, deg_inf, deg_o in (
+        ("1", 2, 1, 1, 1, 1), ("-3/2", 3, 1, 2, 1, 2), ("5", 2, 2, 1, 2, 1),
+    ):
+        argv = ["lfun", "spectral", "--trace", trace, "--r", str(r), "--deg-xi", str(deg_xi),
+                "--n", str(n), "--inf", "IN", "--deg-inf", str(deg_inf),
+                "--o", str(tmp_path / "po.json"), "--deg-o", str(deg_o), "--q", "4"]
+        out += cli_stdout(argv, tmp_path, {"coeffs": ["1", "-5/2", "1"]})
+    assert digest(out) == (
+        "db320bae8456b81a76d2f5fa5aefcefc9e95ab8a5d913aca619c45240d238e88"
+    )

@@ -1,14 +1,15 @@
-"""Tests of the exact LP in `ratlp`.
+"""Tests of the exact slack LP in `ratlp`.
 
-The solver pivots on integer rows; the Fraction tableau it replaced is
-kept below as a test-only oracle, instrumented to log its pivots, and
-the two must agree on status, value, point and the pivot sequence.
+The solver pivots on integer rows; the general Fraction-tableau LP it
+replaced is kept below as a test-only oracle, instrumented to log its
+pivots, and `max_slack` must agree with it on value, point and the pivot
+sequence.
 """
 
 import os
-import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -19,92 +20,66 @@ from hypothesis import strategies as st
 
 from chtoucakit import pavings, ratlp
 from chtoucakit.errors import InternalError
-from chtoucakit.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, max_slack, solve_lp
+from chtoucakit.ratlp import SLACK_CAP, max_slack
 from test_pavings import oracle_exact_covers
 
 
+def _dot(row, x):
+    return sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0))
+
+
 def test_bounded_max():
-    res = solve_lp([1, 1], [[1, 0], [0, 1]], [2, 3], maximize=True)
-    assert res.status == OPTIMAL
-    assert res.value == 5
+    # the slack of a strictly solvable system grows with x; the cap bounds it
+    d, x = max_slack([[1, 0], [0, 1], [1, 1]], [], nvars=2)
+    assert d == SLACK_CAP
+    assert all(_dot(r, x) >= d for r in ([1, 0], [0, 1], [1, 1]))
 
 
 def test_equality_constraints():
-    res = solve_lp([1, 0], None, None, [[1, 1], [1, -1]], [4, 0], maximize=True)
-    assert res.status == OPTIMAL
-    assert res.x == [Fraction(2), Fraction(2)]
-
-
-def test_infeasible():
-    res = solve_lp([1], [[1], [-1]], [1, -3])
-    assert res.status == INFEASIBLE
-
-
-def test_unbounded():
-    res = solve_lp([1], [[-1]], [0], maximize=True)
-    assert res.status == UNBOUNDED
+    d, x = max_slack([[1, 0]], [[1, -1]], nvars=2)
+    assert d == SLACK_CAP
+    assert x[0] == x[1] >= 1
 
 
 def test_free_variables_negative_solution():
-    # min x st x >= -7 hits the negative orthant
-    res = solve_lp([1], [[-1]], [7])
-    assert res.status == OPTIMAL
-    assert res.value == -7
+    # -x >= d puts the optimum in the negative orthant
+    d, x = max_slack([[-1]], [], nvars=1)
+    assert (d, x) == (1, [Fraction(-1)])
 
 
 def test_max_slack_strict_feasible():
-    d, x = max_slack([[1, 0], [0, 1], [-1, -1]], [0, 0, -4])
+    # x > 0, y > 0 and x + y < 4t, homogeneous in (x, y, t)
+    rows = [[1, 0, 0], [0, 1, 0], [-1, -1, 4]]
+    d, x = max_slack(rows, [], nvars=3)
     assert d > 0
-    assert x[0] > 0 and x[1] > 0 and x[0] + x[1] < 4
+    assert x[0] > 0 and x[1] > 0 and x[0] + x[1] < 4 * x[2]
 
 
 def test_max_slack_tight_system():
     # x >= 0 and -x >= 0 forces x = 0: no strict solution
-    d, _ = max_slack([[1], [-1]], [0, 0])
+    d, _ = max_slack([[1], [-1]], [], nvars=1)
     assert d == 0
 
 
 def test_max_slack_no_rows_hits_cap():
-    d, _ = max_slack([], [])
-    assert d == 1
-
-
-def test_random_against_vertex_enumeration():
-    """2-variable LPs checked against brute-force vertex enumeration."""
-    rng = random.Random(42)
-    for _ in range(60):
-        m = rng.randint(2, 5)
-        rows = [[Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))] for _ in range(m)]
-        rhs = [Fraction(rng.randint(-6, 6)) for _ in range(m)]
-        # keep feasible region bounded by a box
-        rows += [[1, 0], [-1, 0], [0, 1], [0, -1]]
-        rhs += [10, 10, 10, 10]
-        c = [Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))]
-        res = solve_lp(c, rows, rhs, maximize=True)
-        # brute force: all intersection points of constraint pairs
-        best = None
-        k = len(rows)
-        for i in range(k):
-            for j in range(i + 1, k):
-                det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-                if det == 0:
-                    continue
-                x = (rhs[i] * rows[j][1] - rows[i][1] * rhs[j]) / det
-                y = (rows[i][0] * rhs[j] - rhs[i] * rows[j][0]) / det
-                if all(rows[t][0] * x + rows[t][1] * y <= rhs[t] for t in range(k)):
-                    val = c[0] * x + c[1] * y
-                    if best is None or val > best:
-                        best = val
-        if best is None:
-            assert res.status == INFEASIBLE
-        else:
-            assert res.status == OPTIMAL
-            assert res.value == best
+    assert max_slack([], [], nvars=0) == (1, [])
+    assert max_slack([], [[1, 2]], nvars=2) == (1, [0, 0])
 
 
 # ---------------------------------------------------------------------------
-# oracle: the Fraction-tableau simplex the integer rows replaced, logging
+# oracle: the general Fraction-tableau LP the integer rows replaced, logging
 # every (row, entering column) pivot in ``pivots``
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+@dataclass
+class LPResult:
+    status: str
+    value: Fraction | None = None
+    x: list[Fraction] | None = None
 
 
 def oracle_simplex(tableau, basis, ncols, pivots):
@@ -228,101 +203,63 @@ def oracle_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maximize=Fals
     return LPResult(OPTIMAL, value, x)
 
 
-def solve_logged(*args, **kwargs):
-    """ratlp.solve_lp and the (row, entering column) of each pivot it made."""
+def oracle_max_slack(rows, eq_rows, nvars, pivots=None):
+    """max_slack as the general LP it was built on: maximize d subject to
+    -row.x + d <= 0, d <= SLACK_CAP and eq_row.x = 0 over (x, d)."""
+    a_ub = [[-v for v in row] + [1] for row in rows] + [[0] * nvars + [1]]
+    b_ub = [0] * len(rows) + [SLACK_CAP]
+    a_eq = [[*row, 0] for row in eq_rows] or None
+    b_eq = [0] * len(eq_rows) or None
+    res = oracle_solve_lp([0] * nvars + [1], a_ub, b_ub, a_eq, b_eq, True, pivots)
+    assert res.status == OPTIMAL
+    return res.value, res.x[:nvars]
+
+
+def max_slack_logged(rows, eq_rows, nvars):
+    """ratlp.max_slack and the (row, entering column) of each pivot it made."""
     with mock.patch.object(ratlp, "_pivot", wraps=ratlp._pivot) as pivot:
-        res = solve_lp(*args, **kwargs)
+        res = max_slack(rows, eq_rows, nvars=nvars)
     return res, [call.args[2:] for call in pivot.call_args_list]
 
 
 # ---------------------------------------------------------------------------
 # differential tests against the oracle
 
-COEF = st.one_of(
-    st.integers(-4, 4),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
-)
-NONZERO = COEF.map(lambda v: v or 1)
-
-
-def _dot(row, x):
-    return sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0))
-
 
 @st.composite
-def lps(draw):
-    """(kind, c, a_ub, b_ub, a_eq, b_eq, maximize).  For kind "optimal",
-    "infeasible" or "unbounded" the LP is built to have that status; for
-    "free" every entry is random."""
-    kind = draw(st.sampled_from(["free", "optimal", "infeasible", "unbounded"]))
-    system = draw(st.sampled_from(["ineq", "eq", "mixed"]))
-    n = draw(st.integers(1, 4 if kind == "unbounded" else 5))
-    n_ub = 0 if system == "eq" else draw(st.integers(1, 4))
-    n_eq = 0 if system == "ineq" else draw(st.integers(1, 3))
-    row = st.lists(COEF, min_size=n, max_size=n)
-    a_ub = draw(st.lists(row, min_size=n_ub, max_size=n_ub))
-    a_eq = draw(st.lists(row, min_size=n_eq, max_size=n_eq))
-    if a_eq and draw(st.booleans()):
-        # a duplicated (rescaled) equality row leaves a redundant row
-        k = draw(st.integers(0, len(a_eq) - 1))
-        s = draw(NONZERO)
-        a_eq.append([s * v for v in a_eq[k]])
-    if kind == "free":
-        b_ub = draw(st.lists(COEF, min_size=len(a_ub), max_size=len(a_ub)))
-        b_eq = draw(st.lists(COEF, min_size=len(a_eq), max_size=len(a_eq)))
-    else:
-        x0 = draw(st.lists(COEF, min_size=n, max_size=n))
-        b_ub = [_dot(r, x0) + abs(draw(COEF)) for r in a_ub]
-        b_eq = [_dot(r, x0) for r in a_eq]
-    c = draw(st.lists(COEF, min_size=n, max_size=n))
-    if kind == "optimal":
-        if a_ub:
-            # a box around the feasible point x0 bounds the region
-            for j in range(n):
-                unit = [int(i == j) for i in range(n)]
-                a_ub += [unit, [-v for v in unit]]
-                width = abs(draw(COEF))
-                b_ub += [x0[j] + width, width - x0[j]]
-        else:
-            # c in the row space of the equalities: constant on the region
-            y = draw(st.lists(COEF, min_size=len(a_eq), max_size=len(a_eq)))
-            c = [sum((Fraction(yk) * r[j] for yk, r in zip(y, a_eq)), Fraction(0)) for j in range(n)]
-    elif kind == "infeasible":
-        k = draw(st.integers(0, n_ub + n_eq - 1))
-        r, b = (a_ub[k], b_ub[k]) if k < n_ub else (a_eq[k - n_ub], b_eq[k - n_ub])
-        if system == "eq":
-            a_eq.append(list(r))
-            b_eq.append(b + 1)
-        else:
-            # r.x <= b and r.x >= b + 1
-            a_ub += [list(r), [-v for v in r]]
-            b_ub += [b, -b - 1]
-    elif kind == "unbounded":
-        # a free variable in no constraint, with a nonzero cost
-        for r in a_ub + a_eq:
-            r.append(0)
-        c.append(draw(NONZERO))
-    maximize = draw(st.booleans())
-    return kind, c, a_ub or None, b_ub or None, a_eq or None, b_eq or None, maximize
+def slack_systems(draw):
+    """(rows, eq_rows, nvars) over small integers.  A "solvable" system
+    is built positive on a point x0 that its equalities vanish on; a
+    duplicated (rescaled) equality row leaves a redundant row."""
+    nvars = draw(st.integers(0, 5))
+    row = st.lists(st.integers(-4, 4), min_size=nvars, max_size=nvars)
+    rows = draw(st.lists(row, max_size=5))
+    eq_rows = draw(st.lists(row, max_size=3))
+    if nvars and draw(st.booleans()):
+        x0 = draw(row.filter(any))
+        norm = sum(v * v for v in x0)
+        eq_rows = [[norm * e - int(_dot(eq, x0)) * v for e, v in zip(eq, x0)] for eq in eq_rows]
+        rows = [[-v for v in r] if _dot(r, x0) < 0 else r for r in rows if _dot(r, x0)]
+    if eq_rows and draw(st.booleans()):
+        k = draw(st.integers(0, len(eq_rows) - 1))
+        s = draw(st.integers(-3, 3).filter(bool))
+        eq_rows.append([s * v for v in eq_rows[k]])
+    return rows, eq_rows, nvars
 
 
 @settings(max_examples=300, deadline=None)
-@given(lp=lps())
-def test_integer_rows_match_fraction_oracle(lp):
-    kind, c, a_ub, b_ub, a_eq, b_eq, maximize = lp
-    res, pivots = solve_logged(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
+@given(system=slack_systems())
+def test_integer_rows_match_fraction_oracle(system):
+    rows, eq_rows, nvars = system
+    (d, x), pivots = max_slack_logged(rows, eq_rows, nvars)
     expected_pivots = []
-    expected = oracle_solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize, expected_pivots)
-    event(res.status)
-    if kind != "free":
-        assert res.status == kind
-    assert (res.status, res.value, res.x) == (expected.status, expected.value, expected.x)
+    assert (d, x) == oracle_max_slack(rows, eq_rows, nvars, expected_pivots)
     assert pivots == expected_pivots
-    if res.status == OPTIMAL:
-        assert all(isinstance(v, Fraction) for v in res.x)
-        assert all(_dot(r, res.x) <= b for r, b in zip(a_ub or [], b_ub or []))
-        assert all(_dot(r, res.x) == b for r, b in zip(a_eq or [], b_eq or []))
-        assert _dot(c, res.x) == res.value
+    event("strictly solvable" if d > 0 else "not strictly solvable")
+    assert isinstance(d, Fraction) and 0 <= d <= SLACK_CAP
+    assert all(isinstance(v, Fraction) for v in x)
+    assert all(_dot(r, x) >= d for r in rows)
+    assert all(_dot(e, x) == 0 for e in eq_rows)
 
 
 def _admissibility_cases():
@@ -341,40 +278,64 @@ def test_admissibility_lp_matches_fraction_oracle():
     cases = _admissibility_cases()
     assert len(cases) > 10
     for paving in cases:
-        delta, sol = pavings._admissibility_lp(paving)
-        with mock.patch.object(ratlp, "solve_lp", oracle_solve_lp):
-            expected_delta, expected_sol = pavings._admissibility_lp(paving)
-        assert (delta, sol) == (expected_delta, expected_sol)
+        with mock.patch.object(pavings, "max_slack", side_effect=max_slack) as lp:
+            answer = pavings._admissibility_lp(paving)
+        (rows, eq_rows), kwargs = lp.call_args
+        result, pivots = max_slack_logged(rows, eq_rows, kwargs["nvars"])
+        expected_pivots = []
+        expected = oracle_max_slack(rows, eq_rows, kwargs["nvars"], expected_pivots)
+        assert answer == result == expected
+        assert pivots == expected_pivots
 
 
 # ---------------------------------------------------------------------------
-# checks that do not depend on assert
+# outcomes the slack LP cannot reach are InternalErrors, with or without
+# assert; each case patches `_simplex`, which every LP runs
+
+REAL_SIMPLEX = ratlp._simplex
 
 
-def test_row_length_mismatch_raises():
-    with pytest.raises(ValueError, match="row length"):
-        solve_lp([1, 1], [[1]], [1])
-    with pytest.raises(ValueError, match="row length"):
-        solve_lp([1], None, None, [[1, 2]], [0])
+def _phase_1_unbounded(rows, dens, basis, ncols):
+    return False
 
 
-def test_row_length_checked_under_python_O():
+def _phase_1_stops_at_once(rows, dens, basis, ncols):
+    # the artificials still carry d <= SLACK_CAP's right-hand side
+    return True
+
+
+def _phase_2_unbounded(rows, dens, basis, ncols):
+    # phase 1 prices every column, phase 2 only the real ones
+    return ncols == len(rows[-1]) - 1 and REAL_SIMPLEX(rows, dens, basis, ncols)
+
+
+IMPOSSIBLE = (_phase_1_unbounded, _phase_1_stops_at_once, _phase_2_unbounded)
+
+
+def test_max_slack_non_optimal_is_internal_error():
+    for simplex in IMPOSSIBLE:
+        with mock.patch.object(ratlp, "_simplex", simplex):
+            with pytest.raises(InternalError):
+                max_slack([[1]], [], nvars=1)
+
+
+def test_impossible_outcomes_raise_under_python_O():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tests = str(Path(__file__).resolve().parent)
+    path = [src, tests, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = (
-        "from chtoucakit.ratlp import solve_lp\n"
-        "try:\n"
-        "    solve_lp([1, 1], [[1]], [1])\n"
-        "except Exception as e:\n"
-        "    print(type(e).__name__)\n"
+        "from chtoucakit import ratlp\n"
+        "from chtoucakit.errors import InternalError\n"
+        "import test_ratlp as t\n"
+        "for simplex in t.IMPOSSIBLE:\n"
+        "    ratlp._simplex = simplex\n"
+        "    try:\n"
+        "        ratlp.max_slack([[1]], [], nvars=1)\n"
+        "    except InternalError:\n"
+        "        print('InternalError')\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "ValueError"
-
-
-def test_max_slack_non_optimal_is_internal_error():
-    with mock.patch.object(ratlp, "solve_lp", return_value=LPResult(UNBOUNDED)):
-        with pytest.raises(InternalError):
-            max_slack([[1]], [0])
+    assert out.stdout.split() == ["InternalError"] * 3
