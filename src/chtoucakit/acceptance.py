@@ -160,7 +160,6 @@ def criterion_2():
         comps = set()
         for p in pavings:
             check(is_admissible(p).admissible)
-            parts = tuple(sorted(len(q.points) - 1 for q in p.paves))
             comps.add(tuple(sorted((min(pt[1] for pt in q.points), max(pt[1] for pt in q.points)) for q in p.paves)))
         check(len(comps) == 2 ** (r - 1), "pavings are not distinct interval decompositions")
         # unimodular identification with the orthant face fan

@@ -324,13 +324,14 @@ def _columns(blocks, e):
 
 
 def _validate_stratum_data(d: StratumData):
-    """Raise InvalidData unless d describes a stratum point; return its
-    adapted bases and true graded maps (scale times map) as scaled
-    matrices (A, B, maps).
+    """Raise InvalidData unless d describes a stratum point; return the
+    blocks of its adapted bases A and B, each as the pair (blocks, e) of
+    `_flag_blocks` in the order of the basis, and its true graded maps
+    (scale times map) as scaled matrices: (A blocks, B blocks, maps).
 
-    Columns of A are the V-adapted basis grouped in blocks 1..s with
-    V^sigma spanned by the trailing columns; columns of B are the
-    W-adapted basis with W_sigma spanned by the leading columns.  Each
+    The vectors of A are the V-adapted basis grouped in blocks 1..s with
+    V^sigma spanned by the trailing ones; the vectors of B are the
+    W-adapted basis with W_sigma spanned by the leading ones.  Each
     side is completed from the canonical bases of the flag V^{s-1} in
     ... in V^1 in k^r (resp. W_1 in ... in W_{s-1} in k^r), then the
     standard unit vectors, so the choice is deterministic.  A member's
@@ -381,7 +382,7 @@ def _validate_stratum_data(d: StratumData):
     if any(field.is_zero(l) for l in free.values()):
         raise InvalidData("free lambdas must be invertible")
     maps = [scaled_times(field, sc, m) for m, sc in zip(v, d.scales)]
-    return _columns(v_flag[0][::-1], v_flag[1]), _columns(*w_flag), maps
+    return (v_flag[0][::-1], v_flag[1]), w_flag, maps
 
 
 def build_stratum_point(d: StratumData) -> CompleteHom:
@@ -393,16 +394,20 @@ def build_stratum_point(d: StratumData) -> CompleteHom:
     minor of the graded maps; elsewhere it vanishes.  The free lambdas
     scale u_rho exactly as on the open locus."""
     field = d.field
-    us = _stratum_point(d, *_validate_stratum_data(d))
+    a_blocks, b_blocks, maps = _validate_stratum_data(d)
+    v_wedges = [scaled_compounds(field, m, len(m[0])) for m in maps]
+    us = _stratum_point(d, _columns(*a_blocks), _columns(*b_blocks), v_wedges)
     free = dict(d.free_lams)
     lams = tuple(free.get(rho, field.zero()) for rho in range(1, d.r))
     return CompleteHom(field, d.r, tuple(unscaled(field, u) for u in us), lams)
 
 
-def _stratum_point(d: StratumData, a, b, maps):
+def _stratum_point(d: StratumData, a, b, v_wedges):
     """The scaled matrices u_1, ..., u_r of the point of
-    `build_stratum_point` from valid data d, its adapted bases (A, B) and
-    its true graded maps (scale times normalized matrix), all scaled."""
+    `build_stratum_point` from valid data d, its adapted bases (A, B),
+    scaled, and the `scaled_compounds` table of each of its true graded
+    maps (scale times normalized matrix), whose last level is the map's
+    determinant."""
     field = d.field
     r = d.r
     bounds = [0, *d.cuts, r]
@@ -413,8 +418,6 @@ def _stratum_point(d: StratumData, a, b, maps):
     a_inv = qlinalg.scaled_inverse(field, *a)
     if a_inv is None:
         raise InternalError("adapted basis A is singular")
-    # compounds of each true graded map; the last level is its determinant
-    v_wedges = [scaled_compounds(field, m, len(m[0])) for m in maps]
     wb = scaled_compounds(field, b, r)
     wa = scaled_compounds(field, a_inv, r)
     us = []
@@ -441,12 +444,15 @@ def _stratum_point(d: StratumData, a, b, maps):
     return us
 
 
-def _kernel_of_wedge_map(field, n, r: int, rho: int):
-    """Rows spanning {v : u_rho(v wedge psi) = 0 for every (rho-1)-vector
-    psi}, the recovered subspace V^sigma, from the rows N of a scaled
-    u_rho = (N, d): the numerators of a scaled basis of the kernel of the
-    rows of v |-> u_rho(v wedge e_K) over all (rho-1)-subsets K, which
-    neither d nor the basis's denominator moves."""
+def _wedge_map_rows(field, n, r: int, rho: int):
+    """The rows of v |-> (u_rho(v wedge e_K))_K over all (rho-1)-subsets
+    K, from the rows N of a scaled u_rho = (N, d), which d does not move.
+
+    Their kernel is {v : u_rho(v wedge psi) = 0 for every psi}, the
+    recovered V^sigma.  Run on the transpose N^T, their kernel is the
+    annihilator of the smallest U with im(u_rho) inside wedge^rho U
+    (im(u)^perp = ker(u^T)), so their row space is U, the recovered
+    W_sigma."""
     index = {sub: i for i, sub in enumerate(wedge_subsets(r, rho))}
     zeros = [0] * len(n)  # 0 is the zero of Z and of GF(p^k)
     rows = []
@@ -462,17 +468,7 @@ def _kernel_of_wedge_map(field, n, r: int, rho: int):
                 vec = [field.neg(x) for x in vec]
             cols.append(vec)
         rows.extend(zip(*cols))
-    return qlinalg.scaled_kernel(field, rows, r)[0]
-
-
-def _support(field, n, r: int, rho: int):
-    """Scaled row basis of the smallest U with im(u_rho) inside
-    wedge^rho U, the recovered W_sigma, from the rows N of a scaled
-    u_rho.  Since im(u)^perp = ker(u^T), the annihilator of U is
-    {phi : u_rho^T(phi wedge psi) = 0 for every psi}, the kernel of the
-    wedge map of the transpose; U is the kernel of that kernel."""
-    annihilator = _kernel_of_wedge_map(field, [list(col) for col in zip(*n)], r, rho)
-    return qlinalg.scaled_row_basis(field, qlinalg.scaled_kernel(field, annihilator, r)[0])
+    return rows
 
 
 def stratum_data(h: CompleteHom) -> StratumData:
@@ -480,10 +476,14 @@ def stratum_data(h: CompleteHom) -> StratumData:
 
     The graded map of block sigma is read off u_{r_{sigma-1}+1} in the
     adapted bases; the lambda monomial and the determinants of the
-    already-recovered blocks are divided out, so recovery is exact.  The
-    result is validated by rebuilding the point from the adapted bases
-    already at hand; any mismatch raises NotOnStratum.  Every matrix is
-    carried scaled, and only the returned entries are field elements.
+    already-recovered blocks are divided out, so recovery is exact.  V^t
+    is the kernel of the wedge map of u_{r_t} (`_wedge_map_rows`) and W_t
+    the row space of the wedge map of its transpose.  The result is
+    validated by rebuilding the point from the adapted bases and the
+    graded maps' compound tables already at hand (each block determinant
+    is the last level of its table); any mismatch raises NotOnStratum.
+    Every matrix is carried scaled, and only the returned entries are
+    field elements.
 
     The recovered data pass every check of `_validate_stratum_data` by
     construction, so the rebuild skips it: the cuts are the zero lambdas
@@ -502,13 +502,14 @@ def stratum_data(h: CompleteHom) -> StratumData:
     vfilt: list = []
     wfilt: list = []
     for t, rho in enumerate(cuts):
-        ker = _kernel_of_wedge_map(field, us[rho - 1][0], r, rho)
+        n = us[rho - 1][0]
+        ker = qlinalg.scaled_kernel(field, _wedge_map_rows(field, n, r, rho), r)[0]
         if len(ker) != r - rho:
             raise NotOnStratum(
                 f"recovered V^{t+1} has dimension {len(ker)}, expected {r - rho}"
             )
         vfilt.append(qlinalg.scaled_row_basis(field, ker))
-        span = _support(field, us[rho - 1][0], r, rho)
+        span = qlinalg.scaled_row_basis(field, _wedge_map_rows(field, list(zip(*n)), r, rho))
         if len(span[0]) != rho:
             raise NotOnStratum(
                 f"recovered W_{t+1} has dimension {len(span[0])}, expected {rho}"
@@ -529,7 +530,7 @@ def stratum_data(h: CompleteHom) -> StratumData:
     wb = scaled_compounds(field, b_inv, top)
     wa = scaled_compounds(field, a, top)
     free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
-    maps = []
+    v_wedges = []
     graded = []
     scales = []
     lead = field.one()
@@ -547,17 +548,16 @@ def stratum_data(h: CompleteHom) -> StratumData:
         # the entries of u_rho outside this block must vanish on a genuine
         # stratum point (checked globally by the rebuild below)
         mono = lambda_monomial(field, free_or_one, rho)
-        denom = field.mul(field.inv(mono), lead)
-        if field.is_zero(denom):
-            raise NotOnStratum("degenerate scaling while extracting graded maps")
-        tilde = scaled_times(field, field.inv(denom), phi)
+        tilde = scaled_times(field, field.mul(mono, field.inv(lead)), phi)
         normal = _normalize(field, tilde)
         if normal is None:
             raise NotOnStratum(f"graded map {sigma} vanishes")
-        block_det = qlinalg.scaled_det(field, *tilde)
+        # the compounds of the true graded map; the last is its determinant
+        v_wedges.append(scaled_compounds(field, tilde, hi - lo))
+        det_n, det_d = v_wedges[-1][-1]
+        block_det = field.mul(det_n[0][0], field.inv(det_d))
         if field.is_zero(block_det):
             raise NotOnStratum(f"graded map {sigma} is singular")
-        maps.append(tilde)
         scales.append(normal[0])
         graded.append(normal[1])
         lead = field.mul(lead, block_det)
@@ -572,7 +572,7 @@ def stratum_data(h: CompleteHom) -> StratumData:
         tuple(sorted(free.items())),
     )
     # scaled forms are unique; the lambdas of the rebuild are h's own
-    if _stratum_point(data, a, b, maps) != us:
+    if _stratum_point(data, a, b, v_wedges) != us:
         raise NotOnStratum("point does not satisfy the stratum relations")
     return data
 

@@ -7,8 +7,9 @@ factor j); V^J is the span of the blocks in J.  Subspaces are handled as
 reduced-row-echelon row bases over an exact field, so equality tests are
 canonical-form equality.  Each pavé's matrix W is cleared of
 denominators once, into the numerators N of its scaled form (N, d) of
-`fields`; N has W's row space, so the checks run the scaled kernels on
-column selections of N.
+`fields`; N has W's row space, so the checks reduce column selections of
+N: one rank per pavé and J for the dimension condition, one reduction
+per wall side for the gluing condition.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .pavings import (
 )
 from .complete_homs import StratumData, _validate_stratum_data
 from . import qlinalg
-from .fields import scaled, scaled_mul, unscaled
+from .fields import _reduced, scaled, scaled_mul, unscaled
 
 
 @dataclass(frozen=True)
@@ -54,29 +55,22 @@ def _coords_of(n: int, r: int, blocks) -> list[int]:
     return out
 
 
-def _intersection_combinations(field, n_rows, r: int, n: int, blocks):
-    """Basis of the coefficient vectors c whose combination c W of the
-    rows of W lies in V^J, scaled: one per dimension of W cap V^J.
-    ``n_rows`` are the numerators N of W, whose rows combine the same
-    way."""
-    jset = set(_coords_of(n, r, blocks))
-    other = [c for c in range(r * (n + 1)) if c not in jset]
-    return qlinalg.scaled_kernel(field, [[row[c] for row in n_rows] for c in other], len(n_rows))
-
-
-def _restrict_rows(field, n_rows, cols):
-    """Canonical basis of the projection of W to the columns ``cols``,
-    scaled, from the numerators N of W."""
-    return qlinalg.scaled_row_basis(field, [[row[c] for c in cols] for row in n_rows])
-
-
-def _intersection_in_coords(field, n_rows, r, n, blocks):
-    """Canonical basis of i_J^{-1}(W) = W cap V^J, written in V^J
-    coordinates and scaled, from the numerators N of W."""
-    jcols = _coords_of(n, r, blocks)
-    combos = _intersection_combinations(field, n_rows, r, n, blocks)
-    prod, _ = scaled_mul(field, combos, ([[row[c] for c in jcols] for row in n_rows], 1))
-    return qlinalg.scaled_row_basis(field, prod)
+def _wall_side(field, n_rows, r: int, n: int, blocks):
+    """W reduced once with the columns of the blocks off J first, from
+    the numerators N of W: the reduced rows that pivot there are the
+    canonical basis of W's projection onto those blocks, and the other
+    nonzero rows, which vanish there, read on V^J, the canonical basis
+    of W cap V^J in V^J coordinates.  Both scaled, as the pair
+    (projection, intersection)."""
+    off = [j for j in range(n + 1) if j not in blocks]
+    split = len(off) * r
+    cols = _coords_of(n, r, off + list(blocks))
+    (m, e), pivots = qlinalg.scaled_rref(field, [[row[c] for c in cols] for row in n_rows])
+    k = sum(1 for p in pivots if p < split)
+    return (
+        _reduced([row[:split] for row in m[:k]], e),
+        _reduced([row[split:] for row in m[k:len(pivots)]], e),
+    )
 
 
 @dataclass
@@ -96,7 +90,10 @@ def check_dimension_condition(fam: GluedGraphFamily) -> GluingReport:
         profile = pave.profile.as_dict()
         for blocks in subsets:
             expected = profile[blocks]
-            got = len(_intersection_combinations(fam.field, fam.numerators[idx], r, n, blocks)[0])
+            # dim(W cap V^J) = dim{c : c W vanishes off V^J} = r - rank there
+            off = _coords_of(n, r, [j for j in range(n + 1) if j not in blocks])
+            rows = [[row[c] for c in off] for row in fam.numerators[idx]]
+            got = r - qlinalg.scaled_rank(fam.field, rows)
             if got != expected:
                 violations.append((idx, blocks, got, expected))
     return GluingReport(not violations, violations)
@@ -129,13 +126,11 @@ def check_gluing_condition(fam: GluedGraphFamily) -> GluingReport:
     violations = []
     for (i1, i2, blocks, d) in shared_walls(fam.paving):
         comp = tuple(j for j in range(n + 1) if j not in set(blocks))
-        w1, w2 = fam.numerators[i1], fam.numerators[i2]
-        lhs1 = _intersection_in_coords(field, w1, r, n, blocks)
-        rhs1 = _restrict_rows(field, w2, _coords_of(n, r, blocks))
+        # scaled forms are unique, so equal subspaces are equal pairs
+        lhs2, lhs1 = _wall_side(field, fam.numerators[i1], r, n, blocks)
+        rhs1, rhs2 = _wall_side(field, fam.numerators[i2], r, n, comp)
         if lhs1 != rhs1:
             violations.append((i1, i2, blocks, d, "pullback != projection"))
-        lhs2 = _restrict_rows(field, w1, _coords_of(n, r, comp))
-        rhs2 = _intersection_in_coords(field, w2, r, n, comp)
         if lhs2 != rhs2:
             violations.append((i1, i2, comp, d, "projection != pullback"))
     return GluingReport(not violations, violations)
@@ -153,13 +148,13 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
 
     in the adapted bases, which satisfies both glued-graph conditions by
     construction."""
-    a, b, maps = _validate_stratum_data(d)
+    a_blocks, b_blocks, maps = _validate_stratum_data(d)
     field = d.field
     r = d.r
     bounds = [0] + list(d.cuts) + [r]
-    # the columns of A / B, the adapted bases, as rows of scaled matrices
-    a, b = (([list(col) for col in zip(*n)], e) for n, e in (a, b))
-    a_cols, b_cols = unscaled(field, a), unscaled(field, b)
+    # the vectors of the adapted bases A / B, in order, as scaled rows
+    a, b = (([row for block in blocks for row in block], e) for blocks, e in (a_blocks, b_blocks))
+    a_vecs, b_vecs = unscaled(field, a), unscaled(field, b)
     paves = []
     w_by_key = {}
     for sigma in range(1, len(bounds)):
@@ -168,14 +163,14 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
         pave = pave_from_points(r, 1, pts)
         rows = []
         for j in range(hi, r):  # V^sigma = trailing adapted vectors
-            rows.append(a_cols[j] + [field.zero()] * r)
+            rows.append(a_vecs[j] + [field.zero()] * r)
         for j in range(lo):  # W_{sigma-1} = leading adapted vectors
-            rows.append([field.zero()] * r + b_cols[j])
+            rows.append([field.zero()] * r + b_vecs[j])
         # graph of the true graded map g: adapted vector lo + t of A next
         # to its image, the sum over tp of g[tp][t] b_{lo + tp}
         g_t = [list(col) for col in zip(*maps[sigma - 1][0])], maps[sigma - 1][1]
         images = unscaled(field, scaled_mul(field, g_t, (b[0][lo:hi], b[1])))
-        rows.extend(a_cols[lo + t] + img for t, img in enumerate(images))
+        rows.extend(a_vecs[lo + t] + img for t, img in enumerate(images))
         paves.append(pave)
         w_by_key[pave.key()] = tuple(tuple(row) for row in rows)
     paving = paving_from_paves(r, 1, paves)

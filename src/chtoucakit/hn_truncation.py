@@ -55,36 +55,39 @@ class SubobjectLattice:
         ids = [rec.id for rec in records]
         if len(set(ids)) != len(ids):
             raise InvalidData("duplicate sub-object ids")
-        by_id = {rec.id: rec for rec in records}
         bottoms = [rec for rec in records if rec.rank == 0]
         tops = [rec for rec in records if rec.rank == r]
         if len(bottoms) != 1 or bottoms[0].deg0 != 0 or bottoms[0].deg1 != 0:
             raise InvalidData("need a unique zero object with zero degrees")
         if len(tops) != 1:
             raise InvalidData("need a unique full object of rank r")
-        rel = {(i, i) for i in ids}
+        pos = {i: k for k, i in enumerate(ids)}
+        bottom, top = pos[bottoms[0].id], pos[tops[0].id]
+        size = len(ids)
+        # reach[a][b]: record a <= record b
+        reach = [[a == b or a == bottom or b == top for b in range(size)] for a in range(size)]
         for a, b in order_pairs:
-            if a not in by_id or b not in by_id:
+            if a not in pos or b not in pos:
                 raise InvalidData(f"unknown id in order pair ({a}, {b})")
-            rel.add((a, b))
-        for rec in records:
-            rel.add((bottoms[0].id, rec.id))
-            rel.add((rec.id, tops[0].id))
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        for a, b in rel:
-            if a != b and (b, a) in rel:
-                raise InvalidData(f"order not antisymmetric on ({a}, {b})")
-            if a != b and by_id[a].rank >= by_id[b].rank:
-                raise InvalidData(f"rank not strictly monotone on ({a}, {b})")
-        return SubobjectLattice(r, records, frozenset(rel))
+            reach[pos[a]][pos[b]] = True
+        # transitive closure (Warshall)
+        for k, via in enumerate(reach):
+            for row in reach:
+                if row[k]:
+                    row[:] = [x or y for x, y in zip(row, via)]
+        # the first violating pair in records order, whatever the ids hash to
+        for a in range(size):
+            for b in range(size):
+                if a == b or not reach[a][b]:
+                    continue
+                if reach[b][a]:
+                    raise InvalidData(f"order not antisymmetric on ({ids[a]}, {ids[b]})")
+                if records[a].rank >= records[b].rank:
+                    raise InvalidData(f"rank not strictly monotone on ({ids[a]}, {ids[b]})")
+        closure = frozenset(
+            (ids[a], ids[b]) for a in range(size) for b in range(size) if reach[a][b]
+        )
+        return SubobjectLattice(r, records, closure)
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.closure

@@ -523,9 +523,11 @@ def test_stratum_data_validates_once_and_reduces_each_flag_once():
         assert counts["_flag_blocks"] == 2
         assert counts["_stratum_point"] == 1
         assert counts["_validate_stratum_data"] == counts["build_stratum_point"] == 0
-        # per cut 5 reductions recover V^t and W_t; then the 2 flags, B^-1,
-        # the 3 graded-map determinants and A^-1 of the rebuild
-        assert counts["_eliminate"] == 5 * 2 + 2 + 1 + 3 + 1
+        # per cut 3 reductions recover V^t (its kernel and that kernel's
+        # canonical basis) and W_t (one row space); then the 2 flags, B^-1
+        # and A^-1 of the rebuild.  The graded-map determinants are the last
+        # levels of their compound tables, which the rebuild reuses
+        assert counts["_eliminate"] == 3 * 2 + 2 + 1 + 1
         with counting_stratum_work() as counts:
             field_adapted_bases(rec.field, 4, rec.vfilt, rec.wfilt)
         # one canonical basis per member and one reduction per side
@@ -537,17 +539,17 @@ def test_stratum_data_validates_once_and_reduces_each_flag_once():
 def test_deepest_stratum_round_trip_eliminates_a_pinned_number_of_times(field):
     """r = 4, cuts (1, 2, 3).  Building the point reduces each of the 6
     filtration members once, each flag once, takes the 4 graded-map
-    determinants and A^-1: 13 eliminations.  Recovering it takes 5 per
-    cut for V^t and W_t, the 2 flags, B^-1, the 4 block determinants and
-    A^-1 of the rebuild: 23.  A second rank or row reduction of a member
-    shows here."""
+    determinants and A^-1: 13 eliminations.  Recovering it takes 3 per
+    cut for V^t and W_t, the 2 flags, B^-1 and A^-1 of the rebuild: 13,
+    the block determinants read off their compound tables.  A second rank
+    or row reduction of a member shows here."""
     d = rand_stratum_data(field, random.Random(43), 4, (1, 2, 3))
     with counting_stratum_work() as counts:
         h = build_stratum_point(d)
     assert counts["_eliminate"] == 6 + 2 + 4 + 1
     with counting_stratum_work() as counts:
         rec = stratum_data(h)
-    assert counts["_eliminate"] == 5 * 3 + 2 + 1 + 4 + 1
+    assert counts["_eliminate"] == 3 * 3 + 2 + 1 + 1
     assert rec.eq(d.normalized())
 
 
@@ -686,6 +688,98 @@ def test_filtration_rows_must_have_length_r():
 
 
 # ---------------------------------------------------------------------------
+# every input error of the stratum layer, by its exact message
+
+
+def valid_cut_one_data(field):
+    """r = 3, cut {1}: V^1 = <e_1, e_2>, W_1 = <e_0>, identity graded
+    maps, lambda_2 = 1."""
+    one, zero = field.one(), field.zero()
+    return StratumData(
+        field, 3, (1,),
+        vfilt=(((zero, one, zero), (zero, zero, one)),),
+        wfilt=(((one, zero, zero),),),
+        v=(((one,),), ((one, zero), (zero, one))),
+        scales=(one, one),
+        free_lams=((2, one),),
+    )
+
+
+def stratum_input_errors(field):
+    """(message, data) for each check of `_validate_stratum_data` that a
+    flag, graded map, scale or lambda of the valid data above can fail;
+    the nesting and row-length checks have their own tests."""
+    one, zero = field.one(), field.zero()
+    two = field.add(one, one)
+    d = valid_cut_one_data(field)
+    return [
+        ("cuts must be a strictly increasing subset of [r-1]", replace(d, cuts=(3,))),
+        ("cuts must be a strictly increasing subset of [r-1]", replace(d, cuts=(1, 1))),
+        ("need one proper subspace per cut", replace(d, vfilt=())),
+        ("need one proper subspace per cut", replace(d, wfilt=d.wfilt * 2)),
+        # the dimension is the rank, so a redundant row does not count
+        ("V^1 has wrong dimension",
+         replace(d, vfilt=(((zero, one, zero), (zero, two, zero)),))),
+        ("W_1 has wrong dimension",
+         replace(d, wfilt=(((one, zero, zero), (zero, one, zero)),))),
+        ("need one graded map and scale per block", replace(d, v=d.v[:1])),
+        ("need one graded map and scale per block", replace(d, scales=d.scales * 2)),
+        ("graded map 2 has wrong shape", replace(d, v=(d.v[0], ((one, zero),)))),
+        ("graded map 1 has wrong shape", replace(d, v=(((one, one),), d.v[1]))),
+        ("graded map 2 is singular",
+         replace(d, v=(d.v[0], ((one, two), (two, field.mul(two, two)))))),
+        ("scales must be invertible", replace(d, scales=(one, zero))),
+        ("free lambdas must cover exactly [r-1] minus the cuts", replace(d, free_lams=())),
+        ("free lambdas must cover exactly [r-1] minus the cuts",
+         replace(d, free_lams=((1, one), (2, one)))),
+        ("free lambdas must be invertible", replace(d, free_lams=((2, zero),))),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1), GF(3, 2)], ids=["Q", "GF5", "GF9"])
+@pytest.mark.parametrize("build", [build_stratum_point, family_from_stratum])
+def test_stratum_data_input_errors_have_exact_messages(field, build):
+    build(valid_cut_one_data(field))
+    for message, d in stratum_input_errors(field):
+        with pytest.raises(InvalidData) as info:
+            build(d)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1), GF(3, 2)], ids=["Q", "GF5", "GF9"])
+def test_complete_hom_input_errors_have_exact_messages(field):
+    one, zero = field.one(), field.zero()
+    identity = fmat_identity(field, 2)
+    CompleteHom(field, 2, (identity, [[one]]), (one,))
+    for message, u, lams in (
+        ("wrong number of matrices or scalars", (identity,), (one,)),
+        ("wrong number of matrices or scalars", (identity, [[one]]), ()),
+        ("u_1 must be 2x2", ([[one, zero]], [[one]]), (one,)),
+        ("u_2 must be 1x1", (identity, [[one, zero]]), (one,)),
+        ("u_2 must be 1x1", (identity, [[one], [zero]]), (one,)),
+        ("u_1 is zero", ([[zero, zero], [zero, zero]], [[one]]), (zero,)),
+        ("u_2 is zero", (identity, [[zero]]), (zero,)),
+    ):
+        with pytest.raises(InvalidData) as info:
+            CompleteHom(field, 2, u, lams)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1), GF(3, 2)], ids=["Q", "GF5", "GF9"])
+def test_stratum_data_rejects_a_graded_map_that_vanishes(field):
+    """r = 3, lambda_1 = 0: u_1 = e_0 e_0^T gives V^1 = <e_1, e_2> and
+    W_1 = <e_0>, so both adapted bases are the identity, and u_2 is
+    nonzero only off the block {0,1}, {0,2} that carries graded map 2."""
+    one, zero = field.one(), field.zero()
+    u1 = [[one, zero, zero], [zero, zero, zero], [zero, zero, zero]]
+    u2 = [[zero, zero, zero], [zero, zero, zero], [zero, zero, one]]
+    h = CompleteHom(field, 3, (u1, u2, [[one]]), (zero, one))
+    with pytest.raises(NotOnStratum) as info:
+        stratum_data(h)
+    assert str(info.value) == "graded map 2 vanishes"
+
+
+# ---------------------------------------------------------------------------
 # the torus action through one inverted lambda monomial, against the
 # per-factor inverses it replaced
 
@@ -773,8 +867,8 @@ def test_stratum_point_matches_full_product_oracle(field, r):
 
 
 # ---------------------------------------------------------------------------
-# W_t as the annihilator of the wedge kernel of the transpose, against the
-# span of interior products that it replaced
+# W_t as the row space of the wedge map of the transpose, against the span
+# of interior products and the kernel of the kernel that it replaced
 
 
 def oracle_support_span(field, u_rho, r, rho):
@@ -831,8 +925,13 @@ def test_support_matches_contraction_oracle(field, r):
         mats += [sparse_square(field, rng, size, density)
                  for density in (0.02, 0.05, 0.1, 0.3) for _ in range(4)]
         for u in mats:
-            got = unscaled(field, ch._support(field, scaled(field, u)[0], r, rho))
+            n = scaled(field, u)[0]
+            rows = ch._wedge_map_rows(field, [list(col) for col in zip(*n)], r, rho)
+            got = unscaled(field, qlinalg.scaled_row_basis(field, rows))
             assert got == oracle_support_span(field, u, r, rho)
+            assert got == oracle_support(field, u, r, rho)
+            ker = qlinalg.scaled_kernel(field, ch._wedge_map_rows(field, n, r, rho), r)
+            assert unscaled(field, ker) == oracle_kernel_of_wedge_map(field, u, r, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -8,14 +9,14 @@ from chtoucakit.fields import GF, QQ, fmat_identity, unscaled
 from chtoucakit.qlinalg import inverse as fmat_inverse
 from chtoucakit.graph_gluing import (
     GluedGraphFamily,
-    _intersection_in_coords,
+    _wall_side,
     check_dimension_condition,
     check_gluing_condition,
     family_from_stratum,
     graph_family,
     shared_walls,
 )
-from chtoucakit import zlattice
+from chtoucakit import qlinalg, zlattice
 from chtoucakit.pavings import (
     _proper_nonempty_subsets,
     enumerate_admissible_pavings,
@@ -207,8 +208,9 @@ def test_shared_walls_match_hyperplane_oracle_on_stratum_families():
 
 
 # ---------------------------------------------------------------------------
-# W cap V^J from one kernel, and the products through `fmat_mul`, against
-# the per-entry loops and the separate dimension count that they replaced
+# W cap V^J and the projection off V^J from one reduction, the dimension
+# count from one rank, and the products through `fmat_mul`, against the
+# per-entry loops and the separate dimension count that they replaced
 
 
 def oracle_dim_intersection(field, w_rows, r, n, blocks):
@@ -323,8 +325,12 @@ def test_intersections_match_separate_count_and_per_entry_products():
             for w, n_rows in zip(f.w, f.numerators):
                 w_rows = [list(row) for row in w]
                 for blocks in _proper_nonempty_subsets(n) + [tuple(range(n + 1)), ()]:
-                    got = unscaled(field, _intersection_in_coords(field, n_rows, r, n, blocks))
+                    projection, intersection = _wall_side(field, n_rows, r, n, blocks)
+                    got = unscaled(field, intersection)
                     assert got == oracle_intersection_in_coords(field, w_rows, r, n, blocks)
+                    off = [c for c in range(r * (n + 1)) if c // r not in blocks]
+                    assert unscaled(field, projection) == row_basis(
+                        field, [[row[c] for c in off] for row in w_rows])
     assert bad_seen > 0
 
 
@@ -341,3 +347,24 @@ def test_checks_clear_each_pave_once():
     with counting_clears_and_fractions() as counts:
         assert check_dimension_condition(fam).ok and check_gluing_condition(fam).ok
     assert counts == {}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1)], ids=["Q", "GF5"])
+def test_checks_make_one_reduction_per_question(field):
+    """r = 4, cuts (1, 2, 3): 4 pavés, 4 subsets J and 3 walls.  The
+    dimension condition takes one rank (no back substitution) per pavé
+    and J: 16; the gluing condition one reduction per wall side: 6."""
+    fam = family_from_stratum(rand_stratum_data(field, random.Random(43), 4, (1, 2, 3)))
+    real = qlinalg._eliminate
+    calls = []
+
+    def spy(field, m, ncols, reduced=False):
+        calls.append(reduced)
+        return real(field, m, ncols, reduced)
+
+    with mock.patch.object(qlinalg, "_eliminate", spy):
+        assert check_dimension_condition(fam).ok
+        assert calls == [False] * 16
+        calls.clear()
+        assert check_gluing_condition(fam).ok
+        assert calls == [True] * 6

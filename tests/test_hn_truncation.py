@@ -1,10 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import floor
+from pathlib import Path
 
 import pytest
 
 from chtoucakit.errors import (
+    InvalidData,
     NoDominantChain,
     NotAChain,
     NotConvexEnough,
@@ -281,3 +287,104 @@ def oracle_split_truncation(p, d, cuts):
                 vals.append(ptilde[lo + rho] - ptilde[lo] - 1 - Fraction(rho * d_parts[sigma - 1], m))
         p_parts.append(Polygon(m, tuple(vals)))
     return SplitResult(tuple(d_parts), tuple(p_parts))
+
+
+# ---------------------------------------------------------------------------
+# the containment closure by Warshall's algorithm, against the fixpoint
+# that it replaced, and every error of `SubobjectLattice.build`
+
+
+def oracle_closure(records, order_pairs):
+    """The reflexive-transitive closure of the declared pairs and the
+    bottom/top pairs, by adding composable pairs until nothing changes."""
+    ids = [rec.id for rec in records]
+    bottom = next(rec.id for rec in records if rec.rank == 0)
+    top = max(records, key=lambda rec: rec.rank).id
+    rel = {(i, i) for i in ids} | set(order_pairs)
+    rel |= {(bottom, i) for i in ids} | {(i, top) for i in ids}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for c, d in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    return frozenset(rel)
+
+
+def chain_and_diamond_records():
+    """0 < A < B < C < D < E, with a second branch A < F < D."""
+    ranks = {"0": 0, "A": 1, "B": 2, "C": 3, "D": 4, "F": 2, "E": 5}
+    return [SubobjectRecord(i, rank, 0 if rank == 0 else rank + 1, rank) for i, rank in ranks.items()]
+
+
+def test_closure_of_covering_pairs_listed_top_down_matches_fixpoint_oracle():
+    records = chain_and_diamond_records()
+    covers = [("D", "E"), ("C", "D"), ("F", "D"), ("B", "C"), ("A", "F"), ("A", "B"), ("0", "A")]
+    lat = SubobjectLattice.build(5, records, covers)
+    assert lat.closure == oracle_closure(records, covers)
+    # the composite pairs are not declared, so the closure had to add them
+    assert ("A", "D") in lat.closure and ("A", "D") not in covers
+    assert ("B", "F") not in lat.closure and ("F", "C") not in lat.closure
+    for rng_seed in range(20):
+        rng = random.Random(rng_seed)
+        shuffled = covers[:]
+        rng.shuffle(shuffled)
+        assert SubobjectLattice.build(5, records, shuffled).closure == lat.closure
+
+
+ZERO, FULL = SubobjectRecord("0", 0, 0, 0), SubobjectRecord("E", 3, 1, 2)
+
+
+@pytest.mark.parametrize("records, order, message", [
+    ([ZERO, SubobjectRecord("A", 1, 0, 0), SubobjectRecord("A", 2, 0, 0), FULL], [],
+     "duplicate sub-object ids"),
+    ([SubobjectRecord("A", 1, 0, 0), FULL], [], "need a unique zero object with zero degrees"),
+    ([ZERO, SubobjectRecord("Z", 0, 0, 0), FULL], [],
+     "need a unique zero object with zero degrees"),
+    ([SubobjectRecord("0", 0, 0, 1), FULL], [], "need a unique zero object with zero degrees"),
+    ([ZERO, SubobjectRecord("A", 1, 0, 0)], [], "need a unique full object of rank r"),
+    ([ZERO, FULL, SubobjectRecord("E2", 3, 0, 0)], [], "need a unique full object of rank r"),
+    ([ZERO, SubobjectRecord("A", 1, 0, 0), FULL], [("A", "X")],
+     "unknown id in order pair (A, X)"),
+    ([ZERO, SubobjectRecord("A", 1, 0, 0), FULL], [("Y", "A")],
+     "unknown id in order pair (Y, A)"),
+    ([ZERO, SubobjectRecord("A", 1, 0, 0), SubobjectRecord("B", 1, 0, 0), FULL],
+     [("B", "A"), ("A", "B")], "order not antisymmetric on (A, B)"),
+    ([ZERO, SubobjectRecord("A", 1, 0, 0), SubobjectRecord("B", 2, 0, 0),
+      SubobjectRecord("C", 2, 0, 0), FULL], [("B", "A"), ("C", "A")],
+     "rank not strictly monotone on (B, A)"),
+], ids=["duplicate", "no-zero", "two-zeros", "zero-degrees", "no-full", "two-full",
+        "unknown-upper", "unknown-lower", "antisymmetry", "rank"])
+def test_lattice_build_errors_have_exact_messages(records, order, message):
+    with pytest.raises(InvalidData) as info:
+        SubobjectLattice.build(3, records, order)
+    assert str(info.value) == message
+
+
+def test_hn_compute_error_does_not_depend_on_string_hashing(tmp_path):
+    """Two pairs break rank monotonicity; the one named is the first in
+    records order under every hash seed."""
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"r": 3, "records": [
+        {"id": "0", "rank": 0, "deg0": 0, "deg1": 0},
+        {"id": "A", "rank": 1, "deg0": 1, "deg1": 0},
+        {"id": "B", "rank": 2, "deg0": 0, "deg1": 1},
+        {"id": "C", "rank": 2, "deg0": 2, "deg1": 2},
+        {"id": "E", "rank": 3, "deg0": 0, "deg1": 0},
+    ], "order": [["B", "A"], ["C", "A"]]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    errors = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chtoucakit.cli", "hn", "compute", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        errors.add(proc.stderr)
+    assert len(errors) == 1
+    assert json.loads(errors.pop())["error"] == {
+        "type": "InvalidData", "message": "rank not strictly monotone on (B, A)"
+    }
