@@ -25,7 +25,7 @@ from .fans import (
     verify_fan,
 )
 from . import qlinalg
-from .fields import GF, QQ, fmat_eq, fmat_identity, fmat_mul
+from .fields import GF, QQ, fmat_eq, fmat_identity, fmat_mul, scaled
 from .graph_gluing import (
     GluedGraphFamily,
     check_dimension_condition,
@@ -111,7 +111,7 @@ def _rand_nonzero(field, rng):
 def _rand_invertible(field, rng, n):
     while True:
         m = [[_rand_scalar(field, rng) for _ in range(n)] for _ in range(n)]
-        if qlinalg.inverse(field, m) is not None:
+        if qlinalg.scaled_rank(field, scaled(field, m)[0]) == n:
             return m
 
 
@@ -167,11 +167,11 @@ def criterion_2():
         cone_f = sigma_cone(finest)
         rays = list(cone_f.rays)
         check(len(rays) == r - 1)
-        mat = [[Fraction(rays[j][i]) for j in range(r - 1)] for i in range(r - 1)]
-        det = qlinalg.det(QQ, mat)
-        check(abs(det) == 1, f"ray matrix determinant {det} is not a unit")
-        inv = qlinalg.inverse(QQ, mat)
-        umat = [[int(x) for x in row] for row in inv]
+        mat = [[rays[j][i] for j in range(r - 1)] for i in range(r - 1)]
+        # an integer matrix has |det| = 1 exactly when its inverse is integral
+        inv = qlinalg.scaled_inverse(QQ, mat, 1)
+        check(inv is not None and inv[1] == 1, f"ray matrix {mat} is not unimodular")
+        umat = inv[0]
         basis = [tuple(1 if j == i else 0 for j in range(r - 1)) for i in range(r - 1)]
         seen = set()
         for p in pavings:
@@ -322,7 +322,7 @@ def criterion_8():
                 digits.append(c % order)
                 c //= order
             m = [digits[i * r:(i + 1) * r] for i in range(r)]
-            if qlinalg.inverse(field, m) is None:
+            if qlinalg.scaled_rank(field, m) < r:
                 continue
             total += 1
             is_fixed = fmat_eq(field, lang_isogeny(m, q, field), fmat_identity(field, r))

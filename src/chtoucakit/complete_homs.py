@@ -18,13 +18,13 @@ Every exterior power of a matrix is taken from one table of its
 compounds, each rho-minor expanded along its first row over the
 (rho-1)-minors, so no minor costs an elimination or a field inversion.
 The table has one body, `scaled_compounds`, run on the numerators of a
-scaled matrix in `fields.ring` (integers over Q); `compounds` is it
-between `scaled` and `unscaled`.  The stratum code carries every matrix
-in the scaled form (N, d) of `fields` through the scaled kernels
-(`scaled_compounds`, `fields.scaled_mul`, `qlinalg.scaled_inverse`,
-...), so over Q it clears the denominators of an input matrix once and
-forms a Fraction only for an entry of a returned `CompleteHom` or
-`StratumData`.
+scaled matrix in `fields.ring` (integers over Q); its last level is the
+determinant, the only one the package takes.  The stratum code carries
+every matrix in the scaled form (N, d) of `fields` through the scaled
+kernels (`scaled_compounds`, `fields.scaled_mul`,
+`qlinalg.scaled_inverse`, ...), so over Q it clears the denominators of
+an input matrix once and forms a Fraction only for an entry of a
+returned `CompleteHom` or `StratumData`.
 """
 
 from __future__ import annotations
@@ -44,16 +44,10 @@ def wedge_subsets(r: int, rho: int) -> list[tuple[int, ...]]:
     return list(combinations(range(r), rho))
 
 
-def compounds(field, a, top: int):
-    """[wedge^1 a, ..., wedge^top a] in the lexicographic wedge bases,
-    by `scaled_compounds`."""
-    return [unscaled(field, m) for m in scaled_compounds(field, scaled(field, a), top)]
-
-
 def scaled_compounds(field, a, top: int):
-    """`compounds` of a scaled matrix (N, d), each level scaled:
-    wedge^rho (N/d) is (wedge^rho N)/d^rho, the table of N taken in
-    `fields.ring`.
+    """[wedge^1 a, ..., wedge^top a] of a scaled matrix a = (N, d) in the
+    lexicographic wedge bases, each level scaled: wedge^rho (N/d) is
+    (wedge^rho N)/d^rho, the table of N taken in `fields.ring`.
 
     The (I', I) entry of wedge^rho N is the rho x rho minor on rows I'
     and columns I.  Each rho-minor is the Laplace expansion along the
@@ -92,7 +86,7 @@ def scaled_compounds(field, a, top: int):
 def exterior_power(field, a, rho: int):
     """Matrix of wedge^rho(a) in the lexicographic wedge bases; the
     (I', I) entry is the rho x rho minor on rows I' and columns I."""
-    return compounds(field, a, rho)[rho - 1]
+    return unscaled(field, scaled_compounds(field, scaled(field, a), rho)[rho - 1])
 
 
 @dataclass(frozen=True)
@@ -259,9 +253,10 @@ class StratumData:
         for (r1, l1), (r2, l2) in zip(self.free_lams, other.free_lams):
             if r1 != r2 or not f.eq(l1, l2):
                 return False
+        # scaled forms are unique, so equal subspaces are equal pairs
         for a, b in zip(self.vfilt + self.wfilt, other.vfilt + other.wfilt):
-            if not fmat_eq(f, qlinalg.row_basis(f, [list(r) for r in a]),
-                           qlinalg.row_basis(f, [list(r) for r in b])):
+            if (qlinalg.scaled_row_basis(f, scaled(f, [list(r) for r in a])[0])
+                    != qlinalg.scaled_row_basis(f, scaled(f, [list(r) for r in b])[0])):
                 return False
         for a, b in zip(self.v, other.v):
             if not fmat_eq(f, [list(r) for r in a], [list(r) for r in b]):
@@ -326,8 +321,10 @@ def _columns(blocks, e):
 def _validate_stratum_data(d: StratumData):
     """Raise InvalidData unless d describes a stratum point; return the
     blocks of its adapted bases A and B, each as the pair (blocks, e) of
-    `_flag_blocks` in the order of the basis, and its true graded maps
-    (scale times map) as scaled matrices: (A blocks, B blocks, maps).
+    `_flag_blocks` in the order of the basis, and the `scaled_compounds`
+    table of each of its true graded maps (scale times map), whose first
+    level is the map and whose last is its determinant: (A blocks,
+    B blocks, tables).
 
     The vectors of A are the V-adapted basis grouped in blocks 1..s with
     V^sigma spanned by the trailing ones; the vectors of B are the
@@ -364,25 +361,31 @@ def _validate_stratum_data(d: StratumData):
         raise InvalidData("W filtration is not increasing")
     if len(d.v) != s or len(d.scales) != s:
         raise InvalidData("need one graded map and scale per block")
-    v = []
+    tables = []
     for sigma in range(1, s + 1):
         m_sigma = bounds[sigma] - bounds[sigma - 1]
         mat = d.v[sigma - 1]
         if len(mat) != m_sigma or any(len(row) != m_sigma for row in mat):
             raise InvalidData(f"graded map {sigma} has wrong shape")
-        v.append(scaled(field, mat))
-        if field.is_zero(qlinalg.scaled_det(field, *v[-1])):
+        table = scaled_compounds(field, scaled(field, mat), m_sigma)
+        if field.is_zero(table[-1][0][0][0]):  # wedge^m v = det v
             raise InvalidData(f"graded map {sigma} is singular")
-        if field.is_zero(d.scales[sigma - 1]):
+        scale = d.scales[sigma - 1]
+        if field.is_zero(scale):
             raise InvalidData("scales must be invertible")
+        # wedge^k (c v) = c^k wedge^k v
+        power = scale
+        for k in range(m_sigma):
+            table[k] = scaled_times(field, power, table[k])
+            power = field.mul(power, scale)
+        tables.append(table)
     free = dict(d.free_lams)
     expected = [rho for rho in range(1, r) if rho not in set(cuts)]
     if sorted(free) != expected:
         raise InvalidData("free lambdas must cover exactly [r-1] minus the cuts")
     if any(field.is_zero(l) for l in free.values()):
         raise InvalidData("free lambdas must be invertible")
-    maps = [scaled_times(field, sc, m) for m, sc in zip(v, d.scales)]
-    return (v_flag[0][::-1], v_flag[1]), w_flag, maps
+    return (v_flag[0][::-1], v_flag[1]), w_flag, tables
 
 
 def build_stratum_point(d: StratumData) -> CompleteHom:
@@ -394,8 +397,7 @@ def build_stratum_point(d: StratumData) -> CompleteHom:
     minor of the graded maps; elsewhere it vanishes.  The free lambdas
     scale u_rho exactly as on the open locus."""
     field = d.field
-    a_blocks, b_blocks, maps = _validate_stratum_data(d)
-    v_wedges = [scaled_compounds(field, m, len(m[0])) for m in maps]
+    a_blocks, b_blocks, v_wedges = _validate_stratum_data(d)
     us = _stratum_point(d, _columns(*a_blocks), _columns(*b_blocks), v_wedges)
     free = dict(d.free_lams)
     lams = tuple(free.get(rho, field.zero()) for rho in range(1, d.r))
@@ -594,7 +596,7 @@ def lang_isogeny(g, q: int, field: GF):
     if any(len(row) != len(g) for row in g):
         raise InvalidData("matrix must be square")
     tg = [[field.frobenius(x, q) for x in row] for row in g]
-    tg_inv = qlinalg.inverse(field, tg)
+    tg_inv = qlinalg.scaled_inverse(field, tg, 1)  # (tau(g)^-1, 1) over GF(p^k)
     if tg_inv is None:  # det tau(g) = tau(det g), so g is singular too
         raise Singular("matrix must be invertible")
-    return fmat_mul(field, tg_inv, g)
+    return fmat_mul(field, tg_inv[0], g)

@@ -82,13 +82,13 @@ class GluingReport:
 def check_dimension_condition(fam: GluedGraphFamily) -> GluingReport:
     """dim(W_P cap V^J) must equal min over the pavé's lattice points of
     sum_{j in J} i_j, the pavé's profile value d_J, for every pavé and
-    every J."""
+    every J.  Only proper nonempty J are checked: for J empty and J all
+    blocks both sides are 0 and r, as W has rank r."""
     r, n = fam.paving.r, fam.paving.n
     violations = []
-    subsets = _proper_nonempty_subsets(n) + [tuple(range(n + 1)), ()]
     for idx, pave in enumerate(fam.paving.paves):
         profile = pave.profile.as_dict()
-        for blocks in subsets:
+        for blocks in _proper_nonempty_subsets(n):
             expected = profile[blocks]
             # dim(W cap V^J) = dim{c : c W vanishes off V^J} = r - rank there
             off = _coords_of(n, r, [j for j in range(n + 1) if j not in blocks])
@@ -148,7 +148,7 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
 
     in the adapted bases, which satisfies both glued-graph conditions by
     construction."""
-    a_blocks, b_blocks, maps = _validate_stratum_data(d)
+    a_blocks, b_blocks, tables = _validate_stratum_data(d)
     field = d.field
     r = d.r
     bounds = [0] + list(d.cuts) + [r]
@@ -168,7 +168,8 @@ def family_from_stratum(d: StratumData) -> GluedGraphFamily:
             rows.append([field.zero()] * r + b_vecs[j])
         # graph of the true graded map g: adapted vector lo + t of A next
         # to its image, the sum over tp of g[tp][t] b_{lo + tp}
-        g_t = [list(col) for col in zip(*maps[sigma - 1][0])], maps[sigma - 1][1]
+        g_n, g_d = tables[sigma - 1][0]
+        g_t = [list(col) for col in zip(*g_n)], g_d
         images = unscaled(field, scaled_mul(field, g_t, (b[0][lo:hi], b[1])))
         rows.extend(a_vecs[lo + t] + img for t, img in enumerate(images))
         paves.append(pave)

@@ -130,6 +130,8 @@ def local_factor(pd: PlaceData, order: int) -> PowerSeries:
 def partial_l(places, order: int) -> PowerSeries:
     """Product of the local factors, truncated; independent of order of
     the place list."""
+    if order < 0:  # before PowerSeries.one, which would fail on its length
+        raise InvalidData("order must be >= 0")
     acc = PowerSeries.one(order)
     for pd in places:
         acc = acc.mul(local_factor(pd, order))

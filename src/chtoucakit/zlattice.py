@@ -99,13 +99,11 @@ def _bareiss(m, ncols, reduced=False):
     pivot are replaced the same way (fraction-free Gauss-Jordan), so every
     pivot row ends with the last pivot in its pivot column and zeros in
     the others: the reduced form is each pivot row divided by the last
-    pivot.  Returns the pivot columns, the last pivot and the sign of the
-    row permutation; a square ``m`` of full rank has determinant sign ×
-    last pivot."""
+    pivot.  Returns the pivot columns and the last pivot (1 if there is
+    none); a square ``m`` of full rank has determinant ± the last pivot."""
     nrows = len(m)
     pivots = []
     prev = 1
-    sign = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -115,9 +113,7 @@ def _bareiss(m, ncols, reduced=False):
                 break
         else:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
+        m[r], m[piv] = m[piv], m[r]
         prow = m[r]
         p = prow[c]
         tail = c + 1
@@ -136,7 +132,7 @@ def _bareiss(m, ncols, reduced=False):
         pivots.append(c)
         prev = p
         r += 1
-    return pivots, prev, sign
+    return pivots, prev
 
 
 def int_rank(rows) -> int:

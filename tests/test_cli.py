@@ -590,6 +590,17 @@ def test_lfun_q_below_two_and_r_below_one_are_invalid_data(tmp_path, argv, messa
     assert json.loads(err)["error"] == {"type": "InvalidData", "message": message}
 
 
+@pytest.mark.parametrize("places", [[], [{"deg": 1, "coeffs": ["1", "-2"]}]],
+                         ids=["no-places", "one-place"])
+@pytest.mark.parametrize("command", ["local", "partial"])
+def test_lfun_negative_order_names_the_order(tmp_path, command, places):
+    """`partial` once failed on the length of the empty product's
+    coefficients before it checked the order."""
+    files = {"place.json": LFUN_FILES["place.json"], "places.json": {"places": places}}
+    argv = ["lfun", command, "place.json" if command == "local" else "places.json", "--D", "-1"]
+    assert_invalid_data(argv, files, tmp_path, "order must be >= 0")
+
+
 @pytest.mark.parametrize("deg_inf,deg_o", [("0", "1"), ("1", "0"), ("-1", "1"), ("-2", "-2")])
 def test_lfun_spectral_place_degrees_below_one_are_invalid_data(tmp_path, deg_inf, deg_o):
     """Degree 0 once divided by zero, and negative degrees passed the

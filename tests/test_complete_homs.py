@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 from chtoucakit import complete_homs as ch, fields, qlinalg
 from chtoucakit.errors import InvalidData, NotOnStratum, Singular, ZeroLambda, ZeroMu
 from chtoucakit.fields import GF, QQ, fmat_eq, fmat_identity, fmat_mul, scaled, unscaled
-from chtoucakit.qlinalg import inverse as fmat_inverse
 from chtoucakit.complete_homs import (
     CompleteHom,
     StratumData,
     build_stratum_point,
     complete_from_open,
     composition_from_subset,
-    compounds,
     exterior_power,
     wedge_subsets,
     lang_isogeny,
@@ -32,7 +30,16 @@ from chtoucakit.complete_homs import (
 )
 from chtoucakit.graph_gluing import family_from_stratum
 from chtoucakit.jsonio import dumps_canonical, hom_to_json, stratum_to_json
-from test_qlinalg import GENERIC_QQ
+from test_qlinalg import (
+    GENERIC_QQ,
+    compounds,
+    inverse as fmat_inverse,
+    kernel,
+    oracle_fmat_det,
+    oracle_q_det,
+    rank,
+    row_basis,
+)
 
 
 def rand_scalar(field, rng):
@@ -88,9 +95,7 @@ class TestExteriorPower:
         rng = random.Random(1)
         for _ in range(20):
             m = [[rand_scalar(QQ, rng) for _ in range(3)] for _ in range(3)]
-            from chtoucakit.qlinalg import det as fmat_det
-
-            assert exterior_power(QQ, m, 3) == [[fmat_det(QQ, m)]]
+            assert exterior_power(QQ, m, 3) == [[oracle_q_det(m)]]
 
     def test_cauchy_binet_over_gf5(self):
         field = GF(5, 1)
@@ -296,10 +301,11 @@ class TestLang:
 
 
 def oracle_exterior_power(field, a, rho):
-    """One qlinalg.det per rho x rho minor: the former exterior_power."""
+    """One determinant by elimination per rho x rho minor: the former
+    exterior_power."""
     subs = wedge_subsets(len(a), rho)
     return [
-        [qlinalg.det(field, [[a[i][j] for j in cols] for i in rows]) for cols in subs]
+        [oracle_fmat_det(field, [[a[i][j] for j in cols] for i in rows]) for cols in subs]
         for rows in subs
     ]
 
@@ -343,7 +349,7 @@ def oracle_complete_rows(field, have: list, pool: list, target_rank: int):
     for row in pool:
         if len(out) == target_rank:
             break
-        if qlinalg.rank(field, out + [row]) == len(out) + 1:
+        if rank(field, out + [row]) == len(out) + 1:
             out.append(row)
     if len(out) != target_rank:
         raise InvalidData("cannot complete basis: containment violated")
@@ -370,7 +376,7 @@ def oracle_adapted_bases(field, r, cuts, vfilt, wfilt):
     """The adapted bases by greedy completion, block by block."""
     s = len(cuts) + 1
     std = fmat_identity(field, r)
-    v_spaces = [std] + [qlinalg.row_basis(field, [list(row) for row in m]) for m in vfilt] + [[]]
+    v_spaces = [std] + [row_basis(field, [list(row) for row in m]) for m in vfilt] + [[]]
     collected: list = []
     v_blocks: list = [None] * s
     for sigma in range(s, 0, -1):
@@ -378,7 +384,7 @@ def oracle_adapted_bases(field, r, cuts, vfilt, wfilt):
         v_blocks[sigma - 1] = new[len(collected):]
         collected = new
     a_cols = [row for block in v_blocks for row in block]
-    w_spaces = [[]] + [qlinalg.row_basis(field, [list(row) for row in m]) for m in wfilt] + [std]
+    w_spaces = [[]] + [row_basis(field, [list(row) for row in m]) for m in wfilt] + [std]
     collected = []
     w_blocks: list = [None] * s
     for sigma in range(1, s + 1):
@@ -397,7 +403,7 @@ def oracle_nested(field, chain) -> bool:
     for small, big in zip(chain, chain[1:]):
         big = [list(row) for row in big]
         for row in small:
-            if qlinalg.rank(field, big + [list(row)]) != len(qlinalg.row_basis(field, big)):
+            if rank(field, big + [list(row)]) != len(row_basis(field, big)):
                 return False
     return True
 
@@ -476,7 +482,7 @@ def test_nesting_check_matches_per_row_oracle(data):
     if chain and data.draw(st.booleans()):
         # swap one member for another space of the same dimension
         t = rng.randrange(len(chain))
-        dim = qlinalg.rank(field, [list(row) for row in chain[t]])
+        dim = rank(field, [list(row) for row in chain[t]])
         chain[t] = redundant_span(field, rng, rand_invertible(field, rng, r)[:dim])
     spaces = [qlinalg.scaled_row_basis(field, scaled(field, m)[0]) for m in chain]
     assert (ch._flag_blocks(field, r, spaces) is None) == (not oracle_nested(field, chain))
@@ -538,19 +544,23 @@ def test_stratum_data_validates_once_and_reduces_each_flag_once():
 @pytest.mark.parametrize("field", [QQ, GF(5, 1)], ids=["Q", "GF5"])
 def test_deepest_stratum_round_trip_eliminates_a_pinned_number_of_times(field):
     """r = 4, cuts (1, 2, 3).  Building the point reduces each of the 6
-    filtration members once, each flag once, takes the 4 graded-map
-    determinants and A^-1: 13 eliminations.  Recovering it takes 3 per
-    cut for V^t and W_t, the 2 flags, B^-1 and A^-1 of the rebuild: 13,
-    the block determinants read off their compound tables.  A second rank
-    or row reduction of a member shows here."""
+    filtration members once, each flag once, and takes A^-1: 9
+    eliminations, the 4 graded-map determinants read off their compound
+    tables.  Recovering it takes 3 per cut for V^t and W_t, the 2 flags,
+    B^-1 and A^-1 of the rebuild: 13.  The glued-graph family validates
+    the same data (8) and checks the rank of each of its 4 pavés: 12.  A
+    second rank or row reduction of a member shows here."""
     d = rand_stratum_data(field, random.Random(43), 4, (1, 2, 3))
     with counting_stratum_work() as counts:
         h = build_stratum_point(d)
-    assert counts["_eliminate"] == 6 + 2 + 4 + 1
+    assert counts["_eliminate"] == 6 + 2 + 1
     with counting_stratum_work() as counts:
         rec = stratum_data(h)
     assert counts["_eliminate"] == 3 * 3 + 2 + 1 + 1
     assert rec.eq(d.normalized())
+    with counting_stratum_work() as counts:
+        family_from_stratum(d)
+    assert counts["_eliminate"] == 6 + 2 + 4
 
 
 @contextmanager
@@ -664,7 +674,7 @@ def test_lang_rejects_singular_matrices(field):
 @pytest.mark.parametrize("g", [[[1, 2, 3]], [[1], [2]]], ids=["1x3", "2x1"])
 def test_lang_rejects_non_square_matrices_before_any_inverse(g):
     field = GF(5, 1)
-    with mock.patch.object(qlinalg, "inverse", side_effect=AssertionError("inverse taken")):
+    with mock.patch.object(qlinalg, "scaled_inverse", side_effect=AssertionError("inverse taken")):
         with pytest.raises(InvalidData, match="^matrix must be square$"):
             lang_isogeny(g, 5, field)
 
@@ -729,6 +739,8 @@ def stratum_input_errors(field):
         ("graded map 2 is singular",
          replace(d, v=(d.v[0], ((one, two), (two, field.mul(two, two)))))),
         ("scales must be invertible", replace(d, scales=(one, zero))),
+        # a block's map is checked before its scale
+        ("graded map 1 is singular", replace(d, v=(((zero,),), d.v[1]), scales=(zero, one))),
         ("free lambdas must cover exactly [r-1] minus the cuts", replace(d, free_lams=())),
         ("free lambdas must cover exactly [r-1] minus the cuts",
          replace(d, free_lams=((1, one), (2, one)))),
@@ -896,7 +908,7 @@ def oracle_support_span(field, u_rho, r, rho):
                 vec[i] = coeff
             if any(not field.is_zero(x) for x in vec):
                 vectors.append(vec)
-    return qlinalg.row_basis(field, vectors)
+    return row_basis(field, vectors)
 
 
 def sparse_square(field, rng, size, density):
@@ -990,7 +1002,7 @@ def oracle_stratum_point(d, a, b):
     s = len(cuts) + 1
     free = dict(d.free_lams)
     free_or_one = tuple(free.get(rho, field.one()) for rho in range(1, r))
-    a_inv = qlinalg.inverse(field, a)
+    a_inv = fmat_inverse(field, a)
     v_wedges = []
     for sigma in range(1, s + 1):
         sc = d.scales[sigma - 1]
@@ -1038,12 +1050,12 @@ def oracle_kernel_of_wedge_map(field, u_rho, r, rho):
                 vec = [field.neg(x) for x in vec]
             cols.append(vec)
         rows.extend(zip(*cols))
-    return qlinalg.kernel(field, rows, r)
+    return kernel(field, rows, r)
 
 
 def oracle_support(field, u_rho, r, rho):
     annihilator = oracle_kernel_of_wedge_map(field, [list(col) for col in zip(*u_rho)], r, rho)
-    return qlinalg.row_basis(field, qlinalg.kernel(field, annihilator, r))
+    return row_basis(field, kernel(field, annihilator, r))
 
 
 def oracle_stratum_data(h):
@@ -1060,7 +1072,7 @@ def oracle_stratum_data(h):
             raise NotOnStratum(
                 f"recovered V^{t+1} has dimension {len(ker)}, expected {r - rho}"
             )
-        vfilt.append(tuple(tuple(row) for row in qlinalg.row_basis(field, ker)))
+        vfilt.append(tuple(tuple(row) for row in row_basis(field, ker)))
         span = oracle_support(field, h.u[rho - 1], r, rho)
         if len(span) != rho:
             raise NotOnStratum(
@@ -1073,7 +1085,7 @@ def oracle_stratum_data(h):
         raise NotOnStratum("recovered W filtration is not nested")
     free = {rho: h.lams[rho - 1] for rho in range(1, r) if rho not in set(cuts)}
     a, b = oracle_adapted_bases(field, r, cuts, vfilt, wfilt)
-    b_inv = qlinalg.inverse(field, b)
+    b_inv = fmat_inverse(field, b)
     top = bounds[s - 1] + 1
     wb = oracle_compounds(field, b_inv, top)
     wa = oracle_compounds(field, a, top)
@@ -1099,7 +1111,7 @@ def oracle_stratum_data(h):
         tilde = [[field.mul(inv_denom, x) for x in row] for row in phi]
         if ch._first_nonzero(field, tilde) is None:
             raise NotOnStratum(f"graded map {sigma} vanishes")
-        block_det = qlinalg.det(field, tilde)
+        block_det = oracle_fmat_det(field, tilde)
         if field.is_zero(block_det):
             raise NotOnStratum(f"graded map {sigma} is singular")
         graded.append(tilde)

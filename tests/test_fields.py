@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chtoucakit import fields, qlinalg
-from chtoucakit.complete_homs import compounds, scaled_compounds
+from chtoucakit.complete_homs import scaled_compounds
 from chtoucakit.errors import TooLarge
 from chtoucakit.fields import (
     FIELD_ORDER_CAP,
@@ -21,12 +21,18 @@ from chtoucakit.fields import (
     fmat_mul,
 )
 from chtoucakit.jsonio import field_from_json
-from chtoucakit.qlinalg import (
+from test_qlinalg import (
+    GENERIC_QQ,
+    compounds,
     det as fmat_det,
     inverse as fmat_inverse,
     kernel as fmat_kernel,
+    oracle_fmat_rref,
+    oracle_q_det,
+    q_matrices,
+    row_basis,
+    rref,
 )
-from test_qlinalg import GENERIC_QQ, q_matrices
 from test_simplex_core import oracle_solve as fmat_solve
 
 
@@ -283,20 +289,20 @@ def check_scaled_routines(a, b):
     c = Fraction(-6, 35)
     times = [[GENERIC_QQ.mul(c, x) for x in row] for row in a]
     assert fields.scaled_times(QQ, c, sa) == canonical(times)
-    red, pivots = qlinalg.rref(GENERIC_QQ, a)
+    red, pivots = rref(GENERIC_QQ, a)
     assert qlinalg.scaled_rref(QQ, sa[0]) == (canonical(red), pivots)
     assert qlinalg.scaled_rank(QQ, sa[0]) == len(pivots)
-    assert qlinalg.scaled_row_basis(QQ, sa[0]) == canonical(qlinalg.row_basis(GENERIC_QQ, a))
+    assert qlinalg.scaled_row_basis(QQ, sa[0]) == canonical(row_basis(GENERIC_QQ, a))
     assert qlinalg.scaled_kernel(QQ, sa[0], ncols) == canonical(
-        qlinalg.kernel(GENERIC_QQ, a, ncols))
+        fmat_kernel(GENERIC_QQ, a, ncols))
     if len(a) == ncols or not a:
-        inv = qlinalg.inverse(GENERIC_QQ, a)
+        inv = fmat_inverse(GENERIC_QQ, a)
         assert qlinalg.scaled_inverse(QQ, *sa) == (None if inv is None else canonical(inv))
-        assert qlinalg.scaled_det(QQ, *sa) == qlinalg.det(GENERIC_QQ, a)
         n = len(a)
-        assert scaled_compounds(QQ, sa, n) == [
-            canonical(level) for level in compounds(GENERIC_QQ, a, n)
-        ]
+        table = scaled_compounds(QQ, sa, n)
+        assert table == [canonical(level) for level in compounds(GENERIC_QQ, a, n)]
+        # the last level is the determinant
+        assert not a or fields.unscaled(QQ, table[-1]) == [[oracle_q_det(a)]]
     for m, sm in ((a, sa), (b, sb)):
         assert fields.unscaled(QQ, sm) == [[Fraction(x) for x in row] for row in m]
 
@@ -327,7 +333,8 @@ def test_scaled_form_over_a_finite_field_is_the_matrix_over_one():
     a = [[rng.randrange(9) for _ in range(3)] for _ in range(3)]
     assert fields.scaled(field, a) == (a, 1) and fields.unscaled(field, (a, 1)) is a
     assert fields.scaled_mul(field, (a, 1), (a, 1)) == (fmat_mul(field, a, a), 1)
-    assert qlinalg.scaled_row_basis(field, a) == (qlinalg.row_basis(field, a), 1)
+    red, pivots = oracle_fmat_rref(field, a)
+    assert qlinalg.scaled_row_basis(field, a) == (red[: len(pivots)], 1)
 
 
 def test_ring_is_zz_over_q_and_the_field_itself_otherwise():
@@ -346,7 +353,6 @@ RATIONAL_FIELD_TESTS = {
     "fields.unscaled",
     "fields.scaled_times",
     "qlinalg._eliminate",
-    "qlinalg.scaled_det",
     "jsonio.field_to_json",
 }
 

@@ -20,7 +20,7 @@ import pytest
 
 from chtoucakit import cli, qlinalg
 from chtoucakit.complete_homs import StratumData, build_stratum_point
-from chtoucakit.fields import GF, QQ
+from chtoucakit.fields import GF, QQ, scaled
 from chtoucakit.graph_gluing import family_from_stratum
 from chtoucakit.jsonio import family_to_json, field_to_json, hom_to_json
 
@@ -87,7 +87,7 @@ def rand_nonzero(field, rng):
 def rand_invertible(field, rng, n):
     while True:
         m = [[rand_scalar(field, rng) for _ in range(n)] for _ in range(n)]
-        if not field.is_zero(qlinalg.det(field, m)):
+        if qlinalg.scaled_rank(field, scaled(field, m)[0]) == n:
             return m
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtoucakit import qlinalg
 from chtoucakit.errors import InvalidData, NonIntegralExponent
 from chtoucakit.l_functions import (
     PlaceData,
@@ -21,6 +20,8 @@ from chtoucakit.l_functions import (
     star_convolve,
 )
 from chtoucakit.fields import QQ
+
+from test_qlinalg import oracle_q_det
 
 
 class TestLocalFactor:
@@ -274,7 +275,7 @@ def oracle_sylvester_resultant(p, q):
         for k, c in enumerate(reversed(q)):
             row[i + k] = c
         rows.append(row)
-    return qlinalg.det(QQ, rows)
+    return oracle_q_det(rows)
 
 
 def oracle_star_convolve(a, b):

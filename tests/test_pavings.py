@@ -46,6 +46,7 @@ from chtoucakit.simplex_core import (
     point_key,
     quotient_lattice,
 )
+from test_qlinalg import inverse, rank, rref
 from test_simplex_core import coords_to_normal_form, nf_to_coords, oracle_basis
 
 
@@ -685,11 +686,11 @@ def oracle_sigma_rows(paving):
     for k, pave in enumerate(paving.paves):
         basis = []
         for p in pave.points:
-            if qlinalg.rank(QQ, [[Fraction(x) for x in b] for b in basis + [p]]) == len(basis) + 1:
+            if rank(QQ, [[Fraction(x) for x in b] for b in basis + [p]]) == len(basis) + 1:
                 basis.append(p)
             if len(basis) == n + 1:
                 break
-        m_inv = qlinalg.inverse(QQ, [[Fraction(x) for x in b] for b in basis])
+        m_inv = inverse(QQ, [[Fraction(x) for x in b] for b in basis])
         for x in enumerate_lattice_points(r, n):
             if x in basis:
                 continue
@@ -725,7 +726,7 @@ def oracle_interior_walls(paving):
             shared = [p for p in paves[l].points if p in set_k]
             if not shared:
                 continue
-            if qlinalg.rank(QQ, [[Fraction(x) for x in p] for p in shared]) != paving.n:
+            if rank(QQ, [[Fraction(x) for x in p] for p in shared]) != paving.n:
                 continue
             witness = next(p for p in paves[l].points if p not in set(shared))
             out.append((k, l, tuple(shared), witness))
@@ -751,7 +752,7 @@ def oracle_shared_walls(paving):
                 ]
                 if not shared:
                     continue
-                if qlinalg.rank(QQ, [[Fraction(x) for x in p] for p in shared]) == n:
+                if rank(QQ, [[Fraction(x) for x in p] for p in shared]) == n:
                     walls.append((first, second, blocks, dmin))
     return walls
 
@@ -995,7 +996,7 @@ def oracle_regular_subdivision(h):
         # independent exactly when the pivots are 0..n, and the last
         # column then holds the interpolating coefficients
         aug = [[Fraction(x) for x in pts[i]] + [h.values[i]] for i in sub]
-        red, pivots = qlinalg.rref(QQ, aug)
+        red, pivots = rref(QQ, aug)
         if pivots != full_rank:
             continue
         c = [row[n + 1] for row in red]
@@ -1232,7 +1233,7 @@ def test_lower_hull_is_one_double_description_per_height():
 
     h = heights(3, 1, {(3, 0): 0, (2, 1): -1, (1, 2): -1, (0, 3): 0})
     with mock.patch.object(pv, "double_description", spy), mock.patch.object(
-        qlinalg, "rref", side_effect=AssertionError("rref called")
+        qlinalg, "scaled_rref", side_effect=AssertionError("rref called")
     ):
         paving = regular_subdivision(h)
     assert calls == [3]

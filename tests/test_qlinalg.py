@@ -1,11 +1,15 @@
-"""Property tests of the elimination routines in `qlinalg`.
+"""Property tests of the elimination routines in `qlinalg` and of the
+determinant, the last level of `complete_homs.scaled_compounds`.
 
 The field-generic loop replaced a Fraction-only Gauss-Jordan elimination
 and a field-generic copy of it; both are kept below as test-only oracles
-and every routine must match them entry for entry.  Over Q the routines,
-`fmat_mul` and `compounds` run on integer matrices instead; that path
-must match the field-generic loops run on Q (`GENERIC_QQ`) entry for
-entry, and do no Fraction arithmetic at all.
+and every routine must match them entry for entry.  The routines take
+and return scaled matrices; the tests run them on matrices of field
+elements through the plain forms below, each a scaled routine between
+`scaled` and `unscaled`.  Over Q the routines, `fmat_mul` and
+`scaled_compounds` run on integer matrices instead; that path must match
+the field-generic loops run on Q (`GENERIC_QQ`) entry for entry, and do
+no Fraction arithmetic at all.
 """
 
 import random
@@ -20,11 +24,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chtoucakit import qlinalg
-from chtoucakit.complete_homs import compounds
-from chtoucakit.fields import GF, QQ, fmat_identity, fmat_mul
+from chtoucakit.complete_homs import scaled_compounds
+from chtoucakit.fields import GF, QQ, fmat_identity, fmat_mul, scaled, unscaled
 
 FIELDS = [QQ, GF(5, 1), GF(2, 2), GF(3, 2)]
 FIELD_IDS = ["QQ", "GF5", "GF4", "GF9"]
+
+
+# ---------------------------------------------------------------------------
+# the plain forms: matrices of field elements in and out
+
+
+def rref(field, rows):
+    """Reduced row-echelon form, all rows kept, zero rows last; returns
+    (matrix, pivot columns)."""
+    m, pivots = qlinalg.scaled_rref(field, scaled(field, rows)[0])
+    return unscaled(field, m), pivots
+
+
+def rank(field, rows) -> int:
+    return qlinalg.scaled_rank(field, scaled(field, rows)[0])
+
+
+def row_basis(field, rows):
+    return unscaled(field, qlinalg.scaled_row_basis(field, scaled(field, rows)[0]))
+
+
+def kernel(field, rows, ncols: int):
+    return unscaled(field, qlinalg.scaled_kernel(field, scaled(field, rows)[0], ncols))
+
+
+def inverse(field, a):
+    """Inverse of a square matrix, or None if it is singular."""
+    inv = qlinalg.scaled_inverse(field, *scaled(field, a))
+    return None if inv is None else unscaled(field, inv)
+
+
+def compounds(field, a, top: int):
+    """[wedge^1 a, ..., wedge^top a]."""
+    return [unscaled(field, m) for m in scaled_compounds(field, scaled(field, a), top)]
+
+
+def det(field, a):
+    """The last level of the compound table, the package's only
+    determinant; the empty product for the 0 x 0 matrix, which has no
+    table."""
+    return compounds(field, a, len(a))[-1][0][0] if a else field.one()
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +226,7 @@ def apply(field, a, x):
 @given(data=st.data())
 def test_rref_matches_oracles(field, data):
     a = data.draw(matrices(field))
-    red, pivots = qlinalg.rref(field, a)
+    red, pivots = rref(field, a)
     assert (red, pivots) == oracle_fmat_rref(field, a)
     if field is QQ:
         assert (red, pivots) == oracle_q_rref(a)
@@ -192,14 +237,14 @@ def test_rref_matches_oracles(field, data):
 @given(data=st.data())
 def test_rref_idempotent_with_pivots(field, data):
     a = data.draw(matrices(field))
-    red, pivots = qlinalg.rref(field, a)
-    assert qlinalg.rref(field, red) == (red, pivots)
+    red, pivots = rref(field, a)
+    assert rref(field, red) == (red, pivots)
     for i, c in enumerate(pivots):
         assert red[i][c] == field.one()
         assert all(field.is_zero(red[j][c]) for j in range(len(red)) if j != i)
         assert all(field.is_zero(x) for x in red[i][:c])
     assert all(field.is_zero(x) for row in red[len(pivots):] for x in row)
-    assert qlinalg.row_basis(field, a) == red[: len(pivots)]
+    assert row_basis(field, a) == red[: len(pivots)]
 
 
 @field_cases
@@ -208,10 +253,10 @@ def test_rref_idempotent_with_pivots(field, data):
 def test_rank_nullity(field, data):
     a = data.draw(matrices(field))
     ncols = len(a[0]) if a else data.draw(st.integers(1, 4))
-    ker = qlinalg.kernel(field, a, ncols)
+    ker = kernel(field, a, ncols)
     if a:
-        assert qlinalg.rank(field, a) == ncols - len(ker)
-    assert qlinalg.rank(field, ker) == len(ker)
+        assert rank(field, a) == ncols - len(ker)
+    assert rank(field, ker) == len(ker)
     for v in ker:
         assert all(field.is_zero(y) for y in apply(field, a, v))
 
@@ -223,13 +268,13 @@ def test_det_matches_oracles_and_is_multiplicative(field, data):
     n = data.draw(st.integers(1, 4))
     a = data.draw(matrices(field, n, n))
     b = data.draw(matrices(field, n, n))
-    det_a = qlinalg.det(field, a)
+    det_a = det(field, a)
     assert det_a == oracle_fmat_det(field, a)
     if field is QQ:
         assert det_a == oracle_q_det(a)
-    det_ab = qlinalg.det(field, fmat_mul(field, a, b))
-    assert det_ab == field.mul(det_a, qlinalg.det(field, b))
-    assert field.is_zero(det_a) == (qlinalg.rank(field, a) < n)
+    det_ab = det(field, fmat_mul(field, a, b))
+    assert det_ab == field.mul(det_a, det(field, b))
+    assert field.is_zero(det_a) == (rank(field, a) < n)
 
 
 @field_cases
@@ -238,8 +283,8 @@ def test_det_matches_oracles_and_is_multiplicative(field, data):
 def test_inverse(field, data):
     n = data.draw(st.integers(0, 5))
     a = data.draw(matrices(field, n, n))
-    inv = qlinalg.inverse(field, a)
-    if qlinalg.rank(field, a) < n:
+    inv = inverse(field, a)
+    if rank(field, a) < n:
         assert inv is None
     else:
         assert fmat_mul(field, a, inv) == fmat_identity(field, n)
@@ -247,11 +292,11 @@ def test_inverse(field, data):
 
 
 def test_empty_and_degenerate_shapes():
-    assert qlinalg.rref(QQ, []) == ([], [])
-    assert qlinalg.rank(QQ, []) == 0
-    assert qlinalg.det(QQ, []) == Fraction(1)
-    assert qlinalg.inverse(QQ, []) == []
-    assert qlinalg.kernel(GF(2, 2), [], 2) == fmat_identity(GF(2, 2), 2)
+    assert qlinalg.scaled_rref(QQ, []) == (([], 1), [])
+    assert qlinalg.scaled_rank(QQ, []) == 0
+    assert scaled_compounds(QQ, ([], 1), 0) == []
+    assert qlinalg.scaled_inverse(QQ, [], 1) == ([], 1)
+    assert qlinalg.scaled_kernel(GF(2, 2), [], 2) == (fmat_identity(GF(2, 2), 2), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +355,10 @@ def all_fractions(value):
 def test_rational_path_matches_generic_loop(data):
     a = data.draw(q_matrices())
     ncols = len(a[0]) if a else data.draw(st.integers(1, 4))
-    red = qlinalg.rref(QQ, a)
-    assert red == qlinalg.rref(GENERIC_QQ, a) and all_fractions(red[0])
-    assert qlinalg.rank(QQ, a) == qlinalg.rank(GENERIC_QQ, a)
-    for routine in (qlinalg.row_basis, lambda f, m: qlinalg.kernel(f, m, ncols)):
+    red = rref(QQ, a)
+    assert red == rref(GENERIC_QQ, a) and all_fractions(red[0])
+    assert rank(QQ, a) == rank(GENERIC_QQ, a)
+    for routine in (row_basis, lambda f, m: kernel(f, m, ncols)):
         out = routine(QQ, a)
         assert out == routine(GENERIC_QQ, a) and all_fractions(out)
     b = data.draw(q_matrices(nrows=ncols))
@@ -321,10 +366,10 @@ def test_rational_path_matches_generic_loop(data):
     assert out == fmat_mul(GENERIC_QQ, a, b) and all_fractions(out)
     n = data.draw(st.integers(0, 5))
     sq = data.draw(q_matrices(nrows=n, ncols=n)) if n else []
-    d = qlinalg.det(QQ, sq)
-    assert d == qlinalg.det(GENERIC_QQ, sq) and type(d) is Fraction
-    inv = qlinalg.inverse(QQ, sq)
-    oracle = qlinalg.inverse(GENERIC_QQ, sq)
+    d = det(QQ, sq)
+    assert d == det(GENERIC_QQ, sq) and type(d) is Fraction
+    inv = inverse(QQ, sq)
+    oracle = inverse(GENERIC_QQ, sq)
     assert (inv is None) == (oracle is None) and inv == oracle
     assert inv is None or all_fractions(inv)
     table = compounds(QQ, sq, n)
@@ -338,9 +383,9 @@ def as_fractions(m):
 def test_int_entries_give_exact_fractions():
     assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
     assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
-    d = qlinalg.det(QQ, [[2, 1], [1, 3]])
+    d = det(QQ, [[2, 1], [1, 3]])
     assert d == 5 and type(d) is Fraction
-    inv = qlinalg.inverse(QQ, [[2, 0], [0, 3]])
+    inv = inverse(QQ, [[2, 0], [0, 3]])
     assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 3)]] and all_fractions(inv)
 
 
@@ -353,17 +398,17 @@ def test_int_and_mixed_entries_match_their_fraction_copies(data):
     a = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
     f = as_fractions(a)
     routines = (
-        lambda field, m: qlinalg.rref(field, m)[0],
-        qlinalg.row_basis, qlinalg.det, qlinalg.inverse,
-        lambda field, m: qlinalg.kernel(field, m, n),
+        lambda field, m: rref(field, m)[0],
+        row_basis, det, inverse,
+        lambda field, m: kernel(field, m, n),
         lambda field, m: fmat_mul(field, m, m),
         lambda field, m: compounds(field, m, n),
     )
     for routine in routines:
         out = routine(QQ, a)
         assert out == routine(QQ, f) and (out is None or all_fractions(out))
-    assert qlinalg.rank(QQ, a) == qlinalg.rank(QQ, f)
-    assert qlinalg.rref(QQ, a)[1] == qlinalg.rref(QQ, f)[1]
+    assert rank(QQ, a) == rank(QQ, f)
+    assert rref(QQ, a)[1] == rref(QQ, f)[1]
 
 
 # Fraction's arithmetic operators; constructing a Fraction is not among them
@@ -395,12 +440,12 @@ def counting_fraction_arithmetic():
 def run_rational_routines(field, a):
     compounds(field, a, len(a))
     fmat_mul(field, a, a)
-    qlinalg.rref(field, a)
-    qlinalg.rank(field, a)
-    qlinalg.row_basis(field, a)
-    qlinalg.kernel(field, a, len(a[0]))
-    qlinalg.inverse(field, a)
-    qlinalg.det(field, a)
+    rref(field, a)
+    rank(field, a)
+    row_basis(field, a)
+    kernel(field, a, len(a[0]))
+    inverse(field, a)
+    det(field, a)
 
 
 def test_rational_routines_do_no_fraction_arithmetic():

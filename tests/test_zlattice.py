@@ -5,7 +5,6 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtoucakit import qlinalg
 from chtoucakit.fields import QQ
 from chtoucakit.zlattice import (
     hnf,
@@ -15,7 +14,7 @@ from chtoucakit.zlattice import (
     primitive_ray,
     vec_gcd,
 )
-from test_qlinalg import GENERIC_QQ
+from test_qlinalg import GENERIC_QQ, kernel, rank
 
 
 def test_primitive_vs_ray():
@@ -226,8 +225,7 @@ def test_snf_random_invariants():
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
         m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
         divs = snf_diagonal([list(r) for r in m])
-        rank = qlinalg.rank(QQ, [[Fraction(x) for x in row] for row in m])
-        assert len(divs) == rank
+        assert len(divs) == rank(QQ, [[Fraction(x) for x in row] for row in m])
         for a, b in zip(divs, divs[1:]):
             assert b % a == 0
         if divs:
@@ -264,7 +262,7 @@ def test_int_rank():
 def oracle_int_kernel(rows, ncols):
     """HNF of the cleared-denominator rational kernel: spans the right
     space but can be a sublattice of finite index in the kernel."""
-    ker = qlinalg.kernel(QQ, [[Fraction(a) for a in r] for r in rows], ncols)
+    ker = kernel(QQ, [[Fraction(a) for a in r] for r in rows], ncols)
     return [tuple(r) for r in hnf([list(clear_denominators(v)) for v in ker])]
 
 
@@ -310,7 +308,7 @@ def test_int_rank_matches_rational_rank(case):
     # the rank over Q runs int_rank's own pass, so the oracle is the
     # field-generic loop run on Q
     rows, _ = case
-    assert int_rank(rows) == qlinalg.rank(GENERIC_QQ, [[Fraction(a) for a in r] for r in rows])
+    assert int_rank(rows) == rank(GENERIC_QQ, [[Fraction(a) for a in r] for r in rows])
 
 
 def test_int_kernel_of_unsaturated_denominators():
