@@ -608,15 +608,15 @@ CRITERIA = (
 )
 
 
-def run_all(wanted=None, verbose=False):
-    """Run the acceptance criteria; returns [(number, status, seconds,
-    detail)] with status PASS, FAIL or SKIP (cap exceeded).  A wanted
-    number that names no criterion is InvalidData, before any runs."""
+def run_all(wanted=None):
+    """Run the criteria (all, or those in `wanted`) and yield (number,
+    status, seconds, detail) as each ends, with status PASS, FAIL or SKIP
+    (cap exceeded); write no output.  A wanted number that names no
+    criterion is InvalidData, before any criterion runs."""
     unknown = sorted(set(wanted or ()) - {number for number, _, _ in CRITERIA})
     if unknown:
         raise InvalidData(f"no acceptance criterion {', '.join(map(str, unknown))}")
-    results = []
-    for number, title, fn in CRITERIA:
+    for number, _, fn in CRITERIA:
         if wanted is not None and number not in wanted:
             continue
         t0 = time.time()
@@ -627,8 +627,4 @@ def run_all(wanted=None, verbose=False):
             status, detail = "SKIP", str(e)
         except AssertionError as e:
             status, detail = "FAIL", str(e)
-        dt = time.time() - t0
-        results.append((number, status, dt, detail))
-        if verbose:
-            print(f"{status} criterion {number:2d} ({dt:7.2f} s): {title} -- {detail}")
-    return results
+        yield number, status, time.time() - t0, detail

@@ -1,10 +1,12 @@
 """Command-line front end: enumeration, verification and computation
-subcommands with canonical JSON output.
+subcommands with canonical JSON output.  Each `cmd_*` handler returns its
+payload and `main` alone writes it, to stdout or --out; `selftest` prints
+its own lines and returns its exit status.
 
 Exit status: 0 on success, 1 on domain errors (machine-readable error
-JSON on stderr), 2 on I/O or parse errors, 3 on an internal error (a
-broken invariant, a bug in this package; the same JSON payload with type
-InternalError).  Output is byte-identical
+JSON on stderr), 2 on I/O or parse errors (a failed --out write too), 3
+on an internal error (a broken invariant, a bug in this package; the
+same JSON payload with type InternalError).  Output is byte-identical
 across runs; the --jobs option (or CHTOUCA_KIT_JOBS) is accepted for
 interface stability but all work is scheduled sequentially, which is
 one of the legal schedules and keeps results reproducible."""
@@ -63,17 +65,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def _read_json(path):
-    try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise IOFailure(str(e)) from e
-
-
-class IOFailure(Exception):
-    pass
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _emit(payload: dict, out: str | None):
@@ -86,19 +81,17 @@ def _emit(payload: dict, out: str | None):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its payload, which `main` writes
 
 
 def cmd_pavings_enum(args):
     pavings = enumerate_admissible_pavings(args.r, args.n)
-    payload = {
+    return {
         "r": args.r,
         "n": args.n,
         "count": len(pavings),
         "pavings": [jsonio.paving_to_json(p)["paves"] for p in pavings],
     }
-    _emit(payload, args.out)
-    return 0
 
 
 def cmd_pavings_check(args):
@@ -112,16 +105,13 @@ def cmd_pavings_check(args):
     }
     if res.admissible and res.witness is not None:
         payload["witness"] = jsonio.lattice_function_to_json(res.witness)
-    _emit(payload, args.out)
-    return 0
+    return payload
 
 
 def cmd_pavings_qadm(args):
     obj = _read_json(args.file)
     paving = jsonio.paving_from_json(obj)
-    payload = {"q": args.q, "q_admissible": is_q_admissible(paving, args.q)}
-    _emit(payload, args.out)
-    return 0
+    return {"q": args.q, "q_admissible": is_q_admissible(paving, args.q)}
 
 
 def cmd_fans_verify(args):
@@ -135,21 +125,18 @@ def cmd_fans_verify(args):
     else:
         fan = jsonio.fan_from_json(obj)
     report = verify_fan(fan)
-    payload = {
+    return {
         "ok": report.ok,
         "cones": report.n_cones,
         "rank": report.rank,
         "failures": [list(map(str, f)) for f in report.failures],
         "fan": jsonio.fan_to_json(fan),
     }
-    _emit(payload, args.out)
-    return 0
 
 
 def cmd_fans_dual(args):
     cone = jsonio.cone_from_json(_read_json(args.cone))
-    _emit({"dual": jsonio.cone_to_json(dual_cone(cone))}, args.out)
-    return 0
+    return {"dual": jsonio.cone_to_json(dual_cone(cone))}
 
 
 def cmd_fans_monoid(args):
@@ -158,28 +145,23 @@ def cmd_fans_monoid(args):
     # description alone grows with the square of the rank
     check_monoid_rank(jsonio.rank_from_json(obj))
     gens = monoid_generators(jsonio.cone_from_json(obj))
-    _emit({"generators": [list(g) for g in gens]}, args.out)
-    return 0
+    return {"generators": [list(g) for g in gens]}
 
 
-def _emit_sequence(rep, out):
-    _emit(
-        {
-            "ok": rep.ok,
-            "dim_torus": rep.dim_torus,
-            "checks": [[name, ok] for name, ok in rep.checks],
-        },
-        out,
-    )
-    return 0
+def _sequence_payload(rep):
+    return {
+        "ok": rep.ok,
+        "dim_torus": rep.dim_torus,
+        "checks": [[name, ok] for name, ok in rep.checks],
+    }
 
 
 def cmd_fans_torus_seq(args):
-    return _emit_sequence(torus_sequence_check(args.r, args.n), args.out)
+    return _sequence_payload(torus_sequence_check(args.r, args.n))
 
 
 def cmd_fans_tau_seq(args):
-    return _emit_sequence(tau_sequence_check(args.r, args.q), args.out)
+    return _sequence_payload(tau_sequence_check(args.r, args.q))
 
 
 def cmd_homs_complete(args):
@@ -187,25 +169,20 @@ def cmd_homs_complete(args):
     field = jsonio.field_from_json(obj["field"])
     u1 = jsonio.matrix_from_json(field, obj["u1"])
     lams = [jsonio.scalar_from_str(field, s) for s in obj["lambda"]]
-    h = complete_from_open(field, u1, lams)
-    _emit(jsonio.hom_to_json(h), args.out)
-    return 0
+    return jsonio.hom_to_json(complete_from_open(field, u1, lams))
 
 
 def cmd_homs_stratum(args):
     h = jsonio.hom_from_json(_read_json(args.file))
-    data = stratum_data(h)
-    payload = jsonio.stratum_to_json(data)
+    payload = jsonio.stratum_to_json(stratum_data(h))
     payload["stratum"] = list(stratum_of(h))
-    _emit(payload, args.out)
-    return 0
+    return payload
 
 
 def cmd_homs_act(args):
     h = jsonio.hom_from_json(_read_json(args.file))
     mus = [jsonio.scalar_from_str(h.field, s) for s in args.mu.split(",")]
-    _emit(jsonio.hom_to_json(torus_action(h, mus)), args.out)
-    return 0
+    return jsonio.hom_to_json(torus_action(h, mus))
 
 
 def cmd_homs_lang(args):
@@ -213,95 +190,73 @@ def cmd_homs_lang(args):
     field = jsonio.field_from_json(obj["field"])
     g = jsonio.matrix_from_json(field, obj["matrix"])
     result = lang_isogeny(g, args.q, field)
-    _emit(
-        {"field": jsonio.field_to_json(field), "matrix": jsonio.matrix_to_json(field, result)},
-        args.out,
-    )
-    return 0
+    return {"field": jsonio.field_to_json(field), "matrix": jsonio.matrix_to_json(field, result)}
 
 
 def cmd_hn_compute(args):
     lat = jsonio.subobject_lattice_from_json(_read_json(args.file))
     alpha = _fraction(args.alpha)
     polygon, chain = hn_polygon(lat, alpha)
-    _emit(
-        {
-            "polygon": jsonio.polygon_to_json(polygon),
-            "chain": list(chain),
-            "alpha": jsonio.frac_str(alpha),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "polygon": jsonio.polygon_to_json(polygon),
+        "chain": list(chain),
+        "alpha": jsonio.frac_str(alpha),
+    }
 
 
 def cmd_trunc_split(args):
     p = jsonio.polygon_from_json(_read_json(args.p))
     cuts = [int(c) for c in args.cuts.split(",")] if args.cuts else []
     res = split_truncation(p, args.d, cuts)
-    _emit(
-        {
-            "d_parts": list(res.d_parts),
-            "p_parts": [jsonio.polygon_to_json(q) for q in res.p_parts],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "d_parts": list(res.d_parts),
+        "p_parts": [jsonio.polygon_to_json(q) for q in res.p_parts],
+    }
 
 
 def cmd_trunc_convex(args):
     p = jsonio.polygon_from_json(_read_json(args.file))
     mu = _fraction(args.mu)
-    _emit({"mu": jsonio.frac_str(mu), "convex": is_mu_convex(p, mu)}, args.out)
-    return 0
+    return {"mu": jsonio.frac_str(mu), "convex": is_mu_convex(p, mu)}
 
 
 def cmd_graphs_check(args):
     fam = jsonio.family_from_json(_read_json(args.file))
     dim_rep = check_dimension_condition(fam)
     glue_rep = check_gluing_condition(fam)
-    _emit(
-        {
-            "dimension_ok": dim_rep.ok,
-            "gluing_ok": glue_rep.ok,
-            "dimension_violations": [list(map(str, v)) for v in dim_rep.violations],
-            "gluing_violations": [list(map(str, v)) for v in glue_rep.violations],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "dimension_ok": dim_rep.ok,
+        "gluing_ok": glue_rep.ok,
+        "dimension_violations": [list(map(str, v)) for v in dim_rep.violations],
+        "gluing_violations": [list(map(str, v)) for v in glue_rep.violations],
+    }
 
 
 def cmd_lfun_local(args):
     pd = jsonio.place_from_json(_read_json(args.file))
-    _emit(jsonio.series_to_json(local_factor(pd, args.order)), args.out)
-    return 0
+    return jsonio.series_to_json(local_factor(pd, args.order))
 
 
 def cmd_lfun_partial(args):
     places = jsonio.places_from_json(_read_json(args.file))
-    _emit(jsonio.series_to_json(partial_l(places, args.order)), args.out)
-    return 0
+    return jsonio.series_to_json(partial_l(places, args.order))
 
 
 def cmd_lfun_star(args):
     a = jsonio.satake_from_json(_read_json(args.a))
     b = jsonio.satake_from_json(_read_json(args.b))
-    _emit(jsonio.satake_to_json(star_convolve(a, b)), args.out)
-    return 0
+    return jsonio.satake_to_json(star_convolve(a, b))
 
 
 def cmd_lfun_psum(args):
     p = jsonio.satake_from_json(_read_json(args.file))
-    _emit({"nu": args.nu, "value": jsonio.frac_str(power_sum(p, args.nu))}, args.out)
-    return 0
+    return {"nu": args.nu, "value": jsonio.frac_str(power_sum(p, args.nu))}
 
 
 def cmd_lfun_bounds(args):
     pd = jsonio.place_from_json(_read_json(args.file))
     ok = check_bounds(pd, args.q, args.mode, args.tol)
-    _emit({"mode": args.mode.upper(), "q": args.q, "ok": ok}, args.out)
-    return 0
+    return {"mode": args.mode.upper(), "q": args.q, "ok": ok}
 
 
 def cmd_lfun_spectral(args):
@@ -318,18 +273,19 @@ def cmd_lfun_spectral(args):
         args.deg_o,
         args.q,
     )
-    _emit({"value": jsonio.frac_str(val)}, args.out)
-    return 0
+    return {"value": jsonio.frac_str(val)}
 
 
 def cmd_selftest(args):
     from . import acceptance
 
-    wanted = None
-    if args.criteria:
-        wanted = {int(c) for c in args.criteria.split(",")}
-    results = acceptance.run_all(wanted, verbose=True)
-    return 0 if all(st in ("PASS", "SKIP") for _, st, _, _ in results) else 1
+    wanted = {int(c) for c in args.criteria.split(",")} if args.criteria else None
+    titles = {number: title for number, title, _ in acceptance.CRITERIA}
+    ok = True
+    for number, status, dt, detail in acceptance.run_all(wanted):
+        print(f"{status} criterion {number:2d} ({dt:7.2f} s): {titles[number]} -- {detail}")
+        ok = ok and status in ("PASS", "SKIP")
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +419,18 @@ def main(argv=None) -> int:
                 raise ValueError(f"CHTOUCA_KIT_JOBS must be an integer, got {raw!r}") from None
         if jobs < 1:
             raise InvalidData("jobs must be >= 1")
-        return args.func(args)
+        payload = args.func(args)
+        if isinstance(payload, int):  # selftest's exit status; it prints its own lines
+            return payload
+        _emit(payload, args.out)
+        return 0
     except DomainError as e:
         _error(e.kind, str(e))
         return 1
     except InternalError as e:
         _error("InternalError", str(e))
         return 3
-    except (IOFailure, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         _error("ParseError", str(e))
         return 2
 

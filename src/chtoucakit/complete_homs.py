@@ -229,9 +229,6 @@ class StratumData:
     scales: tuple
     free_lams: tuple  # pairs (rho, lambda_rho), rho not in R, sorted
 
-    def blocks(self) -> tuple[int, ...]:
-        return composition_from_subset(self.r, self.cuts)
-
     def normalized(self) -> "StratumData":
         """Move each graded matrix's leading coefficient into the scale."""
         field = self.field

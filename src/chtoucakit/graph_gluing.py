@@ -48,7 +48,7 @@ class GluedGraphFamily:
         return tuple(scaled(self.field, [list(row) for row in m])[0] for m in self.w)
 
 
-def _coords_of(n: int, r: int, blocks) -> list[int]:
+def _coords_of(r: int, blocks) -> list[int]:
     out = []
     for j in blocks:
         out.extend(range(j * r, (j + 1) * r))
@@ -64,7 +64,7 @@ def _wall_side(field, n_rows, r: int, n: int, blocks):
     (projection, intersection)."""
     off = [j for j in range(n + 1) if j not in blocks]
     split = len(off) * r
-    cols = _coords_of(n, r, off + list(blocks))
+    cols = _coords_of(r, off + list(blocks))
     (m, e), pivots = qlinalg.scaled_rref(field, [[row[c] for c in cols] for row in n_rows])
     k = sum(1 for p in pivots if p < split)
     return (
@@ -91,7 +91,7 @@ def check_dimension_condition(fam: GluedGraphFamily) -> GluingReport:
         for blocks in _proper_nonempty_subsets(n):
             expected = profile[blocks]
             # dim(W cap V^J) = dim{c : c W vanishes off V^J} = r - rank there
-            off = _coords_of(n, r, [j for j in range(n + 1) if j not in blocks])
+            off = _coords_of(r, [j for j in range(n + 1) if j not in blocks])
             rows = [[row[c] for c in off] for row in fam.numerators[idx]]
             got = r - qlinalg.scaled_rank(fam.field, rows)
             if got != expected:

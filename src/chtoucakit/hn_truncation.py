@@ -111,6 +111,8 @@ class Polygon:
     values: tuple[Fraction, ...]  # p(0), ..., p(r)
 
     def __post_init__(self):
+        if self.r < 0:
+            raise InvalidData("polygon needs r >= 0")
         if len(self.values) != self.r + 1:
             raise InvalidData("polygon needs r+1 values")
         if self.values[0] != 0 or self.values[-1] != 0:
@@ -248,6 +250,8 @@ def split_truncation(p: Polygon, d: int, cuts) -> SplitResult:
     if not is_mu_convex(p, 2):
         raise NotConvexEnough("splitting requires a 2-convex parameter")
     r = p.r
+    if r < 1:
+        raise InvalidData("splitting requires r >= 1")
     cuts = sorted(set(int(c) for c in cuts))
     if any(not 0 < c < r for c in cuts):
         raise InvalidData("cuts must lie strictly between 0 and r")

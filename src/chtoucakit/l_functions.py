@@ -26,6 +26,7 @@ from .errors import (
     NonIntegralExponent,
     NonInvertibleRoots,
     RootFindingFailed,
+    TooLarge,
 )
 
 
@@ -63,7 +64,10 @@ class SatakeParams:
             return []
         import numpy as np
 
-        desc = [float(c) for c in reversed(self.coeffs)]
+        try:
+            desc = [float(c) for c in reversed(self.coeffs)]
+        except OverflowError:
+            raise RootFindingFailed("a coefficient is past the float range") from None
         try:
             troots = np.roots(desc)
         except Exception as e:  # pragma: no cover - numpy failure
@@ -116,11 +120,12 @@ def local_factor(pd: PlaceData, order: int) -> PowerSeries:
     for k, c in enumerate(pd.params.coeffs):
         if k * pd.deg <= order:
             denom[k * pd.deg] = c
+    top = pd.params.degree * pd.deg  # denom[k] is zero past it
     out = [Fraction(0)] * (order + 1)
     out[0] = Fraction(1)
     for m in range(1, order + 1):
         acc = Fraction(0)
-        for k in range(1, m + 1):
+        for k in range(1, min(m, top) + 1):
             if denom[k]:
                 acc += denom[k] * out[m - k]
         out[m] = -acc
@@ -252,8 +257,10 @@ def check_bounds(pd: PlaceData, q: int, mode: str, tol: float) -> bool:
     roots = pd.params.float_roots()
     if mode == "RP":
         return all(abs(abs(z) - 1.0) <= tol for z in roots)
-    lo = q ** (-0.5)
-    hi = q**0.5
+    try:
+        lo, hi = q ** (-0.5), q**0.5
+    except OverflowError:
+        raise TooLarge("q is past the float range of the bound check") from None
     for z in roots:
         mag = abs(z) ** (1.0 / pd.deg)
         if not (lo + tol < mag < hi - tol):

@@ -29,9 +29,16 @@ def test_criterion(number, title, fn, capsys):
 
 
 def test_selftest_runner_reports_all():
-    results = acceptance.run_all(wanted={1, 13})
+    results = list(acceptance.run_all(wanted={1, 13}))
     assert [r[0] for r in results] == [1, 13]
     assert all(status == "PASS" for _, status, _, _ in results)
+
+
+def test_runner_writes_nothing(capsys):
+    """The CLI prints the selftest lines; the runner only yields them."""
+    results = list(acceptance.run_all({1}))
+    assert [r[:2] for r in results] == [(1, "PASS")]
+    assert capsys.readouterr() == ("", "")
 
 
 def test_selftest_skip_semantics(monkeypatch):
@@ -39,7 +46,7 @@ def test_selftest_skip_semantics(monkeypatch):
     import chtoucakit.pavings as pavings_mod
 
     monkeypatch.setattr(pavings_mod, "ENUMERATION_POINT_CAP", 2)
-    results = acceptance.run_all(wanted={2})
+    results = list(acceptance.run_all(wanted={2}))
     assert results[0][1] == "SKIP"
 
 
@@ -57,7 +64,7 @@ def broken_split(p, d, cuts):
 def test_selftest_detects_injected_fault(monkeypatch):
     """A corrupted splitting formula fails the degree-identity criterion."""
     monkeypatch.setattr(acceptance, "split_truncation", broken_split)
-    results = acceptance.run_all(wanted={10})
+    results = list(acceptance.run_all(wanted={10}))
     assert results[0][1] == "FAIL"
 
 
@@ -70,9 +77,19 @@ def test_selftest_detects_injected_fault_under_python_O():
         "from chtoucakit import acceptance\n"
         "from test_acceptance import broken_split\n"
         "acceptance.split_truncation = broken_split\n"
-        "print(acceptance.run_all(wanted={10})[0][1])\n"
+        "print(list(acceptance.run_all(wanted={10}))[0][1])\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["FAIL"]
+
+
+def test_selftest_command_prints_a_line_per_criterion_and_exits_1_on_failure(monkeypatch, capsys):
+    from chtoucakit import cli
+
+    monkeypatch.setattr(acceptance, "split_truncation", broken_split)
+    assert cli.main(["selftest", "--criteria", "1,10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == ["PASS criterion  1", "FAIL criterion 10"]
+    assert "): truncation splitting identities -- " in lines[1]

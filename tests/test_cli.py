@@ -280,6 +280,46 @@ def test_parse_error_exit_code(tmp_path):
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "malformed"])
+def test_read_failures_are_parse_errors_with_the_exception_text(tmp_path, kind):
+    path = tmp_path / "in.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "malformed":
+        path.write_text("{not json")
+    message = {
+        "missing": f"[Errno 2] No such file or directory: '{path}'",
+        "directory": f"[Errno 21] Is a directory: '{path}'",
+        "malformed": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    }[kind]
+    rc, out, err = run_cli(["pavings", "check", str(path)])
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "ParseError", "message": message}
+
+
+def test_failed_out_write_is_a_parse_error(tmp_path):
+    """A write into a missing directory once ended in a traceback, exit 1."""
+    target = tmp_path / "missing" / "x.json"
+    rc, out, err = run_cli(["pavings", "enum", "--r", "2", "--n", "1", "--out", str(target)])
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": {"type": "ParseError", "message": f"[Errno 2] No such file or directory: '{target}'"},
+        "version": "chtouca-kit/1",
+    }
+    assert not target.parent.exists()
+
+
+def test_handlers_return_payloads_and_main_writes_them(monkeypatch):
+    """`main` is the one writer: a handler's payload reaches stdout only
+    through `_emit`."""
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda payload, out: emitted.append((payload, out)))
+    rc, out, _ = run_cli(["fans", "torus-seq", "--r", "2", "--n", "2"])
+    assert (rc, out) == (0, "")
+    [(payload, target)] = emitted
+    assert target is None and payload == cli.cmd_fans_torus_seq(argparse.Namespace(r=2, n=2))
+
+
 def test_internal_error_exit_code(monkeypatch):
     def broken(args):
         raise InternalError("invariant broken")
@@ -601,6 +641,32 @@ def test_lfun_negative_order_names_the_order(tmp_path, command, places):
     assert_invalid_data(argv, files, tmp_path, "order must be >= 0")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["trunc", "convex", "p.json"], "polygon needs r >= 0"),
+    (["trunc", "split", "--p", "p.json", "--d", "1"], "polygon needs r >= 0"),
+    (["trunc", "split", "--p", "p0.json", "--d", "1"], "splitting requires r >= 1"),
+], ids=["convex-no-values", "split-no-values", "split-r0"])
+def test_trunc_degenerate_polygons_are_invalid_data(tmp_path, argv, message):
+    """No values once ended in an IndexError, and splitting at r = 0 in a
+    ZeroDivisionError."""
+    files = {"p.json": {"values": []}, "p0.json": {"values": ["0"]}}
+    assert_invalid_data(argv, files, tmp_path, message)
+    rc, out, _ = run_cli(["trunc", "convex", "p0.json"], files, tmp_path)
+    assert rc == 0 and json.loads(out)["convex"] is True
+
+
+@pytest.mark.parametrize("coeffs,q,kind,message", [
+    (["1", "1e400"], "4", "RootFindingFailed", "a coefficient is past the float range"),
+    (["1", "-2"], "1" + "0" * 400, "TooLarge", "q is past the float range of the bound check"),
+], ids=["coefficient", "q"])
+def test_lfun_bounds_past_the_float_range_are_domain_errors(tmp_path, coeffs, q, kind, message):
+    """Each once ended in an OverflowError traceback."""
+    files = {"place.json": {"deg": 1, "coeffs": coeffs}}
+    rc, out, err = run_cli(["lfun", "bounds", "place.json", "--q", q, "--mode", "js"], files, tmp_path)
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": kind, "message": message}
+
+
 @pytest.mark.parametrize("deg_inf,deg_o", [("0", "1"), ("1", "0"), ("-1", "1"), ("-2", "-2")])
 def test_lfun_spectral_place_degrees_below_one_are_invalid_data(tmp_path, deg_inf, deg_o):
     """Degree 0 once divided by zero, and negative degrees passed the
@@ -825,7 +891,7 @@ def cli_sandbox(monkeypatch, tmp_path):
     directory and `selftest` reduced to echoing the criteria it was given."""
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(acceptance, "run_all", lambda wanted, verbose: print(wanted) or [])
+    monkeypatch.setattr(acceptance, "run_all", lambda wanted: print(wanted) or [])
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)

@@ -1196,3 +1196,53 @@ def test_perturbed_points_reach_each_not_on_stratum_check():
     for start in ("recovered V^", "recovered V filtration", "recovered W filtration",
                   "graded map", "point does not satisfy"):
         assert any(m.startswith(start) for m in messages), start
+
+
+def one_field_changed(field, d):
+    """`d` with one field changed at a time, so that each comparison in
+    `StratumData.eq` has a case where it alone answers no."""
+    one = field.one()
+    bump = lambda x: field.add(x, one)
+    member = d.vfilt[0]
+    r = d.r
+    unit = lambda i: tuple(one if j == i else field.zero() for j in range(r))
+    # a row space other than V^1's: spanned by the first or by the last unit vectors
+    other = tuple(unit(i) for i in range(len(member)))
+    if row_basis(field, [list(u) for u in other]) == row_basis(field, [list(u) for u in member]):
+        other = tuple(unit(r - 1 - i) for i in range(len(member)))
+    (rho, lam), *rest = d.free_lams
+    v0 = [list(row) for row in d.v[0]]
+    v0[0][0] = bump(v0[0][0])
+    return {
+        "cuts": replace(d, cuts=(1,)),
+        "free lambda value": replace(d, free_lams=((rho, bump(lam)), *rest)),
+        "free lambda dropped": replace(d, free_lams=tuple(rest)),
+        "filtration row space": replace(d, vfilt=(other,) + d.vfilt[1:]),
+        "graded map": replace(d, v=(tuple(map(tuple, v0)),) + d.v[1:]),
+        "scale": replace(d, scales=(bump(d.scales[0]),) + d.scales[1:]),
+    }
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5, 1)], ids=["QQ", "GF5"])
+def test_equality_answers_no_when_one_field_differs(field):
+    """Criterion 7's round trips trust `eq`; each comparison it makes
+    must be able to fail."""
+    rng = random.Random(34)
+    d = rand_stratum_data(field, rng, 4, cuts=(2,)).normalized()
+    # the same subspaces from another basis still compare equal
+    same = replace(d, vfilt=tuple(tuple(reversed(m)) for m in d.vfilt))
+    assert d.eq(same) and same.eq(d)
+    for name, changed in one_field_changed(field, d).items():
+        assert not d.eq(changed) and not changed.eq(d), name
+    h = build_stratum_point(d)
+    one = field.one()
+    for k in range(h.r):
+        u = [[list(row) for row in m] for m in h.u]
+        u[k][0][0] = field.add(u[k][0][0], one)
+        changed = replace(h, u=tuple(u))
+        assert not h.eq(changed) and not changed.eq(h), k
+    for k in range(h.r - 1):
+        lams = list(h.lams)
+        lams[k] = field.add(lams[k], one)
+        changed = replace(h, lams=tuple(lams))
+        assert not h.eq(changed) and not changed.eq(h), k

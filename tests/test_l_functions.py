@@ -353,3 +353,42 @@ def test_star_convolve_matches_sylvester_lagrange(a, b):
 @given(p=satake_params(min_degree=0), nu=st.integers(1, 8), sign=st.sampled_from([1, -1]))
 def test_power_sum_matches_newton_loop(p, nu, sign):
     assert power_sum(p, sign * nu) == oracle_power_sum(p, sign * nu)
+
+
+def oracle_local_factor(pd, order):
+    """`local_factor`'s recurrence over every k <= m, as it stood before
+    the loop stopped at deg * degree, past which denom[k] is zero."""
+    denom = [Fraction(0)] * (order + 1)
+    for k, c in enumerate(pd.params.coeffs):
+        if k * pd.deg <= order:
+            denom[k * pd.deg] = c
+    out = [Fraction(0)] * (order + 1)
+    out[0] = Fraction(1)
+    for m in range(1, order + 1):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            if denom[k]:
+                acc += denom[k] * out[m - k]
+        out[m] = -acc
+    return tuple(out)
+
+
+def test_local_factor_matches_the_unbounded_recurrence():
+    rng = random.Random(34)
+    for _ in range(60):
+        deg = rng.randint(1, 4)
+        degree = rng.randint(0, 4)
+        coeffs = [1] + [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(degree)]
+        if degree and coeffs[-1] == 0:
+            coeffs[-1] = Fraction(1)
+        pd = PlaceData(deg, SatakeParams.from_coeffs(coeffs))
+        # orders below, at and past deg * degree
+        for order in (0, rng.randint(0, deg * degree), deg * degree, deg * degree + rng.randint(1, 12)):
+            assert local_factor(pd, order).coeffs == oracle_local_factor(pd, order)
+
+
+def test_rp_bounds_answer_for_a_q_past_the_float_range():
+    """RP mode never reads q, so a q that no float holds, a `TooLarge`
+    in JS mode, still gets an answer."""
+    small = PlaceData(1, SatakeParams.from_coeffs(["1", "1/2"]))
+    assert check_bounds(small, 10**400, "RP", 1e-9) is False
